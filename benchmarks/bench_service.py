@@ -359,21 +359,22 @@ def test_service_repair_replay(benchmark, size):
     a ``max_repair_delta=0`` (legacy invalidate-on-drain) service; the
     response payloads must be identical — repair buys latency, never
     different answers — and the enabled run must actually exercise the
-    path (``repair_hits > 0``), which is also the CI smoke gate.
+    path (``repair_hits > 0``), with every candidate completing its repair
+    (``repairs == repair_hits``), which is also the CI smoke gate.
     """
     from repro.service.api import PlacementService
     from repro.service.driver import response_payload
 
     tree, trace = _scenario(size)
 
-    def replay(max_repair_delta: int):
+    def replay(max_repair_delta: int | None):
         service = PlacementService(
             tree, CAPACITY, max_repair_delta=max_repair_delta
         )
         return replay_trace(tree, trace, service=service)
 
     repaired_report = benchmark.pedantic(
-        replay, kwargs={"max_repair_delta": 8}, rounds=1, iterations=1
+        replay, kwargs={"max_repair_delta": None}, rounds=1, iterations=1
     )
     legacy_report = replay(max_repair_delta=0)
 
@@ -387,7 +388,7 @@ def test_service_repair_replay(benchmark, size):
         "repair-enabled replay diverged from the invalidate-on-drain replay"
     )
     assert repaired_report.repair_hits > 0
-    assert repaired_report.repairs > 0
+    assert repaired_report.repairs == repaired_report.repair_hits
     assert legacy_report.repairs == 0
 
 

@@ -133,10 +133,9 @@ void repro_batched_combine(const double *previous, const double *child,
 }
 
 /* The colour decision: out = (a < b), elementwise over flat buffers.
- * Used for the engine's final choice tensor (y_blue < y_red) and the
- * per-level decisions of the compiled colour kernel.  NaNs (possible in
- * the engine's never-read uninitialized rows) compare false, exactly as
- * numpy's np.less. */
+ * Used for the per-level blue/red decisions of the compiled colour
+ * kernel.  NaNs (possible in the engine's never-read uninitialized rows)
+ * compare false, exactly as numpy's np.less. */
 void repro_strict_less(const double *a, const double *b, uint8_t *out,
                        int64_t size) {
   for (int64_t i = 0; i < size; i++) {

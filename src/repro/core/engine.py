@@ -16,7 +16,8 @@ traversal:
   ``mCost`` (min,+)-convolution of Algorithm 3 runs batched across *every
   node of a level at once*, vectorizing over ``(l, i, node)`` simultaneously
   instead of only over ``(l, i)``,
-* the blue/red colour decision is a single tensor comparison at the end.
+* the per-node tables are never materialized up front: the result maps
+  nodes lazily onto slices of the flat tensors (see below).
 
 The node axis is the contiguous innermost one, so every update in the
 convolution streams over long same-shaped runs — this is where the engine
@@ -34,9 +35,9 @@ The registry holds **three** engines:
     ``tests/test_engine_differential.py``).
 
 ``"compiled"``
-    The same flat orchestration with its three hot blocks — the leaf
-    broadcast, the batched convolution, and the colour decision — swapped
-    for C kernels built on demand from ``_gather_kernels.c`` and called
+    The same flat orchestration with its two hot blocks — the leaf
+    broadcast and the batched convolution — swapped for C kernels built
+    on demand from ``_gather_kernels.c`` and called
     through ``ctypes``, which releases the GIL around every kernel call
     (:mod:`repro.core.engine_compiled`).  When no C compiler is available
     (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
@@ -47,16 +48,21 @@ The registry holds **three** engines:
 Per element the arithmetic (and its floating-point evaluation order) is
 identical across all three, including the ascending-``j`` tie-breaking of
 the convolution argmin, so the engines produce **bit-identical** tables,
-costs, and traceback breadcrumbs.  The flat engines materialize their
-output as ordinary :class:`~repro.core.gather.NodeTables` whose arrays are
-views into the flat tensors, so :func:`repro.core.color.soar_color` traces
-the result unchanged.
+costs, and traceback breadcrumbs.  The flat engines hand out their
+output as a :class:`~repro.core.flat.LazyNodeTables` mapping: each node's
+ordinary :class:`~repro.core.gather.NodeTables` is built from views into
+the flat tensors the first time it is looked up, so
+:func:`repro.core.color.soar_color` traces the result unchanged while the
+batched colour kernel and ``cost_for_budget`` never pay for the ``n - 1``
+nodes they do not read.  Cold gathers and delta repairs therefore produce
+artifacts of the same shape.
 
 Use :func:`gather` to pick an engine by name.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -66,18 +72,11 @@ from repro.core.flat import (
     FlatTables,
     LazyNodeTables,
     dirty_ancestor_positions,
-    dirty_level_groups,
+    dirty_level_runs,
     flat_order,
     level_slices_for,
 )
-from repro.core.gather import (
-    BLUE,
-    RED,
-    GatherResult,
-    NodeTables,
-    normalize_budget,
-    soar_gather,
-)
+from repro.core.gather import GatherResult, normalize_budget, soar_gather
 from repro.core.tree import TreeNetwork
 from repro.exceptions import RepairError
 
@@ -93,14 +92,12 @@ DEFAULT_ENGINE: str = FLAT_ENGINE
 
 @dataclass(frozen=True)
 class GatherKernels:
-    """The three swappable hot blocks of the flat gather driver.
+    """The two swappable hot blocks of the flat gather driver.
 
     ``combine(previous, child_row, budget, blue, j_max) -> (best, split)``
         The batched ``mCost`` convolution.
     ``leaf_init(x, y_blue, y_red, path_rho, load, leaves, avail, exact_k, k)``
         The leaf-frontier broadcast, writing the three tables in place.
-    ``color_choice(y_blue, y_red) -> uint8 tensor``
-        The elementwise strict ``y_blue < y_red`` decision.
 
     Every implementation must perform the identical per-element IEEE-754
     operations in the identical order — the differential suite holds all
@@ -109,7 +106,26 @@ class GatherKernels:
 
     combine: Callable[..., tuple[np.ndarray, np.ndarray]]
     leaf_init: Callable[..., None]
-    color_choice: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@functools.lru_cache(maxsize=64)
+def _small_batch_sources(
+    width: int, splits: int, offset: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source column and invalid-candidate mask of every ``(split, column)``.
+
+    Candidate ``(j, i)`` of :func:`_combine_small_batch` reads column
+    ``i - j`` of ``previous``; it exists only when ``i - j >= offset`` (a
+    blue parent keeps one unit for itself).  Invalid sources are clamped
+    to column 0 so the gather stays in bounds; the mask overwrites them.
+    """
+    source = np.arange(width)[None, :] - np.arange(splits)[:, None]
+    invalid = source < offset
+    source[invalid] = 0
+    # Shared by every caller through the cache: freeze them.
+    source.setflags(write=False)
+    invalid.setflags(write=False)
+    return source, invalid[None, :, :, None]
 
 
 def _combine_small_batch(
@@ -126,8 +142,8 @@ def _combine_small_batch(
     overhead amortizes over hundreds of node columns, but the delta-repair
     path calls the kernel with a handful of dirty nodes per level, where
     dispatch dominates the arithmetic.  This variant materializes every
-    candidate split in one ``(J, H, k + 1, B)`` stack (invalid cells
-    ``+inf``) and reduces with a single min/argmin pair.
+    candidate split in one ``(H, J, k + 1, B)`` stack with a single gather
+    and add (invalid cells ``+inf``) and reduces with one min/argmin pair.
 
     Bit-identity with the sequential loop: every candidate value is the
     same ``np.add`` of the same operands; the one-shot minimum of a
@@ -137,23 +153,14 @@ def _combine_small_batch(
     smallest-split strict-improvement tie-break, including split 0 for
     all-``inf`` columns.
     """
-    height, width, batch = previous.shape[0], budget + 1, previous.shape[2]
     if j_max is None:
         j_max = budget
-    offset = 1 if blue else 0  # a blue parent keeps one unit for itself
     splits = min(budget, j_max) + 1
-    stacked = np.full((splits, height, width, batch), np.inf, dtype=np.float64)
-    for j in range(splits):
-        start = j + offset
-        if start > budget:
-            break
-        np.add(
-            previous[:, offset : width - j],
-            child_row[:, j : j + 1],
-            out=stacked[j, :, start:],
-        )
-    best = stacked.min(axis=0)
-    best_split = stacked.argmin(axis=0).astype(np.int32)
+    source, invalid = _small_batch_sources(budget + 1, splits, 1 if blue else 0)
+    stacked = previous[:, source, :] + child_row[:, :splits, None, :]
+    np.copyto(stacked, np.inf, where=invalid)
+    best = stacked.min(axis=1)
+    best_split = stacked.argmin(axis=1).astype(np.int32)
     return best, best_split
 
 
@@ -266,19 +273,11 @@ def _leaf_init_numpy(
     )
 
 
-def _color_choice_numpy(y_blue: np.ndarray, y_red: np.ndarray) -> np.ndarray:
-    """The blue/red decision tensor: strict ``y_blue < y_red`` as uint8."""
-    # BLUE == 1 == True and RED == 0 == False, so the boolean comparison
-    # reinterpreted as uint8 is exactly the choice table.
-    return np.less(y_blue, y_red).view(np.uint8)
-
-
 #: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
 #: the ``"compiled"`` one).
 NUMPY_KERNELS = GatherKernels(
     combine=_batched_combine,
     leaf_init=_leaf_init_numpy,
-    color_choice=_color_choice_numpy,
 )
 
 
@@ -317,7 +316,15 @@ def _gather_flat_tensors(
     kernels: GatherKernels,
     engine: str,
 ) -> GatherResult:
-    """The shared flat-tensor gather driver, parameterized by kernel set."""
+    """The shared flat-tensor gather driver, parameterized by kernel set.
+
+    Ends the way :func:`_repair_flat_tensors` does: the result carries its
+    :class:`FlatTables` and a :class:`LazyNodeTables` mapping over them, so
+    no per-node :class:`~repro.core.gather.NodeTables` is built until a
+    consumer looks one up (``x`` and ``choice`` are then derived per node,
+    bit-identically).  The driver's own ``x`` tensor only feeds the parents'
+    convolutions and is dropped when the gather returns.
+    """
     k = normalize_budget(tree, budget)
     n = tree.num_switches
     height = tree.height
@@ -353,8 +360,9 @@ def _gather_flat_tensors(
 
     # The flat tables.  Entries at rows l > D(v) are uninitialized and are
     # neither read by parents (a parent at depth d reads child rows
-    # 1 .. d + 1 <= D(child) + 1) nor exposed through the NodeTables views;
-    # the infinities the DP relies on are written explicitly below.
+    # 1 .. d + 1 <= D(child) + 1) nor exposed through the per-node views;
+    # the infinities the DP relies on are written explicitly below.  x_flat
+    # is scratch for the parents' reads and is not kept in the result.
     x_flat = np.empty((height + 1, width, n), dtype=np.float64)
     y_blue_flat = np.empty((height + 1, width, n), dtype=np.float64)
     y_red_flat = np.empty((height + 1, width, n), dtype=np.float64)
@@ -436,23 +444,6 @@ def _gather_flat_tensors(
         y_red_flat[:rows, :, group] = y_red
         y_blue_flat[:rows, :, group] = y_blue
 
-    choice_flat = kernels.color_choice(y_blue_flat, y_red_flat)
-
-    # ---- materialize the reference breadcrumb format as views -------------
-    tables: dict = {}
-    for i, node in enumerate(order):
-        rows = int(depth[i]) + 1
-        stages = int(stage_counts[i])
-        base = int(stage_offset[i])
-        tables[node] = NodeTables(
-            x=x_flat[:rows, :, i],
-            y_blue=y_blue_flat[:rows, :, i],
-            y_red=y_red_flat[:rows, :, i],
-            choice=choice_flat[:rows, :, i],
-            splits_blue=[splits_blue_flat[:rows, :, base + s] for s in range(stages)],
-            splits_red=[splits_red_flat[:rows, :, base + s] for s in range(stages)],
-        )
-
     num_children = np.fromiter(
         (len(c) for c in children_idx), dtype=np.int64, count=n
     )
@@ -482,7 +473,7 @@ def _gather_flat_tensors(
     )
 
     return GatherResult(
-        tables=tables,
+        tables=LazyNodeTables(flat),
         root=tree.root,
         budget=k,
         requested_budget=int(budget),
@@ -506,6 +497,28 @@ def flat_gather(
     return _gather_flat_tensors(
         tree, budget, exact_k, kernels=NUMPY_KERNELS, engine=FLAT_ENGINE
     )
+
+
+def _clone_together(*arrays: np.ndarray) -> list[np.ndarray]:
+    """Copies of ``arrays`` carved out of one allocation.
+
+    A repair clones a few MB of tensors.  Allocated one by one, blocks of
+    that size come from fresh memory mappings (glibc returns them to the
+    system on free) and page-fault on nearly every repair: on BT(1024) at
+    ``k = 16`` about 900 faults per single-switch repair, more time than
+    the repair's arithmetic.  One block of the combined size is recycled
+    instead (about 70 faults).  Pass the float64 arrays first so every
+    view stays aligned.
+    """
+    buffer = np.empty(sum(array.nbytes for array in arrays), dtype=np.uint8)
+    clones = []
+    offset = 0
+    for array in arrays:
+        clone = buffer[offset : offset + array.nbytes].view(array.dtype).reshape(array.shape)
+        np.copyto(clone, array)
+        clones.append(clone)
+        offset += array.nbytes
+    return clones
 
 
 def _repair_flat_tensors(
@@ -543,8 +556,9 @@ def _repair_flat_tensors(
 
     Clean columns keep their cloned values untouched, rows beyond a
     node's depth stay unspecified (never read) exactly as in a cold
-    gather, and the repaired result carries :class:`LazyNodeTables` so no
-    per-node view materialization is paid up front.
+    gather, and the repaired result carries :class:`LazyNodeTables` — the
+    same artifact shape as a cold gather — so no per-node view
+    materialization is paid up front.
 
     Raises :class:`~repro.exceptions.RepairError` when repair is unsound:
     no flat tensors, different structure or loads, or a changed effective
@@ -579,7 +593,6 @@ def _repair_flat_tensors(
     child_concat = old_flat.child_concat
     child_offset = old_flat.child_offset
     stage_offset = old_flat.stage_offset
-    n = len(order)
     height = tree.height
     width = k + 1
     load = old_flat.load.astype(np.float64)
@@ -593,79 +606,91 @@ def _repair_flat_tensors(
 
     # Copy-on-write clone: the repaired result must not mutate the cached
     # tensors (the cache may repair the same artifact towards several Λ's).
-    y_blue_flat = old_flat.y_blue.copy()
-    y_red_flat = old_flat.y_red.copy()
-    splits_blue_flat = old_flat.splits_blue.copy()
-    splits_red_flat = old_flat.splits_red.copy()
+    y_blue_flat, y_red_flat, splits_blue_flat, splits_red_flat = _clone_together(
+        old_flat.y_blue, old_flat.y_red, old_flat.splits_blue, old_flat.splits_red
+    )
 
-    # rho(v, A^l_v) for the dirty columns only; rows beyond a node's depth
-    # stay 0.0, exactly like the cold driver's level walk leaves them.
-    path_rho = np.zeros((height + 1, n), dtype=np.float64)
-    for position in dirty.tolist():
+    # rho(v, A^l_v) for the dirty columns only, one column per dirty
+    # position; rows beyond a node's depth stay 0.0, exactly like the cold
+    # driver's level walk leaves them.
+    path_rho = np.zeros((height + 1, dirty.size), dtype=np.float64)
+    for column, position in enumerate(dirty.tolist()):
         prefix = tree.path_rho_prefix(order[position])
-        path_rho[: len(prefix), position] = prefix
+        path_rho[: len(prefix), column] = prefix
 
-    # ---- dirty leaves: the same frontier broadcast, restricted ------------
-    dirty_leaves = dirty[leaf[dirty]]
+    # ---- dirty leaves: the same frontier broadcast, on compact columns ----
+    is_leaf = leaf[dirty]
+    dirty_leaves = dirty[is_leaf]
     if dirty_leaves.size:
-        # The driver's x tensor is never kept by repairs (child x rows are
-        # re-derived as min(y_red, y_blue) below); leaf_init still writes
-        # one, so hand it a scratch tensor that is dropped afterwards.
-        x_scratch = np.empty((height + 1, width, n), dtype=np.float64)
+        # leaf_init writes every row of its leaves' x / y_blue / y_red
+        # columns; run it on compact tensors holding just the dirty leaves
+        # (repairs never keep x: child x rows are re-derived as
+        # min(y_red, y_blue) below) and splice the y columns back.
+        compact = (height + 1, width, dirty_leaves.size)
+        y_blue_leaves = np.empty(compact, dtype=np.float64)
+        y_red_leaves = np.empty(compact, dtype=np.float64)
         kernels.leaf_init(
-            x_scratch,
-            y_blue_flat,
-            y_red_flat,
-            path_rho,
-            load,
-            dirty_leaves,
-            avail,
+            np.empty(compact, dtype=np.float64),
+            y_blue_leaves,
+            y_red_leaves,
+            path_rho[:, is_leaf],
+            load[dirty_leaves],
+            np.arange(dirty_leaves.size),
+            avail[dirty_leaves],
             result.exact_k,
             k,
         )
+        y_blue_flat[:, :, dirty_leaves] = y_blue_leaves
+        y_red_flat[:, :, dirty_leaves] = y_red_leaves
 
     # ---- dirty internal nodes, level-batched from the deepest level up ----
-    dirty_internal = dirty[~leaf[dirty]]
-    for level, group in dirty_level_groups(depth, dirty_internal):
+    # Per-node inputs of every dirty internal node are gathered once; each
+    # level then reads a contiguous run of them (the positions are in flat
+    # order, so equal depths are adjacent, deepest first).
+    internal = dirty[~is_leaf]
+    upward_all = path_rho[:, ~is_leaf]
+    red_seed_all = upward_all * load[internal]
+    fan_out_all = old_flat.num_children[internal]
+    first_child_all = child_concat[child_offset[internal]]
+    can_blue_all = avail[internal] & (k >= 1)
+    for level, run in dirty_level_runs(depth, internal):
+        group = internal[run]
         rows = level + 1
-        num_children = old_flat.num_children[group]
-        upward = path_rho[:rows, group]
-        can_blue = avail[group] & (k >= 1)
+        fan_out = fan_out_all[run]
+        upward = upward_all[:rows, run]
+        can_blue = can_blue_all[run]
 
-        # Children live one level deeper and were finalized before this
-        # level (dirty or clean alike), so their x rows are the minimum of
-        # the y tensors as they stand now.
-        x_row1 = np.minimum(y_red_flat[1], y_blue_flat[1])
-
-        # stage m = 1
-        first_child = child_concat[child_offset[group]]
+        # stage m = 1.  Children live one level deeper and were finalized
+        # before this level (dirty or clean alike), so their x rows are the
+        # minimum of the y tensors as they stand now.
+        first_child = first_child_all[run]
         child_x = np.minimum(
             y_red_flat[1 : rows + 1, :, first_child],
             y_blue_flat[1 : rows + 1, :, first_child],
         )
-        y_red = child_x + (upward * load[group])[:, None, :]
+        y_red = child_x + red_seed_all[:rows, None, run]
         y_blue = np.full_like(y_red, np.inf)
-        if can_blue.any():  # can_blue already folds in k >= 1
-            sel = np.nonzero(can_blue)[0]
+        sel = np.flatnonzero(can_blue)  # can_blue already folds in k >= 1
+        if sel.size:
+            # child_x[0] first: a scalar index combined with the node fancy
+            # index would move the broadcast axes to the front.
             y_blue[:, 1:, sel] = (
-                x_row1[:k, first_child[sel]][None, :, :] + upward[:, sel][:, None, :]
+                child_x[0][:k, sel][None, :, :] + upward[:, sel][:, None, :]
             )
 
         # stages m = 2 .. C(v)
-        for stage in range(2, int(num_children.max(initial=1)) + 1):
-            active = np.nonzero(num_children >= stage)[0]
-            if not active.size:
-                break
+        for stage in range(2, int(fan_out.max(initial=1)) + 1):
+            active = np.flatnonzero(fan_out >= stage)
             nodes = group[active]
             child = child_concat[child_offset[nodes] + (stage - 1)]
             slots = stage_offset[nodes] + (stage - 2)
 
-            child_red = np.minimum(
+            child_x = np.minimum(
                 y_red_flat[1 : rows + 1, :, child],
                 y_blue_flat[1 : rows + 1, :, child],
             )
             merged_red, split_red = kernels.combine(
-                y_red[:, :, active], child_red, k, blue=False
+                y_red[:, :, active], child_x, k, blue=False
             )
             y_red[:, :, active] = merged_red
             splits_red_flat[:rows, :, slots] = split_red
@@ -674,11 +699,13 @@ def _repair_flat_tensors(
             # would otherwise keep its stale breadcrumbs; the cold driver
             # leaves such slots zero-initialized.
             splits_blue_flat[:rows, :, slots] = 0
-            blue_active = np.nonzero(can_blue[active])[0]
+            blue_active = np.flatnonzero(can_blue[active])
             if blue_active.size:
-                child_blue = x_row1[:, child[blue_active]][None, :, :]
                 merged_blue, split_blue = kernels.combine(
-                    y_blue[:, :, active[blue_active]], child_blue, k, blue=True
+                    y_blue[:, :, active[blue_active]],
+                    child_x[:1, :, blue_active],
+                    k,
+                    blue=True,
                 )
                 y_blue[:, :, active[blue_active]] = merged_blue
                 splits_blue_flat[:rows, :, slots[blue_active]] = split_blue

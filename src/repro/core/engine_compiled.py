@@ -1,11 +1,11 @@
 """The ``"compiled"`` gather engine: C kernels behind the flat driver.
 
-The flat engine's three hot blocks — the leaf broadcast, the batched
-``mCost`` convolution, and the colour decision — account for essentially
-all of a gather's arithmetic, and under numpy they hold the GIL for the
-whole solve, which is why thread-level replay never scaled
-(``concurrent_speedup = 0.78`` at 4 workers on BT(256) before this
-backend existed).  This module compiles the same three blocks from
+The flat engine's two hot blocks — the leaf broadcast and the batched
+``mCost`` convolution — account for essentially all of a gather's
+arithmetic, and under numpy they hold the GIL for the whole solve, which
+is why thread-level replay never scaled (``concurrent_speedup = 0.78`` at
+4 workers on BT(256) before this backend existed).  This module compiles
+the same two blocks (plus the colour and cost kernels' helpers) from
 ``_gather_kernels.c`` into a small shared library and calls them through
 ``ctypes``, which **releases the GIL for the duration of every kernel
 call**; the surrounding orchestration is the unchanged
@@ -218,19 +218,12 @@ def _leaf_init_compiled(
     )
 
 
-def _color_choice_compiled(y_blue: np.ndarray, y_red: np.ndarray) -> np.ndarray:
-    out = np.empty(y_blue.shape, dtype=np.uint8)
-    _LIB.repro_strict_less(y_blue, y_red, out, y_blue.size)
-    return out
-
-
 #: The kernel set of the ``"compiled"`` engine — the C kernels when the
 #: library built, the numpy kernels otherwise (bit-identical either way).
 COMPILED_KERNELS: GatherKernels = (
     GatherKernels(
         combine=_combine_compiled,
         leaf_init=_leaf_init_compiled,
-        color_choice=_color_choice_compiled,
     )
     if HAVE_COMPILED
     else NUMPY_KERNELS

@@ -8,8 +8,8 @@ plus the index metadata (node order, per-level slabs, ragged child lists,
 breadcrumb slots) a batched traversal needs.
 
 Results produced by the flat engine carry their :class:`FlatTables`
-zero-copy (the per-node :class:`~repro.core.gather.NodeTables` are views
-into the same memory).  Results produced by the per-node reference engine
+zero-copy (the per-node :class:`~repro.core.gather.NodeTables` are built
+on demand from views into the same memory; see :class:`LazyNodeTables`).  Results produced by the per-node reference engine
 do not; :func:`flat_tables_for` stacks them into the flat layout on first
 use and caches the outcome on the result, so the batched colour kernel
 works identically on both engines' tables — which is exactly what the
@@ -118,9 +118,9 @@ class FlatTables:
         into the flat tensors; ``x`` and ``choice`` are derived per node
         (``x = min(y_red, y_blue)`` elementwise and the strict
         ``y_blue < y_red`` decision), which is bit-identical to slicing the
-        full-tensor versions the gather driver materializes — every valid
-        ``x`` entry was *written* as exactly that minimum.  This is what
-        lets a delta repair skip the O(n) view-materialization loop and
+        gather driver's scratch ``x`` tensor — every valid ``x`` entry was
+        *written* as exactly that minimum.  This is what lets cold gathers
+        and delta repairs alike skip the O(n) view-materialization loop and
         hand out per-node tables on demand (:class:`LazyNodeTables`).
         """
         rows = int(self.depth[position]) + 1
@@ -378,20 +378,21 @@ def flat_tables_for(tree: TreeNetwork, result: GatherResult) -> FlatTables:
 class LazyNodeTables(dict):
     """``node -> NodeTables`` mapping materialized on demand from flat tensors.
 
-    A delta repair recomputes only the dirtied DP slabs; eagerly rebuilding
-    all ``n`` per-node views afterwards would cost a sizeable fraction of a
-    cold gather and defeat the point.  Repaired results therefore carry this
-    mapping instead: a real ``dict`` (so every consumer treating ``tables``
-    as a mapping keeps working) whose entries are built from
-    :meth:`FlatTables.node_tables` the first time a node is looked up.  The
-    batched colour kernel never reads ``tables`` at all, and
-    ``cost_for_budget`` touches only the root, so the common warm path
+    Eagerly building all ``n`` per-node views costs about a fifth of a cold
+    gather on BT(1024) — and most of a delta repair, which recomputes only
+    the dirtied DP slabs.  Both flat-engine paths (cold gathers and
+    repairs) therefore carry this mapping instead: a real ``dict`` (so
+    every consumer treating ``tables`` as a mapping keeps working) whose
+    entries are built from :meth:`FlatTables.node_tables` the first time a
+    node is looked up.  The batched colour kernel never reads ``tables`` at
+    all, and ``cost_for_budget`` touches only the root, so the common path
     materializes a single node.
 
     Bulk protocols (iteration, ``len``, ``keys``/``values``/``items``,
     containment, equality) reflect the *full* node set: they materialize
     every node in canonical flat order first, making the mapping
-    indistinguishable from the eager dict a cold gather builds.
+    indistinguishable from an eager per-node dict such as the reference
+    engine builds.
     """
 
     def __init__(self, flat: FlatTables) -> None:
@@ -485,17 +486,22 @@ def dirty_ancestor_positions(
     return np.array(sorted(dirty), dtype=np.int64)
 
 
-def dirty_level_groups(
+def dirty_level_runs(
     depth: np.ndarray, positions: np.ndarray
-) -> list[tuple[int, np.ndarray]]:
-    """Group dirty flat positions by level, deepest level first.
+) -> list[tuple[int, slice]]:
+    """Split ascending flat positions into per-level runs, deepest level first.
 
-    Mirrors the cold gather's traversal order: levels descend (children
-    are final before any parent is touched) and positions within a level
-    stay ascending — the order ``positions`` already has.
+    The flat order lists nodes deepest level first, so ascending positions
+    have non-increasing depths and each level's positions form one
+    contiguous run.  Returns ``(level, run)`` pairs where
+    ``positions[run]`` are that level's positions, still ascending — the
+    cold gather's traversal order (children are final before any parent is
+    touched).
     """
     levels = depth[positions]
+    cuts = [0, *(np.flatnonzero(levels[1:] != levels[:-1]) + 1).tolist(), len(levels)]
     return [
-        (int(level), positions[levels == level])
-        for level in np.unique(levels)[::-1]
+        (int(levels[start]), slice(start, stop))
+        for start, stop in zip(cuts[:-1], cuts[1:])
+        if stop > start
     ]

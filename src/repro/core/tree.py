@@ -292,8 +292,8 @@ class TreeNetwork:
             self._available: frozenset[NodeId] = frozenset(self._parents)
         else:
             available_set = frozenset(available)
-            unknown = available_set - set(self._parents)
-            if unknown:
+            if not self._parents.keys() >= available_set:
+                unknown = available_set - self._parents.keys()
                 raise AvailabilityError(
                     f"availability set references unknown switches: {sorted(map(repr, unknown))}"
                 )
@@ -742,8 +742,8 @@ class TreeNetwork:
             available_set = frozenset(self._parents)
         else:
             available_set = frozenset(available)
-            unknown = available_set - set(self._parents)
-            if unknown:
+            if not self._parents.keys() >= available_set:
+                unknown = available_set - self._parents.keys()
                 raise AvailabilityError(
                     f"availability set references unknown switches: "
                     f"{sorted(map(repr, unknown))}"

@@ -60,6 +60,7 @@ ROW_COLUMNS: tuple[str, ...] = (
     "hit_rate",
     "warm_mean_ms",
     "cold_mean_ms",
+    "repair_mean_ms",
     "table_hit_mean_ms",
     "memo_hit_mean_ms",
     "warm_speedup",

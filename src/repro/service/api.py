@@ -227,8 +227,10 @@ class SolveResponse:
 
     ``cache_source`` records how deep the request had to go: ``"memo"``
     (solution memo, no trace at all), ``"table"`` (cached gather table,
-    colour trace only — the warm hit the batched kernel exists for), or
-    ``"gather"`` (cold).  ``cache_hit`` is true for the first two.
+    colour trace only — the warm hit the batched kernel exists for),
+    ``"repair"`` (availability miss answered by delta-repairing a cached
+    same-workload table), or ``"gather"`` (cold).  ``cache_hit`` is true
+    for the first two.
     """
 
     blue_nodes: frozenset[NodeId]
@@ -246,7 +248,8 @@ class SweepResponse:
 
     ``cache_hit`` describes the widest-budget solve (the one that decides
     whether a gather was paid); ``cache_source`` is the deepest cache layer
-    any budget of the sweep had to reach.
+    any budget of the sweep had to reach (``"gather"`` deepest, then
+    ``"repair"``, ``"table"``, ``"memo"``).
     """
 
     costs: dict[int, float]
@@ -434,11 +437,12 @@ class PlacementService:
         (see :data:`repro.core.cost.COST_KERNELS`); the flat default is
         the other half of the cheap warm hit.
     max_repair_delta:
-        Cache policy knob for incremental gather-table repair: the largest
-        availability delta (switch flips) an availability miss may bridge
-        by delta-repairing a cached table instead of re-gathering, and the
-        switch between repair-instead-of-invalidate (``> 0``) and the
-        historical invalidate-on-drain behaviour (``0``).  See
+        Cache policy knob for incremental gather-table repair.  ``None``
+        (the default) repairs every availability miss whose nearest cached
+        same-workload table can be repaired by recomputing at most half
+        the switches, however many switch flips away it is.  An int also
+        bounds the flips a repair may bridge, and ``0`` switches repair
+        off, restoring the historical invalidate-on-drain behaviour.  See
         :mod:`repro.service.cache`.
     """
 
@@ -451,7 +455,7 @@ class PlacementService:
         color: str = DEFAULT_COLOR,
         cost_kernel: str = DEFAULT_COST,
         journal: "Journal | None" = None,
-        max_repair_delta: int = 8,
+        max_repair_delta: int | None = None,
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(
@@ -690,8 +694,8 @@ class PlacementService:
         """Answer an availability miss by delta-repairing a cached table.
 
         Asks the cache for the nearest same-family candidate (same
-        structure, loads, semantics, engine — differing from the live Λ in
-        at most ``max_repair_delta`` switch flips), splices the delta into
+        structure, loads, semantics, engine — differing from the live Λ
+        alone, within the ``max_repair_delta`` policy), splices the delta into
         a clone of its tensors, and stores the repaired table under the
         missed key.  Returns ``None`` when no candidate qualifies or the
         engine-level repair refuses (:class:`~repro.exceptions.RepairError`
@@ -759,11 +763,15 @@ class PlacementService:
             costs[budget] = placement.cost
             placements[budget] = placement.blue_nodes
         # The deepest layer any budget had to reach: the widest budget
-        # decides whether a gather was paid, but a sweep whose remaining
-        # budgets traced placements out of cached tables is a "table"
-        # response, not a "memo" one.
+        # decides whether a gather (or a repair) was paid, but a sweep
+        # whose remaining budgets traced placements out of cached tables
+        # is a "table" response, not a "memo" one.
         source = next(
-            (layer for layer in ("gather", "table", "memo") if layer in sources),
+            (
+                layer
+                for layer in ("gather", "repair", "table", "memo")
+                if layer in sources
+            ),
             "memo",
         )
         return SweepResponse(

@@ -21,6 +21,8 @@ from repro.core.color import soar_color, soar_color_batched, soar_color_compiled
 from repro.core.engine import (
     ENGINES,
     NUMPY_KERNELS,
+    _batched_combine,
+    _combine_small_batch,
     flat_gather,
     gather,
     subtree_available_counts,
@@ -88,6 +90,40 @@ class TestEngineDispatch:
         for engine in ENGINES:
             sweep = Solver(engine=engine).sweep(paper_tree, range(1, 5))
             assert [sweep[k].cost for k in (1, 2, 3, 4)] == [35.0, 20.0, 15.0, 11.0]
+
+
+class TestSmallBatchCombine:
+    """The stacked small-batch convolution matches the sequential split loop.
+
+    ``_batched_combine`` runs its split loop only above 64 ``(row, node)``
+    columns, so the reference here is a batch wide enough to take that
+    path; the small-batch kernel sees the same operands.  Integer-valued
+    entries with scattered ``+inf`` make ties and all-``inf`` columns
+    common, which is where a tie-break slip would show.
+    """
+
+    @pytest.mark.parametrize("blue", [False, True])
+    def test_bit_identical_to_the_split_loop(self, session_rng, blue):
+        for _ in range(200):
+            height = int(session_rng.integers(1, 12))
+            budget = int(session_rng.integers(0, 17))
+            batch = 65 // height + 1  # height * batch > 64: the loop path
+            j_max = (
+                None
+                if session_rng.random() < 0.5
+                else int(session_rng.integers(0, budget + 1))
+            )
+            previous = session_rng.integers(0, 4, (height, budget + 1, batch)).astype(float)
+            previous[session_rng.random(previous.shape) < 0.2] = np.inf
+            child = session_rng.integers(
+                0, 4, (1 if blue else height, budget + 1, batch)
+            ).astype(float)
+            child[session_rng.random(child.shape) < 0.2] = np.inf
+            expected = _batched_combine(previous, child, budget, blue, j_max)
+            actual = _combine_small_batch(previous, child, budget, blue, j_max)
+            assert actual[1].dtype == expected[1].dtype == np.int32
+            assert np.array_equal(actual[0], expected[0])
+            assert np.array_equal(actual[1], expected[1])
 
 
 class TestSubtreeAvailability:

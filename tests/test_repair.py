@@ -246,6 +246,32 @@ class TestRepairRefusals:
             table.repair({"no-such-switch"})
 
 
+class TestColdGatherLazyTables:
+    """Cold flat-engine gathers hand out the same lazy mapping as repairs."""
+
+    @pytest.fixture()
+    def workload(self):
+        tree = bt_network(16)
+        loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=5)
+        available = frozenset(sorted(tree.switches)[::2])
+        return tree.with_loads(loads, available=available)
+
+    @pytest.mark.parametrize("engine", REPAIR_ENGINES)
+    @pytest.mark.parametrize("exact_k", [False, True])
+    def test_nothing_materialized_until_accessed(self, workload, engine, exact_k):
+        result = COLD_GATHERS[engine](workload, 3, exact_k=exact_k)
+        tables = result.tables
+        assert isinstance(tables, LazyNodeTables)
+        assert dict.__len__(tables) == 0
+        # The colour trace and the cost lookup read the flat tensors and the
+        # root alone.
+        soar_color_batched(workload, result)
+        result.cost_for_budget(2)
+        assert dict.__len__(tables) == 1
+        assert_tables_equal(gather(workload, 3, exact_k=exact_k, engine="reference"), result)
+        assert dict.__len__(tables) == workload.num_switches
+
+
 class TestLazyNodeTables:
     """The repaired result's table mapping materializes views on demand."""
 

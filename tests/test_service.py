@@ -45,6 +45,7 @@ from repro.service import (
     write_trace,
 )
 from repro.service.cache import CachedSolution, CacheKey
+from repro.testing import assert_tables_equal
 from repro.topology.binary_tree import bt_network, complete_binary_tree
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
@@ -213,9 +214,16 @@ class _FakeTree:
         self.available = available
 
 
+class _FakeResult:
+    # No flat tensors: the cache's half-tree repair guard has nothing to
+    # measure and leaves the candidate to the engine-level repair.
+    flat = None
+
+
 class _FakeTable:
     """Stand-in for a GatherTable: the cache only reads ``budget``,
-    ``requested_budget``, and the Λ of the table's own workload network."""
+    ``requested_budget``, the Λ of the table's own workload network, and
+    (for the repair guard) the result's flat tensors."""
 
     def __init__(
         self,
@@ -226,6 +234,7 @@ class _FakeTable:
         self.budget = budget
         self.requested_budget = budget if requested_budget is None else requested_budget
         self.tree = _FakeTree(frozenset(available))
+        self.result = _FakeResult()
 
 
 class TestGatherTableCache:
@@ -304,61 +313,58 @@ def _avail_key(tag: str) -> CacheKey:
     )
 
 
-def _switch_index_snapshot(cache: GatherTableCache) -> dict:
-    """White-box view of the reverse index, empty buckets dropped."""
-    return {s: set(keys) for s, keys in cache._switch_index.items() if keys}
+def _holding(cache: GatherTableCache, switch: str) -> set:
+    """Live keys whose table's Λ holds ``switch`` (read through the public API)."""
+    return {key for key, table in cache.tables() if switch in table.tree.available}
 
 
-def _switch_index_expected(cache: GatherTableCache) -> dict:
-    """The reverse index rebuilt from the live entries (ground truth)."""
-    expected: dict = {}
-    for key, entry in cache._entries.items():
-        for switch in entry.available:
-            expected.setdefault(switch, set()).add(key)
-    return expected
+class TestInvalidateSwitches:
+    """``invalidate_switches`` drops exactly the live entries whose Λ holds
+    the switch — after stores, replacements, LRU evictions, and earlier
+    invalidations alike."""
 
+    def _assert_exact(self, cache: GatherTableCache, switch: str) -> None:
+        before = set(cache.keys())
+        doomed = _holding(cache, switch)
+        assert cache.invalidate_switches({switch}) == len(doomed)
+        assert set(cache.keys()) == before - doomed
 
-class TestSwitchIndex:
-    """Satellite: the switch→keys reverse index stays coherent with the
-    entry map across stores, upcasts, LRU evictions, and invalidations."""
-
-    def _assert_coherent(self, cache: GatherTableCache) -> None:
-        assert _switch_index_snapshot(cache) == _switch_index_expected(cache)
-
-    def test_index_tracks_store_and_replace(self):
+    def test_tracks_store_and_replace(self):
         cache = GatherTableCache(max_entries=4)
         key = _avail_key("x")
         cache.store(key, _FakeTable(2, frozenset({"a", "b"})))
-        self._assert_coherent(cache)
-        assert _switch_index_snapshot(cache) == {"a": {key}, "b": {key}}
-        # A replacement with a different Λ must drop the stale buckets.
+        # A replacement with a different Λ: the old Λ must not count.
         cache.store(key, _FakeTable(4, frozenset({"b", "c"})))
-        self._assert_coherent(cache)
-        assert "a" not in _switch_index_snapshot(cache)
+        assert cache.invalidate_switches({"a"}) == 0
+        assert key in cache
+        self._assert_exact(cache, "c")
+        assert key not in cache
 
-    def test_index_tracks_eviction(self):
+    def test_tracks_eviction(self):
         cache = GatherTableCache(max_entries=2)
         first, second, third = _avail_key("1"), _avail_key("2"), _avail_key("3")
-        cache.store(first, _FakeTable(1, frozenset({"s1"})))
-        cache.store(second, _FakeTable(1, frozenset({"s2"})))
-        cache.store(third, _FakeTable(1, frozenset({"s3"})))  # evicts "1"
-        self._assert_coherent(cache)
-        assert "s1" not in _switch_index_snapshot(cache)
+        cache.store(first, _FakeTable(1, frozenset({"s1", "s"})))
+        cache.store(second, _FakeTable(1, frozenset({"s2", "s"})))
+        cache.store(third, _FakeTable(1, frozenset({"s3", "s"})))  # evicts "1"
+        assert cache.invalidate_switches({"s1"}) == 0
+        self._assert_exact(cache, "s")
+        assert len(cache) == 0
 
-    def test_index_tracks_invalidation(self):
+    def test_tracks_invalidation(self):
         cache = GatherTableCache(max_entries=4)
         with_s = _avail_key("with")
         without_s = _avail_key("without")
         cache.store(with_s, _FakeTable(1, frozenset({"s", "t"})))
         cache.store(without_s, _FakeTable(1, frozenset({"t"})))
         assert cache.invalidate_switches({"s"}) == 1
-        self._assert_coherent(cache)
-        assert _switch_index_snapshot(cache) == {"t": {without_s}}
-        assert cache.invalidate_all() == 1
-        self._assert_coherent(cache)
-        assert _switch_index_snapshot(cache) == {}
+        assert cache.keys() == (without_s,)
+        # The dropped entry is gone for good: a second drain of "s" finds
+        # nothing, and "t" now holds only the survivor.
+        assert cache.invalidate_switches({"s"}) == 0
+        self._assert_exact(cache, "t")
+        assert cache.stats.invalidations == 2
 
-    def test_index_coherent_under_random_churn(self):
+    def test_matches_live_entries_under_random_churn(self):
         rng = np.random.default_rng(42)
         cache = GatherTableCache(max_entries=3)
         switches = [f"sw{i}" for i in range(6)]
@@ -371,10 +377,9 @@ class TestSwitchIndex:
                 )
                 cache.store(_avail_key(tag), _FakeTable(1, chosen))
             elif op == 1:
-                cache.invalidate_switches({switches[int(rng.integers(len(switches)))]})
+                self._assert_exact(cache, switches[int(rng.integers(len(switches)))])
             else:
                 cache.lookup(_avail_key(str(int(rng.integers(8)))), 1)
-            self._assert_coherent(cache)
 
 
 class TestRepairCandidate:
@@ -933,6 +938,68 @@ class TestCacheRepair:
         with pytest.raises(ValueError):
             small_service(max_repair_delta=-2)
 
+    def test_default_policy_has_no_flip_bound(self):
+        assert small_service().cache.max_repair_delta is None
+        assert small_service().cache.repair_enabled
+
+    @pytest.mark.parametrize("engine", ["flat", "compiled"])
+    def test_far_neighbour_repaired_bit_identically(self, engine):
+        # Ten drained leaves of one subtree of BT(64): the only cached
+        # table is ten flips away (beyond the old cap of eight) yet its
+        # repair recomputes 23 of 127 switches, so the default policy
+        # repairs instead of gathering.
+        service = small_service(num_leaves=64, capacity=4, engine=engine)
+        loads = leaf_loads(service.state.tree, seed=3)
+        service.submit(SolveRequest(loads=loads, budget=4))
+        for leaf in range(10):
+            service.submit(DrainRequest(switch=f"s6_{leaf}"))
+        response = service.submit(SolveRequest(loads=loads, budget=4))
+        assert response.cache_source == "repair"
+        stats = service.cache.stats
+        assert stats.repair_hits == stats.repairs == 1
+
+        workload = service.state.tree.with_loads(loads, available=service.available())
+        cold = Solver(engine=engine).gather(workload, 4)
+        key, repaired = service.cache.tables()[-1]
+        assert repaired.repaired_from is not None
+        assert repaired.tree.available == workload.available
+        assert_tables_equal(cold.result, repaired.result)
+        direct = cold.place(4)
+        assert response.blue_nodes == direct.blue_nodes
+        assert response.cost == direct.cost
+
+    def test_more_than_half_the_tree_dirty_gathers(self):
+        # One drained leaf per quarter of BT(8): four flips (inside the old
+        # cap of eight) whose root paths cover 11 of 15 switches — more than
+        # half, so the repair would cost a gather and the miss gathers.
+        service = small_service(num_leaves=8, capacity=4)
+        loads = leaf_loads(service.state.tree, seed=1)
+        service.submit(SolveRequest(loads=loads, budget=2))
+        for switch in ("s3_0", "s3_2", "s3_4", "s3_6"):
+            service.submit(DrainRequest(switch=switch))
+        response = service.submit(SolveRequest(loads=loads, budget=2))
+        assert response.cache_source == "gather"
+        assert service.cache.stats.repair_hits == 0
+        assert service.cache.stats.repairs == 0
+        workload = service.state.tree.with_loads(loads, available=service.available())
+        direct = Solver().solve(workload, 2)
+        assert response.blue_nodes == direct.blue_nodes
+        assert response.cost == direct.cost
+
+    def test_repaired_sweep_reports_repair(self):
+        service = small_service(num_leaves=8, capacity=4)
+        loads = leaf_loads(service.state.tree, seed=1)
+        first = service.submit(SweepRequest(loads=loads, budgets=(1, 2, 3)))
+        assert first.cache_source == "gather"
+        service.submit(DrainRequest(switch="s3_0"))
+        # The widest budget is repaired; the narrower ones then trace the
+        # repaired table ("table"), and the sweep reports the deeper layer.
+        repaired = service.submit(SweepRequest(loads=loads, budgets=(1, 2, 3)))
+        assert repaired.cache_source == "repair"
+        assert service.cache.stats.repairs == 1
+        again = service.submit(SweepRequest(loads=loads, budgets=(1, 2, 3)))
+        assert again.cache_source == "memo"
+
 
 # --------------------------------------------------------------------------- #
 # trace round-trip
@@ -1076,6 +1143,22 @@ class TestDifferentialReplay:
         trace = generate_churn_trace(tree, 100, seed=4, budget=4, workload_pool=3)
         report = replay_trace(tree, trace, capacity=4, verify=True)
         assert report.hit_rate > 0.3
+
+    def test_repairs_report_apart_from_cold_gathers(self):
+        # Repairs are the main miss path under churn; the cold mean (what a
+        # cache-less service would pay) must count gathers alone.
+        tree = complete_binary_tree(16)
+        trace = generate_churn_trace(tree, 120, seed=4, budget=4, workload_pool=3)
+        report = replay_trace(tree, trace, capacity=4)
+        latencies: dict[str, list[float]] = {}
+        for record in report.records:
+            if record.event.kind in ("solve", "sweep", "admit"):
+                source = record.response.cache_source
+                latencies.setdefault(source, []).append(record.elapsed_s)
+        assert latencies["repair"] and latencies["gather"]
+        assert report.cold_mean_s == pytest.approx(np.mean(latencies["gather"]))
+        assert report.repair_mean_s == pytest.approx(np.mean(latencies["repair"]))
+        assert report.summary_row()["repair_mean_ms"] == 1e3 * report.repair_mean_s
 
     def test_replay_into_existing_service_keeps_state(self):
         tree = complete_binary_tree(8)
