@@ -39,9 +39,10 @@ Engines and kernels
 Every phase of a solve ships interchangeable implementations, selected
 when constructing the solver:
 
-* ``Solver(engine=...)`` — SOAR-Gather: ``"flat"`` (default, the
-  vectorized flat-array kernel of :mod:`repro.core.engine`) or
-  ``"reference"`` (per-node Algorithm 3, ground truth),
+* ``Solver(engine=...)`` — SOAR-Gather: ``"compiled"`` (default, the
+  flat-array driver of :mod:`repro.core.engine` on C kernels, with a
+  bit-identical numpy fallback), ``"flat"`` (the same driver on numpy
+  kernels) or ``"reference"`` (per-node Algorithm 3, ground truth),
 * ``Solver(color=...)`` — SOAR-Color: ``"batched"`` (default, the
   level-batched trace of :mod:`repro.core.color` over the same flat
   tensors) or ``"reference"`` (per-node Algorithm 4, ground truth),

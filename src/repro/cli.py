@@ -228,7 +228,7 @@ _COMMANDS = {
     "fig9": (_cmd_fig9, "SOAR running time (Figure 9)"),
     "fig10": (_cmd_fig10, "Scaling on binary trees (Figure 10, Appendix A)"),
     "fig11": (_cmd_fig11, "Scale-free networks (Figure 11, Appendix B)"),
-    "engines": (_cmd_engines, "Gather engine comparison: flat vs reference speedup"),
+    "engines": (_cmd_engines, "Gather engine comparison: --engine vs reference speedup"),
     "colors": (_cmd_colors, "Colour kernel comparison: batched vs reference trace speedup"),
     "costs": (_cmd_costs, "Cost kernel comparison: flat vs reference Eq. (1) speedup"),
 }

@@ -26,24 +26,25 @@ and ``benchmarks/bench_fig10_scaling.py`` for the measured speedups.
 
 The registry holds **three** engines:
 
-``"flat"`` (the default)
+``"compiled"`` (the default)
+    The flat orchestration with its three hot blocks — the leaf
+    broadcast, the batched convolution, and the whole dirty-chain
+    recomputation of a delta repair — swapped for C kernels built on
+    demand from ``_gather_kernels.c`` and called through ``ctypes``, which
+    releases the GIL around every kernel call
+    (:mod:`repro.core.engine_compiled`).  When no C compiler is available
+    (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
+    **falls back to the numpy kernels**: same name, same results, no
+    consumer changes — ``repro.core.engine_compiled.HAVE_COMPILED`` tells
+    you which path is active, and the compiled-specific tests skip.
+
+``"flat"``
     The numpy implementation described above.
 
 ``"reference"``
     The per-node Algorithm 3 walk of :mod:`repro.core.gather`, retained as
     ground truth for differential testing (see :mod:`repro.testing` and
     ``tests/test_engine_differential.py``).
-
-``"compiled"``
-    The same flat orchestration with its two hot blocks — the leaf
-    broadcast and the batched convolution — swapped for C kernels built
-    on demand from ``_gather_kernels.c`` and called
-    through ``ctypes``, which releases the GIL around every kernel call
-    (:mod:`repro.core.engine_compiled`).  When no C compiler is available
-    (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
-    **falls back to the numpy kernels**: same name, same results, no
-    consumer changes — ``repro.core.engine_compiled.HAVE_COMPILED`` tells
-    you which path is active, and the compiled-specific tests skip.
 
 Per element the arithmetic (and its floating-point evaluation order) is
 identical across all three, including the ascending-``j`` tie-breaking of
@@ -80,24 +81,32 @@ from repro.core.gather import GatherResult, normalize_budget, soar_gather
 from repro.core.tree import TreeNetwork
 from repro.exceptions import RepairError
 
-#: Name of the vectorized flat-array engine (the default).
+#: Name of the vectorized flat-array engine.
 FLAT_ENGINE: str = "flat"
 #: Name of the per-node reference engine of :mod:`repro.core.gather`.
 REFERENCE_ENGINE: str = "reference"
 #: Name of the C-kernel engine of :mod:`repro.core.engine_compiled`.
 COMPILED_ENGINE: str = "compiled"
-#: Engine used when callers do not ask for a specific one.
-DEFAULT_ENGINE: str = FLAT_ENGINE
+#: Engine used when callers do not ask for a specific one.  It falls back
+#: to the numpy kernels, bit-identically, when the C kernels cannot build.
+DEFAULT_ENGINE: str = COMPILED_ENGINE
 
 
 @dataclass(frozen=True)
 class GatherKernels:
-    """The two swappable hot blocks of the flat gather driver.
+    """The three swappable hot blocks of the flat gather and repair drivers.
 
     ``combine(previous, child_row, budget, blue, j_max) -> (best, split)``
-        The batched ``mCost`` convolution.
+        The batched ``mCost`` convolution of a cold gather.
     ``leaf_init(x, y_blue, y_red, path_rho, load, leaves, avail, exact_k, k)``
-        The leaf-frontier broadcast, writing the three tables in place.
+        The leaf-frontier broadcast of a cold gather, writing the three
+        tables in place.
+    ``repair_chain(flat, dirty, exact_k)``
+        A delta repair's recomputation: every ``dirty`` column of the
+        (already cloned) ``flat`` tables — leaf columns, stage-1 seeding,
+        each stage's red and blue convolution, breadcrumbs — rewritten in
+        place from ``flat.avail`` and the children's current columns,
+        deepest first.
 
     Every implementation must perform the identical per-element IEEE-754
     operations in the identical order — the differential suite holds all
@@ -106,6 +115,7 @@ class GatherKernels:
 
     combine: Callable[..., tuple[np.ndarray, np.ndarray]]
     leaf_init: Callable[..., None]
+    repair_chain: Callable[..., None]
 
 
 @functools.lru_cache(maxsize=64)
@@ -273,14 +283,6 @@ def _leaf_init_numpy(
     )
 
 
-#: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
-#: the ``"compiled"`` one).
-NUMPY_KERNELS = GatherKernels(
-    combine=_batched_combine,
-    leaf_init=_leaf_init_numpy,
-)
-
-
 def subtree_available_counts(
     depth: np.ndarray,
     parent: np.ndarray,
@@ -350,7 +352,8 @@ def _gather_flat_tensors(
 
     # P[l, v] = rho(v, A^l_v), accumulated bottom-up exactly like
     # TreeNetwork.path_rho_prefix (same summation order, hence the same
-    # floating-point values).  Rows l > D(v) are never read.
+    # floating-point values).  Rows l > D(v) stay 0.0.  The table is kept
+    # on the result: repairs of it (and of its repairs) slice it.
     path_rho = np.zeros((height + 1, n), dtype=np.float64)
     ancestor = np.arange(n)
     for level in range(1, height + 1):
@@ -470,6 +473,7 @@ def _gather_flat_tensors(
         y_red=y_red_flat,
         splits_blue=splits_blue_flat,
         splits_red=splits_red_flat,
+        path_rho=path_rho,
     )
 
     return GatherResult(
@@ -521,105 +525,29 @@ def _clone_together(*arrays: np.ndarray) -> list[np.ndarray]:
     return clones
 
 
-def _repair_flat_tensors(
-    result: GatherResult,
-    tree: TreeNetwork,
-    kernels: GatherKernels,
-    engine: str,
-) -> GatherResult:
-    """Delta-repair a flat gather result towards ``tree``'s availability.
+def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+    """Recompute the ``dirty`` columns of ``flat`` in place, level by level.
 
-    ``result`` was gathered for ``result.flat.tree`` (availability Λ₀);
-    ``tree`` is the same structure and loads under a different Λ.  Only the
-    switches of the symmetric difference Λ₀ ^ Λ and their ancestors have
-    stale DP slabs — every other subtree sees an unchanged Λ ∩ T_v — so
-    the repair clones the flat tensors and re-runs the level-batched
-    convolution for the dirty columns alone: O(depth · k² · |delta|) work
-    instead of the cold gather's O(n · k²).
-
-    Bit-identity with a cold gather is preserved end to end:
-
-    * dirty columns are recomputed with the *same kernels* in the same
-      level order, reading child ``x`` rows as ``min(y_red, y_blue)`` —
-      exactly the values the cold driver materialized in its ``x`` tensor
-      (every valid entry was written as that minimum, and the inputs are
-      NaN-free and sign-consistent, so the minimum is bitwise unique);
-    * the convolution runs uncapped (no ``j_max``), which the kernel
-      contract guarantees is bit-identical to the subtree-availability
-      capped run, argmin included (see :func:`_batched_combine`);
-    * ``path_rho`` for dirty columns is rebuilt from
-      ``TreeNetwork.path_rho_prefix`` — the accumulation the cold driver's
-      level walk reproduces value for value;
-    * stale blue breadcrumbs of dirty nodes are re-zeroed before the blue
-      convolution writes, matching the cold driver's zero-initialized
-      split tensors for nodes that can no longer be blue.
-
-    Clean columns keep their cloned values untouched, rows beyond a
-    node's depth stay unspecified (never read) exactly as in a cold
-    gather, and the repaired result carries :class:`LazyNodeTables` — the
-    same artifact shape as a cold gather — so no per-node view
-    materialization is paid up front.
-
-    Raises :class:`~repro.exceptions.RepairError` when repair is unsound:
-    no flat tensors, different structure or loads, or a changed effective
-    budget (the tensor width would differ).
+    The numpy ``repair_chain`` kernel (see :class:`GatherKernels`): dirty
+    leaves are re-broadcast on compact columns, then the dirty internal
+    nodes are re-run level-batched from the deepest level up with the same
+    leaf and convolution kernels as :func:`flat_gather`.
     """
-    old_flat = result.flat
-    if not isinstance(old_flat, FlatTables):
-        raise RepairError("gather result carries no flat tensors to repair")
-    old_tree = old_flat.tree
-    if old_tree.structure_fingerprint() != tree.structure_fingerprint():
-        raise RepairError(
-            "cannot repair a gather table across structure changes; "
-            "the flat tensor layout is structure-specific"
-        )
-    if old_tree.loads_fingerprint() != tree.loads_fingerprint():
-        raise RepairError(
-            "cannot repair a gather table across load changes; "
-            "every column of the DP depends on its subtree loads"
-        )
-    k = normalize_budget(tree, result.requested_budget)
-    if k != result.budget:
-        raise RepairError(
-            f"effective budget changed ({result.budget} -> {k}): the delta "
-            "moved |Λ| across the requested budget, so the tensor width of "
-            "the cached tables no longer matches"
-        )
-
-    order = old_flat.order
-    index = old_flat.index
-    depth = old_flat.depth
-    leaf = old_flat.leaf
-    child_concat = old_flat.child_concat
-    child_offset = old_flat.child_offset
-    stage_offset = old_flat.stage_offset
-    height = tree.height
-    width = k + 1
-    load = old_flat.load.astype(np.float64)
-
-    delta = old_tree.available ^ tree.available
-    dirty = dirty_ancestor_positions(tree, index, delta)
-
-    avail = old_flat.avail.copy()
-    for switch in delta:
-        avail[index[switch]] = switch in tree.available
-
-    # Copy-on-write clone: the repaired result must not mutate the cached
-    # tensors (the cache may repair the same artifact towards several Λ's).
-    y_blue_flat, y_red_flat, splits_blue_flat, splits_red_flat = _clone_together(
-        old_flat.y_blue, old_flat.y_red, old_flat.splits_blue, old_flat.splits_red
-    )
-
-    # rho(v, A^l_v) for the dirty columns only, one column per dirty
-    # position; rows beyond a node's depth stay 0.0, exactly like the cold
-    # driver's level walk leaves them.
-    path_rho = np.zeros((height + 1, dirty.size), dtype=np.float64)
-    for column, position in enumerate(dirty.tolist()):
-        prefix = tree.path_rho_prefix(order[position])
-        path_rho[: len(prefix), column] = prefix
+    y_blue_flat, y_red_flat = flat.y_blue, flat.y_red
+    splits_blue_flat, splits_red_flat = flat.splits_blue, flat.splits_red
+    height = y_red_flat.shape[0] - 1
+    width = y_red_flat.shape[1]
+    k = width - 1
+    depth = flat.depth
+    child_concat = flat.child_concat
+    child_offset = flat.child_offset
+    stage_offset = flat.stage_offset
+    avail = flat.avail
+    load = flat.load.astype(np.float64)
+    path_rho = flat.path_rho[:, dirty]
 
     # ---- dirty leaves: the same frontier broadcast, on compact columns ----
-    is_leaf = leaf[dirty]
+    is_leaf = flat.leaf[dirty]
     dirty_leaves = dirty[is_leaf]
     if dirty_leaves.size:
         # leaf_init writes every row of its leaves' x / y_blue / y_red
@@ -629,7 +557,7 @@ def _repair_flat_tensors(
         compact = (height + 1, width, dirty_leaves.size)
         y_blue_leaves = np.empty(compact, dtype=np.float64)
         y_red_leaves = np.empty(compact, dtype=np.float64)
-        kernels.leaf_init(
+        _leaf_init_numpy(
             np.empty(compact, dtype=np.float64),
             y_blue_leaves,
             y_red_leaves,
@@ -637,7 +565,7 @@ def _repair_flat_tensors(
             load[dirty_leaves],
             np.arange(dirty_leaves.size),
             avail[dirty_leaves],
-            result.exact_k,
+            exact_k,
             k,
         )
         y_blue_flat[:, :, dirty_leaves] = y_blue_leaves
@@ -650,7 +578,7 @@ def _repair_flat_tensors(
     internal = dirty[~is_leaf]
     upward_all = path_rho[:, ~is_leaf]
     red_seed_all = upward_all * load[internal]
-    fan_out_all = old_flat.num_children[internal]
+    fan_out_all = flat.num_children[internal]
     first_child_all = child_concat[child_offset[internal]]
     can_blue_all = avail[internal] & (k >= 1)
     for level, run in dirty_level_runs(depth, internal):
@@ -689,7 +617,7 @@ def _repair_flat_tensors(
                 y_red_flat[1 : rows + 1, :, child],
                 y_blue_flat[1 : rows + 1, :, child],
             )
-            merged_red, split_red = kernels.combine(
+            merged_red, split_red = _batched_combine(
                 y_red[:, :, active], child_x, k, blue=False
             )
             y_red[:, :, active] = merged_red
@@ -701,7 +629,7 @@ def _repair_flat_tensors(
             splits_blue_flat[:rows, :, slots] = 0
             blue_active = np.flatnonzero(can_blue[active])
             if blue_active.size:
-                merged_blue, split_blue = kernels.combine(
+                merged_blue, split_blue = _batched_combine(
                     y_blue[:, :, active[blue_active]],
                     child_x[:1, :, blue_active],
                     k,
@@ -713,24 +641,106 @@ def _repair_flat_tensors(
         y_red_flat[:rows, :, group] = y_red
         y_blue_flat[:rows, :, group] = y_blue
 
-    new_flat = FlatTables(
+
+#: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
+#: the ``"compiled"`` one).
+NUMPY_KERNELS = GatherKernels(
+    combine=_batched_combine,
+    leaf_init=_leaf_init_numpy,
+    repair_chain=_repair_chain_numpy,
+)
+
+
+def _repair_flat_tensors(
+    result: GatherResult,
+    tree: TreeNetwork,
+    kernels: GatherKernels,
+    engine: str,
+) -> GatherResult:
+    """Delta-repair a flat gather result towards ``tree``'s availability.
+
+    ``result`` was gathered for ``result.flat.tree`` (availability Λ₀);
+    ``tree`` is the same structure and loads under a different Λ.  Only the
+    switches of the symmetric difference Λ₀ ^ Λ and their ancestors have
+    stale DP slabs — every other subtree sees an unchanged Λ ∩ T_v — so
+    the repair clones the flat tensors and has ``kernels.repair_chain``
+    recompute the dirty columns alone: O(depth · k² · |delta|) work
+    instead of the cold gather's O(n · k²).
+
+    Bit-identity with a cold gather is preserved end to end:
+
+    * dirty columns are recomputed with the same per-element arithmetic in
+      the same deepest-first order, reading child ``x`` rows as
+      ``min(y_red, y_blue)`` — exactly the values the cold driver
+      materialized in its ``x`` tensor (every valid entry was written as
+      that minimum, and the inputs are NaN-free and sign-consistent, so
+      the minimum is bitwise unique);
+    * the convolution runs uncapped (no ``j_max``), which the kernel
+      contract guarantees is bit-identical to the subtree-availability
+      capped run, argmin included (see :func:`_batched_combine`);
+    * ``path_rho`` is the cold gather's own table, shared uncloned
+      (structure and rates are unchanged by construction);
+    * stale blue breadcrumbs of dirty nodes are re-zeroed before the blue
+      convolution writes, matching the cold driver's zero-initialized
+      split tensors for nodes that can no longer be blue.
+
+    Clean columns keep their cloned values untouched, rows beyond a
+    node's depth stay unspecified (never read) exactly as in a cold
+    gather, and the repaired result carries :class:`LazyNodeTables` — the
+    same artifact shape as a cold gather — so no per-node view
+    materialization is paid up front.
+
+    Raises :class:`~repro.exceptions.RepairError` when repair is unsound:
+    no flat tensors, different structure or loads, or a changed effective
+    budget (the tensor width would differ).
+    """
+    old_flat = result.flat
+    if not isinstance(old_flat, FlatTables):
+        raise RepairError("gather result carries no flat tensors to repair")
+    old_tree = old_flat.tree
+    if old_tree.structure_fingerprint() != tree.structure_fingerprint():
+        raise RepairError(
+            "cannot repair a gather table across structure changes; "
+            "the flat tensor layout is structure-specific"
+        )
+    if old_tree.loads_fingerprint() != tree.loads_fingerprint():
+        raise RepairError(
+            "cannot repair a gather table across load changes; "
+            "every column of the DP depends on its subtree loads"
+        )
+    k = normalize_budget(tree, result.requested_budget)
+    if k != result.budget:
+        raise RepairError(
+            f"effective budget changed ({result.budget} -> {k}): the delta "
+            "moved |Λ| across the requested budget, so the tensor width of "
+            "the cached tables no longer matches"
+        )
+
+    index = old_flat.index
+    delta = old_tree.available ^ tree.available
+    dirty = dirty_ancestor_positions(tree, index, delta)
+
+    avail = old_flat.avail.copy()
+    for switch in delta:
+        avail[index[switch]] = switch in tree.available
+
+    # Copy-on-write clone: the repaired result must not mutate the cached
+    # tensors (the cache may repair the same artifact towards several Λ's).
+    y_blue_flat, y_red_flat, splits_blue_flat, splits_red_flat = _clone_together(
+        old_flat.y_blue, old_flat.y_red, old_flat.splits_blue, old_flat.splits_red
+    )
+    new_flat = replace(
+        old_flat,
         tree=tree,
-        order=order,
-        index=index,
-        depth=depth,
-        load=old_flat.load,
         avail=avail,
-        leaf=leaf,
-        num_children=old_flat.num_children,
-        child_concat=child_concat,
-        child_offset=child_offset,
-        stage_offset=stage_offset,
-        level_slices=old_flat.level_slices,
         y_blue=y_blue_flat,
         y_red=y_red_flat,
         splits_blue=splits_blue_flat,
         splits_red=splits_red_flat,
+        cost_model=None,
     )
+    kernels.repair_chain(new_flat, dirty, result.exact_k)
+
     old_model = old_flat.cost_model
     if old_model is not None:
         # The cost model depends on structure, rates, and loads only — all
@@ -804,8 +814,9 @@ def gather(
 ) -> GatherResult:
     """Run SOAR-Gather with the named engine.
 
-    ``"flat"`` (default), ``"compiled"``, or ``"reference"``; all three
-    produce bit-identical results — see the module docstring.
+    ``"compiled"`` (default; numpy kernels when no C compiler is found),
+    ``"flat"``, or ``"reference"``; all three produce bit-identical
+    results — see the module docstring.
     """
     try:
         implementation = ENGINES[engine]

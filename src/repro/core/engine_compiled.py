@@ -1,15 +1,21 @@
-"""The ``"compiled"`` gather engine: C kernels behind the flat driver.
+"""The ``"compiled"`` gather engine (the default): C kernels behind the flat driver.
 
-The flat engine's two hot blocks — the leaf broadcast and the batched
-``mCost`` convolution — account for essentially all of a gather's
+The flat engine's hot blocks — the leaf broadcast and the batched
+``mCost`` convolution of a cold gather, and the dirty-chain
+recomputation of a delta repair — account for essentially all of the
 arithmetic, and under numpy they hold the GIL for the whole solve, which
 is why thread-level replay never scaled (``concurrent_speedup = 0.78`` at
 4 workers on BT(256) before this backend existed).  This module compiles
-the same two blocks (plus the colour and cost kernels' helpers) from
+the same three blocks (plus the colour and cost kernels' helpers) from
 ``_gather_kernels.c`` into a small shared library and calls them through
 ``ctypes``, which **releases the GIL for the duration of every kernel
 call**; the surrounding orchestration is the unchanged
-:func:`repro.core.engine._gather_flat_tensors` driver.
+:func:`repro.core.engine._gather_flat_tensors` and
+:func:`repro.core.engine._repair_flat_tensors` drivers.
+
+A repair is a single C call (``repro_repair_chain``): a typical churn
+delta dirties a few dozen of a thousand switches, so the numpy chain's
+per-level call overhead, not its arithmetic, was the repair's cost.
 
 Bit-identity
 ------------
@@ -24,7 +30,9 @@ Build and fallback
 ------------------
 No third-party dependency is required: the kernels are plain C99 built on
 demand with the system compiler (``$CC``, ``cc``, ``gcc``, or ``clang`` —
-whichever is found first) as ``-O2 -fPIC -shared`` and cached by source
+whichever is found first) as ``-O2 -ffp-contract=off -fPIC -shared``
+(no fused multiply-adds, which would round differently from numpy's
+separate multiply and add) and cached by source
 digest under ``$REPRO_KERNEL_CACHE`` (default: ``<tmpdir>/repro-kernels``),
 so the compile runs once per source revision per machine.  The publish is
 an atomic :func:`os.replace`, making concurrent first builds safe.
@@ -59,6 +67,7 @@ from repro.core.engine import (
     _gather_flat_tensors,
     _repair_flat_tensors,
 )
+from repro.core.flat import FlatTables
 from repro.core.gather import GatherResult
 from repro.core.tree import TreeNetwork
 
@@ -100,6 +109,11 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     library.repro_strict_less.restype = None
     library.repro_sequential_sum.argtypes = [_f64, _ll]
     library.repro_sequential_sum.restype = ctypes.c_double
+    library.repro_repair_chain.argtypes = [
+        _f64, _f64, _i32, _i32, _f64, _f64, _u8, _i64, _i64, _i64, _i64, _i64, _i64,
+        _ll, _ll, _ll, _ll, _ll, ctypes.c_int32,
+    ]
+    library.repro_repair_chain.restype = ctypes.c_int32
     return library
 
 
@@ -127,7 +141,10 @@ def _build_library() -> ctypes.CDLL | None:
             return None
         try:
             subprocess.run(
-                [compiler, "-O2", "-fPIC", "-shared", "-o", staging, str(_SOURCE)],
+                [
+                    compiler, "-O2", "-ffp-contract=off", "-fPIC", "-shared",
+                    "-o", staging, str(_SOURCE),
+                ],
                 check=True,
                 capture_output=True,
             )
@@ -218,12 +235,41 @@ def _leaf_init_compiled(
     )
 
 
+def _repair_chain_compiled(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+    height = flat.y_red.shape[0] - 1
+    width, n = flat.y_red.shape[1], flat.y_red.shape[2]
+    status = _LIB.repro_repair_chain(
+        flat.y_blue,
+        flat.y_red,
+        flat.splits_blue,
+        flat.splits_red,
+        flat.path_rho,
+        flat.load.astype(np.float64),
+        flat.avail.view(np.uint8),
+        flat.depth,
+        flat.num_children,
+        flat.child_concat,
+        flat.child_offset,
+        flat.stage_offset,
+        np.ascontiguousarray(dirty, dtype=np.int64),
+        dirty.size,
+        height,
+        width,
+        n,
+        flat.splits_red.shape[2],
+        int(exact_k),
+    )
+    if status != 0:
+        raise MemoryError("repro_repair_chain could not allocate its scratch")
+
+
 #: The kernel set of the ``"compiled"`` engine — the C kernels when the
 #: library built, the numpy kernels otherwise (bit-identical either way).
 COMPILED_KERNELS: GatherKernels = (
     GatherKernels(
         combine=_combine_compiled,
         leaf_init=_leaf_init_compiled,
+        repair_chain=_repair_chain_compiled,
     )
     if HAVE_COMPILED
     else NUMPY_KERNELS
@@ -253,9 +299,10 @@ def compiled_repair(result: GatherResult, tree: TreeNetwork) -> GatherResult:
     """Delta-repair a compiled-engine gather result towards ``tree``.
 
     The shared repair driver of :mod:`repro.core.engine` parameterized by
-    the compiled kernel set — the dirty-slab convolutions and the leaf
-    re-broadcast run in C (releasing the GIL) when the backend is active,
-    and fall back to numpy otherwise, bit-identical either way.
+    the compiled kernel set — the whole dirty chain (leaf re-broadcast,
+    stage seeding, every convolution, breadcrumbs) is recomputed by one C
+    call (releasing the GIL) when the backend is active, and by the numpy
+    level loop otherwise, bit-identical either way.
     """
     return _repair_flat_tensors(
         result, tree, kernels=COMPILED_KERNELS, engine=COMPILED_ENGINE

@@ -84,6 +84,12 @@ class FlatTables:
         ``l <= depth``).
     splits_blue, splits_red:
         Breadcrumb tensors of shape ``(height + 1, k + 1, total_stages)``.
+    path_rho:
+        ``path_rho[l, p] = rho(v, A^l_v)`` for the node ``v`` at position
+        ``p``, shape ``(height + 1, n)``; rows ``l > depth`` are 0.0.  It
+        depends on the structure and rates only, so a delta repair shares
+        its source's array (never cloned, never written) and slices the
+        dirty columns out of it.
     """
 
     tree: TreeNetwork
@@ -102,6 +108,7 @@ class FlatTables:
     y_red: np.ndarray
     splits_blue: np.ndarray
     splits_red: np.ndarray
+    path_rho: np.ndarray
     #: Lazily-derived :class:`FlatCostModel` sharing this layout (see
     #: :func:`cost_model_for`); never built by the engines themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
@@ -342,8 +349,11 @@ def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
     y_red = np.empty((height + 1, width, n), dtype=np.float64)
     splits_blue = np.zeros((height + 1, width, total_stages), dtype=np.int32)
     splits_red = np.zeros((height + 1, width, total_stages), dtype=np.int32)
+    path_rho = np.zeros((height + 1, n), dtype=np.float64)
 
     for position, node in enumerate(order):
+        prefix = tree.path_rho_prefix(node)
+        path_rho[: len(prefix), position] = prefix
         tables = result.tables[node]
         rows = int(meta["depth"][position]) + 1
         y_blue[:rows, :, position] = tables.y_blue
@@ -359,6 +369,7 @@ def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
         y_red=y_red,
         splits_blue=splits_blue,
         splits_red=splits_red,
+        path_rho=path_rho,
         **meta,
     )
 

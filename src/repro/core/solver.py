@@ -307,8 +307,8 @@ class Solver:
     Parameters
     ----------
     engine:
-        Gather engine (``"flat"`` default, ``"reference"`` ground truth);
-        see :mod:`repro.core.engine`.
+        Gather engine (``"compiled"`` default, ``"flat"`` numpy,
+        ``"reference"`` ground truth); see :mod:`repro.core.engine`.
     exact_k:
         Budget semantics; see :mod:`repro.core.gather`.  The default
         (at-most-k) is never worse than the paper-literal exactly-k mode.

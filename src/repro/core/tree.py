@@ -46,11 +46,11 @@ DEFAULT_DESTINATION: str = "d"
 
 def _digest(parts: Iterable[str]) -> str:
     """Short hex digest of an iterable of canonical strings."""
-    hasher = hashlib.blake2b(digest_size=16)
-    for part in parts:
-        hasher.update(part.encode())
-        hasher.update(b"\x00")
-    return hasher.hexdigest()
+    # Every part is hashed NUL-terminated, fed as one joined buffer rather
+    # than two ``update`` calls per part (same bytes, same digest).
+    parts = list(parts)
+    joined = "\x00".join(parts) + "\x00" if parts else ""
+    return hashlib.blake2b(joined.encode(), digest_size=16).hexdigest()
 
 
 #: Modulus of the :class:`IncrementalDigest` additive combine (256 bits).

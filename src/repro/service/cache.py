@@ -79,13 +79,18 @@ Repair is the first resort on every availability miss.  The nearest
 same-family table (fewest switch flips, ties to the earliest stored)
 qualifies whenever repairing it recomputes at most half the switches —
 ``len(dirty_ancestor_positions(...)) <= num_switches // 2``, the delta
-switches plus their ancestors; past that a repair costs about as much as
-the gather it replaces, so the miss gathers instead.  Measured on BT(1024)
-at ``k = 16`` with the flat engine (random flips, median of 15 interleaved
-pairs on a 2-core VM), repair time over cold-gather time is 0.14 for 1 flip
-(10 dirty columns of 1023), 0.36 for 16 flips (79), 0.45 for 32 (136), 0.66
-for 128 (343), 0.81 for 256 (487), and 1.07 for 512 (738): the half-tree
-guard only turns away repairs that buy nothing.
+switches plus their ancestors; past that the miss gathers instead.
+``benchmarks/bench_service.py --repair`` (BT(1024), ``k = 16``, the 1, 2,
+4 and 8 deepest available switches flipped, best of 25; two runs on a
+2-vCPU VM) puts repair time over cold-gather time at 0.05–0.07 for the
+default compiled engine (one C call per repair) and 0.10–0.16 for the
+numpy flat engine.  With random flips (median of 15 pairs), the compiled
+ratio is 0.07 for 1 flip (9 dirty columns of 1023), 0.11 for 16 flips
+(83), 0.14 for 32 (138), 0.24 for 128 (348), 0.31 for 256 (511) and 0.38
+for 512 (735); the flat engine's reads 0.21, 0.40, 0.41, 0.60, 0.75 and
+0.91.  On the flat engine the half-tree guard only turns away repairs
+that buy little; on the compiled engine a repair past the guard would
+still be cheaper than the gather it replaces.
 
 The policy knob is ``max_repair_delta``.  ``None`` (the default) puts no
 bound on the flips; an int additionally ignores candidates further than

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core.color import soar_color, soar_color_batched, soar_color_compiled
 from repro.core.engine import (
+    DEFAULT_ENGINE,
     ENGINES,
     NUMPY_KERNELS,
     _batched_combine,
@@ -218,6 +219,78 @@ class TestCompiledBackend:
             assert soar_color(tree, compiled) == traced
             count += 1
         assert count == 25
+
+
+#: Digest of every defined table cell, breadcrumb, cost and placement of a
+#: default-engine cold gather and delta repair, run in a fresh interpreter.
+_DEFAULT_ENGINE_DIGEST = """
+import hashlib
+import numpy as np
+from repro.core.engine_compiled import HAVE_COMPILED
+from repro.core.solver import Solver
+from repro.topology.binary_tree import bt_network
+from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
+
+tree = bt_network(64)
+loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=23)
+switches = sorted(tree.switches)
+workload = tree.with_loads(loads, available=switches[::2])
+digest = hashlib.sha256()
+for exact_k in (False, True):
+    solver = Solver(exact_k=exact_k)
+    assert solver.engine == "compiled"
+    cold = solver.gather(workload, 8)
+    for table in (cold, cold.repair(frozenset(switches[1:12:2]) | {switches[0]})):
+        for node in table.result.flat.order:
+            tables = table.result.tables[node]
+            for array in (tables.y_blue, tables.y_red, *tables.splits_blue, *tables.splits_red):
+                digest.update(np.ascontiguousarray(array).tobytes())
+        for budget in range(9):
+            placement = table.place(budget)
+            digest.update(repr((budget, placement.cost, sorted(placement.blue_nodes))).encode())
+print(HAVE_COMPILED, digest.hexdigest())
+"""
+
+
+class TestDefaultEngine:
+    """The compiled backend is the default everywhere, bit-identically."""
+
+    def test_solver_and_service_default_to_compiled(self, paper_tree):
+        from repro.service import PlacementService
+
+        assert DEFAULT_ENGINE == "compiled"
+        assert Solver().engine == "compiled"
+        assert PlacementService(paper_tree, 2).engine == "compiled"
+        assert Solver().gather(paper_tree, 2).result.engine == "compiled"
+
+    def test_numpy_fallback_leg_is_byte_identical(self):
+        # The same default-engine gathers and repairs in two fresh
+        # interpreters: the C kernels (when a compiler exists) and the
+        # REPRO_NO_COMPILED=1 numpy fallback must digest identically.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        source_root = str(Path(repro.__file__).resolve().parents[1])
+        outputs = {}
+        for disabled in (False, True):
+            env = dict(os.environ, PYTHONPATH=source_root)
+            env.pop("REPRO_NO_COMPILED", None)
+            if disabled:
+                env["REPRO_NO_COMPILED"] = "1"
+            completed = subprocess.run(
+                [sys.executable, "-c", _DEFAULT_ENGINE_DIGEST],
+                check=True,
+                env=env,
+                capture_output=True,
+                text=True,
+            )
+            outputs[disabled] = completed.stdout.split()
+        assert outputs[True][0] == "False"
+        assert outputs[True][1] == outputs[False][1]
 
 
 class TestPaperExample:

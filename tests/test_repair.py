@@ -16,8 +16,15 @@ import numpy as np
 import pytest
 
 from repro.core.color import soar_color, soar_color_batched
-from repro.core.engine import REPAIRERS, flat_gather, gather, repair
-from repro.core.engine_compiled import HAVE_COMPILED, compiled_gather
+from repro.core.engine import (
+    NUMPY_KERNELS,
+    REPAIRERS,
+    _repair_flat_tensors,
+    flat_gather,
+    gather,
+    repair,
+)
+from repro.core.engine_compiled import COMPILED_KERNELS, HAVE_COMPILED, compiled_gather
 from repro.core.flat import LazyNodeTables, dirty_ancestor_positions
 from repro.core.solver import Solver
 from repro.exceptions import AvailabilityError, RepairError
@@ -183,6 +190,139 @@ class TestRepairBitIdentity:
         subprocess.run(
             [sys.executable, "-c", script], check=True, env=env, cwd="/root/repo"
         )
+
+
+TENSORS = ("y_blue", "y_red", "splits_blue", "splits_red")
+
+
+def _defined_cells(flat, name):
+    """The bytes of the cells a gather defines in one flat tensor.
+
+    Breadcrumb tensors are zero-initialized, so every cell counts.  A
+    ``y`` tensor is defined on every row of a leaf column (the leaf
+    broadcast writes them all) and on rows ``0 .. depth`` of an internal
+    one; the rows above are never written nor read.
+    """
+    tensor = getattr(flat, name)
+    if name.startswith("splits"):
+        return tensor.tobytes()
+    rows = np.arange(tensor.shape[0])[:, None]
+    defined = flat.leaf[None, :] | (rows <= flat.depth[None, :])
+    return tensor.transpose(0, 2, 1)[defined].tobytes()
+
+
+def _assert_chain_kernels_match_cold(result, new_tree):
+    """Repair with the numpy and the compiled ``repair_chain`` kernels and
+    byte-compare both with each other and with a cold gather."""
+    numpy_flat, compiled_flat = (
+        _repair_flat_tensors(result, new_tree, kernels=kernels, engine=result.engine).flat
+        for kernels in (NUMPY_KERNELS, COMPILED_KERNELS)
+    )
+    cold = compiled_gather(new_tree, result.requested_budget, exact_k=result.exact_k).flat
+    for name in TENSORS:
+        # Both kernels start from the same clone: even the undefined rows
+        # must agree, or one of them wrote a cell the other did not.
+        assert getattr(numpy_flat, name).tobytes() == getattr(compiled_flat, name).tobytes()
+        assert _defined_cells(compiled_flat, name) == _defined_cells(cold, name)
+    return compiled_flat
+
+
+def _dirtying_exactly(tree, index, target):
+    """A delta whose dirty ancestor chains hold exactly ``target`` switches.
+
+    Switches are added in flat order while the dirty count stays within
+    ``target``; a switch whose parent is already dirty adds exactly one,
+    so the count always lands on the target.
+    """
+    delta: set = set()
+    for switch in sorted(index, key=index.get):
+        grown = len(dirty_ancestor_positions(tree, index, delta | {switch}))
+        if grown <= target:
+            delta.add(switch)
+        if grown == target:
+            break
+    return frozenset(delta)
+
+
+class TestRepairChainKernels:
+    """The compiled and numpy ``repair_chain`` kernels against a cold
+    gather, tensor byte for tensor byte, on streams and edge deltas."""
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    @pytest.mark.parametrize("stream", [instance_stream, near_tie_stream])
+    def test_streams(self, stream, exact_k):
+        rng = np.random.default_rng(6021 + int(exact_k))
+        repaired_count = 0
+        for tree, budget in stream(seed=3303 + int(exact_k), count=30, max_switches=16):
+            result = compiled_gather(tree, budget, exact_k=exact_k)
+            delta = _random_delta(rng, tree, max_flips=4)
+            new_tree = tree.with_available(tree.available ^ delta)
+            try:
+                _assert_chain_kernels_match_cold(result, new_tree)
+            except RepairError:
+                assert min(budget, len(new_tree.available)) != result.budget
+                continue
+            repaired_count += 1
+        assert repaired_count >= 15
+
+    @pytest.fixture()
+    def workload(self):
+        tree = bt_network(64)
+        loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=17)
+        available = frozenset(sorted(tree.switches)[::3]) | {tree.root}
+        return tree.with_loads(loads, available=available)
+
+    @staticmethod
+    def _subtree_leaves(tree, node):
+        return frozenset(s for s in tree.subtree(node) if not tree.children(s))
+
+    def _edge_deltas(self, tree, index):
+        inner = tree.children(tree.children(tree.root)[0])[1]
+        return {
+            "root": frozenset({tree.root}),
+            "subtree-leaves": self._subtree_leaves(tree, inner),
+            "half-tree": _dirtying_exactly(tree, index, tree.num_switches // 2),
+        }
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    @pytest.mark.parametrize("edge", ["root", "subtree-leaves", "half-tree"])
+    def test_edge_deltas(self, workload, edge, exact_k):
+        result = compiled_gather(workload, 6, exact_k=exact_k)
+        delta = self._edge_deltas(workload, result.flat.index)[edge]
+        if edge == "half-tree":
+            dirty = dirty_ancestor_positions(workload, result.flat.index, delta)
+            assert dirty.size == workload.num_switches // 2
+        _assert_chain_kernels_match_cold(result, workload.with_available(workload.available ^ delta))
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    def test_lost_blue_eligibility_zeroes_stale_breadcrumbs(self, workload, exact_k):
+        result = compiled_gather(workload, 6, exact_k=exact_k)
+        flat = result.flat
+        node = workload.root  # available, two children: one breadcrumb slot
+        position = flat.index[node]
+        slot = int(flat.stage_offset[position])
+        rows = int(flat.depth[position]) + 1
+        assert flat.splits_blue[:rows, :, slot].any()
+        repaired = _assert_chain_kernels_match_cold(
+            result, workload.with_available(workload.available - {node})
+        )
+        assert not repaired.splits_blue[:rows, :, slot].any()
+        assert flat.splits_blue[:rows, :, slot].any()  # the source is untouched
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    def test_budget_one(self, workload, exact_k):
+        result = compiled_gather(workload, 1, exact_k=exact_k)
+        assert result.budget == 1
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            delta = _random_delta(rng, workload, max_flips=6)
+            _assert_chain_kernels_match_cold(
+                result, workload.with_available(workload.available ^ delta)
+            )
+
+    @requires_compiled
+    def test_compiled_kernel_is_the_c_one(self):
+        assert COMPILED_KERNELS.repair_chain is not NUMPY_KERNELS.repair_chain
 
 
 class TestRepairRefusals:

@@ -187,6 +187,24 @@ class TestSnapshotState:
         assert restored.state.tracker.drained == service.state.tracker.drained
         assert restored.state.admitted_total == service.state.admitted_total
 
+    def test_snapshot_engine_survives_the_default(self):
+        # A snapshot recorded before the compiled default keeps serving
+        # with the engine it names.
+        tree = complete_binary_tree(8)
+        service = PlacementService(tree, capacity=3, engine="flat")
+        loads = leaf_loads(tree)
+        service.submit(AdmitRequest(tenant_id="a", loads=loads, budget=3))
+        snapshot = service.snapshot()
+        assert snapshot["engine"] == "flat"
+        restored = PlacementService.restore(tree, snapshot)
+        assert restored.engine == restored.solver().engine == "flat"
+        restored.submit(SolveRequest(loads=loads, budget=2))
+        restored.submit(DrainRequest(switch="s3_7"))
+        assert restored.submit(SolveRequest(loads=loads, budget=2)).cache_source == "repair"
+        tables = [table for _, table in restored.cache.tables()]
+        assert tables and {table.engine for table in tables} == {"flat"}
+        assert {table.result.engine for table in tables} == {"flat"}
+
     def test_prewarm_restores_cache_hits(self, tmp_path):
         tree = complete_binary_tree(8)
         service = PlacementService(tree, capacity=3)

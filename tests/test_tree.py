@@ -5,13 +5,15 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
-from repro.core.tree import TreeNetwork
+from repro.core.tree import TreeNetwork, fingerprint_loads
 from repro.exceptions import (
     AvailabilityError,
     InvalidLoadError,
     InvalidRateError,
     TreeStructureError,
 )
+from repro.topology.binary_tree import bt_network
+from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
 
 class TestConstruction:
@@ -251,3 +253,24 @@ class TestNetworkxInterop:
         tree = TreeNetwork(parents)
         assert tree.height == 5000
         assert tree.depth(4999) == 5000
+
+
+class TestDigestGoldens:
+    """Fingerprints are persisted in snapshots and journals: the digest
+    bytes must never change, however ``_digest`` feeds them to the hash."""
+
+    @pytest.fixture()
+    def workload(self):
+        tree = bt_network(1024)
+        return tree, sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=2024)
+
+    def test_fingerprint_loads_golden(self, workload):
+        _, loads = workload
+        assert sum(1 for value in loads.values() if value) == 512
+        assert fingerprint_loads(loads) == "e154f27190e30b7a8ac6303006525f46"
+        assert fingerprint_loads({}) == "cae66941d9efbd404e4d88758ea67670"
+
+    def test_structure_and_instance_fingerprint_golden(self, workload):
+        tree, loads = workload
+        assert tree.structure_fingerprint() == "4e62c1472136a7fe54c4d472c4e52099"
+        assert tree.with_loads(loads).fingerprint() == "ac0a54e74c41ae0a061ca940290506cd"
