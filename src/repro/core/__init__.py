@@ -12,9 +12,14 @@ The sub-modules map directly onto the paper's sections:
 * :mod:`repro.core.gather` / :mod:`repro.core.color` — the two phases of
   SOAR (Algorithms 3 and 4); each phase ships a batched kernel and a
   per-node reference implementation,
-* :mod:`repro.core.engine` — the gather-engine registry,
+* :mod:`repro.core.engine` — the gather-engine registry; the flat
+  engines run one ``repair_chain`` kernel (C for ``"compiled"``, numpy
+  for ``"flat"``) with every switch dirty for a cold gather and a delta's
+  ancestor chains for a repair,
 * :mod:`repro.core.flat` — the flat ``(l, i, node)`` tensor layout the
-  batched kernels share, plus the :class:`~repro.core.flat.FlatCostModel`
+  batched kernels share (its structure half,
+  :class:`~repro.core.flat.FlatLayout`, is built once per weighted tree
+  and memoized on it), plus the :class:`~repro.core.flat.FlatCostModel`
   metadata the flat cost kernel traverses,
 * :mod:`repro.core.solver` — the user-facing staged API
   (:class:`Solver` / :class:`GatherTable` / :class:`Placement`),

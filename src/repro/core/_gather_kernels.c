@@ -1,6 +1,9 @@
 /* Compiled kernels for the "compiled" gather engine.
  *
- * Each kernel mirrors one numpy block of repro.core.engine bit for bit:
+ * repro_repair_chain is the whole SOAR-Gather dynamic program over a set
+ * of dirty columns (every switch for a cold gather, a delta's ancestor
+ * chains for a repair); the other two serve the colour and cost kernels.
+ * Each kernel mirrors its numpy counterpart in repro.core bit for bit:
  * the per-element arithmetic (a single double multiply or add followed by
  * a strict `<` comparison) is evaluated in the identical order, so the
  * compiled engine produces byte-identical tables, breadcrumbs, and costs.
@@ -10,10 +13,9 @@
  *
  * Built on demand by repro.core.engine_compiled with the system C
  * compiler (`cc -O2 -ffp-contract=off -fPIC -shared`) and loaded through
- * ctypes, which
- * releases the GIL around every call — that is the whole point: the
- * convolution below dominates SOAR-Gather, and with the GIL released the
- * service can run gathers truly in parallel.
+ * ctypes, which releases the GIL around every call — that is the whole
+ * point: the convolution below dominates SOAR-Gather, and with the GIL
+ * released the service can run gathers truly in parallel.
  *
  * All tensors arrive C-contiguous with the layouts noted per kernel.
  */
@@ -23,121 +25,28 @@
 
 #define INF (1.0 / 0.0)
 
-/* The y_blue / y_red entries of one leaf column v, rows 0 .. rows - 1
- * (tensors (rows, width, n)): red entries are path_rho * load (every
- * column under at-most-k, column 0 under exactly-k), blue entries are
- * +inf except column 1 (exactly-k) / columns 1..k (at-most-k) of an
- * available leaf. */
-static void leaf_column(double *y_blue, double *y_red, const double *path_rho,
-                        double load, int64_t v, int can_blue, int64_t rows,
-                        int64_t width, int64_t n, int32_t exact_k) {
+/* Every row of the y_blue / y_red columns of the given leaves (tensors
+ * (rows, width, n)): red entries are path_rho * load (every column under
+ * at-most-k, column 0 under exactly-k), blue entries are +inf except
+ * column 1 (exactly-k) / columns 1..k (at-most-k) of an available leaf.
+ * Rows and columns run outermost, so consecutive leaves write adjacent
+ * doubles. */
+static void leaf_columns(double *y_blue, double *y_red, const double *path_rho,
+                         const double *load, const uint8_t *avail,
+                         const int64_t *leaves, int64_t num_leaves,
+                         int64_t rows, int64_t width, int64_t n,
+                         int32_t exact_k) {
   for (int64_t l = 0; l < rows; l++) {
-    const double path = path_rho[l * n + v];
-    const double red = path * load;
-    double *yr = y_red + (l * width) * n + v;
-    double *yb = y_blue + (l * width) * n + v;
+    const double *path = path_rho + l * n;
     for (int64_t b = 0; b < width; b++) {
-      yr[b * n] = (exact_k && b != 0) ? INF : red;
-      yb[b * n] = INF;
-    }
-    if (can_blue) {
-      if (exact_k) {
-        yb[1 * n] = path;
-      } else {
-        for (int64_t b = 1; b < width; b++) {
-          yb[b * n] = path;
-        }
-      }
-    }
-  }
-}
-
-/* Leaf broadcast of flat_gather: initialize y_red / y_blue / x for every
- * leaf in one pass.
- *
- *   x, y_blue, y_red : (rows, width, n) float64
- *   path_rho         : (rows, n)        float64
- *   load             : (n,)             float64
- *   leaves           : (num_leaves,)    int64 node positions
- *   avail            : (n,)             uint8 (bool)
- *
- * Mirrors the numpy block: the y entries of every leaf as in
- * leaf_column, and x is the elementwise minimum.
- */
-void repro_leaf_init(double *x, double *y_blue, double *y_red,
-                     const double *path_rho, const double *load,
-                     const int64_t *leaves, int64_t num_leaves,
-                     const uint8_t *avail, int64_t rows, int64_t width,
-                     int64_t n, int32_t exact_k) {
-  const int64_t k = width - 1;
-  for (int64_t m = 0; m < num_leaves; m++) {
-    const int64_t v = leaves[m];
-    leaf_column(y_blue, y_red, path_rho, load[v], v, avail[v] && k >= 1, rows,
-                width, n, exact_k);
-    for (int64_t i = 0; i < rows * width; i++) {
-      const double r = y_red[i * n + v], bl = y_blue[i * n + v];
-      x[i * n + v] = (bl < r) ? bl : r;
-    }
-  }
-}
-
-/* The mCost (min,+)-convolution of _batched_combine.
- *
- *   previous   : (height, width, batch) float64 — Y^{m-1}
- *   child      : (child_height, width, batch) float64; child_height is
- *                `height` for red parents and 1 for blue parents (the
- *                child always sees l = 1, broadcast over the height axis)
- *   best       : (height, width, batch) float64 out
- *   best_split : (height, width, batch) int32 out
- *
- * Element semantics, identical to the numpy kernel: for each (h, b, v)
- * the minimum over j = 0 .. j_limit with j + (blue ? 1 : 0) <= b of
- * previous[h, b - j, v] + child[h or 0, j, v]; ties keep the smallest j
- * (ascending scan, strict improvement).  Entries with no feasible split
- * (blue, b = 0) are +inf with split 0.
- */
-void repro_batched_combine(const double *previous, const double *child,
-                           double *best, int32_t *best_split, int64_t height,
-                           int64_t width, int64_t batch, int64_t child_height,
-                           int32_t blue, int64_t j_limit) {
-  const int64_t start0 = blue ? 1 : 0;
-  for (int64_t h = 0; h < height; h++) {
-    const double *prev_h = previous + h * width * batch;
-    const double *child_h = child + (child_height == 1 ? 0 : h) * width * batch;
-    double *best_h = best + h * width * batch;
-    int32_t *split_h = best_split + h * width * batch;
-
-    for (int64_t b = 0; b < start0 && b < width; b++) {
-      for (int64_t v = 0; v < batch; v++) {
-        best_h[b * batch + v] = INF;
-        split_h[b * batch + v] = 0;
-      }
-    }
-    for (int64_t b = start0; b < width; b++) {
-      const double *prev_b = prev_h + b * batch;
-      double *best_b = best_h + b * batch;
-      int32_t *split_b = split_h + b * batch;
-      for (int64_t v = 0; v < batch; v++) {
-        best_b[v] = prev_b[v] + child_h[v]; /* j = 0 seed, split 0 */
-        split_b[v] = 0;
-      }
-    }
-    for (int64_t j = 1; j <= j_limit; j++) {
-      const int64_t start = blue ? j + 1 : j;
-      if (start >= width)
-        break;
-      const double *child_j = child_h + j * batch;
-      for (int64_t b = start; b < width; b++) {
-        const double *prev_b = prev_h + (b - j) * batch;
-        double *best_b = best_h + b * batch;
-        int32_t *split_b = split_h + b * batch;
-        for (int64_t v = 0; v < batch; v++) {
-          const double cand = prev_b[v] + child_j[v];
-          if (cand < best_b[v]) {
-            best_b[v] = cand;
-            split_b[v] = (int32_t)j;
-          }
-        }
+      double *yr = y_red + (l * width + b) * n;
+      double *yb = y_blue + (l * width + b) * n;
+      const int red_defined = !exact_k || b == 0;
+      const int blue_defined = exact_k ? b == 1 : b >= 1;
+      for (int64_t m = 0; m < num_leaves; m++) {
+        const int64_t v = leaves[m];
+        yr[v] = red_defined ? path[v] * load[v] : INF;
+        yb[v] = (blue_defined && avail[v]) ? path[v] : INF;
       }
     }
   }
@@ -146,9 +55,13 @@ void repro_batched_combine(const double *previous, const double *child,
 /* One stage of the mCost convolution for a single node, in place:
  * table[h, b] = min over j of table[h, b - j] + child[h or 0, j] with
  * j = 0 .. b (red) or 0 .. b - 1 (blue: the parent keeps one unit),
- * ties to the smallest j, exactly as repro_batched_combine with an
- * uncapped split range.  Columns run from the widest down, so every
- * table[h, b - j] read is still the previous stage's value.
+ * ties to the smallest j (ascending scan, strict improvement), exactly as
+ * the numpy _batched_combine; entries with no feasible split (blue,
+ * b = 0) are +inf with split 0.  Columns run from the widest down, so every
+ * table[h, b - j] read is still the previous stage's value.  Splits above
+ * j_cap (the child subtree's available switches) are skipped: they cannot
+ * strictly improve any entry (see _batched_combine), so the cap changes no
+ * bit of the result.
  *
  *   table  : (rows, width) float64, updated in place
  *   child  : (rows, width) float64; a blue stage reads row 0 for every h
@@ -157,7 +70,7 @@ void repro_batched_combine(const double *previous, const double *child,
  */
 static void combine_column(double *table, const double *child,
                            int32_t *splits, int64_t rows, int64_t width,
-                           int64_t stages, int blue) {
+                           int64_t stages, int blue, int64_t j_cap) {
   const int64_t start = blue ? 1 : 0;
   for (int64_t h = 0; h < rows; h++) {
     double *row = table + h * width;
@@ -166,7 +79,8 @@ static void combine_column(double *table, const double *child,
     for (int64_t b = width - 1; b >= start; b--) {
       double best = row[b] + child_h[0]; /* j = 0 seed, split 0 */
       int32_t split = 0;
-      for (int64_t j = 1; j <= b - start; j++) {
+      const int64_t j_top = b - start < j_cap ? b - start : j_cap;
+      for (int64_t j = 1; j <= j_top; j++) {
         const double cand = row[b - j] + child_h[j];
         if (cand < best) {
           best = cand;
@@ -197,8 +111,10 @@ static void child_x_rows(double *out, const double *y_blue,
   }
 }
 
-/* Fused delta repair: recompute every dirty column of cloned flat tables
- * in place, the whole of repair_chain of repro.core.engine in one call.
+/* The repair_chain kernel of repro.core.engine in one call: recompute
+ * every dirty column of the flat tables in place — all columns of fresh
+ * tables for a cold gather, a delta's ancestor chains of cloned ones for
+ * a repair.
  *
  *   y_blue, y_red           : (height + 1, width, n) float64, in place
  *   splits_blue, splits_red : (height + 1, width, stages) int32, in place
@@ -210,15 +126,16 @@ static void child_x_rows(double *out, const double *y_blue,
  *   dirty                   : (num_dirty,) int64 ascending flat positions
  *
  * Ascending flat positions run deepest level first, so every child is
- * final before its parent is touched.  A dirty leaf is re-broadcast on
- * all height + 1 rows (leaf_column); a dirty internal node at depth d
- * recomputes rows 0 .. d: stage 1 seeds red with child x + path_rho *
- * load and blue (when available and k >= 1) with child x row 1 shifted
- * one unit + path_rho; each further stage runs the red and blue
- * convolutions against that child's x rows, re-zeroing the stage's blue
- * breadcrumbs first (a node that lost blue eligibility must not keep
- * stale ones).  Returns 0, or -1 when scratch allocation fails, in which
- * case nothing has been written.
+ * final before its parent is touched, and one ascending pass over all n
+ * positions counts |Λ ∩ T_v|, the convolutions' split cap.  Dirty leaves
+ * are rewritten first, on all height + 1 rows (leaf_columns).  A dirty
+ * internal node at depth d recomputes rows 0 .. d: stage 1 seeds red with
+ * child x + path_rho * load and blue (when available and k >= 1) with
+ * child x row 1 shifted one unit + path_rho; each further stage runs the
+ * red and blue convolutions against that child's x rows, re-zeroing the
+ * stage's blue breadcrumbs first (a node that lost blue eligibility must
+ * not keep stale ones).  Returns 0, or -1 when scratch allocation fails,
+ * in which case nothing has been written.
  */
 int32_t repro_repair_chain(double *y_blue, double *y_red,
                            int32_t *splits_blue, int32_t *splits_red,
@@ -233,18 +150,38 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
   const int64_t k = width - 1;
   const int64_t block = (height + 1) * width;
   double *scratch = malloc(3 * (size_t)block * sizeof(double));
-  if (scratch == NULL) {
+  /* n subtree-availability counts, then the dirty leaves */
+  int64_t *subtree_avail = malloc((size_t)(n + num_dirty) * sizeof(int64_t));
+  if (scratch == NULL || subtree_avail == NULL) {
+    free(scratch);
+    free(subtree_avail);
     return -1;
   }
   double *red = scratch, *blue = scratch + block, *cx = scratch + 2 * block;
+  for (int64_t v = 0; v < n; v++) {
+    int64_t count = avail[v];
+    for (int64_t c = 0; c < num_children[v]; c++) {
+      count += subtree_avail[child_concat[child_offset[v] + c]];
+    }
+    subtree_avail[v] = count;
+  }
+
+  /* A leaf column depends on no other column, so all dirty leaves go
+   * first, in one pass. */
+  int64_t *leaves = subtree_avail + n, num_leaves = 0;
+  for (int64_t m = 0; m < num_dirty; m++) {
+    if (num_children[dirty[m]] == 0) {
+      leaves[num_leaves++] = dirty[m];
+    }
+  }
+  leaf_columns(y_blue, y_red, path_rho, load, avail, leaves, num_leaves,
+               height + 1, width, n, exact_k);
 
   for (int64_t m = 0; m < num_dirty; m++) {
     const int64_t v = dirty[m];
     const int can_blue = avail[v] && k >= 1;
     const int64_t fan_out = num_children[v];
     if (fan_out == 0) {
-      leaf_column(y_blue, y_red, path_rho, load[v], v, can_blue, height + 1,
-                  width, n, exact_k);
       continue;
     }
     const int64_t rows = depth[v] + 1;
@@ -269,13 +206,15 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     /* stages m = 2 .. C(v) */
     for (int64_t stage = 1; stage < fan_out; stage++) {
       const int64_t slot = stage_offset[v] + stage - 1;
+      const int64_t j_cap = subtree_avail[children[stage]];
       child_x_rows(cx, y_blue, y_red, children[stage], rows, width, n);
-      combine_column(red, cx, splits_red + slot, rows, width, stages, 0);
+      combine_column(red, cx, splits_red + slot, rows, width, stages, 0, j_cap);
       for (int64_t i = 0; i < rows * width; i++) {
         splits_blue[i * stages + slot] = 0;
       }
       if (can_blue) {
-        combine_column(blue, cx, splits_blue + slot, rows, width, stages, 1);
+        combine_column(blue, cx, splits_blue + slot, rows, width, stages, 1,
+                       j_cap);
       }
     }
 
@@ -285,6 +224,7 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     }
   }
   free(scratch);
+  free(subtree_avail);
   return 0;
 }
 

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.engine_compiled import strict_less
-from repro.core.flat import flat_tables_for
+from repro.core.flat import flat_tables_for, instance_vectors
 from repro.core.gather import GatherResult
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import PlacementError
@@ -227,8 +227,7 @@ def soar_color_batched(
     if tree is flat.tree:
         load, avail = flat.load, flat.avail
     else:
-        load = np.fromiter((tree.load(v) for v in flat.order), dtype=np.int64, count=n)
-        avail = np.fromiter((v in tree.available for v in flat.order), dtype=bool, count=n)
+        load, avail = instance_vectors(tree, flat)
 
     # (budget, distance) each node receives from its parent; the
     # destination sends (k, 1) to the root (Algorithm 4 line 2).

@@ -7,39 +7,36 @@ time.  That structure is ideal for studying the algorithm but the per-node
 Python work dominates the running time on the larger instances of Figures 9
 and 10.
 
-The **flat engine** in this module computes the very same dynamic program on
-one contiguous tensor ``X`` indexed by ``(l, i, node)`` over the post-order
-traversal:
-
-* all leaves are initialized in a single broadcast (no per-leaf loop),
-* internal nodes are processed level by level (deepest first) and the
-  ``mCost`` (min,+)-convolution of Algorithm 3 runs batched across *every
-  node of a level at once*, vectorizing over ``(l, i, node)`` simultaneously
-  instead of only over ``(l, i)``,
-* the per-node tables are never materialized up front: the result maps
-  nodes lazily onto slices of the flat tensors (see below).
-
-The node axis is the contiguous innermost one, so every update in the
-convolution streams over long same-shaped runs — this is where the engine
-gets its speed; see ``benchmarks/bench_fig9_runtime.py`` (comparison mode)
-and ``benchmarks/bench_fig10_scaling.py`` for the measured speedups.
+The flat engines in this module compute the very same dynamic program on
+contiguous ``(l, i, node)`` tensors over the structure's
+:class:`~repro.core.flat.FlatLayout` — node order, child lists, breadcrumb
+slots and the ``path_rho`` table, built once per weighted tree and shared
+by every gather on it.  A single kernel does all of the arithmetic:
+``repair_chain(flat, dirty, exact_k)`` recomputes the ``dirty`` columns of
+the tables in place, deepest level first.  A cold gather is that call with
+every switch dirty over freshly allocated tables; a delta repair is the
+same call on a clone of cached tables with only the flipped switches and
+their ancestors dirty.  The per-node tables are never materialized up
+front: the result maps nodes lazily onto slices of the flat tensors (see
+below).
 
 The registry holds **three** engines:
 
 ``"compiled"`` (the default)
-    The flat orchestration with its three hot blocks — the leaf
-    broadcast, the batched convolution, and the whole dirty-chain
-    recomputation of a delta repair — swapped for C kernels built on
-    demand from ``_gather_kernels.c`` and called through ``ctypes``, which
-    releases the GIL around every kernel call
-    (:mod:`repro.core.engine_compiled`).  When no C compiler is available
+    ``repair_chain`` is one C call (``repro_repair_chain`` of
+    ``_gather_kernels.c``, built on demand and called through
+    ``ctypes``, which releases the GIL for the call;
+    :mod:`repro.core.engine_compiled`).  When no C compiler is available
     (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
-    **falls back to the numpy kernels**: same name, same results, no
+    **falls back to the numpy kernel**: same name, same results, no
     consumer changes — ``repro.core.engine_compiled.HAVE_COMPILED`` tells
     you which path is active, and the compiled-specific tests skip.
 
 ``"flat"``
-    The numpy implementation described above.
+    ``repair_chain`` in numpy: level by level, with the ``mCost``
+    (min,+)-convolution batched across every node of a level that has an
+    ``m``-th child and its split range capped by the children's subtree
+    availability (:func:`_batched_combine`).
 
 ``"reference"``
     The per-node Algorithm 3 walk of :mod:`repro.core.gather`, retained as
@@ -70,12 +67,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.flat import (
+    FlatLayout,
     FlatTables,
     LazyNodeTables,
+    allocate_tables,
     dirty_ancestor_positions,
     dirty_level_runs,
-    flat_order,
-    level_slices_for,
 )
 from repro.core.gather import GatherResult, normalize_budget, soar_gather
 from repro.core.tree import TreeNetwork
@@ -94,27 +91,21 @@ DEFAULT_ENGINE: str = COMPILED_ENGINE
 
 @dataclass(frozen=True)
 class GatherKernels:
-    """The three swappable hot blocks of the flat gather and repair drivers.
+    """The swappable kernel of the flat gather and repair drivers.
 
-    ``combine(previous, child_row, budget, blue, j_max) -> (best, split)``
-        The batched ``mCost`` convolution of a cold gather.
-    ``leaf_init(x, y_blue, y_red, path_rho, load, leaves, avail, exact_k, k)``
-        The leaf-frontier broadcast of a cold gather, writing the three
-        tables in place.
     ``repair_chain(flat, dirty, exact_k)``
-        A delta repair's recomputation: every ``dirty`` column of the
-        (already cloned) ``flat`` tables — leaf columns, stage-1 seeding,
-        each stage's red and blue convolution, breadcrumbs — rewritten in
-        place from ``flat.avail`` and the children's current columns,
-        deepest first.
+        Every ``dirty`` column of the ``flat`` tables — leaf columns,
+        stage-1 seeding, each stage's red and blue convolution,
+        breadcrumbs — rewritten in place from ``flat.avail``, ``flat.load``
+        and the children's current columns, deepest first.  ``dirty`` is
+        ascending flat positions closed under ancestors: every switch for
+        a cold gather, a delta's ancestor chains for a repair.
 
     Every implementation must perform the identical per-element IEEE-754
     operations in the identical order — the differential suite holds all
     kernel sets to bit-identical outputs.
     """
 
-    combine: Callable[..., tuple[np.ndarray, np.ndarray]]
-    leaf_init: Callable[..., None]
     repair_chain: Callable[..., None]
 
 
@@ -254,7 +245,6 @@ def _batched_combine(
 
 
 def _leaf_init_numpy(
-    x_flat: np.ndarray,
     y_blue_flat: np.ndarray,
     y_red_flat: np.ndarray,
     path_rho: np.ndarray,
@@ -264,7 +254,7 @@ def _leaf_init_numpy(
     exact_k: bool,
     k: int,
 ) -> None:
-    """Initialize the whole leaf frontier in one numpy broadcast."""
+    """Write every row of the ``leaves`` columns in one numpy broadcast."""
     leaf_paths = path_rho[:, leaves]  # (height + 1, m)
     red_columns = leaf_paths * load[leaves]
     blue_leaves = leaves[avail[leaves]]
@@ -278,36 +268,22 @@ def _leaf_init_numpy(
         y_red_flat[:, :, leaves] = red_columns[:, None, :]
         if k >= 1 and blue_leaves.size:
             y_blue_flat[:, 1:, blue_leaves] = path_rho[:, blue_leaves][:, None, :]
-    x_flat[:, :, leaves] = np.minimum(
-        y_red_flat[:, :, leaves], y_blue_flat[:, :, leaves]
-    )
 
 
-def subtree_available_counts(
-    depth: np.ndarray,
-    parent: np.ndarray,
-    avail: np.ndarray,
-    height: int,
-) -> np.ndarray:
+def subtree_available_counts(layout: FlatLayout, avail: np.ndarray) -> np.ndarray:
     """``|Λ ∩ T_v|`` for every node, in the flat node order.
 
-    Accumulated child -> parent level by level, walking every level down
-    to 1 with nodes whose parent is the destination (``parent == -1``)
-    masked out: an unguarded walk would wrap the destination's ``-1``
-    onto the *last* flat-order position — the root, in the canonical
-    deepest-level-first order — and silently double its count.  The
-    convolution cap only ever reads non-root entries (the root is never a
-    convolution child), but kernels that reuse this array — the compiled
-    backend, subtree diagnostics — rely on every entry being the true
-    count, the root's being exactly ``|Λ|``.
+    ``avail`` is Λ membership in ``layout``'s order.  Counts accumulate
+    child -> parent one level slab at a time, deepest first, so every
+    count is final before it folds into its parent; the root's level is
+    never scattered (its parent is the destination), and the root's count
+    is exactly ``|Λ|``.  The numpy ``repair_chain`` caps each stage's
+    split range at the largest count among that stage's children (see
+    :func:`_batched_combine`).
     """
     counts = avail.astype(np.int64)
-    for level in range(height, 0, -1):
-        members = np.nonzero(depth == level)[0]
-        targets = parent[members]
-        in_tree = targets >= 0
-        if in_tree.any():
-            np.add.at(counts, targets[in_tree], counts[members[in_tree]])
+    for start, stop in layout.level_slices[:0:-1]:
+        np.add.at(counts, layout.parent[start:stop], counts[start:stop])
     return counts
 
 
@@ -320,162 +296,17 @@ def _gather_flat_tensors(
 ) -> GatherResult:
     """The shared flat-tensor gather driver, parameterized by kernel set.
 
-    Ends the way :func:`_repair_flat_tensors` does: the result carries its
-    :class:`FlatTables` and a :class:`LazyNodeTables` mapping over them, so
-    no per-node :class:`~repro.core.gather.NodeTables` is built until a
-    consumer looks one up (``x`` and ``choice`` are then derived per node,
-    bit-identically).  The driver's own ``x`` tensor only feeds the parents'
-    convolutions and is dropped when the gather returns.
+    A cold gather is a repair with every switch dirty: the tables are
+    allocated over the tree's memoized layout (``y`` uninitialized,
+    breadcrumbs zeroed) and ``kernels.repair_chain`` computes every
+    column.  The result carries its :class:`FlatTables` and a
+    :class:`LazyNodeTables` mapping over them, so no per-node
+    :class:`~repro.core.gather.NodeTables` is built until a consumer looks
+    one up.
     """
     k = normalize_budget(tree, budget)
-    n = tree.num_switches
-    height = tree.height
-    width = k + 1
-    # Node axis of the flat tensors: the canonical deepest-level-first
-    # order of repro.core.flat.  Every level is then a contiguous slab, so
-    # the child gathers and table writes of the level-batched loop stay
-    # cache-local; children still precede parents, as the DP requires.
-    order = flat_order(tree)
-    index = {node: i for i, node in enumerate(order)}
-
-    depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=n)
-    load = np.fromiter((tree.load(v) for v in order), dtype=np.float64, count=n)
-    rho = np.fromiter((tree.rho(v) for v in order), dtype=np.float64, count=n)
-    avail = np.fromiter((v in tree.available for v in order), dtype=bool, count=n)
-    parent = np.fromiter(
-        (index.get(tree.parent(v), -1) for v in order), dtype=np.int64, count=n
-    )
-    children_idx: list[np.ndarray] = [
-        np.fromiter((index[c] for c in tree.children(v)), dtype=np.int64)
-        for v in order
-    ]
-
-    # P[l, v] = rho(v, A^l_v), accumulated bottom-up exactly like
-    # TreeNetwork.path_rho_prefix (same summation order, hence the same
-    # floating-point values).  Rows l > D(v) stay 0.0.  The table is kept
-    # on the result: repairs of it (and of its repairs) slice it.
-    path_rho = np.zeros((height + 1, n), dtype=np.float64)
-    ancestor = np.arange(n)
-    for level in range(1, height + 1):
-        live = depth >= level
-        path_rho[level, live] = path_rho[level - 1, live] + rho[ancestor[live]]
-        ancestor[live] = parent[ancestor[live]]
-
-    # The flat tables.  Entries at rows l > D(v) are uninitialized and are
-    # neither read by parents (a parent at depth d reads child rows
-    # 1 .. d + 1 <= D(child) + 1) nor exposed through the per-node views;
-    # the infinities the DP relies on are written explicitly below.  x_flat
-    # is scratch for the parents' reads and is not kept in the result.
-    x_flat = np.empty((height + 1, width, n), dtype=np.float64)
-    y_blue_flat = np.empty((height + 1, width, n), dtype=np.float64)
-    y_red_flat = np.empty((height + 1, width, n), dtype=np.float64)
-
-    # Split breadcrumbs: node v with C(v) children owns C(v) - 1 stage slots.
-    stage_counts = np.array([max(0, len(c) - 1) for c in children_idx], dtype=np.int64)
-    stage_offset = np.concatenate(([0], np.cumsum(stage_counts)[:-1]))
-    total_stages = int(stage_counts.sum())
-    splits_red_flat = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-    splits_blue_flat = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-
-    # ---- leaves: one broadcast for the whole frontier ---------------------
-    leaf_rows = np.fromiter((len(c) == 0 for c in children_idx), dtype=bool, count=n)
-    leaves = np.nonzero(leaf_rows)[0]
-    if leaves.size:
-        kernels.leaf_init(
-            x_flat, y_blue_flat, y_red_flat, path_rho, load, leaves, avail, exact_k, k
-        )
-
-    # |Λ ∩ T_v| for every node; it caps the convolution split range (see
-    # _batched_combine).
-    subtree_avail = subtree_available_counts(depth, parent, avail, height)
-
-    # ---- internal nodes, level-batched from the deepest level up ----------
-    internal_by_depth: dict[int, list[int]] = {}
-    for i in np.nonzero(~leaf_rows)[0]:
-        internal_by_depth.setdefault(int(depth[i]), []).append(int(i))
-
-    for level in sorted(internal_by_depth, reverse=True):
-        group = np.asarray(internal_by_depth[level], dtype=np.int64)
-        rows = level + 1  # parameters l = 0 .. D(v)
-        num_children = np.array([len(children_idx[i]) for i in group])
-        upward = path_rho[:rows, group]  # (rows, B)
-        can_blue = avail[group] & (k >= 1)
-
-        # stage m = 1
-        first_child = np.array([children_idx[i][0] for i in group])
-        y_red = x_flat[1 : rows + 1, :, first_child] + (
-            upward * load[group]
-        )[:, None, :]
-        y_blue = np.full_like(y_red, np.inf)
-        if can_blue.any():  # can_blue already folds in k >= 1
-            sel = np.nonzero(can_blue)[0]
-            # x_flat[1] first: a scalar index combined with the node fancy
-            # index would move the broadcast axes to the front.
-            y_blue[:, 1:, sel] = (
-                x_flat[1][:k, first_child[sel]][None, :, :] + upward[:, sel][:, None, :]
-            )
-
-        # stages m = 2 .. C(v): batched convolution over every node of the
-        # level that still has an m-th child.
-        for stage in range(2, int(num_children.max(initial=1)) + 1):
-            active = np.nonzero(num_children >= stage)[0]
-            if not active.size:
-                break
-            nodes = group[active]
-            child = np.array([children_idx[i][stage - 1] for i in nodes])
-            slots = stage_offset[nodes] + (stage - 2)
-
-            j_cap = int(subtree_avail[child].max())
-
-            child_red = x_flat[1 : rows + 1, :, child]
-            merged_red, split_red = kernels.combine(
-                y_red[:, :, active], child_red, k, blue=False, j_max=j_cap
-            )
-            y_red[:, :, active] = merged_red
-            splits_red_flat[:rows, :, slots] = split_red
-
-            blue_active = np.nonzero(can_blue[active])[0]
-            if blue_active.size:
-                child_blue = x_flat[1][:, child[blue_active]][None, :, :]
-                merged_blue, split_blue = kernels.combine(
-                    y_blue[:, :, active[blue_active]], child_blue, k, blue=True, j_max=j_cap
-                )
-                y_blue[:, :, active[blue_active]] = merged_blue
-                splits_blue_flat[:rows, :, slots[blue_active]] = split_blue
-
-        x_flat[:rows, :, group] = np.minimum(y_blue, y_red)
-        y_red_flat[:rows, :, group] = y_red
-        y_blue_flat[:rows, :, group] = y_blue
-
-    num_children = np.fromiter(
-        (len(c) for c in children_idx), dtype=np.int64, count=n
-    )
-    # The per-node arrays double as the FlatTables metadata; the layout
-    # matches repro.core.flat.build_metadata field for field.
-    flat = FlatTables(
-        tree=tree,
-        order=tuple(order),
-        index=index,
-        depth=depth,
-        load=load.astype(np.int64),
-        avail=avail,
-        leaf=leaf_rows,
-        num_children=num_children,
-        child_concat=(
-            np.concatenate(children_idx)
-            if children_idx
-            else np.empty(0, dtype=np.int64)
-        ),
-        child_offset=np.concatenate(([0], np.cumsum(num_children)[:-1])),
-        stage_offset=stage_offset,
-        level_slices=level_slices_for(depth, height),
-        y_blue=y_blue_flat,
-        y_red=y_red_flat,
-        splits_blue=splits_blue_flat,
-        splits_red=splits_red_flat,
-        path_rho=path_rho,
-    )
-
+    flat = allocate_tables(tree, k)
+    kernels.repair_chain(flat, np.arange(tree.num_switches), exact_k)
     return GatherResult(
         tables=LazyNodeTables(flat),
         root=tree.root,
@@ -529,59 +360,39 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     """Recompute the ``dirty`` columns of ``flat`` in place, level by level.
 
     The numpy ``repair_chain`` kernel (see :class:`GatherKernels`): dirty
-    leaves are re-broadcast on compact columns, then the dirty internal
-    nodes are re-run level-batched from the deepest level up with the same
-    leaf and convolution kernels as :func:`flat_gather`.
+    leaves are re-broadcast in one go, then the dirty internal nodes are
+    run level-batched from the deepest level up, each stage's convolution
+    batched over every node of the level that has that many children.
     """
     y_blue_flat, y_red_flat = flat.y_blue, flat.y_red
     splits_blue_flat, splits_red_flat = flat.splits_blue, flat.splits_red
-    height = y_red_flat.shape[0] - 1
-    width = y_red_flat.shape[1]
-    k = width - 1
-    depth = flat.depth
+    k = y_red_flat.shape[1] - 1
     child_concat = flat.child_concat
     child_offset = flat.child_offset
     stage_offset = flat.stage_offset
     avail = flat.avail
     load = flat.load.astype(np.float64)
-    path_rho = flat.path_rho[:, dirty]
+    # |Λ ∩ T_v| caps every convolution's split range (see _batched_combine).
+    subtree_avail = subtree_available_counts(flat, avail)
 
-    # ---- dirty leaves: the same frontier broadcast, on compact columns ----
     is_leaf = flat.leaf[dirty]
     dirty_leaves = dirty[is_leaf]
     if dirty_leaves.size:
-        # leaf_init writes every row of its leaves' x / y_blue / y_red
-        # columns; run it on compact tensors holding just the dirty leaves
-        # (repairs never keep x: child x rows are re-derived as
-        # min(y_red, y_blue) below) and splice the y columns back.
-        compact = (height + 1, width, dirty_leaves.size)
-        y_blue_leaves = np.empty(compact, dtype=np.float64)
-        y_red_leaves = np.empty(compact, dtype=np.float64)
         _leaf_init_numpy(
-            np.empty(compact, dtype=np.float64),
-            y_blue_leaves,
-            y_red_leaves,
-            path_rho[:, is_leaf],
-            load[dirty_leaves],
-            np.arange(dirty_leaves.size),
-            avail[dirty_leaves],
-            exact_k,
-            k,
+            y_blue_flat, y_red_flat, flat.path_rho, load, dirty_leaves, avail, exact_k, k
         )
-        y_blue_flat[:, :, dirty_leaves] = y_blue_leaves
-        y_red_flat[:, :, dirty_leaves] = y_red_leaves
 
     # ---- dirty internal nodes, level-batched from the deepest level up ----
     # Per-node inputs of every dirty internal node are gathered once; each
     # level then reads a contiguous run of them (the positions are in flat
     # order, so equal depths are adjacent, deepest first).
     internal = dirty[~is_leaf]
-    upward_all = path_rho[:, ~is_leaf]
+    upward_all = flat.path_rho[:, internal]
     red_seed_all = upward_all * load[internal]
     fan_out_all = flat.num_children[internal]
     first_child_all = child_concat[child_offset[internal]]
     can_blue_all = avail[internal] & (k >= 1)
-    for level, run in dirty_level_runs(depth, internal):
+    for level, run in dirty_level_runs(flat.depth, internal):
         group = internal[run]
         rows = level + 1
         fan_out = fan_out_all[run]
@@ -612,20 +423,21 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
             nodes = group[active]
             child = child_concat[child_offset[nodes] + (stage - 1)]
             slots = stage_offset[nodes] + (stage - 2)
+            j_cap = int(subtree_avail[child].max())
 
             child_x = np.minimum(
                 y_red_flat[1 : rows + 1, :, child],
                 y_blue_flat[1 : rows + 1, :, child],
             )
             merged_red, split_red = _batched_combine(
-                y_red[:, :, active], child_x, k, blue=False
+                y_red[:, :, active], child_x, k, blue=False, j_max=j_cap
             )
             y_red[:, :, active] = merged_red
             splits_red_flat[:rows, :, slots] = split_red
 
             # A dirty node that could be blue at Λ₀ but cannot any more
-            # would otherwise keep its stale breadcrumbs; the cold driver
-            # leaves such slots zero-initialized.
+            # would otherwise keep its stale breadcrumbs; a cold gather
+            # starts from zeroed breadcrumbs.
             splits_blue_flat[:rows, :, slots] = 0
             blue_active = np.flatnonzero(can_blue[active])
             if blue_active.size:
@@ -634,6 +446,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
                     child_x[:1, :, blue_active],
                     k,
                     blue=True,
+                    j_max=j_cap,
                 )
                 y_blue[:, :, active[blue_active]] = merged_blue
                 splits_blue_flat[:rows, :, slots[blue_active]] = split_blue
@@ -644,11 +457,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
 
 #: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
 #: the ``"compiled"`` one).
-NUMPY_KERNELS = GatherKernels(
-    combine=_batched_combine,
-    leaf_init=_leaf_init_numpy,
-    repair_chain=_repair_chain_numpy,
-)
+NUMPY_KERNELS = GatherKernels(repair_chain=_repair_chain_numpy)
 
 
 def _repair_flat_tensors(
@@ -667,22 +476,16 @@ def _repair_flat_tensors(
     recompute the dirty columns alone: O(depth · k² · |delta|) work
     instead of the cold gather's O(n · k²).
 
-    Bit-identity with a cold gather is preserved end to end:
-
-    * dirty columns are recomputed with the same per-element arithmetic in
-      the same deepest-first order, reading child ``x`` rows as
-      ``min(y_red, y_blue)`` — exactly the values the cold driver
-      materialized in its ``x`` tensor (every valid entry was written as
-      that minimum, and the inputs are NaN-free and sign-consistent, so
-      the minimum is bitwise unique);
-    * the convolution runs uncapped (no ``j_max``), which the kernel
-      contract guarantees is bit-identical to the subtree-availability
-      capped run, argmin included (see :func:`_batched_combine`);
-    * ``path_rho`` is the cold gather's own table, shared uncloned
-      (structure and rates are unchanged by construction);
-    * stale blue breadcrumbs of dirty nodes are re-zeroed before the blue
-      convolution writes, matching the cold driver's zero-initialized
-      split tensors for nodes that can no longer be blue.
+    Bit-identity with a cold gather is preserved end to end: a cold
+    gather *is* ``repair_chain`` with every switch dirty, so the dirty
+    columns are recomputed by the very kernel, in the same deepest-first
+    order, from the same inputs — clean children's columns are exactly
+    what a cold gather at the new Λ computes, because their subtrees see
+    an unchanged ``Λ ∩ T_v``.  The layout (``path_rho`` included) is the
+    structure's shared, read-only one, and stale blue breadcrumbs of
+    dirty nodes are re-zeroed before the blue convolution writes,
+    matching a cold gather's zeroed breadcrumbs for nodes that can no
+    longer be blue.
 
     Clean columns keep their cloned values untouched, rows beyond a
     node's depth stay unspecified (never read) exactly as in a cold

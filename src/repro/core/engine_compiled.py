@@ -1,21 +1,16 @@
 """The ``"compiled"`` gather engine (the default): C kernels behind the flat driver.
 
-The flat engine's hot blocks — the leaf broadcast and the batched
-``mCost`` convolution of a cold gather, and the dirty-chain
-recomputation of a delta repair — account for essentially all of the
-arithmetic, and under numpy they hold the GIL for the whole solve, which
-is why thread-level replay never scaled (``concurrent_speedup = 0.78`` at
-4 workers on BT(256) before this backend existed).  This module compiles
-the same three blocks (plus the colour and cost kernels' helpers) from
-``_gather_kernels.c`` into a small shared library and calls them through
-``ctypes``, which **releases the GIL for the duration of every kernel
-call**; the surrounding orchestration is the unchanged
+Every cold gather and every delta repair of the flat engines is one call
+of the ``repair_chain`` kernel — all switches dirty for a gather, a
+delta's ancestor chains for a repair.  Under numpy that kernel is a
+level loop of small array operations that holds the GIL for the whole
+solve.  This module compiles the same kernel (plus the colour and cost
+kernels' helpers) from ``_gather_kernels.c`` into a small shared library
+and calls it through ``ctypes``, which **releases the GIL for the
+duration of every kernel call**, so a gather or a repair is a single C
+call (``repro_repair_chain``) between the unchanged
 :func:`repro.core.engine._gather_flat_tensors` and
 :func:`repro.core.engine._repair_flat_tensors` drivers.
-
-A repair is a single C call (``repro_repair_chain``): a typical churn
-delta dirties a few dozen of a thousand switches, so the numpy chain's
-per-level call overhead, not its arithmetic, was the repair's cost.
 
 Bit-identity
 ------------
@@ -24,7 +19,10 @@ the identical order as its numpy counterpart (a single multiply or add
 followed by a strict ``<``; ascending-``j`` argmin with strict
 improvement), so the compiled engine's tables, breadcrumbs, placements,
 and costs are byte-identical to ``"flat"`` — enforced across the seeded
-generator corpus by ``tests/test_engine_differential.py``.
+generator corpus by ``tests/test_engine_differential.py``.  Both chains
+skip the splits above a child subtree's available-switch count (the C
+one per child, the numpy one per level batch); such splits cannot
+strictly improve any entry, so the cap changes no bit.
 
 Build and fallback
 ------------------
@@ -97,14 +95,6 @@ def _find_compiler() -> str | None:
 
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     """Attach prototypes so ctypes checks dtypes and contiguity for us."""
-    library.repro_leaf_init.argtypes = [
-        _f64, _f64, _f64, _f64, _f64, _i64, _ll, _u8, _ll, _ll, _ll, ctypes.c_int32,
-    ]
-    library.repro_leaf_init.restype = None
-    library.repro_batched_combine.argtypes = [
-        _f64, _f64, _f64, _i32, _ll, _ll, _ll, _ll, ctypes.c_int32, _ll,
-    ]
-    library.repro_batched_combine.restype = None
     library.repro_strict_less.argtypes = [_f64, _f64, _u8, _ll]
     library.repro_strict_less.restype = None
     library.repro_sequential_sum.argtypes = [_f64, _ll]
@@ -178,63 +168,6 @@ def compiled_available() -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def _combine_compiled(
-    previous: np.ndarray,
-    child_row: np.ndarray,
-    budget: int,
-    blue: bool,
-    j_max: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    height, width, batch = previous.shape[0], budget + 1, previous.shape[2]
-    previous = np.ascontiguousarray(previous)
-    child_row = np.ascontiguousarray(child_row)
-    best = np.empty((height, width, batch), dtype=np.float64)
-    best_split = np.empty((height, width, batch), dtype=np.int32)
-    j_limit = budget if j_max is None else min(budget, j_max)
-    _LIB.repro_batched_combine(
-        previous,
-        child_row,
-        best,
-        best_split,
-        height,
-        width,
-        batch,
-        child_row.shape[0],
-        int(blue),
-        j_limit,
-    )
-    return best, best_split
-
-
-def _leaf_init_compiled(
-    x_flat: np.ndarray,
-    y_blue_flat: np.ndarray,
-    y_red_flat: np.ndarray,
-    path_rho: np.ndarray,
-    load: np.ndarray,
-    leaves: np.ndarray,
-    avail: np.ndarray,
-    exact_k: bool,
-    k: int,
-) -> None:
-    positions = np.ascontiguousarray(leaves, dtype=np.int64)
-    rows, width, n = x_flat.shape
-    _LIB.repro_leaf_init(
-        x_flat,
-        y_blue_flat,
-        y_red_flat,
-        np.ascontiguousarray(path_rho),
-        np.ascontiguousarray(load),
-        positions,
-        positions.size,
-        avail.view(np.uint8),
-        rows,
-        width,
-        n,
-        int(exact_k),
-    )
-
-
 def _repair_chain_compiled(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
     height = flat.y_red.shape[0] - 1
     width, n = flat.y_red.shape[1], flat.y_red.shape[2]
@@ -266,11 +199,7 @@ def _repair_chain_compiled(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -
 #: The kernel set of the ``"compiled"`` engine — the C kernels when the
 #: library built, the numpy kernels otherwise (bit-identical either way).
 COMPILED_KERNELS: GatherKernels = (
-    GatherKernels(
-        combine=_combine_compiled,
-        leaf_init=_leaf_init_compiled,
-        repair_chain=_repair_chain_compiled,
-    )
+    GatherKernels(repair_chain=_repair_chain_compiled)
     if HAVE_COMPILED
     else NUMPY_KERNELS
 )

@@ -3,27 +3,31 @@
 The flat gather engine of :mod:`repro.core.engine` computes the SOAR dynamic
 program directly on contiguous ``(l, i, node)`` tensors; the level-batched
 colour kernel of :mod:`repro.core.color` traces placements out of the very
-same layout.  :class:`FlatTables` is that layout made explicit: the tensors
-plus the index metadata (node order, per-level slabs, ragged child lists,
-breadcrumb slots) a batched traversal needs.
+same layout.  :class:`FlatLayout` is the structure half of that layout
+(node order, per-level slabs, ragged child lists, breadcrumb slots, the
+``path_rho`` table), built once per weighted tree by
+:func:`build_metadata` and memoized on the network
+(:meth:`~repro.core.tree.TreeNetwork.flat_layout`);
+:class:`FlatTables` adds one gather's tensors plus its loads and Λ.
 
-Results produced by the flat engine carry their :class:`FlatTables`
+Results produced by the flat engines carry their :class:`FlatTables`
 zero-copy (the per-node :class:`~repro.core.gather.NodeTables` are built
-on demand from views into the same memory; see :class:`LazyNodeTables`).  Results produced by the per-node reference engine
-do not; :func:`flat_tables_for` stacks them into the flat layout on first
-use and caches the outcome on the result, so the batched colour kernel
-works identically on both engines' tables — which is exactly what the
+on demand from views into the same memory; see :class:`LazyNodeTables`).
+Results produced by the per-node reference engine do not;
+:func:`flat_tables_for` stacks them into the flat layout on first use and
+caches the outcome on the result, so the batched colour kernel works
+identically on both engines' tables — which is exactly what the
 differential tests exploit.
 
 The cost phase shares the layout too: :class:`FlatCostModel` is the
-structural slice of the metadata (node order, parent pointers, per-link
-``rho``, level slabs, the post-order permutation) that the flat cost
-kernel of :mod:`repro.core.cost` batches Eq. (1) over.  A model depends
-only on the *topology and rates* — loads and Λ are call-time inputs — so
-one model serves every same-structure workload network, and a
-:class:`~repro.core.solver.GatherTable` derives its model from the trace
-metadata it already carries (:func:`cost_model_for`), which is why a warm
-table hit never rebuilds the per-link message-count dicts.
+structural slice of it (node order, parent pointers, per-link ``rho``,
+level slabs, the post-order permutation) that the flat cost kernel of
+:mod:`repro.core.cost` batches Eq. (1) over.  A model depends only on the
+*topology and rates* — loads and Λ are call-time inputs — so one model
+serves every same-structure workload network, and a
+:class:`~repro.core.solver.GatherTable` derives its model from the layout
+it already carries (:func:`cost_model_for`), which is why a warm table
+hit never rebuilds the per-link message-count dicts.
 
 Node order
 ----------
@@ -49,8 +53,71 @@ from repro.exceptions import RepairError
 
 
 @dataclass
-class FlatTables:
-    """Flat ``(l, i, node)`` tensors plus the traversal metadata.
+class FlatLayout:
+    """The structure-only half of the flat layout, built once per structure.
+
+    Everything here depends on the topology and rates alone — never on
+    loads or Λ — so :func:`build_metadata` computes it once per structure
+    and :meth:`TreeNetwork.flat_layout` memoizes it in a slot that
+    :meth:`~TreeNetwork.with_loads` / :meth:`~TreeNetwork.with_available`
+    copies share: every gather, repair, stack and cost model of the same
+    weighted tree reads the same (read-only) arrays.
+
+    Attributes
+    ----------
+    order:
+        Nodes in flat order (deepest level first, stable within a level);
+        position ``p`` of every array refers to ``order[p]``.
+    index:
+        Inverse of ``order``: node id -> flat position.
+    depth, leaf, num_children:
+        Per-node scalars in flat order.
+    parent:
+        Flat position of every node's parent; ``-1`` for the root (whose
+        parent is the destination).
+    rho:
+        Per-link transmission time ``rho((v, p(v)))`` in flat order.
+    child_concat, child_offset:
+        Ragged child lists: the children of the node at position ``p`` are
+        ``child_concat[child_offset[p] : child_offset[p] + num_children[p]]``
+        (as flat positions), in the tree's child order.
+    stage_offset, num_stages:
+        Position ``p``'s first breadcrumb slot in the split tensors; a node
+        with ``C`` children owns slots ``stage_offset[p] .. + C - 2`` of
+        ``num_stages`` in all.
+    level_slices:
+        ``level_slices[d - 1]`` is the ``(start, stop)`` slab of the nodes
+        at depth ``d`` (1-based; the root's level is first).
+    path_rho:
+        ``path_rho[l, p] = rho(v, A^l_v)`` for the node ``v`` at position
+        ``p``, shape ``(height + 1, n)``; rows ``l > depth`` are 0.0.
+    postorder:
+        Permutation mapping post-order rank to flat position
+        (``order[postorder[i]]`` is ``tree.switches[i]``).
+    """
+
+    order: tuple[NodeId, ...]
+    index: dict[NodeId, int]
+    depth: np.ndarray
+    leaf: np.ndarray
+    num_children: np.ndarray
+    parent: np.ndarray
+    rho: np.ndarray
+    child_concat: np.ndarray
+    child_offset: np.ndarray
+    stage_offset: np.ndarray
+    num_stages: int
+    level_slices: tuple[tuple[int, int], ...]
+    path_rho: np.ndarray
+    postorder: np.ndarray
+
+
+@dataclass
+class FlatTables(FlatLayout):
+    """Flat ``(l, i, node)`` tensors over a :class:`FlatLayout`.
+
+    The layout fields are the structure's shared, read-only arrays (see
+    :class:`FlatLayout`); the rest belong to one gather.
 
     Attributes
     ----------
@@ -60,63 +127,27 @@ class FlatTables:
         Consumers tracing for a *different* (same-structure) network must
         re-derive those two arrays from their own tree (the colour kernel
         does; see :func:`repro.core.color.soar_color_batched`).
-    order:
-        Nodes in flat order (deepest level first, stable within a level);
-        position ``p`` of every other array refers to ``order[p]``.
-    index:
-        Inverse of ``order``: node id -> flat position.
-    depth, load, avail, leaf, num_children:
-        Per-node scalars in flat order.
-    child_concat, child_offset:
-        Ragged child lists: the children of the node at position ``p`` are
-        ``child_concat[child_offset[p] : child_offset[p] + num_children[p]]``
-        (as flat positions), in the tree's child order.
-    stage_offset:
-        Position ``p``'s first breadcrumb slot in the split tensors; a node
-        with ``C`` children owns slots ``stage_offset[p] .. + C - 2``.
-    level_slices:
-        ``level_slices[d - 1]`` is the ``(start, stop)`` slab of the nodes
-        at depth ``d`` (1-based; the root's level is first).
+    load, avail:
+        The tree's loads (int64) and Λ membership (bool) in flat order.
     y_blue, y_red:
         The final-stage colour-decision tables, shape
         ``(height + 1, k + 1, n)``.  Rows ``l > depth`` of a node are
         unspecified (never read: the traceback parameter satisfies
         ``l <= depth``).
     splits_blue, splits_red:
-        Breadcrumb tensors of shape ``(height + 1, k + 1, total_stages)``.
-    path_rho:
-        ``path_rho[l, p] = rho(v, A^l_v)`` for the node ``v`` at position
-        ``p``, shape ``(height + 1, n)``; rows ``l > depth`` are 0.0.  It
-        depends on the structure and rates only, so a delta repair shares
-        its source's array (never cloned, never written) and slices the
-        dirty columns out of it.
+        Breadcrumb tensors of shape ``(height + 1, k + 1, num_stages)``.
     """
 
     tree: TreeNetwork
-    order: tuple[NodeId, ...]
-    index: dict[NodeId, int]
-    depth: np.ndarray
     load: np.ndarray
     avail: np.ndarray
-    leaf: np.ndarray
-    num_children: np.ndarray
-    child_concat: np.ndarray
-    child_offset: np.ndarray
-    stage_offset: np.ndarray
-    level_slices: tuple[tuple[int, int], ...]
     y_blue: np.ndarray
     y_red: np.ndarray
     splits_blue: np.ndarray
     splits_red: np.ndarray
-    path_rho: np.ndarray
     #: Lazily-derived :class:`FlatCostModel` sharing this layout (see
     #: :func:`cost_model_for`); never built by the engines themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
-
-    def children_of(self, position: int) -> np.ndarray:
-        """Flat positions of the children of the node at ``position``."""
-        start = int(self.child_offset[position])
-        return self.child_concat[start : start + int(self.num_children[position])]
 
     def node_tables(self, position: int) -> NodeTables:
         """The per-node slab views of one flat position, as :class:`NodeTables`.
@@ -124,9 +155,8 @@ class FlatTables:
         ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy views
         into the flat tensors; ``x`` and ``choice`` are derived per node
         (``x = min(y_red, y_blue)`` elementwise and the strict
-        ``y_blue < y_red`` decision), which is bit-identical to slicing the
-        gather driver's scratch ``x`` tensor — every valid ``x`` entry was
-        *written* as exactly that minimum.  This is what lets cold gathers
+        ``y_blue < y_red`` decision), exactly the ``x`` rows the
+        ``repair_chain`` kernels read for a parent.  This is what lets cold gathers
         and delta repairs alike skip the O(n) view-materialization loop and
         hand out per-node tables on demand (:class:`LazyNodeTables`).
         """
@@ -227,51 +257,30 @@ class FlatCostModel:
 def cost_model_for(tree: TreeNetwork, flat: FlatTables | None = None) -> FlatCostModel:
     """Build (or fetch) the :class:`FlatCostModel` of a network.
 
-    When ``flat`` tables gathered for the *same* tree are given, the model
-    reuses their order/index/load arrays and is cached on them, so a
-    gather artifact pays the construction once across every placement it
-    traces; bare trees get a fresh model (callers evaluating many
-    placements over one network should hold on to it).
+    The structural fields come from the tree's memoized
+    :class:`FlatLayout`.  When ``flat`` tables gathered for the *same*
+    tree are given, the model also reuses their load array and is cached
+    on them, so a gather artifact pays the construction once across every
+    placement it traces; bare trees get a fresh model (callers evaluating
+    many placements over one network should hold on to it).
     """
-    if flat is not None and flat.tree is tree and flat.cost_model is not None:
+    if flat is not None and flat.tree is not tree:
+        flat = None
+    if flat is not None and flat.cost_model is not None:
         return flat.cost_model
-    if flat is not None and flat.tree is tree:
-        order, index = flat.order, flat.index
-        load = flat.load
-        level_slices = flat.level_slices
-    else:
-        order = tuple(flat_order(tree))
-        index = {node: position for position, node in enumerate(order)}
-        load = np.fromiter((tree.load(v) for v in order), dtype=np.int64, count=len(order))
-        depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=len(order))
-        level_slices = level_slices_for(depth, tree.height)
-    n = len(order)
-    destination = tree.destination
-    parent = np.fromiter(
-        (
-            index[p] if (p := tree.parent(v)) != destination else -1
-            for v in order
-        ),
-        dtype=np.int64,
-        count=n,
-    )
-    rho = np.fromiter((tree.rho(v) for v in order), dtype=np.float64, count=n)
-    postorder_nodes = tree.switches
-    postorder = np.fromiter(
-        (index[v] for v in postorder_nodes), dtype=np.int64, count=n
-    )
+    layout = tree.flat_layout()
     model = FlatCostModel(
         tree=tree,
-        order=order,
-        index=index,
-        parent=parent,
-        rho=rho,
-        load=load,
-        level_slices=level_slices,
-        postorder=postorder,
-        postorder_nodes=postorder_nodes,
+        order=layout.order,
+        index=layout.index,
+        parent=layout.parent,
+        rho=layout.rho,
+        load=flat.load if flat is not None else instance_vectors(tree, layout)[0],
+        level_slices=layout.level_slices,
+        postorder=layout.postorder,
+        postorder_nodes=tree.switches,
     )
-    if flat is not None and flat.tree is tree:
+    if flat is not None:
         flat.cost_model = model
     return model
 
@@ -292,86 +301,118 @@ def level_slices_for(depth: np.ndarray, height: int) -> tuple[tuple[int, int], .
     return tuple(slices)
 
 
-def build_metadata(
-    tree: TreeNetwork,
-    order: list[NodeId],
-    index: dict[NodeId, int],
-) -> dict:
-    """Compute every non-tensor field of :class:`FlatTables` for ``tree``."""
-    n = tree.num_switches
-    depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=n)
-    load = np.fromiter((tree.load(v) for v in order), dtype=np.int64, count=n)
-    avail = np.fromiter((v in tree.available for v in order), dtype=bool, count=n)
-    num_children = np.fromiter(
-        (tree.num_children(v) for v in order), dtype=np.int64, count=n
+def build_metadata(tree: TreeNetwork) -> FlatLayout:
+    """Build the :class:`FlatLayout` of ``tree``'s structure.
+
+    The only builder of the layout.  Callers go through
+    :meth:`TreeNetwork.flat_layout`, which memoizes the result per
+    structure; the arrays are frozen (``setflags(write=False)``) because
+    every same-structure gather shares them.
+    """
+    order = flat_order(tree)
+    index = {node: position for position, node in enumerate(order)}
+    n = len(order)
+    height = tree.height
+    depth = np.fromiter(map(tree.depth, order), dtype=np.int64, count=n)
+    rho = np.fromiter(map(tree.rho, order), dtype=np.float64, count=n)
+    parent = np.fromiter(
+        (index.get(tree.parent(v), -1) for v in order), dtype=np.int64, count=n
     )
-    child_offset = np.concatenate(([0], np.cumsum(num_children)[:-1]))
+    num_children = np.fromiter(map(tree.num_children, order), dtype=np.int64, count=n)
     child_concat = np.fromiter(
         (index[c] for v in order for c in tree.children(v)),
         dtype=np.int64,
         count=int(num_children.sum()),
     )
     stage_counts = np.maximum(num_children - 1, 0)
-    stage_offset = np.concatenate(([0], np.cumsum(stage_counts)[:-1]))
-    return {
-        "tree": tree,
-        "order": tuple(order),
-        "index": index,
-        "depth": depth,
-        "load": load,
-        "avail": avail,
-        "leaf": num_children == 0,
-        "num_children": num_children,
-        "child_concat": child_concat,
-        "child_offset": child_offset,
-        "stage_offset": stage_offset,
-        "level_slices": level_slices_for(depth, tree.height),
-    }
+
+    # P[l, v] = rho(v, A^l_v), accumulated bottom-up exactly like
+    # TreeNetwork.path_rho_prefix (same summation order, hence the same
+    # floating-point values).  Rows l > D(v) stay 0.0.
+    path_rho = np.zeros((height + 1, n), dtype=np.float64)
+    ancestor = np.arange(n)
+    for level in range(1, height + 1):
+        live = depth >= level
+        path_rho[level, live] = path_rho[level - 1, live] + rho[ancestor[live]]
+        ancestor[live] = parent[ancestor[live]]
+
+    layout = FlatLayout(
+        order=tuple(order),
+        index=index,
+        depth=depth,
+        leaf=num_children == 0,
+        num_children=num_children,
+        parent=parent,
+        rho=rho,
+        child_concat=child_concat,
+        child_offset=np.concatenate(([0], np.cumsum(num_children)[:-1])),
+        stage_offset=np.concatenate(([0], np.cumsum(stage_counts)[:-1])),
+        num_stages=int(stage_counts.sum()),
+        level_slices=level_slices_for(depth, height),
+        path_rho=path_rho,
+        postorder=np.fromiter(
+            (index[v] for v in tree.switches), dtype=np.int64, count=n
+        ),
+    )
+    for value in vars(layout).values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return layout
+
+
+def instance_vectors(tree: TreeNetwork, layout: FlatLayout) -> tuple[np.ndarray, np.ndarray]:
+    """``tree``'s loads (int64) and Λ membership (bool) in ``layout``'s order."""
+    n = len(layout.order)
+    load = np.fromiter(map(tree.load, layout.order), dtype=np.int64, count=n)
+    avail = np.fromiter(
+        map(tree.available.__contains__, layout.order), dtype=bool, count=n
+    )
+    return load, avail
+
+
+def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
+    """Unfilled :class:`FlatTables` for ``tree`` at effective budget ``budget``.
+
+    The layout is the tree's memoized :class:`FlatLayout`, ``load`` and
+    ``avail`` are the tree's own; the ``y`` tensors are uninitialized and
+    the breadcrumb tensors zeroed, as a gather expects to find them.
+    """
+    layout = tree.flat_layout()
+    load, avail = instance_vectors(tree, layout)
+    shape = (tree.height + 1, budget + 1)
+    y_blue = np.empty((*shape, tree.num_switches), dtype=np.float64)
+    splits_blue = np.zeros((*shape, layout.num_stages), dtype=np.int32)
+    return FlatTables(
+        **vars(layout),
+        tree=tree,
+        load=load,
+        avail=avail,
+        y_blue=y_blue,
+        y_red=np.empty_like(y_blue),
+        splits_blue=splits_blue,
+        splits_red=np.zeros_like(splits_blue),
+    )
 
 
 def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
     """Stack per-node :class:`NodeTables` into the flat layout.
 
-    Used for results of the per-node reference engine (the flat engine
-    attaches its tensors directly).  Rows beyond a node's depth are left
-    uninitialized, exactly as the flat engine leaves them.
+    Used for results of the per-node reference engine (the flat engines
+    attach their tensors directly).  Rows beyond a node's depth are left
+    uninitialized, exactly as the flat engines leave them.
     """
-    order = flat_order(tree)
-    index = {node: position for position, node in enumerate(order)}
-    meta = build_metadata(tree, order, index)
-    n = tree.num_switches
-    height = tree.height
-    width = result.budget + 1
-    stage_counts = np.maximum(meta["num_children"] - 1, 0)
-    total_stages = int(stage_counts.sum())
-
-    y_blue = np.empty((height + 1, width, n), dtype=np.float64)
-    y_red = np.empty((height + 1, width, n), dtype=np.float64)
-    splits_blue = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-    splits_red = np.zeros((height + 1, width, total_stages), dtype=np.int32)
-    path_rho = np.zeros((height + 1, n), dtype=np.float64)
-
-    for position, node in enumerate(order):
-        prefix = tree.path_rho_prefix(node)
-        path_rho[: len(prefix), position] = prefix
+    flat = allocate_tables(tree, result.budget)
+    for position, node in enumerate(flat.order):
         tables = result.tables[node]
-        rows = int(meta["depth"][position]) + 1
-        y_blue[:rows, :, position] = tables.y_blue
-        y_red[:rows, :, position] = tables.y_red
-        base = int(meta["stage_offset"][position])
+        rows = int(flat.depth[position]) + 1
+        flat.y_blue[:rows, :, position] = tables.y_blue
+        flat.y_red[:rows, :, position] = tables.y_red
+        base = int(flat.stage_offset[position])
         for stage, split in enumerate(tables.splits_blue):
-            splits_blue[:rows, :, base + stage] = split
+            flat.splits_blue[:rows, :, base + stage] = split
         for stage, split in enumerate(tables.splits_red):
-            splits_red[:rows, :, base + stage] = split
-
-    return FlatTables(
-        y_blue=y_blue,
-        y_red=y_red,
-        splits_blue=splits_blue,
-        splits_red=splits_red,
-        path_rho=path_rho,
-        **meta,
-    )
+            flat.splits_red[:rows, :, base + stage] = split
+    return flat
 
 
 def flat_tables_for(tree: TreeNetwork, result: GatherResult) -> FlatTables:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import Hashable, Iterable, Mapping, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import networkx as nx
 
@@ -37,6 +37,9 @@ from repro.exceptions import (
     InvalidRateError,
     TreeStructureError,
 )
+
+if TYPE_CHECKING:
+    from repro.core.flat import FlatLayout
 
 NodeId = Hashable
 
@@ -235,6 +238,7 @@ class TreeNetwork:
         "_cum_rho",
         "_height",
         "_fingerprints",
+        "_layout",
     )
 
     def __init__(
@@ -272,38 +276,25 @@ class TreeNetwork:
             self._children[parent].append(switch)
 
         rates = rates or {}
-        loads = loads or {}
         for key in rates:
             if key not in self._parents:
                 raise InvalidRateError(f"rate given for unknown switch {key!r}")
-        for key in loads:
-            if key not in self._parents:
-                raise InvalidLoadError(f"load given for unknown switch {key!r}")
 
         self._rates: dict[NodeId, float] = {
             s: _validate_rate(s, rates.get(s, 1.0)) for s in self._parents
         }
         self._rho: dict[NodeId, float] = {s: 1.0 / r for s, r in self._rates.items()}
-        self._loads: dict[NodeId, int] = {
-            s: _validate_load(s, loads.get(s, 0)) for s in self._parents
-        }
-
-        if available is None:
-            self._available: frozenset[NodeId] = frozenset(self._parents)
-        else:
-            available_set = frozenset(available)
-            if not self._parents.keys() >= available_set:
-                unknown = available_set - self._parents.keys()
-                raise AvailabilityError(
-                    f"availability set references unknown switches: {sorted(map(repr, unknown))}"
-                )
-            self._available = available_set
+        self._loads: dict[NodeId, int] = self._validated_loads(loads or {})
+        self._available: frozenset[NodeId] = self._validated_available(available)
 
         self._depth: dict[NodeId, int] = {}
         self._cum_rho: dict[NodeId, float] = {destination: 0.0}
         self._postorder: tuple[NodeId, ...] = self._compute_order()
         self._height: int = max(self._depth.values(), default=0)
         self._fingerprints: dict[str, str] = {}
+        # One-element box for the memoized flat layout (see flat_layout);
+        # with_loads / with_available copies share the box itself.
+        self._layout: list[FlatLayout | None] = [None]
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -344,6 +335,25 @@ class TreeNetwork:
                 f"switches unreachable from the root: {sorted(map(repr, missing))}"
             )
         return tuple(order)
+
+    def _validated_loads(self, loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
+        """A fresh load function over every switch, validated against this tree."""
+        for key in loads:
+            if key not in self._parents:
+                raise InvalidLoadError(f"load given for unknown switch {key!r}")
+        return {s: _validate_load(s, loads.get(s, 0)) for s in self._parents}
+
+    def _validated_available(self, available: Iterable[NodeId] | None) -> frozenset[NodeId]:
+        """Λ as a frozenset of this tree's switches (``None``: all of them)."""
+        if available is None:
+            return frozenset(self._parents)
+        available_set = frozenset(available)
+        if not self._parents.keys() >= available_set:
+            unknown = available_set - self._parents.keys()
+            raise AvailabilityError(
+                f"availability set references unknown switches: {sorted(map(repr, unknown))}"
+            )
+        return available_set
 
     @classmethod
     def from_networkx(
@@ -601,6 +611,23 @@ class TreeNetwork:
             self._fingerprints["full"] = cached
         return cached
 
+    def flat_layout(self) -> "FlatLayout":
+        """The :class:`~repro.core.flat.FlatLayout` of this weighted tree.
+
+        Built once by :func:`repro.core.flat.build_metadata` and memoized in
+        a slot that :meth:`with_loads` / :meth:`with_available` copies share
+        (the layout depends on the topology and rates only); constructors
+        and :meth:`with_rates` start a fresh one.  Two threads racing on the
+        first call both build equal layouts and one of them is kept.
+        """
+        layout = self._layout[0]
+        if layout is None:
+            # Imported here: repro.core.flat builds on this module.
+            from repro.core.flat import build_metadata
+
+            layout = self._layout[0] = build_metadata(self)
+        return layout
+
     # ------------------------------------------------------------------ #
     # path and subtree queries
     # ------------------------------------------------------------------ #
@@ -700,54 +727,54 @@ class TreeNetwork:
 
         Switches absent from ``loads`` get load 0 (the mapping fully replaces
         the previous loads; use ``{**tree.loads, ...}`` to patch instead).
-        ``available`` optionally replaces Λ in the same single construction
-        (``None`` means all switches, as in the constructor); omitting it
-        keeps the current Λ.  One combined call is how hot paths avoid
-        paying the structural validation twice for
-        ``with_loads(...).with_available(...)``.
+        ``available`` optionally replaces Λ in the same call (``None`` means
+        all switches, as in the constructor); omitting it keeps the current
+        Λ.
+
+        Like :meth:`with_available`, the copy structurally shares every
+        load-independent attribute with ``self`` and validates only the
+        loads (and the new Λ, when one is given), exactly as the
+        constructor would; the caller's mapping is copied, never kept.
+        The structure-fingerprint memo and the flat layout ride along.
         """
         if available is _KEEP_AVAILABLE:
-            available = self._available
-        return TreeNetwork(
-            self._parents,
-            rates=self._rates,
-            loads=loads,
-            available=available,
-            destination=self._destination,
-        )
+            available_set = self._available
+        else:
+            available_set = self._validated_available(available)
+        return self._derive(self._validated_loads(loads or {}), available_set)
 
     def with_available(self, available: Iterable[NodeId] | None) -> "TreeNetwork":
         """Return a copy of the network with a different availability set Λ.
 
         The copy *structurally shares* every Λ-independent attribute with
         ``self`` — parents, children, rates, loads, depths, cumulative
-        path costs, the post-order — instead of re-running the O(n)
-        constructor: none of them can change when only Λ does, all of
-        them are treated as immutable after construction, and the churn
+        path costs, the post-order, the flat layout — instead of re-running
+        the O(n) constructor: none of them can change when only Λ does, all
+        of them are treated as immutable after construction, and the churn
         hot path (one availability flip per drain, repaired rather than
         re-gathered) calls this per request.  Only the new Λ itself is
         validated.
+        """
+        return self._derive(self._loads, self._validated_available(available))
 
-        Fingerprint memos ride along the same way: structure and loads
-        are unaffected by Λ, so their cached digests transfer verbatim,
-        and a memoized availability fingerprint is *patched by the
-        delta* — the :class:`IncrementalDigest` is resumed from the
-        cached hex value and the added/removed switches are folded
-        in/out, O(|delta|) instead of O(|Λ|).  :func:`fingerprint_nodes`
+    def _derive(
+        self, loads: dict[NodeId, int], available: frozenset[NodeId]
+    ) -> "TreeNetwork":
+        """A copy sharing the structure, with validated ``loads`` and Λ.
+
+        Fingerprint memos ride along: the structure digest transfers
+        verbatim, the loads digest when ``loads`` is this tree's own
+        function, and a new Λ's fingerprint is *patched by the delta* —
+        the :class:`IncrementalDigest` is resumed from this tree's Λ
+        fingerprint and the added/removed switches are folded in/out,
+        O(|delta|) instead of O(|Λ|).  A source that has no Λ fingerprint
+        memoized computes it first; the sources that derive many copies
+        (a service's fleet network, an experiment's base tree) are
+        long-lived, so they pay that once.  :func:`fingerprint_nodes`
         remains the ground truth the patched digest is equivalent to
         (the combine is order-independent and every ``add`` has an exact
         inverse), which the test-suite pins against the full recompute.
         """
-        if available is None:
-            available_set = frozenset(self._parents)
-        else:
-            available_set = frozenset(available)
-            if not self._parents.keys() >= available_set:
-                unknown = available_set - self._parents.keys()
-                raise AvailabilityError(
-                    f"availability set references unknown switches: "
-                    f"{sorted(map(repr, unknown))}"
-                )
         clone = object.__new__(TreeNetwork)
         clone._destination = self._destination
         clone._parents = self._parents
@@ -755,23 +782,26 @@ class TreeNetwork:
         clone._children = self._children
         clone._rates = self._rates
         clone._rho = self._rho
-        clone._loads = self._loads
-        clone._available = available_set
+        clone._loads = loads
+        clone._available = available
         clone._depth = self._depth
         clone._cum_rho = self._cum_rho
         clone._postorder = self._postorder
         clone._height = self._height
-        clone._fingerprints = {}
-        for key in ("structure", "loads"):
-            cached = self._fingerprints.get(key)
-            if cached is not None:
-                clone._fingerprints[key] = cached
-        cached = self._fingerprints.get("available")
-        if cached is not None:
-            digest = IncrementalDigest.from_hexdigest(cached)
-            for node in self._available - clone._available:
+        clone._layout = self._layout
+        kept = ["structure"]
+        if loads is self._loads:
+            kept.append("loads")
+        if available is self._available:
+            kept.append("available")
+        clone._fingerprints = {
+            key: self._fingerprints[key] for key in kept if key in self._fingerprints
+        }
+        if available is not self._available:
+            digest = IncrementalDigest.from_hexdigest(self.availability_fingerprint())
+            for node in self._available - available:
                 digest.remove(repr(node))
-            for node in clone._available - self._available:
+            for node in available - self._available:
                 digest.add(repr(node))
             clone._fingerprints["available"] = digest.hexdigest()
         return clone

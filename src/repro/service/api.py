@@ -83,6 +83,7 @@ Only applied mutations reach the write-ahead journal, which is what makes
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from contextlib import contextmanager
@@ -132,6 +133,11 @@ __all__ = [
     "SweepRequest",
     "SweepResponse",
 ]
+
+
+def _digest_loads(items: tuple[tuple[NodeId, int], ...]) -> str:
+    """:func:`fingerprint_loads` of a frozen load mapping given as its items."""
+    return fingerprint_loads(dict(items))
 
 
 def _freeze_loads(loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
@@ -501,6 +507,11 @@ class PlacementService:
         # Digests computed while planning, reused when the same request
         # object is served (keyed by identity; cleared with the plan).
         self._planned_loads_fp: dict[int, str] = {}
+        # Digests of recently served frozen load mappings, keyed by their
+        # items: a recurring workload's warm hit skips the O(n) string
+        # digest, which otherwise dominates it.  Bounded like the table
+        # cache; lru_cache is safe under concurrent readers.
+        self._loads_digest = functools.lru_cache(maxsize=cache_entries)(_digest_loads)
 
     # ------------------------------------------------------------------ #
     # views
@@ -636,7 +647,7 @@ class PlacementService:
         """
         effective = self._effective_budget(budget)
         if loads_fp is None:
-            loads_fp = fingerprint_loads(loads)
+            loads_fp = self._loads_digest(tuple(loads.items()))
         key = self._key(loads_fp, exact_k)
 
         memo = self._cache.solution(key, effective)
@@ -745,7 +756,9 @@ class PlacementService:
             )
         loads = _freeze_loads(request.loads)
         budgets = sorted({self._validate_budget(b) for b in request.budgets})
-        loads_fp = self._planned_loads_fp.get(id(request)) or fingerprint_loads(loads)
+        loads_fp = self._planned_loads_fp.get(id(request)) or self._loads_digest(
+            tuple(loads.items())
+        )
         # Solving the largest budget first populates the tables every
         # smaller budget then hits (mirrors GatherTable.sweep).
         costs: dict[int, float] = {}
@@ -807,7 +820,7 @@ class PlacementService:
         # Digest the workload once: the solve keys the cache with it and
         # the record carries it, so a later drain re-places this tenant
         # without recomputing the full loads digest.
-        loads_fp = fingerprint_loads(loads)
+        loads_fp = self._loads_digest(tuple(loads.items()))
         placement = self._solve_cached(
             loads, request.budget, request.exact_k, loads_fp=loads_fp
         )

@@ -9,6 +9,9 @@ The suite has two tiers:
 * **slow** — the heavyweight randomized differential sweeps (hundreds of
   instances per test, trees up to a few hundred nodes).  Run them alone
   with ``pytest -m slow``; a plain ``pytest`` run executes both tiers.
+
+Both tiers run with ``DeprecationWarning`` escalated to an error (see
+:func:`pytest_configure`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ def pytest_configure(config):
         "markers",
         "slow: heavyweight randomized differential sweeps; deselect with -m 'not slow'",
     )
+    # The deprecated pre-Solver shims are gone; every run of the suite
+    # treats a DeprecationWarning as an error, so nothing quietly grows a
+    # new deprecated code path.
+    config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
 
 
 @pytest.fixture

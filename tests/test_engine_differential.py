@@ -28,7 +28,7 @@ from repro.core.engine import (
     gather,
     subtree_available_counts,
 )
-from repro.core.flat import flat_order
+from repro.core.flat import instance_vectors
 from repro.core.engine_compiled import (
     COMPILED_KERNELS,
     HAVE_COMPILED,
@@ -36,6 +36,7 @@ from repro.core.engine_compiled import (
 )
 from repro.core.gather import soar_gather
 from repro.core.solver import Solver
+from repro.core.tree import TreeNetwork
 from repro.experiments.motivating import motivating_tree
 from repro.testing import (
     SHAPES,
@@ -138,16 +139,10 @@ class TestSubtreeAvailability:
     """
 
     def _counts_for(self, tree):
-        order = flat_order(tree)
-        index = {node: i for i, node in enumerate(order)}
-        n = len(order)
-        depth = np.fromiter((tree.depth(v) for v in order), dtype=np.int64, count=n)
-        parent = np.fromiter(
-            (index.get(tree.parent(v), -1) for v in order), dtype=np.int64, count=n
-        )
-        avail = np.fromiter((v in tree.available for v in order), dtype=bool, count=n)
-        counts = subtree_available_counts(depth, parent, avail, tree.height)
-        return order, index, counts
+        layout = tree.flat_layout()
+        _, avail = instance_vectors(tree, layout)
+        counts = subtree_available_counts(layout, avail)
+        return layout.order, layout.index, counts
 
     def test_root_count_is_full_availability(self, paper_tree):
         _, index, counts = self._counts_for(paper_tree)
@@ -346,6 +341,38 @@ class TestRandomizedQuick:
             tree = random_instance(session_rng, rate_choices=rates, max_switches=9)
             budget = random_budget(session_rng, tree)
             for exact_k in (False, True):
+                _assert_engines_identical(tree, budget, exact_k)
+
+
+class TestEdgeShapes:
+    """Edges the seeded streams draw rarely or never, through both flat
+    kernel sets' cold gather against the reference, both semantics.  (Deep
+    paths and wide stars run in :class:`TestRandomizedSlow`.)"""
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    @pytest.mark.parametrize("available", [None, ()], ids=["all", "none"])
+    def test_single_switch(self, exact_k, available):
+        tree = TreeNetwork({"r": "d"}, loads={"r": 3}, available=available)
+        for budget in (0, 1, 2):
+            _assert_engines_identical(tree, budget, exact_k)
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    def test_empty_availability(self, exact_k):
+        rng = np.random.default_rng([11, int(exact_k)])
+        for shape in ("kary", "star", "path"):
+            tree = random_instance(rng, shape=shape, num_switches=17).with_available(())
+            for budget in (0, 4):
+                _assert_engines_identical(tree, budget, exact_k)
+
+    @pytest.mark.parametrize("exact_k", [False, True])
+    def test_budget_zero_and_above_availability(self, exact_k):
+        rng = np.random.default_rng([12, int(exact_k)])
+        for _ in range(4):
+            tree = random_instance(
+                rng, num_switches=15, load_profile="mixed", restrict_availability=True
+            )
+            count = len(tree.available)
+            for budget in (0, count, count + 1, tree.num_switches + 5):
                 _assert_engines_identical(tree, budget, exact_k)
 
 

@@ -94,6 +94,27 @@ class TestFingerprints:
         loads = {"s2_0": 3, "s2_3": 1}
         assert tree.with_loads(loads).loads_fingerprint() == fingerprint_loads(loads)
 
+    def test_recurring_workload_is_digested_once(self, monkeypatch):
+        import repro.service.api as api_module
+
+        calls = []
+
+        def counting(loads):
+            calls.append(dict(loads))
+            return fingerprint_loads(loads)
+
+        monkeypatch.setattr(api_module, "fingerprint_loads", counting)
+        tree = complete_binary_tree(8)
+        service = PlacementService(tree, 2)
+        loads = {"s3_0": 3, "s3_5": 1}
+        first = service.submit(SolveRequest(loads, 2))
+        again = service.submit(SolveRequest(dict(loads), 2))
+        assert len(calls) == 1
+        assert again.cache_source == "memo"
+        assert again.blue_nodes == first.blue_nodes
+        service.submit(SolveRequest({"s3_0": 3, "s3_5": 2}, 2))
+        assert len(calls) == 2
+
     def test_availability_fingerprint_matches_nodes_digest(self):
         tree = complete_binary_tree(4)
         assert tree.availability_fingerprint() == fingerprint_nodes(tree.switches)

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
-from repro.core.tree import TreeNetwork, fingerprint_loads
+from repro.core.tree import TreeNetwork, fingerprint_loads, fingerprint_nodes
 from repro.exceptions import (
     AvailabilityError,
     InvalidLoadError,
@@ -210,6 +211,110 @@ class TestDerivedCopies:
         updated = small_tree.with_loads({"a": 1})
         assert updated.switches == small_tree.switches
         assert updated.parent("a") == "r"
+
+
+class TestWithLoadsValidation:
+    """``with_loads`` shares the structure but validates exactly as the
+    constructor does."""
+
+    @staticmethod
+    def _construct(tree, loads, **kwargs):
+        parents = {switch: tree.parent(switch) for switch in tree.switches}
+        return TreeNetwork(parents, rates=tree.rates, loads=loads, **kwargs)
+
+    @pytest.mark.parametrize(
+        "loads",
+        [{"x": 1}, {"a": -1}, {"a": 1.5}, {"a": "many"}, {"a": None}],
+        ids=["unknown-switch", "negative", "fractional", "not-a-number", "none"],
+    )
+    def test_bad_loads_raise_like_the_constructor(self, small_tree, loads):
+        with pytest.raises(InvalidLoadError) as constructed:
+            self._construct(small_tree, loads)
+        with pytest.raises(InvalidLoadError) as derived:
+            small_tree.with_loads(loads)
+        assert str(derived.value) == str(constructed.value)
+
+    @pytest.mark.parametrize("available", [{"x"}, {"a", "d"}], ids=["unknown", "destination"])
+    def test_bad_available_raises_like_the_constructor(self, small_tree, available):
+        with pytest.raises(AvailabilityError) as constructed:
+            self._construct(small_tree, {"a": 1}, available=available)
+        with pytest.raises(AvailabilityError) as derived:
+            small_tree.with_loads({"a": 1}, available=available)
+        assert str(derived.value) == str(constructed.value)
+
+    @pytest.mark.parametrize("memoized", [False, True])
+    @pytest.mark.parametrize("available", ["keep", None, ("a",), ()])
+    def test_fingerprint_matches_a_fresh_construction(self, small_tree, memoized, available):
+        if memoized:
+            small_tree.fingerprint()
+        loads = {"a": 2, "b": 0, "r": 7}
+        if available == "keep":
+            derived = small_tree.with_loads(loads)
+            fresh = self._construct(small_tree, loads, available=small_tree.available)
+        else:
+            derived = small_tree.with_loads(loads, available=available)
+            fresh = self._construct(small_tree, loads, available=available)
+        assert derived.fingerprint() == fresh.fingerprint()
+        assert derived.loads == fresh.loads
+        assert derived.available == fresh.available
+
+    def test_memos_ride_along(self, small_tree):
+        small_tree.structure_fingerprint()
+        derived = small_tree.with_loads({"a": 1})
+        assert derived._fingerprints["structure"] == small_tree.structure_fingerprint()
+        assert "loads" not in derived._fingerprints
+        # A new Λ arrives with its digest patched from the source's.
+        restricted = small_tree.with_loads({"a": 1}, available={"a", "b"})
+        assert restricted._fingerprints["available"] == fingerprint_nodes({"a", "b"})
+
+    def test_caller_mapping_does_not_leak(self, small_tree):
+        loads = {"a": 4}
+        derived = small_tree.with_loads(loads)
+        fingerprint = derived.fingerprint()
+        loads["a"] = 9
+        loads["b"] = 1
+        assert derived.load("a") == 4 and derived.load("b") == 0
+        assert derived.fingerprint() == fingerprint
+        assert small_tree.load("a") == 3
+
+
+class TestFlatLayoutMemo:
+    """The flat layout is built once per weighted tree and shared by the
+    copies whose structure and rates cannot differ."""
+
+    def test_with_loads_and_with_available_copies_share_it(self, paper_tree):
+        # Copies made before the first build share it too.
+        by_loads = paper_tree.with_loads({"s2_0": 3})
+        by_available = paper_tree.with_available({"s1_0"})
+        layout = by_available.flat_layout()
+        assert paper_tree.flat_layout() is layout
+        assert by_loads.flat_layout() is layout
+        assert by_loads.with_available(None).flat_layout() is layout
+
+    def test_with_rates_and_constructors_build_their_own(self, paper_tree):
+        layout = paper_tree.flat_layout()
+        rated = paper_tree.with_rates({"s2_0": 4.0, paper_tree.root: 0.5})
+        parents = {switch: paper_tree.parent(switch) for switch in paper_tree.switches}
+        fresh = TreeNetwork(parents, rates=paper_tree.rates, loads=paper_tree.loads)
+        assert rated.flat_layout() is not layout
+        assert fresh.flat_layout() is not layout
+        for tree in (paper_tree, rated, fresh):
+            own = tree.flat_layout()
+            for position, node in enumerate(own.order):
+                prefix = tree.path_rho_prefix(node)
+                assert own.path_rho[: len(prefix), position].tolist() == prefix
+                assert not own.path_rho[len(prefix) :, position].any()
+        position = layout.index["s2_0"]
+        assert rated.flat_layout().path_rho[1, position] == 0.25
+        assert layout.path_rho[1, position] == paper_tree.rho("s2_0")
+
+    def test_layout_arrays_are_read_only(self, paper_tree):
+        layout = paper_tree.flat_layout()
+        arrays = [value for value in vars(layout).values() if isinstance(value, np.ndarray)]
+        assert len(arrays) >= 10
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
 
 class TestNetworkxInterop:
