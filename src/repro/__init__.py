@@ -45,18 +45,24 @@ when constructing the solver:
   layout, with a bit-identical numpy fallback), ``"flat"`` (the same
   driver with the numpy kernel) or ``"reference"`` (per-node Algorithm 3,
   ground truth),
-* ``Solver(color=...)`` — SOAR-Color: ``"batched"`` (default, the
-  level-batched trace of :mod:`repro.core.color` over the same flat
-  tensors) or ``"reference"`` (per-node Algorithm 4, ground truth),
-* ``Solver(cost_kernel=...)`` — Eq. (1) evaluation: ``"flat"`` (default,
-  the level-batched kernel of :mod:`repro.core.cost` over the same node
-  layout) or ``"reference"`` (the per-node message-count walk, ground
-  truth).
+* ``Solver(color=...)`` — SOAR-Color: ``"compiled"`` (default: the
+  root-down trace of :mod:`repro.core.color` over the same flat tensors
+  as one C call for every budget of a sweep), ``"batched"`` (the
+  level-batched numpy trace, which ``"compiled"`` falls back to when the
+  C kernels did not build) or ``"reference"`` (per-node Algorithm 4,
+  ground truth),
+* ``Solver(cost_kernel=...)`` — Eq. (1) evaluation: ``"compiled"``
+  (default: the message counts and post-order sum of
+  :mod:`repro.core.cost` as one C call for every placement of a sweep),
+  ``"flat"`` (the level-batched numpy kernel, the fallback) or
+  ``"reference"`` (the per-node message-count walk, ground truth).
 
-All combinations produce bit-identical tables, costs, and placements;
-``tests/test_engine_differential.py``, ``tests/test_api_equivalence.py``
-and ``tests/test_cost_kernels.py`` enforce this on hundreds of seeded
-random instances.
+With both defaults a sweep — and ``GatherTable.place``, a sweep of one
+budget — is one C colour call plus one C cost call.  All combinations
+produce bit-identical tables, costs, and placements;
+``tests/test_engine_differential.py``, ``tests/test_api_equivalence.py``,
+``tests/test_cost_kernels.py`` and ``tests/test_trace_kernels.py`` enforce
+this on hundreds of seeded random instances.
 
 Placement service
 -----------------

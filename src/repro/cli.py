@@ -229,8 +229,8 @@ _COMMANDS = {
     "fig10": (_cmd_fig10, "Scaling on binary trees (Figure 10, Appendix A)"),
     "fig11": (_cmd_fig11, "Scale-free networks (Figure 11, Appendix B)"),
     "engines": (_cmd_engines, "Gather engine comparison: --engine vs reference speedup"),
-    "colors": (_cmd_colors, "Colour kernel comparison: batched vs reference trace speedup"),
-    "costs": (_cmd_costs, "Cost kernel comparison: flat vs reference Eq. (1) speedup"),
+    "colors": (_cmd_colors, "Colour kernel comparison: --color vs reference trace speedup"),
+    "costs": (_cmd_costs, "Cost kernel comparison: --cost vs reference Eq. (1) speedup"),
 }
 
 

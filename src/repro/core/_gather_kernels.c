@@ -1,25 +1,28 @@
-/* Compiled kernels for the "compiled" gather engine.
+/* Compiled kernels for the "compiled" backend.
  *
  * repro_repair_chain is the whole SOAR-Gather dynamic program over a set
  * of dirty columns (every switch for a cold gather, a delta's ancestor
- * chains for a repair); the other two serve the colour and cost kernels.
+ * chains for a repair).  repro_color is SOAR-Color for every budget of a
+ * sweep, and repro_utilization is Eq. (1) for every traced placement, so
+ * a sweep costs one colour call and one cost call.
  * Each kernel mirrors its numpy counterpart in repro.core bit for bit:
  * the per-element arithmetic (a single double multiply or add followed by
  * a strict `<` comparison) is evaluated in the identical order, so the
- * compiled engine produces byte-identical tables, breadcrumbs, and costs.
+ * compiled backend produces byte-identical tables, breadcrumbs,
+ * placements, and costs.
  * No -ffast-math, no reassociation, no multiply-add contraction
  * (-ffp-contract=off): every element's value is the result of the same
  * IEEE-754 operations the numpy engine performs.
  *
  * Built on demand by repro.core.engine_compiled with the system C
  * compiler (`cc -O2 -ffp-contract=off -fPIC -shared`) and loaded through
- * ctypes, which releases the GIL around every call — that is the whole
- * point: the convolution below dominates SOAR-Gather, and with the GIL
- * released the service can run gathers truly in parallel.
+ * ctypes, which releases the GIL around every call, so the service can
+ * run gathers and traces truly in parallel.
  *
  * All tensors arrive C-contiguous with the layouts noted per kernel.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 
@@ -228,24 +231,201 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
   return 0;
 }
 
-/* The colour decision: out = (a < b), elementwise over flat buffers.
- * Used for the per-level blue/red decisions of the compiled colour
- * kernel.  NaNs (possible in the engine's never-read uninitialized rows)
- * compare false, exactly as numpy's np.less. */
-void repro_strict_less(const double *a, const double *b, uint8_t *out,
-                       int64_t size) {
-  for (int64_t i = 0; i < size; i++) {
-    out[i] = a[i] < b[i];
-  }
+/* Status codes of the colour and cost kernels (0 is success).  Every
+ * code but KERNEL_NO_MEMORY fills info[0..2] with (placement row, flat
+ * position, value) for the wrapper's PlacementError message. */
+#define KERNEL_NO_MEMORY -1
+#define COLOR_NEGATIVE_BUDGET 1
+#define COLOR_BUDGET_OUT_OF_RANGE 2
+#define COLOR_OVER_BUDGET 3
+#define COST_OUTSIDE_AVAILABILITY 4
+
+static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
+                            int64_t position, int64_t value) {
+  info[0] = row;
+  info[1] = position;
+  info[2] = value;
+  return code;
 }
 
-/* Left-to-right sequential sum, the reduction order of the flat cost
- * kernel's `float(sum(contributions.tolist()))` — a plain running double
- * accumulation, so the result is bit-identical to the Python sum. */
-double repro_sequential_sum(const double *values, int64_t size) {
-  double total = 0.0;
-  for (int64_t i = 0; i < size; i++) {
-    total += values[i];
+/* SOAR-Color (Algorithm 4) for every budget of a sweep in one call: the
+ * root-down walk of the batched numpy trace, node by node.
+ *
+ *   y_blue, y_red           : (height + 1, width, n) float64
+ *   splits_blue, splits_red : (height + 1, width, stages) int32
+ *   load                    : (n,) int64, the traced network's loads
+ *   avail                   : (n,) uint8 (bool), the traced network's Λ
+ *   num_children, child_concat, child_offset, stage_offset : the layout
+ *   budgets                 : (num_budgets,) int64
+ *   blue_out                : (num_budgets, n) uint8, written
+ *   info                    : (3,) int64, written on an error
+ *
+ * Flat positions run deepest level first, so walking them from the root
+ * (position n - 1) down to 0 visits every parent before its children.
+ * Each node receives (i, l) from its parent; the root gets (budget, 1).
+ * A leaf is blue when i > 0, it is in Λ and (at-most-k only) its load
+ * exceeds 1.  An internal node is blue when y_blue[l, i] < y_red[l, i]
+ * (strict: a tie stays red); its children c_C .. c_2 take the breadcrumb
+ * budgets of that colour at (l, running remainder), highest child first,
+ * and c_1 the rest minus one unit if the node is blue.  Children sit at
+ * distance 1 below a blue node and l + 1 below a red one.
+ *
+ * Corrupt tables never cause an out-of-bounds read: a child share below
+ * zero, or one above the remainder (which would leave the first child a
+ * negative budget), is COLOR_NEGATIVE_BUDGET, so every child budget stays
+ * within 0..k; a budget handed in outside 0..k is
+ * COLOR_BUDGET_OUT_OF_RANGE; more blue nodes than the budget is
+ * COLOR_OVER_BUDGET.  Returns 0, a status code, or KERNEL_NO_MEMORY when
+ * scratch allocation fails. */
+int32_t repro_color(const double *y_blue, const double *y_red,
+                    const int32_t *splits_blue, const int32_t *splits_red,
+                    const int64_t *load, const uint8_t *avail,
+                    const int64_t *num_children, const int64_t *child_concat,
+                    const int64_t *child_offset, const int64_t *stage_offset,
+                    const int64_t *budgets, int64_t num_budgets,
+                    int64_t width, int64_t n, int64_t stages, int32_t exact_k,
+                    uint8_t *blue_out, int64_t *info) {
+  const int64_t k = width - 1;
+  /* (budget, distance) each node receives from its parent */
+  int64_t *received = malloc(2 * (size_t)n * sizeof(int64_t));
+  if (received == NULL) {
+    return KERNEL_NO_MEMORY;
   }
-  return total;
+  int64_t *distance = received + n;
+  int32_t status = 0;
+  for (int64_t row = 0; row < num_budgets && status == 0; row++) {
+    uint8_t *blue = blue_out + row * n;
+    int64_t selected = 0;
+    if (budgets[row] < 0 || budgets[row] > k) {
+      status = kernel_error(info, COLOR_BUDGET_OUT_OF_RANGE, row, n - 1,
+                            budgets[row]);
+      break;
+    }
+    received[n - 1] = budgets[row];
+    distance[n - 1] = 1;
+    for (int64_t v = n - 1; v >= 0; v--) {
+      const int64_t i = received[v], l = distance[v];
+      const int64_t fan_out = num_children[v];
+      if (fan_out == 0) {
+        blue[v] = i > 0 && avail[v] && (exact_k || load[v] > 1);
+        selected += blue[v];
+        continue;
+      }
+      const int64_t at = (l * width + i) * n + v;
+      const int is_blue = y_blue[at] < y_red[at];
+      blue[v] = (uint8_t)is_blue;
+      selected += is_blue;
+      const int32_t *splits = is_blue ? splits_blue : splits_red;
+      const int64_t child_distance = is_blue ? 1 : l + 1;
+      const int64_t *children = child_concat + child_offset[v];
+      int64_t remaining = i;
+      for (int64_t stage = fan_out - 1; stage >= 1; stage--) {
+        const int64_t slot = stage_offset[v] + stage - 1;
+        const int64_t share = splits[(l * width + remaining) * stages + slot];
+        if (share < 0) {
+          status = kernel_error(info, COLOR_NEGATIVE_BUDGET, row,
+                                children[stage], share);
+          break;
+        }
+        if (share > remaining) { /* the first child would go negative */
+          status = kernel_error(info, COLOR_NEGATIVE_BUDGET, row, children[0],
+                                remaining - share);
+          break;
+        }
+        received[children[stage]] = share;
+        distance[children[stage]] = child_distance;
+        remaining -= share;
+      }
+      if (status != 0) {
+        break;
+      }
+      if (remaining - is_blue < 0) {
+        status = kernel_error(info, COLOR_NEGATIVE_BUDGET, row, children[0],
+                              remaining - is_blue);
+        break;
+      }
+      received[children[0]] = remaining - is_blue;
+      distance[children[0]] = child_distance;
+    }
+    if (status == 0 && selected > budgets[row]) {
+      status = kernel_error(info, COLOR_OVER_BUDGET, row, -1, selected);
+    }
+  }
+  free(received);
+  return status;
+}
+
+/* Eq. (1) for a batch of placements over one structure:
+ * phi = sum over links of msg_e * rho(e).
+ *
+ *   blue     : (num_placements, n) uint8 (bool) blue masks
+ *   avail    : (n,) uint8 (bool), Λ of the network the costs are for
+ *   load     : (n,) int64
+ *   parent   : (n,) int64 flat position of the parent, -1 for the root
+ *   rho      : (n,) float64 per-link transmission time
+ *   postorder: (n,) int64, post-order rank -> flat position
+ *   cost_out : (num_placements,) float64, written
+ *   info     : (3,) int64, written on an error
+ *
+ * Message counts run deepest level first (ascending flat positions, so
+ * every child is final before its parent): a node forwards one message
+ * when blue, else its children's messages plus its own load.  The counts
+ * are exact integers; the sum then adds (double)count * rho link by link
+ * in post-order, left to right — the doubles, order and rounding of the
+ * numpy kernel's final Python sum().  That sum is a plain running total
+ * before Python 3.12 and Neumaier-compensated from 3.12 on; `compensated`
+ * selects which, so the result is bit-identical on either interpreter.
+ * A blue node outside Λ is COST_OUTSIDE_AVAILABILITY.  Returns 0, that
+ * code, or KERNEL_NO_MEMORY. */
+int32_t repro_utilization(const uint8_t *blue, const uint8_t *avail,
+                          const int64_t *load, const int64_t *parent,
+                          const double *rho, const int64_t *postorder,
+                          int64_t num_placements, int64_t n,
+                          int32_t compensated, double *cost_out,
+                          int64_t *info) {
+  for (int64_t row = 0; row < num_placements; row++) {
+    for (int64_t v = 0; v < n; v++) {
+      if (blue[row * n + v] && !avail[v]) {
+        return kernel_error(info, COST_OUTSIDE_AVAILABILITY, row, v, 0);
+      }
+    }
+  }
+  int64_t *messages = malloc((size_t)n * sizeof(int64_t));
+  if (messages == NULL) {
+    return KERNEL_NO_MEMORY;
+  }
+  for (int64_t row = 0; row < num_placements; row++) {
+    const uint8_t *is_blue = blue + row * n;
+    for (int64_t v = 0; v < n; v++) {
+      messages[v] = 0;
+    }
+    /* messages[v] holds v's arrivals until v is visited, then its
+     * outgoing count */
+    for (int64_t v = 0; v < n; v++) {
+      messages[v] = is_blue[v] ? 1 : messages[v] + load[v];
+      if (parent[v] >= 0) {
+        messages[parent[v]] += messages[v];
+      }
+    }
+    double total = 0.0, compensation = 0.0;
+    for (int64_t rank = 0; rank < n; rank++) {
+      const int64_t v = postorder[rank];
+      const double term = (double)messages[v] * rho[v];
+      const double sum = total + term;
+      if (compensated && rank > 0) {
+        if (fabs(total) >= fabs(term)) {
+          compensation += (total - sum) + term;
+        } else {
+          compensation += (term - sum) + total;
+        }
+      }
+      total = sum;
+    }
+    if (compensated && compensation != 0.0 && isfinite(compensation)) {
+      total += compensation;
+    }
+    cost_out[row] = total;
+  }
+  free(messages);
+  return 0;
 }

@@ -14,7 +14,7 @@ then
 3. forwards ``(i_child, l_child)`` to each child, where ``l_child = 1`` when
    the node is blue and ``l* + 1`` otherwise.
 
-Two interchangeable kernels implement this trace:
+Three interchangeable kernels implement this trace:
 
 :func:`soar_color` (``"reference"``)
     The per-node work-list traversal following the distributed description
@@ -22,32 +22,43 @@ Two interchangeable kernels implement this trace:
     parent.  Iterative, so arbitrarily deep trees do not hit the recursion
     limit.
 
-:func:`soar_color_batched` (``"batched"``, the default)
+:func:`soar_color_batched` (``"batched"``)
     A level-batched traversal over the flat ``(l, i, node)`` tensors of
     :mod:`repro.core.flat`: every level of the tree decides its colours in
     one vectorized comparison and scatters its children's budgets in a
     handful of fancy-indexed passes — the same batching strategy the flat
-    gather engine applies bottom-up, applied top-down.  The colour trace is
-    the *entire* cost of a warm gather-table cache hit in
-    :mod:`repro.service`, which is what makes this kernel worth having.
+    gather engine applies bottom-up, applied top-down.  It is the numpy
+    backend's trace.
 
-Both kernels read the same breadcrumbs and compare the same floats with the
+:func:`soar_color_compiled` (``"compiled"``, the default)
+    The same root-down walk as one C call (``repro_color`` of
+    :mod:`repro.core.engine_compiled`), node by node instead of level by
+    level, and batched over budgets: :func:`compiled_blue_masks` traces a
+    whole sweep in one call, which is how
+    :meth:`~repro.core.solver.GatherTable.sweep` serves a sweep (and
+    ``place`` a single budget) together with the compiled cost kernel.
+    When the C backend did not build, the ``"compiled"`` registry entry is
+    the batched kernel — same name, identical placements.
+
+All kernels read the same breadcrumbs and compare the same floats with the
 same strict inequality, so they produce **identical** placements — including
 on exact ties, where the shared ``<`` keeps the node red and the stored
-ascending-``j`` argmin picks the same split.  The differential suites
-(``tests/test_api_equivalence.py``, ``tests/test_invariants.py``) enforce
-this on both engines' tables.
+ascending-``j`` argmin picks the same split — and raise the same
+:class:`~repro.exceptions.PlacementError` on inconsistent tables.  The
+differential suites (``tests/test_api_equivalence.py``,
+``tests/test_invariants.py``, ``tests/test_trace_kernels.py``) enforce this
+on every engine's tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.engine_compiled import strict_less
-from repro.core.flat import flat_tables_for, instance_vectors
+from repro.core.engine_compiled import HAVE_COMPILED, color_masks
+from repro.core.flat import FlatTables, flat_tables_for, instance_vectors
 from repro.core.gather import GatherResult
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import PlacementError
@@ -194,7 +205,6 @@ def soar_color_batched(
     tree: TreeNetwork,
     gathered: GatherResult,
     budget: int | None = None,
-    _decide: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> frozenset[NodeId]:
     """Level-batched colour trace over the flat ``(l, i, node)`` tensors.
 
@@ -207,36 +217,32 @@ def soar_color_batched(
     the reference does — highest child first, running remainder — but
     vectorized across every node of the level that still has an ``m``-th
     child.
-
-    ``_decide`` optionally replaces the elementwise strict-``<`` used for
-    the per-level colour decisions (the compiled kernel routes it through
-    the C comparison); any substitute must implement exactly
-    :func:`np.less` over float64.
     """
     budget = _validated_budget(tree, gathered, budget)
-    decide = np.less if _decide is None else _decide
     flat = flat_tables_for(tree, gathered)
     n = len(flat.order)
-
-    # The leaf colour rule depends on the *caller's* loads and Λ, exactly
-    # as the reference consults ``tree`` rather than gather-time state.
-    # On the hot path (service table hits, GatherTable.place) the caller's
-    # tree IS the gather-time tree and the cached arrays apply; a legacy
-    # caller tracing the tables against a modified same-structure network
-    # gets the arrays re-derived from its own tree.
-    if tree is flat.tree:
-        load, avail = flat.load, flat.avail
-    else:
-        load, avail = instance_vectors(tree, flat)
+    load, avail = _traced_vectors(tree, flat)
 
     # (budget, distance) each node receives from its parent; the
     # destination sends (k, 1) to the root (Algorithm 4 line 2).
     budget_vec = np.zeros(n, dtype=np.int64)
     dist_vec = np.ones(n, dtype=np.int64)
     budget_vec[flat.index[gathered.root]] = budget
+    k = flat.y_red.shape[1] - 1
 
     chosen: list[np.ndarray] = []
     for start, stop in flat.level_slices:
+        # Every budget of the level was written by its parent.  Inconsistent
+        # shares always leave a negative one among siblings (a share above
+        # the remainder leaves it to the first child), caught here before
+        # any budget of the level indexes a table.
+        window = budget_vec[start:stop]
+        if int(window.min()) < 0:
+            offender = flat.order[start + int(np.argmin(window))]
+            raise PlacementError(
+                f"traceback assigned a negative budget to {offender!r}; "
+                "the gather tables are inconsistent"
+            )
         level = np.arange(start, stop)
         leaf_mask = flat.leaf[start:stop]
 
@@ -253,7 +259,7 @@ def soar_color_batched(
             continue
         l_params = dist_vec[internal]
         budgets = budget_vec[internal]
-        node_blue = decide(
+        node_blue = np.less(
             flat.y_blue[l_params, budgets, internal],
             flat.y_red[l_params, budgets, internal],
         )
@@ -264,12 +270,18 @@ def soar_color_batched(
         # remainder mirrors the reference's descending-stage walk.
         remaining = budgets.copy()
         counts = flat.num_children[internal]
-        for stage in range(int(counts.max()), 1, -1):
+        top = int(counts.max())
+        for stage in range(top, 1, -1):
             active = counts >= stage
             nodes = internal[active]
             slot = flat.stage_offset[nodes] + (stage - 2)
             l_sel = l_params[active]
             r_sel = remaining[active]
+            if stage < top:
+                # Only inconsistent shares drive a remainder out of 0..k,
+                # and the next level's check reports them; clipping keeps
+                # this read in bounds until then.
+                r_sel = np.clip(r_sel, 0, k)
             share = np.where(
                 node_blue[active],
                 flat.splits_blue[l_sel, r_sel, slot],
@@ -284,19 +296,6 @@ def soar_color_batched(
         budget_vec[first] = remaining - node_blue
         dist_vec[first] = child_distance
 
-    # A negative assignment means inconsistent tables; every non-root node's
-    # budget was written by its parent above, so one pass over the levels
-    # below the root is the batched equivalent of the reference's per-child
-    # guard.
-    for start, stop in flat.level_slices[1:]:
-        window = budget_vec[start:stop]
-        if window.size and int(window.min()) < 0:
-            offender = flat.order[start + int(np.argmin(window))]
-            raise PlacementError(
-                f"traceback assigned a negative budget to {offender!r}; "
-                "the gather tables are inconsistent"
-            )
-
     blue = frozenset(
         flat.order[position]
         for position in (np.concatenate(chosen) if chosen else ())
@@ -309,39 +308,76 @@ def soar_color_batched(
     return blue
 
 
+def _traced_vectors(tree: TreeNetwork, flat: FlatTables) -> tuple[np.ndarray, np.ndarray]:
+    """The loads and Λ the leaf colour rule reads, in flat order.
+
+    The rule depends on the *caller's* loads and Λ, exactly as the
+    reference consults ``tree`` rather than gather-time state.  On the hot
+    path (service table hits, GatherTable.place) the caller's tree IS the
+    gather-time tree and the cached arrays apply; a caller tracing the
+    tables against a modified same-structure network gets the arrays
+    re-derived from its own tree.
+    """
+    if tree is flat.tree:
+        return flat.load, flat.avail
+    return instance_vectors(tree, flat)
+
+
+def compiled_blue_masks(
+    tree: TreeNetwork,
+    gathered: GatherResult,
+    budgets: Sequence[int | None],
+) -> tuple[FlatTables, np.ndarray]:
+    """Trace every budget of a sweep in one C call.
+
+    Returns the flat tables traced (their ``order`` names the columns) and
+    a ``(len(budgets), n)`` uint8 blue mask per budget, row ``b`` equal to
+    :func:`soar_color_batched` at ``budgets[b]``; the same validation and
+    the same :class:`~repro.exceptions.PlacementError` on inconsistent
+    tables.  Requires the C backend (:data:`HAVE_COMPILED`).
+    """
+    wanted = [_validated_budget(tree, gathered, budget) for budget in budgets]
+    flat = flat_tables_for(tree, gathered)
+    load, avail = _traced_vectors(tree, flat)
+    return flat, color_masks(flat, load, avail, wanted, gathered.exact_k)
+
+
+def blue_set(order: Sequence[NodeId], mask: np.ndarray) -> frozenset[NodeId]:
+    """The switches of a flat-order blue mask."""
+    return frozenset(order[position] for position in np.flatnonzero(mask).tolist())
+
+
 def soar_color_compiled(
     tree: TreeNetwork,
     gathered: GatherResult,
     budget: int | None = None,
 ) -> frozenset[NodeId]:
-    """The batched trace with its colour decisions in the C backend.
+    """One budget of :func:`compiled_blue_masks`, as a blue set.
 
-    Identical traversal (and identical placements) as
-    :func:`soar_color_batched`; the per-level ``y_blue < y_red``
-    comparisons run through the compiled ``strict_less`` kernel of
-    :mod:`repro.core.engine_compiled`, falling back to :func:`np.less`
-    when the C backend is unavailable.  Registered as ``"compiled"`` so a
-    ``Solver(engine="compiled", color="compiled")`` configuration is
-    uniformly valid.
+    Same parameters, result and raised errors as :func:`soar_color`.
+    Requires the C backend; the ``"compiled"`` registry entry falls back to
+    :func:`soar_color_batched` when it did not build.
     """
-    return soar_color_batched(tree, gathered, budget=budget, _decide=strict_less)
+    flat, masks = compiled_blue_masks(tree, gathered, [budget])
+    return blue_set(flat.order, masks[0])
 
 
-#: Name of the level-batched colour kernel (the default).
+#: Name of the level-batched numpy colour kernel.
 BATCHED_COLOR: str = "batched"
 #: Name of the per-node reference trace of Algorithm 4.
 REFERENCE_COLOR: str = "reference"
-#: Name of the batched kernel with C-backend decisions.
+#: Name of the C colour kernel (the default).
 COMPILED_COLOR: str = "compiled"
 #: Kernel used when callers do not ask for a specific one.
-DEFAULT_COLOR: str = BATCHED_COLOR
+DEFAULT_COLOR: str = COMPILED_COLOR
 
 #: Registry of colour kernels, keyed by their public name (the colour-phase
-#: counterpart of :data:`repro.core.engine.ENGINES`).
+#: counterpart of :data:`repro.core.engine.ENGINES`).  ``"compiled"`` is the
+#: batched kernel when the C backend did not build.
 COLOR_KERNELS: dict[str, Callable[..., frozenset[NodeId]]] = {
     BATCHED_COLOR: soar_color_batched,
     REFERENCE_COLOR: soar_color,
-    COMPILED_COLOR: soar_color_compiled,
+    COMPILED_COLOR: soar_color_compiled if HAVE_COMPILED else soar_color_batched,
 }
 
 #: Engines with no same-named colour kernel declare which kernel traces
@@ -361,7 +397,7 @@ def trace_color(
 ) -> frozenset[NodeId]:
     """Trace a placement with the named colour kernel.
 
-    ``"batched"`` (default), ``"compiled"``, or ``"reference"``; all
+    ``"compiled"`` (default), ``"batched"``, or ``"reference"``; all
     produce identical placements, the reference kernel is retained as
     ground truth for differential testing — mirroring
     :func:`repro.core.engine.gather`.

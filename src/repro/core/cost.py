@@ -14,7 +14,7 @@ This module implements the objective function of the φ-BIC problem:
 
 Cost kernels
 ------------
-Eq. (1) ships two interchangeable kernels, registered in
+Eq. (1) ships three interchangeable kernels, registered in
 :data:`COST_KERNELS` exactly as the colour kernels are in
 :data:`repro.core.color.COLOR_KERNELS`:
 
@@ -22,20 +22,29 @@ Eq. (1) ships two interchangeable kernels, registered in
     :func:`utilization_cost` via :func:`~repro.core.reduce_op.link_message_counts`
     — the per-node post-order Python walk of Algorithm 1's accounting.
 
-``"flat"`` (the default of :class:`~repro.core.solver.Solver`)
+``"flat"``
     :func:`utilization_cost_flat` — level-batched passes over the flat
     node order of :mod:`repro.core.flat`: every tree level's message
     counts resolve in one vectorized step, and the final reduction walks
     the post-order permutation so the floating-point summation order is
-    *identical* to the reference.  The two kernels return the same float
-    bit for bit (``tests/test_cost_kernels.py`` enforces this on the
-    seeded generator profiles, near-ties and straddling Λ included).
+    *identical* to the reference.  It is the numpy backend's kernel.
 
-The flat kernel exists for the service's warm path: a gather-table cache
-hit is a batched colour trace plus this cost recompute, and the per-node
-reference walk used to dominate that latency (see the
-``cost_kernel_speedup`` column of ``benchmarks/results/service_throughput.csv``).
-Use :func:`evaluate_cost` to pick a kernel by name; pass a prebuilt
+``"compiled"`` (the default of :class:`~repro.core.solver.Solver`)
+    :func:`utilization_cost_compiled` — the same message counts and the
+    same post-order sum as one C call (``repro_utilization`` of
+    :mod:`repro.core.engine_compiled`), batched over placements:
+    :func:`utilization_costs_compiled` evaluates a whole sweep's blue
+    masks in one call, which is how
+    :meth:`~repro.core.solver.GatherTable.sweep` recomputes a sweep's
+    costs.  When the C backend did not build, the ``"compiled"`` registry
+    entry is the flat kernel.
+
+All kernels return the same float bit for bit
+(``tests/test_cost_kernels.py`` and ``tests/test_trace_kernels.py``
+enforce this on the seeded generator profiles, near-ties and straddling Λ
+included).  A gather-table cache hit is a colour trace plus this cost
+recompute, which is why the batched kernels exist.  Use
+:func:`evaluate_cost` to pick a kernel by name; pass a prebuilt
 :class:`~repro.core.flat.FlatCostModel` (``model=``) when evaluating many
 placements over one structure so the metadata is built once.
 """
@@ -46,8 +55,8 @@ from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
-from repro.core.engine_compiled import sequential_sum
-from repro.core.flat import FlatCostModel, cost_model_for
+from repro.core.engine_compiled import HAVE_COMPILED, utilization_costs
+from repro.core.flat import FlatCostModel, cost_model_for, instance_vectors
 from repro.core.reduce_op import link_message_counts, validate_placement
 from repro.core.tree import NodeId, TreeNetwork
 
@@ -119,14 +128,19 @@ def _flat_contributions(
     if model is None:
         model = cost_model_for(tree)
     load = model.loads_for(tree, loads)
-    blue_mask = np.zeros(len(model.order), dtype=bool)
+    counts = flat_link_message_counts(model, _blue_mask(model, blue), load)
+    return model, (counts * model.rho)[model.postorder]
+
+
+def _blue_mask(model: FlatCostModel, blue: frozenset[NodeId]) -> np.ndarray:
+    """``blue`` as a bool mask in ``model``'s flat order."""
+    mask = np.zeros(len(model.order), dtype=bool)
     index = model.index
     for node in blue:
         position = index.get(node)
         if position is not None:  # unknown blue ids are ignored, as reference
-            blue_mask[position] = True
-    counts = flat_link_message_counts(model, blue_mask, load)
-    return model, (counts * model.rho)[model.postorder]
+            mask[position] = True
+    return mask
 
 
 def utilization_cost_flat(
@@ -298,6 +312,26 @@ def _reference_cost_kernel(
     return utilization_cost(tree, blue_nodes, loads=loads, validate=validate)
 
 
+def utilization_costs_compiled(
+    tree: TreeNetwork,
+    masks: np.ndarray,
+    model: FlatCostModel,
+) -> np.ndarray:
+    """Eq. (1) of a batch of blue masks over ``tree``, in one C call.
+
+    ``masks`` is ``(B, n)`` in ``model``'s flat order.  Row ``b`` of the
+    result is bit-identical to :func:`utilization_cost_flat` of mask ``b``
+    with ``tree``'s loads, and a blue node outside ``tree``'s Λ raises the
+    same :class:`~repro.exceptions.PlacementError`.  Requires the C backend
+    (:data:`~repro.core.engine_compiled.HAVE_COMPILED`).
+    """
+    if tree is model.tree:
+        load, avail = model.load, model.avail
+    else:
+        load, avail = instance_vectors(tree, model)
+    return utilization_costs(model, masks, avail, load)
+
+
 def utilization_cost_compiled(
     tree: TreeNetwork,
     blue_nodes: Iterable[NodeId],
@@ -305,39 +339,39 @@ def utilization_cost_compiled(
     validate: bool = True,
     model: FlatCostModel | None = None,
 ) -> float:
-    """Eq. (1) by the flat passes with the reduction in the C backend.
+    """Eq. (1) of one placement by the C kernel.
 
-    Identical per-link contributions as :func:`utilization_cost_flat`;
-    the final left-to-right reduction runs through the compiled
-    ``sequential_sum`` kernel of :mod:`repro.core.engine_compiled` (one C
-    loop instead of a Python-list walk), which accumulates the same
-    doubles in the same order and therefore returns the bit-identical
-    float — with a pure-Python fallback when the C backend is absent.
-    Registered as ``"compiled"`` so a fully compiled
-    ``Solver(engine="compiled", color="compiled", cost_kernel="compiled")``
-    configuration is uniformly valid.
+    Same parameters and result as :func:`utilization_cost_flat`.  Requires
+    the C backend; the ``"compiled"`` registry entry falls back to the flat
+    kernel when it did not build.
     """
-    _, contributions = _flat_contributions(tree, blue_nodes, loads, validate, model)
-    return sequential_sum(contributions)
+    blue = validate_placement(tree, blue_nodes) if validate else frozenset(blue_nodes)
+    if model is None:
+        model = cost_model_for(tree)
+    mask = _blue_mask(model, blue)
+    # Λ was validated above (or deliberately not): the mask is its own Λ.
+    load = model.loads_for(tree, loads)
+    return float(utilization_costs(model, mask[None, :], mask, load)[0])
 
 
-#: Name of the level-batched flat cost kernel (the solver-path default).
+#: Name of the level-batched numpy cost kernel.
 FLAT_COST: str = "flat"
 #: Name of the per-node reference evaluation of Eq. (1).
 REFERENCE_COST: str = "reference"
-#: Name of the flat kernel with the C-backend reduction.
+#: Name of the C cost kernel (the default).
 COMPILED_COST: str = "compiled"
 #: Kernel used when callers do not ask for a specific one.
-DEFAULT_COST: str = FLAT_COST
+DEFAULT_COST: str = COMPILED_COST
 
 #: Registry of cost kernels, keyed by their public name (the cost-phase
 #: counterpart of :data:`repro.core.color.COLOR_KERNELS`); every entry
 #: shares the signature ``kernel(tree, blue, loads=, validate=, model=)``
-#: and returns the bit-identical Eq. (1) value.
+#: and returns the bit-identical Eq. (1) value.  ``"compiled"`` is the flat
+#: kernel when the C backend did not build.
 COST_KERNELS: dict[str, Callable[..., float]] = {
     FLAT_COST: utilization_cost_flat,
     REFERENCE_COST: _reference_cost_kernel,
-    COMPILED_COST: utilization_cost_compiled,
+    COMPILED_COST: utilization_cost_compiled if HAVE_COMPILED else utilization_cost_flat,
 }
 
 #: Engines with no same-named cost kernel declare their cost kernel here
@@ -357,10 +391,11 @@ def evaluate_cost(
 ) -> float:
     """Evaluate ``phi(T, L, U)`` with the named cost kernel.
 
-    ``"flat"`` (default), ``"compiled"``, or ``"reference"``; all produce
+    ``"compiled"`` (default), ``"flat"``, or ``"reference"``; all produce
     identical floats, the reference kernel is retained as ground truth for
     differential testing — mirroring :func:`repro.core.color.trace_color`.
-    ``model`` is forwarded to the flat kernels (ignored by the reference).
+    ``model`` is forwarded to the flat and compiled kernels (ignored by
+    the reference).
     """
     try:
         kernel = COST_KERNELS[cost]

@@ -546,11 +546,10 @@ def _repair_flat_tensors(
 
     old_model = old_flat.cost_model
     if old_model is not None:
-        # The cost model depends on structure, rates, and loads only — all
-        # unchanged by construction — so the repaired artifact inherits it
-        # (rebased onto the new tree) and its first placement skips the
-        # O(n) model build.
-        new_flat.cost_model = replace(old_model, tree=tree)
+        # Structure, rates, and loads are unchanged by construction, so the
+        # repaired artifact inherits the cost model (rebased onto the new
+        # tree and Λ) and its first placement skips the O(n) model build.
+        new_flat.cost_model = replace(old_model, tree=tree, avail=avail)
 
     return GatherResult(
         tables=LazyNodeTables(new_flat),

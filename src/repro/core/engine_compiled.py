@@ -1,16 +1,24 @@
-"""The ``"compiled"`` gather engine (the default): C kernels behind the flat driver.
+"""The ``"compiled"`` backend (the default): C kernels behind the flat drivers.
 
 Every cold gather and every delta repair of the flat engines is one call
 of the ``repair_chain`` kernel — all switches dirty for a gather, a
 delta's ancestor chains for a repair.  Under numpy that kernel is a
 level loop of small array operations that holds the GIL for the whole
-solve.  This module compiles the same kernel (plus the colour and cost
-kernels' helpers) from ``_gather_kernels.c`` into a small shared library
-and calls it through ``ctypes``, which **releases the GIL for the
-duration of every kernel call**, so a gather or a repair is a single C
-call (``repro_repair_chain``) between the unchanged
-:func:`repro.core.engine._gather_flat_tensors` and
+solve.  This module compiles the same kernel from ``_gather_kernels.c``
+into a small shared library and calls it through ``ctypes``, which
+**releases the GIL for the duration of every kernel call**, so a gather
+or a repair is a single C call (``repro_repair_chain``) between the
+unchanged :func:`repro.core.engine._gather_flat_tensors` and
 :func:`repro.core.engine._repair_flat_tensors` drivers.
+
+The same library carries the ``"compiled"`` colour and cost kernels, each
+batched over the budgets of a sweep: :func:`color_masks` runs SOAR-Color
+(``repro_color``) for every budget in one call, and
+:func:`utilization_costs` evaluates Eq. (1) (``repro_utilization``) for
+every traced placement in another.  Their consistency checks (negative or
+out-of-range budgets, too many blue nodes, a blue node outside Λ) are
+kernel status codes the wrappers raise as
+:class:`~repro.exceptions.PlacementError`.
 
 Bit-identity
 ------------
@@ -19,7 +27,8 @@ the identical order as its numpy counterpart (a single multiply or add
 followed by a strict ``<``; ascending-``j`` argmin with strict
 improvement), so the compiled engine's tables, breadcrumbs, placements,
 and costs are byte-identical to ``"flat"`` — enforced across the seeded
-generator corpus by ``tests/test_engine_differential.py``.  Both chains
+generator corpus by ``tests/test_engine_differential.py`` and
+``tests/test_trace_kernels.py``.  Both chains
 skip the splits above a child subtree's available-switch count (the C
 one per child, the numpy one per level batch); such splits cannot
 strictly improve any entry, so the cap changes no bit.
@@ -36,9 +45,10 @@ so the compile runs once per source revision per machine.  The publish is
 an atomic :func:`os.replace`, making concurrent first builds safe.
 
 When no compiler is available, the build fails, or ``REPRO_NO_COMPILED``
-is set (the CI no-backend job), the ``"compiled"`` registry entry stays
-callable and transparently computes with the numpy kernels — same name,
-bit-identical results, no consumer changes.  :data:`HAVE_COMPILED` (and
+is set (the CI no-backend job), the ``"compiled"`` registry entries stay
+callable and transparently compute with the numpy kernels (the flat
+engine's ``repair_chain``, the ``"batched"`` colour and ``"flat"`` cost
+kernels) — same names, bit-identical results, no consumer changes.  :data:`HAVE_COMPILED` (and
 :func:`compiled_available`) report which path is active; compiled-specific
 tests skip when it is ``False``.
 """
@@ -50,6 +60,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -65,9 +76,10 @@ from repro.core.engine import (
     _gather_flat_tensors,
     _repair_flat_tensors,
 )
-from repro.core.flat import FlatTables
+from repro.core.flat import FlatCostModel, FlatTables
 from repro.core.gather import GatherResult
 from repro.core.tree import TreeNetwork
+from repro.exceptions import PlacementError
 
 #: Set this environment variable (to any non-empty value) to skip the C
 #: backend entirely and force the numpy fallback — the CI no-backend job
@@ -95,10 +107,15 @@ def _find_compiler() -> str | None:
 
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     """Attach prototypes so ctypes checks dtypes and contiguity for us."""
-    library.repro_strict_less.argtypes = [_f64, _f64, _u8, _ll]
-    library.repro_strict_less.restype = None
-    library.repro_sequential_sum.argtypes = [_f64, _ll]
-    library.repro_sequential_sum.restype = ctypes.c_double
+    library.repro_color.argtypes = [
+        _f64, _f64, _i32, _i32, _i64, _u8, _i64, _i64, _i64, _i64, _i64, _ll,
+        _ll, _ll, _ll, ctypes.c_int32, _u8, _i64,
+    ]
+    library.repro_color.restype = ctypes.c_int32
+    library.repro_utilization.argtypes = [
+        _u8, _u8, _i64, _i64, _f64, _i64, _ll, _ll, ctypes.c_int32, _f64, _i64,
+    ]
+    library.repro_utilization.restype = ctypes.c_int32
     library.repro_repair_chain.argtypes = [
         _f64, _f64, _i32, _i32, _f64, _f64, _u8, _i64, _i64, _i64, _i64, _i64, _i64,
         _ll, _ll, _ll, _ll, _ll, ctypes.c_int32,
@@ -239,37 +256,136 @@ def compiled_repair(result: GatherResult, tree: TreeNetwork) -> GatherResult:
 
 
 # --------------------------------------------------------------------------- #
-# helpers for the compiled colour / cost kernels
+# the colour and cost kernels (see repro.core.color / repro.core.cost)
 # --------------------------------------------------------------------------- #
 
+# Status codes of repro_color / repro_utilization (see _gather_kernels.c).
+_NO_MEMORY = -1
+_NEGATIVE_BUDGET = 1
+_BUDGET_OUT_OF_RANGE = 2
+_OVER_BUDGET = 3
+_OUTSIDE_AVAILABILITY = 4
 
-def strict_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise strict ``a < b`` as a bool array (numpy fallback inside).
+#: Python's built-in ``sum`` of floats is a plain running total before 3.12
+#: and Neumaier-compensated from 3.12 on; the cost kernel reproduces
+#: whichever this interpreter uses, so it stays bit-identical to the flat
+#: and reference kernels' ``sum``.
+_COMPENSATED_SUM = int(sys.version_info >= (3, 12))
 
-    The compiled colour kernel routes its per-level blue/red decisions
-    through this — the same comparison, the same NaN-compares-false
-    semantics as :func:`np.less`.
+
+def _kernel_failure(
+    status: int, info: np.ndarray, order: tuple, budgets: np.ndarray | None, k: int
+) -> Exception:
+    """The exception a nonzero colour/cost kernel status stands for."""
+    if status == _NO_MEMORY:
+        return MemoryError("the colour/cost kernel could not allocate its scratch")
+    row, position, value = (int(x) for x in info)
+    if status == _NEGATIVE_BUDGET:
+        return PlacementError(
+            f"traceback assigned a negative budget to {order[position]!r}; "
+            "the gather tables are inconsistent"
+        )
+    if status == _BUDGET_OUT_OF_RANGE:
+        return PlacementError(
+            f"traceback assigned budget {value} to {order[position]!r}, outside "
+            f"the tables' budgets 0..{k}; the gather tables are inconsistent"
+        )
+    if status == _OVER_BUDGET:
+        return PlacementError(
+            f"traceback selected {value} blue nodes for budget "
+            f"{int(budgets[row])}; the gather tables are inconsistent"
+        )
+    return PlacementError(
+        f"blue node {order[position]!r} is not in the availability set Λ"
+    )
+
+
+def _require_vectors(n: int, **vectors: np.ndarray) -> None:
+    """The C kernels read ``n`` elements of every per-node vector."""
+    for name, vector in vectors.items():
+        if vector.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {vector.shape}")
+
+
+def color_masks(
+    flat: FlatTables,
+    load: np.ndarray,
+    avail: np.ndarray,
+    budgets: list[int],
+    exact_k: bool,
+) -> np.ndarray:
+    """Blue masks ``(len(budgets), n)`` (uint8, flat order), one C call.
+
+    ``load`` / ``avail`` are the traced network's loads and Λ in flat
+    order (the leaf rule reads them).  Raises
+    :class:`~repro.exceptions.PlacementError` with the numpy trace's
+    messages on inconsistent tables.
     """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    if _LIB is None:
-        return np.less(a, b)
-    out = np.empty(a.shape, dtype=np.uint8)
-    _LIB.repro_strict_less(a, b, out, a.size)
-    return out.view(np.bool_)
+    width, n = flat.y_red.shape[1], flat.y_red.shape[2]
+    _require_vectors(n, load=load, avail=avail)
+    wanted = np.array(budgets, dtype=np.int64)
+    masks = np.empty((wanted.size, n), dtype=np.uint8)
+    info = np.zeros(3, dtype=np.int64)
+    status = _LIB.repro_color(
+        flat.y_blue,
+        flat.y_red,
+        flat.splits_blue,
+        flat.splits_red,
+        load,
+        avail.view(np.uint8),
+        flat.num_children,
+        flat.child_concat,
+        flat.child_offset,
+        flat.stage_offset,
+        wanted,
+        wanted.size,
+        width,
+        n,
+        flat.splits_red.shape[2],
+        int(exact_k),
+        masks,
+        info,
+    )
+    if status != 0:
+        raise _kernel_failure(status, info, flat.order, wanted, width - 1)
+    return masks
 
 
-def sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right sum of a float64 vector, as one C loop.
+def utilization_costs(
+    model: FlatCostModel,
+    masks: np.ndarray,
+    avail: np.ndarray,
+    load: np.ndarray,
+) -> np.ndarray:
+    """Eq. (1) of every blue mask row ``(B, n)`` over ``model``, one C call.
 
-    Bit-identical to ``float(sum(values.tolist()))`` — the reduction the
-    flat cost kernel performs — because both are a plain sequential
-    accumulation of the same doubles in the same order.
+    Bit-identical to :func:`repro.core.cost.utilization_cost_flat` per
+    row.  A blue node outside ``avail`` (Λ in flat order) raises
+    :class:`~repro.exceptions.PlacementError`.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if _LIB is None:
-        return float(sum(values.tolist()))
-    return float(_LIB.repro_sequential_sum(values, values.size))
+    masks = np.ascontiguousarray(masks, dtype=np.uint8)
+    n = len(model.order)
+    if masks.ndim != 2 or masks.shape[1] != n:
+        raise ValueError(f"blue masks must have shape (B, {n}), got {masks.shape}")
+    _require_vectors(n, load=load, avail=avail)
+    costs = np.empty(masks.shape[0], dtype=np.float64)
+    info = np.zeros(3, dtype=np.int64)
+    status = _LIB.repro_utilization(
+        masks,
+        avail.view(np.uint8),
+        load,
+        model.parent,
+        model.rho,
+        model.postorder,
+        masks.shape[0],
+        n,
+        _COMPENSATED_SUM,
+        costs,
+        info,
+    )
+    if status != 0:
+        raise _kernel_failure(status, info, model.order, None, 0)
+    return costs
 
 
 # Self-registration: done here (not in repro.core.engine) so the modules

@@ -203,9 +203,10 @@ class FlatCostModel:
         parent is the destination).
     rho:
         Per-link transmission time ``rho((v, p(v)))`` in flat order.
-    load:
-        The model tree's own loads in flat order (used only when the
-        evaluation passes neither ``loads`` nor a foreign tree).
+    load, avail:
+        The model tree's own loads and Λ membership in flat order (used
+        only when the evaluation passes neither ``loads`` nor a foreign
+        tree).
     postorder:
         Permutation mapping post-order rank to flat position: iterating
         ``order[postorder[i]]`` visits the switches exactly as
@@ -222,6 +223,7 @@ class FlatCostModel:
     parent: np.ndarray
     rho: np.ndarray
     load: np.ndarray
+    avail: np.ndarray
     level_slices: tuple[tuple[int, int], ...]
     postorder: np.ndarray
     postorder_nodes: tuple[NodeId, ...]
@@ -269,13 +271,17 @@ def cost_model_for(tree: TreeNetwork, flat: FlatTables | None = None) -> FlatCos
     if flat is not None and flat.cost_model is not None:
         return flat.cost_model
     layout = tree.flat_layout()
+    load, avail = (
+        (flat.load, flat.avail) if flat is not None else instance_vectors(tree, layout)
+    )
     model = FlatCostModel(
         tree=tree,
         order=layout.order,
         index=layout.index,
         parent=layout.parent,
         rho=layout.rho,
-        load=flat.load if flat is not None else instance_vectors(tree, layout)[0],
+        load=load,
+        avail=avail,
         level_slices=layout.level_slices,
         postorder=layout.postorder,
         postorder_nodes=tree.switches,
@@ -360,7 +366,9 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
     return layout
 
 
-def instance_vectors(tree: TreeNetwork, layout: FlatLayout) -> tuple[np.ndarray, np.ndarray]:
+def instance_vectors(
+    tree: TreeNetwork, layout: "FlatLayout | FlatCostModel"
+) -> tuple[np.ndarray, np.ndarray]:
     """``tree``'s loads (int64) and Λ membership (bool) in ``layout``'s order."""
     n = len(layout.order)
     load = np.fromiter(map(tree.load, layout.order), dtype=np.int64, count=n)

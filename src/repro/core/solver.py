@@ -45,8 +45,22 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.color import COLOR_KERNELS, DEFAULT_COLOR, trace_color
-from repro.core.cost import COST_KERNELS, DEFAULT_COST, FLAT_COST, evaluate_cost
+from repro.core.color import (
+    COLOR_KERNELS,
+    DEFAULT_COLOR,
+    blue_set,
+    compiled_blue_masks,
+    soar_color_compiled,
+    trace_color,
+)
+from repro.core.cost import (
+    COST_KERNELS,
+    DEFAULT_COST,
+    REFERENCE_COST,
+    evaluate_cost,
+    utilization_cost_compiled,
+    utilization_costs_compiled,
+)
 from repro.core.engine import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -122,17 +136,20 @@ class GatherTable:
     exact_k:
         Budget semantics the tables encode.
     color:
-        Colour kernel :meth:`place` uses by default (bound from the
-        producing :class:`Solver`).
+        Colour kernel :meth:`place` and :meth:`sweep` use by default
+        (bound from the producing :class:`Solver`).
     fingerprint:
         Digest of the full instance (:meth:`TreeNetwork.fingerprint`);
         equal fingerprints mean the table is valid verbatim for the other
         instance.
     cost_kernel:
         Cost kernel :meth:`place` recomputes the achieved utilization
-        with (bound from the producing :class:`Solver`; the flat default
-        reuses the trace metadata the artifact already carries, so a warm
-        table hit never rebuilds the per-link message-count dicts).
+        with (bound from the producing :class:`Solver`; the flat and
+        compiled kernels reuse the trace metadata the artifact already
+        carries, so a warm table hit never rebuilds the per-link
+        message-count dicts).  When both kernels are ``"compiled"`` (the
+        defaults) and the C backend built, a whole sweep is one C colour
+        call plus one C cost call.
     repaired_from:
         Repair lineage: the fingerprint of the table this one was
         delta-repaired out of (:meth:`repair`), ``None`` for a cold
@@ -210,9 +227,9 @@ class GatherTable:
         model zero-copy from their :class:`~repro.core.flat.FlatTables`;
         reference-engine tables pay one metadata pass.  Cached on the
         underlying :class:`~repro.core.gather.GatherResult`, so every
-        budget of a sweep shares it.
+        placement traced from the table shares it.
         """
-        if self.cost_kernel != FLAT_COST:
+        if self.cost_kernel == REFERENCE_COST:
             return None
         if self.result.cost_model is None:
             self.result.cost_model = cost_model_for(self.tree, self.result.flat)
@@ -222,24 +239,13 @@ class GatherTable:
         """Trace an optimal placement for ``budget`` out of the tables.
 
         This is the whole cost of answering a query from a cached table:
-        the colour trace (batched by default) plus the verification
-        recompute of the achieved cost (flat cost kernel by default).
-        ``color`` overrides the table's default kernel (e.g.
-        ``"reference"`` for differential runs).
+        the colour trace plus the verification recompute of the achieved
+        cost — a sweep of one budget (see :meth:`sweep`).  ``color``
+        overrides the table's default kernel (e.g. ``"reference"`` for
+        differential runs).
         """
         effective = self.effective_budget(budget)
-        blue = trace_color(
-            self.tree, self.result, budget=effective, color=color or self.color
-        )
-        return Placement(
-            blue_nodes=blue,
-            cost=evaluate_cost(
-                self.tree, blue, cost=self.cost_kernel, model=self.cost_model()
-            ),
-            predicted_cost=self.result.cost_for_budget(effective),
-            budget=effective,
-            table=self,
-        )
+        return self._trace([effective], color or self.color)[0]
 
     def sweep(
         self,
@@ -250,15 +256,50 @@ class GatherTable:
 
         Budgets above :attr:`budget` are clamped (they share the widest
         column); duplicates after clamping are traced once and shared.
+        With the compiled colour and cost kernels every distinct budget is
+        traced by one C colour call and costed by one C cost call.
         """
-        placements: dict[int, Placement] = {}
-        by_effective: dict[int, Placement] = {}
-        for budget in sorted({int(b) for b in budgets}):
-            effective = self.effective_budget(budget)
-            if effective not in by_effective:
-                by_effective[effective] = self.place(effective, color=color)
-            placements[budget] = by_effective[effective]
-        return placements
+        wanted = sorted({int(b) for b in budgets})
+        effective = {budget: self.effective_budget(budget) for budget in wanted}
+        distinct = sorted(set(effective.values()))
+        traced = dict(zip(distinct, self._trace(distinct, color or self.color)))
+        return {budget: traced[effective[budget]] for budget in wanted}
+
+    def _trace(self, budgets: list[int], color: str) -> list[Placement]:
+        """Placements for effective ``budgets``, colour then cost recompute.
+
+        The cost is recomputed from the traced blue set, never copied from
+        the tables, so ``cost == predicted_cost`` stays a real check.
+        """
+        if (
+            COLOR_KERNELS.get(color) is soar_color_compiled
+            and COST_KERNELS.get(self.cost_kernel) is utilization_cost_compiled
+        ):
+            flat, masks = compiled_blue_masks(self.tree, self.result, budgets)
+            costs = utilization_costs_compiled(
+                self.tree, masks, self.cost_model()
+            ).tolist()
+            blues = [blue_set(flat.order, mask) for mask in masks]
+        else:
+            blues, costs = [], []
+            for budget in budgets:
+                blue = trace_color(self.tree, self.result, budget=budget, color=color)
+                blues.append(blue)
+                costs.append(
+                    evaluate_cost(
+                        self.tree, blue, cost=self.cost_kernel, model=self.cost_model()
+                    )
+                )
+        return [
+            Placement(
+                blue_nodes=blue,
+                cost=cost,
+                predicted_cost=self.result.cost_for_budget(budget),
+                budget=budget,
+                table=self,
+            )
+            for budget, blue, cost in zip(budgets, blues, costs)
+        ]
 
     def repair(self, delta: Iterable[NodeId]) -> "GatherTable":
         """Delta-repair this table for an availability change.
@@ -313,12 +354,15 @@ class Solver:
         Budget semantics; see :mod:`repro.core.gather`.  The default
         (at-most-k) is never worse than the paper-literal exactly-k mode.
     color:
-        Colour kernel placements are traced with (``"batched"`` default,
-        ``"reference"`` ground truth); see :mod:`repro.core.color`.
+        Colour kernel placements are traced with (``"compiled"`` default,
+        ``"batched"`` numpy, ``"reference"`` ground truth); see
+        :mod:`repro.core.color`.
     cost_kernel:
         Cost kernel the achieved utilization is recomputed with
-        (``"flat"`` default, ``"reference"`` ground truth); see
-        :data:`repro.core.cost.COST_KERNELS`.
+        (``"compiled"`` default, ``"flat"`` numpy, ``"reference"`` ground
+        truth); see :data:`repro.core.cost.COST_KERNELS`.  With both
+        defaults a sweep or a placement is one C colour call plus one C
+        cost call, whatever the number of budgets.
 
     The solver is stateless and immutable — share one per configuration.
     """

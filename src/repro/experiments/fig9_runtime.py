@@ -18,10 +18,17 @@ import numpy as np
 from repro.core.color import (
     BATCHED_COLOR,
     COLOR_KERNELS,
+    COMPILED_COLOR,
     REFERENCE_COLOR,
     trace_color,
 )
-from repro.core.cost import COST_KERNELS, FLAT_COST, REFERENCE_COST, evaluate_cost
+from repro.core.cost import (
+    COMPILED_COST,
+    COST_KERNELS,
+    FLAT_COST,
+    REFERENCE_COST,
+    evaluate_cost,
+)
 from repro.core.engine import ENGINES, FLAT_ENGINE, REFERENCE_ENGINE, gather
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
@@ -48,8 +55,8 @@ def run_fig9(
     over ``config.repetitions`` runs (each on a freshly sampled power-law
     workload), plus the color/gather runtime ratio the paper highlights.
     The gather engine is taken from ``config.engine``; ``color`` selects
-    the colour kernel (``"batched"`` by default — the phase the service's
-    warm path consists of).
+    the colour kernel (``config.color``, ``"compiled"`` by default — the
+    phase the service's warm path consists of).
     """
     color = color or config.color
     distribution = PowerLawLoadDistribution()
@@ -156,18 +163,19 @@ def run_color_comparison(
     sizes: Sequence[int] = FIG9_SIZES,
     budget: int = 32,
     config: ExperimentConfig = PAPER_CONFIG,
-    colors: Sequence[str] = (REFERENCE_COLOR, BATCHED_COLOR),
+    colors: Sequence[str] = (REFERENCE_COLOR, BATCHED_COLOR, COMPILED_COLOR),
 ) -> list[dict]:
     """Time every colour kernel tracing the same gather tables.
 
     The colour-phase counterpart of :func:`run_engine_comparison`: one row
     per network size with, for each kernel, the best wall-clock trace time
-    over ``config.repetitions`` runs and the speedup relative to the first
-    kernel listed (the reference trace by default).  Every kernel is
-    verified to produce the identical blue set before its time is trusted —
-    the colour trace is the entire cost of a warm table hit in the
-    placement service, so this table is the measured justification for the
-    batched kernel.
+    of one budget over ``config.repetitions`` runs and the speedup relative
+    to the first kernel listed (the reference trace by default).  Every
+    kernel is verified to produce the identical blue set before its time is
+    trusted — the colour trace is most of a warm table hit in the placement
+    service, so this table is the measured justification for the numpy
+    ``batched`` kernel and the default C ``compiled`` one (the batched
+    kernel again when the C backend did not build).
     """
     distribution = PowerLawLoadDistribution()
     rows: list[dict] = []
@@ -219,7 +227,7 @@ def run_cost_comparison(
     sizes: Sequence[int] = FIG9_SIZES,
     budget: int = 32,
     config: ExperimentConfig = PAPER_CONFIG,
-    costs: Sequence[str] = (REFERENCE_COST, FLAT_COST),
+    costs: Sequence[str] = (REFERENCE_COST, FLAT_COST, COMPILED_COST),
 ) -> list[dict]:
     """Time every cost kernel evaluating the same placement.
 
@@ -228,13 +236,13 @@ def run_cost_comparison(
     :data:`repro.core.cost.COST_KERNELS`, the best wall-clock Eq. (1)
     evaluation time over ``config.repetitions`` runs and the speedup
     relative to the first kernel listed (the per-node reference walk by
-    default).  The flat kernel runs with a prebuilt
+    default).  The flat and compiled kernels run with a prebuilt
     :class:`~repro.core.flat.FlatCostModel`, matching the warm-hit path
     where a gather artifact already carries the metadata.  Every kernel
     is verified to return the *identical* float before its time is
-    trusted — the cost recompute is half of a warm table hit in the
-    placement service, so this table is the measured justification for
-    the flat kernel.
+    trusted — the cost recompute is the other part of a warm table hit in
+    the placement service, so this table is the measured justification
+    for the numpy ``flat`` kernel and the default C ``compiled`` one.
     """
     distribution = PowerLawLoadDistribution()
     rows: list[dict] = []

@@ -52,14 +52,15 @@ class ExperimentConfig:
     seed:
         Base seed; repetition ``i`` uses an independent child seed.
     engine:
-        SOAR-Gather engine used by the experiments (``"flat"`` or
-        ``"reference"``; see :mod:`repro.core.engine`).
+        SOAR-Gather engine used by the experiments (``"compiled"`` default,
+        ``"flat"`` or ``"reference"``; see :mod:`repro.core.engine`).
     color:
-        SOAR-Color kernel used by the experiments (``"batched"`` or
-        ``"reference"``; see :mod:`repro.core.color`).
+        SOAR-Color kernel used by the experiments (``"compiled"`` default,
+        ``"batched"`` or ``"reference"``; see :mod:`repro.core.color`).
     cost:
-        Cost kernel used by the experiments (``"flat"`` or
-        ``"reference"``; see :data:`repro.core.cost.COST_KERNELS`).
+        Cost kernel used by the experiments (``"compiled"`` default,
+        ``"flat"`` or ``"reference"``; see
+        :data:`repro.core.cost.COST_KERNELS`).
     """
 
     network_size: int = 256

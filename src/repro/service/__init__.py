@@ -19,8 +19,9 @@ Module tour
     :class:`repro.GatherTable` artifacts keyed by (structure fingerprint,
     Λ fingerprint, loads digest, budget semantics, engine).  A table
     gathered at budget ``k`` answers every budget ``k' <= k`` through
-    ``table.place(k')`` (*budget upcasting*) — a batched colour trace plus
-    the flat cost-kernel recompute (:data:`repro.core.cost.COST_KERNELS`),
+    ``table.place(k')`` (*budget upcasting*) — a colour trace plus the
+    cost-kernel recompute (:data:`repro.core.cost.COST_KERNELS`; by
+    default one C call each, for every budget a sweep needs),
     both over tensors the artifact already carries, since it owns its
     workload network — and a per-budget solution memo answers exact
     repeats without even a colour trace.  Keys digest everything a gather

@@ -31,10 +31,14 @@ bit-identical to cold calls of :meth:`repro.core.solver.Solver.solve` /
 
 The warm path
 -------------
-A gather-table cache hit is served by ``table.place()`` alone: the
-level-batched colour trace plus the flat cost-kernel recompute
-(:data:`repro.core.cost.COST_KERNELS`), both running over tensors the
-artifact already carries — no tree reconstruction, no per-node Python walk.
+A gather-table cache hit is served by ``table.place()`` alone: the colour
+trace plus the cost-kernel recompute (:data:`repro.core.cost.COST_KERNELS`),
+both running over tensors the artifact already carries — no tree
+reconstruction, no per-node Python walk.  A sweep first resolves every
+budget through the cache (memo, table, repair, gather — the same lookups
+in the same order as one budget at a time), then traces all the budgets a
+table answered with one ``table.sweep()``: with the default compiled
+kernels, one C colour call and one C cost call.
 The digests feeding the cache key are kept warm the same way: the Λ
 fingerprint is maintained *incrementally* by the capacity tracker across
 admit/release/drain (O(changed switches) per mutation instead of a full
@@ -94,7 +98,7 @@ from typing import TYPE_CHECKING
 from repro.core.color import DEFAULT_COLOR
 from repro.core.cost import COST_KERNELS, DEFAULT_COST
 from repro.core.engine import DEFAULT_ENGINE, ENGINES
-from repro.core.solver import GatherTable, Solver
+from repro.core.solver import GatherTable, Placement, Solver
 from repro.core.tree import (
     NodeId,
     TreeNetwork,
@@ -420,6 +424,18 @@ class _Placement:
     cache_source: str
 
 
+def _placement(solution: CachedSolution, budget: int, source: str) -> _Placement:
+    """A resolved and traced budget, tagged with the cache layer that answered."""
+    return _Placement(
+        blue_nodes=solution.blue_nodes,
+        cost=solution.cost,
+        predicted_cost=solution.predicted_cost,
+        budget=budget,
+        cache_hit=source in ("memo", "table"),
+        cache_source=source,
+    )
+
+
 class PlacementService:
     """Long-lived multi-tenant placement daemon.
 
@@ -436,12 +452,12 @@ class PlacementService:
         LRU capacity of the gather-table cache.
     color:
         Colour kernel placements are traced with (see
-        :mod:`repro.core.color`); the batched default is what keeps warm
-        table hits cheap.
+        :mod:`repro.core.color`); the ``"compiled"`` default traces every
+        table-answered budget of a sweep in one C call.
     cost_kernel:
         Cost kernel placements' achieved utilization is recomputed with
-        (see :data:`repro.core.cost.COST_KERNELS`); the flat default is
-        the other half of the cheap warm hit.
+        (see :data:`repro.core.cost.COST_KERNELS`); the ``"compiled"``
+        default costs those placements in one more C call.
     max_repair_delta:
         Cache policy knob for incremental gather-table repair.  ``None``
         (the default) repairs every availability miss whose nearest cached
@@ -636,68 +652,66 @@ class PlacementService:
     ) -> _Placement:
         """Answer one placement query through the cache layers.
 
-        Fast path: solution memo (no trace at all).  Middle path: cached
-        :class:`~repro.core.solver.GatherTable` — ``table.place()`` alone,
-        since the artifact owns its workload network no tree is
-        reconstructed; this is the colour-only warm hit.  Slow path: build
-        the workload network and gather (at the batch-planned budget when
-        one is on file), then memoize.  ``loads_fp`` lets callers that
-        already digested the loads (batch planning, per-sweep reuse) skip
-        re-digesting them.
+        Resolves the budget (:meth:`_resolve`), traces it with
+        ``table.place()`` unless the memo answered, and memoizes the
+        result.  ``loads_fp`` lets callers that already digested the loads
+        (batch planning) skip re-digesting them.
         """
         effective = self._effective_budget(budget)
         if loads_fp is None:
             loads_fp = self._loads_digest(tuple(loads.items()))
         key = self._key(loads_fp, exact_k)
+        source, found = self._resolve(key, loads, effective, exact_k)
+        if isinstance(found, GatherTable):
+            found = self._memoize(key, found.place(effective))
+        return _placement(found, effective, source)
 
+    def _resolve(
+        self,
+        key: CacheKey,
+        loads: Mapping[NodeId, int],
+        effective: int,
+        exact_k: bool,
+    ) -> tuple[str, CachedSolution | GatherTable]:
+        """The cache layer answering ``key`` at ``effective``, and its answer.
+
+        Fast path: solution memo (no trace at all).  Middle path: cached
+        :class:`~repro.core.solver.GatherTable` — since the artifact owns
+        its workload network no tree is reconstructed; this is the
+        colour-only warm hit.  Slow path: repair a cached neighbour, or
+        build the workload network and gather (at the batch-planned budget
+        when one is on file).  Returns ``(source, memo or table)``; a
+        table still has to be traced.
+        """
         memo = self._cache.solution(key, effective)
         if memo is not None:
-            return _Placement(
-                blue_nodes=memo.blue_nodes,
-                cost=memo.cost,
-                predicted_cost=memo.predicted_cost,
-                budget=effective,
-                cache_hit=True,
-                cache_source="memo",
-            )
-
+            return "memo", memo
         table = self._cache.lookup(key, effective)
-        if table is None:
-            planned = self._planned_budgets.get((loads_fp, exact_k), 0)
-            stored = self._cache.stored_budget(key) or 0
-            gather_budget = max(effective, planned, stored)
-            # Availability miss: before paying a cold O(n·k²) gather, try
-            # delta-repairing the nearest cached same-workload table — the
-            # post-churn fast path (O(depth·k²·|delta|), bit-identical).
-            table = self._repair_from_neighbor(key, gather_budget)
-            if table is not None:
-                source = "repair"
-            else:
-                source = "gather"
-                workload_tree = self._workload_tree(loads)
-                table = self._solvers[exact_k].gather(workload_tree, gather_budget)
-                self._cache.store(key, table)
-        else:
-            source = "table"
+        if table is not None:
+            return "table", table
+        planned = self._planned_budgets.get((key.loads, exact_k), 0)
+        stored = self._cache.stored_budget(key) or 0
+        gather_budget = max(effective, planned, stored)
+        # Availability miss: before paying a cold O(n·k²) gather, try
+        # delta-repairing the nearest cached same-workload table — the
+        # post-churn fast path (O(depth·k²·|delta|), bit-identical).
+        table = self._repair_from_neighbor(key, gather_budget)
+        if table is not None:
+            return "repair", table
+        workload_tree = self._workload_tree(loads)
+        table = self._solvers[exact_k].gather(workload_tree, gather_budget)
+        self._cache.store(key, table)
+        return "gather", table
 
-        placement = table.place(effective)
-        self._cache.store_solution(
-            key,
-            effective,
-            CachedSolution(
-                blue_nodes=placement.blue_nodes,
-                cost=placement.cost,
-                predicted_cost=placement.predicted_cost,
-            ),
-        )
-        return _Placement(
+    def _memoize(self, key: CacheKey, placement: Placement) -> CachedSolution:
+        """Store a traced placement in the solution memo and return it."""
+        solution = CachedSolution(
             blue_nodes=placement.blue_nodes,
             cost=placement.cost,
             predicted_cost=placement.predicted_cost,
-            budget=effective,
-            cache_hit=source == "table",
-            cache_source=source,
         )
+        self._cache.store_solution(key, placement.budget, solution)
+        return solution
 
     def _repair_from_neighbor(
         self, key: CacheKey, budget: int
@@ -759,26 +773,48 @@ class PlacementService:
         loads_fp = self._planned_loads_fp.get(id(request)) or self._loads_digest(
             tuple(loads.items())
         )
-        # Solving the largest budget first populates the tables every
-        # smaller budget then hits (mirrors GatherTable.sweep).
-        costs: dict[int, float] = {}
-        placements: dict[int, frozenset[NodeId]] = {}
-        sources: set[str] = set()
-        first = self._solve_cached(loads, budgets[-1], request.exact_k, loads_fp=loads_fp)
-        sources.add(first.cache_source)
-        costs[budgets[-1]] = first.cost
-        placements[budgets[-1]] = first.blue_nodes
-        for budget in budgets[:-1]:
-            placement = self._solve_cached(
-                loads, budget, request.exact_k, loads_fp=loads_fp
-            )
-            sources.add(placement.cache_source)
-            costs[budget] = placement.cost
-            placements[budget] = placement.blue_nodes
+        key = self._key(loads_fp, request.exact_k)
+        # Resolving the largest budget first populates the table every
+        # smaller budget then hits.  Each distinct effective budget is
+        # resolved once, in that order; a repeat would have hit the memo
+        # its first occurrence stores, so it reads the memo after tracing.
+        order = [budgets[-1], *budgets[:-1]]
+        effective = {budget: self._effective_budget(budget) for budget in order}
+        resolved: dict[int, tuple[str, CachedSolution | GatherTable]] = {}
+        for budget in order:
+            if effective[budget] not in resolved:
+                resolved[effective[budget]] = self._resolve(
+                    key, loads, effective[budget], request.exact_k
+                )
+        # Every budget answered by a table is traced in one sweep per table.
+        pending: dict[int, tuple[GatherTable, list[int]]] = {}
+        for value, (_, found) in resolved.items():
+            if isinstance(found, GatherTable):
+                pending.setdefault(id(found), (found, []))[1].append(value)
+        solutions = {
+            value: solution
+            for value, (_, solution) in resolved.items()
+            if isinstance(solution, CachedSolution)
+        }
+        for table, values in pending.values():
+            for value, placement in table.sweep(values).items():
+                solutions[value] = self._memoize(key, placement)
+
+        answers: dict[int, _Placement] = {}
+        first_seen: set[int] = set()
+        for budget in order:
+            value = effective[budget]
+            if value in first_seen:
+                memo = self._cache.solution(key, value)
+                answers[budget] = _placement(memo or solutions[value], value, "memo")
+            else:
+                first_seen.add(value)
+                answers[budget] = _placement(solutions[value], value, resolved[value][0])
         # The deepest layer any budget had to reach: the widest budget
         # decides whether a gather (or a repair) was paid, but a sweep
         # whose remaining budgets traced placements out of cached tables
         # is a "table" response, not a "memo" one.
+        sources = {answer.cache_source for answer in answers.values()}
         source = next(
             (
                 layer
@@ -788,9 +824,11 @@ class PlacementService:
             "memo",
         )
         return SweepResponse(
-            costs=costs,
-            placements=placements,
-            cache_hit=first.cache_hit,
+            costs={budget: answer.cost for budget, answer in answers.items()},
+            placements={
+                budget: answer.blue_nodes for budget, answer in answers.items()
+            },
+            cache_hit=answers[budgets[-1]].cache_hit,
             elapsed_s=time.perf_counter() - start,
             cache_source=source,
         )

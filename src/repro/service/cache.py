@@ -12,8 +12,8 @@ observable.
 Entries are the public :class:`repro.core.solver.GatherTable` artifacts —
 self-contained (each owns the workload network it was gathered for) and
 provenance-carrying, so a table hit is answered by ``table.place(budget)``
-alone: no tree reconstruction, no solver state, just the batched colour
-trace.
+alone: no tree reconstruction, no solver state, just the colour trace
+and the cost recompute.
 
 Keys and correctness
 --------------------

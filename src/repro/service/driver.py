@@ -16,7 +16,7 @@ cache) from *cold* ones (paid a gather); their latency ratio
 BT(1024) by the acceptance test.  Availability misses answered by a delta
 repair are neither: they report on their own as ``repair_mean_ms``.  Warm requests are further split by cache
 layer — ``table_hit_mean_ms`` (gather-table hits: a colour trace and
-nothing else, the latency the batched colour kernel owns) versus
+nothing else, the latency the colour kernel owns) versus
 ``memo_hit_mean_ms`` (solution-memo hits: a digest lookup) — so
 ``benchmarks/bench_service.py`` can track the colour-phase latency as its
 own column.
@@ -641,11 +641,11 @@ def replay_trace(
     color:
         Colour kernel for a fresh service (default: the library default);
         ``"reference"`` replays with the per-node trace, which is how the
-        colour-phase benchmark isolates the batched kernel's contribution.
+        colour-phase benchmark isolates the default kernel's contribution.
     cost_kernel:
         Cost kernel for a fresh service (default: the library default);
         ``"reference"`` replays with the per-node Eq. (1) walk, isolating
-        the flat cost kernel's contribution the same way.
+        the default cost kernel's contribution the same way.
     workers:
         Number of workers driving the service.  ``1`` (default) is the
         serial replay.  With more, read-only requests are fanned out per

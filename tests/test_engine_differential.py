@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.color import soar_color, soar_color_batched, soar_color_compiled
+from repro.core.color import soar_color, soar_color_batched, trace_color
 from repro.core.engine import (
     DEFAULT_ENGINE,
     ENGINES,
@@ -67,7 +67,7 @@ def _assert_engines_identical(tree, budget, exact_k):
     # every engine's tables.
     assert soar_color_batched(tree, reference) == traced
     assert soar_color_batched(tree, flat) == traced
-    assert soar_color_compiled(tree, compiled) == traced
+    assert trace_color(tree, compiled, color="compiled") == traced
 
 
 class TestEngineDispatch:
@@ -210,7 +210,7 @@ class TestCompiledBackend:
             compiled = compiled_gather(tree, budget, exact_k=exact_k)
             assert_tables_equal(flat, compiled)
             traced = soar_color_batched(tree, flat)
-            assert soar_color_compiled(tree, compiled) == traced
+            assert trace_color(tree, compiled, color="compiled") == traced
             assert soar_color(tree, compiled) == traced
             count += 1
         assert count == 25

@@ -42,9 +42,11 @@ from repro.service import (
     generate_churn_trace,
     read_trace,
     replay_trace,
+    response_payload,
     write_trace,
 )
 from repro.service.cache import CachedSolution, CacheKey
+from repro.service.persistence import read_snapshot, write_snapshot
 from repro.testing import assert_tables_equal
 from repro.topology.binary_tree import bt_network, complete_binary_tree
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
@@ -1190,6 +1192,69 @@ class TestDifferentialReplay:
         releases = sum(1 for event in trace if event.kind == "release")
         assert service.state.admitted_total >= admits
         assert service.state.num_tenants == service.state.admitted_total - releases
+
+
+class TestTraceKernelDefaults:
+    """The compiled colour/cost defaults serve exactly what numpy kernels do.
+
+    A sweep resolves every budget through the cache first and then traces
+    the table-answered ones in one batched call; the payloads and every
+    cache counter must match a service tracing budget by budget with the
+    numpy ``batched`` / ``flat`` kernels.
+    """
+
+    def _trace(self, tree):
+        # Sweep budgets past |Λ| clamp to one effective budget, so sweeps
+        # also exercise the repeated-budget memo path.
+        return generate_churn_trace(
+            tree, 160, seed=16, budget=6, workload_pool=4,
+            sweep_budgets=(1, 2, 4, 6, 9, 40, 80), max_drains=3,
+        )
+
+    def _run(self, service, events, tree):
+        return [
+            response_payload(service.submit(event_to_request(tree, event)))
+            for event in events
+        ]
+
+    def test_payloads_and_cache_counters_match_numpy_kernels(self):
+        tree = complete_binary_tree(32)
+        trace = self._trace(tree)
+        assert {"sweep", "solve", "admit", "drain"} <= {e.kind for e in trace}
+        numpy_service = PlacementService(tree, 2, color="batched", cost_kernel="flat")
+        default_service = PlacementService(tree, 2)
+        assert (default_service.color, default_service.cost_kernel) == (
+            "compiled", "compiled",
+        )
+        assert self._run(numpy_service, trace, tree) == self._run(
+            default_service, trace, tree
+        )
+        assert numpy_service.cache.stats.snapshot() == (
+            default_service.cache.stats.snapshot()
+        )
+        assert default_service.cache.stats.solution_hits > 0
+
+    def test_sweep_resolves_each_budget_as_one_at_a_time(self):
+        # Widest first (a gather), then ascending: table hits for 1 and 2,
+        # and 50 repeats the clamped 60, so it reads the memo 60 stored.
+        service = small_service(num_leaves=8, capacity=2)
+        tree = service.state.tree
+        response = service.submit(SweepRequest(leaf_loads(tree), budgets=(2, 60, 1, 50)))
+        assert response.cache_source == "gather" and not response.cache_hit
+        stats = service.cache.stats
+        assert (stats.misses, stats.table_hits, stats.solution_hits) == (1, 2, 1)
+        assert response.costs[50] == response.costs[60]
+
+    def test_numpy_kernel_snapshot_restores_with_its_names(self, tmp_path):
+        tree = complete_binary_tree(32)
+        trace = self._trace(tree)
+        head, tail = trace[:80], trace[80:]
+        service = PlacementService(tree, 2, color="batched", cost_kernel="flat")
+        self._run(service, head, tree)
+        path = write_snapshot(service.snapshot(), tmp_path / "snap.json")
+        restored = PlacementService.restore(tree, read_snapshot(path))
+        assert (restored.color, restored.cost_kernel) == ("batched", "flat")
+        assert self._run(restored, tail, tree) == self._run(service, tail, tree)
 
 
 @pytest.mark.slow

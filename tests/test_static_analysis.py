@@ -290,7 +290,7 @@ def test_ffi_contract_fails_on_perturbed_c_copy(tmp_path):
     c_text = C_PATH.read_text()
     # Add a parameter to one kernel's declaration(s): arity mismatch.
     perturbed = c_text.replace(
-        "repro_sequential_sum(", "repro_sequential_sum(int64_t injected_arg, "
+        "repro_utilization(", "repro_utilization(int64_t injected_arg, "
     )
     assert perturbed != c_text
     copy = tmp_path / "_gather_kernels.c"
@@ -302,27 +302,25 @@ def test_ffi_contract_fails_on_perturbed_c_copy(tmp_path):
 def test_ffi_contract_fails_on_kind_restype_and_symbol_drift():
     c_text = C_PATH.read_text()
     py_text = PY_PATH.read_text()
-    # Pointer element type drift: double* -> int64_t* on the C side.
+    # Pointer element type drift: uint8_t* -> double* on the C side.
     kind_drift = c_text.replace(
-        "double repro_sequential_sum(const double *values",
-        "double repro_sequential_sum(const int64_t *values",
+        "int32_t repro_utilization(const uint8_t *blue",
+        "int32_t repro_utilization(const double *blue",
     )
     assert kind_drift != c_text
     findings = check_ffi(kind_drift, py_text)
     assert any("kind mismatch" in f.message for f in findings)
-    # Return-type drift: double repro_sequential_sum -> void.
-    ret_drift = re.sub(
-        r"\bdouble\s+(repro_sequential_sum)", r"void \1", c_text
-    )
+    # Return-type drift: int32_t repro_color -> void.
+    ret_drift = re.sub(r"\bint32_t\s+(repro_color)\b", r"void \1", c_text)
     assert ret_drift != c_text
     findings = check_ffi(ret_drift, py_text)
     assert any("return-type mismatch" in f.message for f in findings)
     # Symbol drift: rename a kernel on the C side only.
-    renamed = c_text.replace("repro_strict_less", "repro_strictly_less")
+    renamed = c_text.replace("repro_color", "repro_colour")
     findings = check_ffi(renamed, py_text)
     messages = "\n".join(f.message for f in findings)
-    assert "repro_strictly_less has no ctypes prototype" in messages
-    assert "repro_strict_less has no declaration" in messages
+    assert "repro_colour has no ctypes prototype" in messages
+    assert "repro_color has no declaration" in messages
 
 
 # --------------------------------------------------------------------------- #
