@@ -12,18 +12,14 @@ regenerates the full Figure 9 grid via the experiment module.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.core.color import COLOR_KERNELS
-from repro.core.engine import (
-    COMPILED_ENGINE,
-    DEFAULT_ENGINE,
-    ENGINES,
-    FLAT_ENGINE,
-    REFERENCE_ENGINE,
-    gather,
-)
+from repro.core.color import soar_color
+from repro.core.engine import BACKENDS, gather
 from repro.core.engine_compiled import HAVE_COMPILED
+from repro.core.gather import soar_gather
 from repro.experiments.fig9_runtime import (
     run_color_comparison,
     run_engine_comparison,
@@ -33,6 +29,20 @@ from repro.experiments.harness import ExperimentConfig
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
+#: The reference gather walk and every backend's gather.
+GATHERS = [pytest.param(soar_gather, id="reference")] + [
+    pytest.param(functools.partial(gather, backend=backend), id=backend.name)
+    for backend in BACKENDS
+]
+#: The reference colour walk and every backend's trace of one budget.
+COLORS = [pytest.param(soar_color, id="reference")] + [
+    pytest.param(
+        lambda tree, gathered, backend=backend: backend.trace(tree, gathered, [None]),
+        id=backend.name,
+    )
+    for backend in BACKENDS
+]
+
 
 def _network(size: int, seed: int = 2021):
     tree = bt_network(size)
@@ -40,33 +50,33 @@ def _network(size: int, seed: int = 2021):
 
 
 @pytest.mark.benchmark(group="fig9 gather phase")
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("run_gather", GATHERS)
 @pytest.mark.parametrize("size", [256, 512, 1024, 2048])
-def test_gather_scaling_in_network_size(benchmark, size, engine):
+def test_gather_scaling_in_network_size(benchmark, size, run_gather):
     tree = _network(size)
-    benchmark(gather, tree, 32, engine=engine)
+    benchmark(run_gather, tree, 32)
 
 
 @pytest.mark.benchmark(group="fig9 gather phase")
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("run_gather", GATHERS)
 @pytest.mark.parametrize("budget", [4, 16, 64, 128])
-def test_gather_scaling_in_budget(benchmark, budget, engine):
+def test_gather_scaling_in_budget(benchmark, budget, run_gather):
     tree = _network(1024)
-    benchmark(gather, tree, budget, engine=engine)
+    benchmark(run_gather, tree, budget)
 
 
 @pytest.mark.benchmark(group="fig9 color phase")
-@pytest.mark.parametrize("color", sorted(COLOR_KERNELS))
+@pytest.mark.parametrize("trace", COLORS)
 @pytest.mark.parametrize("size", [256, 1024])
-def test_color_phase(benchmark, size, color):
+def test_color_phase(benchmark, size, trace):
     tree = _network(size)
-    gathered = gather(tree, 32, engine=DEFAULT_ENGINE)
-    benchmark(COLOR_KERNELS[color], tree, gathered)
+    gathered = gather(tree, 32)
+    benchmark(trace, tree, gathered)
 
 
 @pytest.mark.benchmark(group="fig9 color comparison")
 def test_color_comparison(benchmark, emit_rows):
-    """Batched vs reference colour trace on the Figure 9 sizes."""
+    """Every backend's colour trace vs the reference walk on the Figure 9 sizes."""
     config = ExperimentConfig(network_size=256, repetitions=3, seed=2021)
     rows = benchmark.pedantic(
         run_color_comparison,
@@ -74,45 +84,35 @@ def test_color_comparison(benchmark, emit_rows):
         rounds=1,
         iterations=1,
     )
-    emit_rows(rows, "fig9_colors", "Colour kernels: batched vs reference (best-of-3)")
+    emit_rows(rows, "fig9_colors", "Colour traces: backends vs reference (best-of-3)")
     for row in rows:
         # run_color_comparison already asserts identical placements; the
-        # batched kernel must never be slower than the per-node trace it
+        # numpy trace must never be slower than the per-node walk it
         # replaces, and must beat it clearly at service scale.
-        assert row["batched_speedup"] > 1.0
+        assert row["numpy_speedup"] > 1.0
         if row["network_size"] >= 1024:
-            assert row["batched_speedup"] >= 3.0
+            assert row["numpy_speedup"] >= 3.0
 
 
 @pytest.mark.benchmark(group="fig9 engine comparison")
 def test_engine_comparison(benchmark, emit_rows):
-    """Reference vs flat vs compiled gather on the Figure 9 sizes."""
+    """Every backend's gather vs the reference walk on the Figure 9 sizes."""
     config = ExperimentConfig(network_size=256, repetitions=3, seed=2021)
     rows = benchmark.pedantic(
         run_engine_comparison,
-        kwargs={
-            "sizes": (256, 512, 1024, 2048),
-            "budget": 32,
-            "config": config,
-            "engines": (REFERENCE_ENGINE, FLAT_ENGINE, COMPILED_ENGINE),
-        },
+        kwargs={"sizes": (256, 512, 1024, 2048), "budget": 32, "config": config},
         rounds=1,
         iterations=1,
     )
-    emit_rows(
-        rows, "fig9_engines", "Gather engines: reference vs flat vs compiled (best-of-3)"
-    )
+    emit_rows(rows, "fig9_engines", "Gather: backends vs reference (best-of-3)")
     for row in rows:
-        # run_engine_comparison already asserts identical costs; the flat
-        # engine must never be slower than the reference it replaces, and
-        # the C kernels (when a compiler exists — otherwise "compiled" is
-        # the numpy fallback and only has to hold flat's ground) must beat
-        # the numpy kernels they replace.
-        assert row["flat_speedup"] > 1.0
+        # run_engine_comparison already asserts identical costs; the numpy
+        # backend must never be slower than the reference it replaces, and
+        # the C kernels (when a compiler exists) must beat the numpy
+        # kernels they replace.
+        assert row["numpy_speedup"] > 1.0
         if HAVE_COMPILED:
-            assert row["compiled_speedup"] > row["flat_speedup"]
-        else:
-            assert row["compiled_speedup"] > 1.0
+            assert row["compiled_speedup"] > row["numpy_speedup"]
 
 
 @pytest.mark.benchmark(group="fig9 full grid")

@@ -17,14 +17,15 @@ colour trace + flat cost recompute, the two phases the batched kernels
 own) and ``memo_hit_mean_ms`` the digest-lookup latency of a
 solution-memo hit.  The dedicated warm-path benchmark below compares
 three generations of the same hit — the current artifact path
-(``GatherTable.place`` with the flat cost kernel), the PR 3 path it
-replaced (batched trace + per-node cost recompute), and the legacy PR 2
-path (workload-network rebuild + per-node trace + per-node cost) — plus
-the isolated cost phase under each :data:`repro.core.cost.COST_KERNELS`
-entry.  Asserted on BT(1024): ≥ 3x over legacy and ≥ 2x over the PR 3
-warm path, with the ``cost_kernel_speedup`` column recording the flat
-kernel's own multiplier.  ``python benchmarks/bench_service.py --quick``
-runs the warm-path scenario standalone (the CI smoke step), writing
+(``GatherTable.place``: the backend's trace and cost recompute), the PR 3
+path it replaced (the same trace + per-node cost recompute), and the
+legacy PR 2 path (workload-network rebuild + per-node trace + per-node
+cost) — plus the isolated cost phase on the default backend and on the
+per-node reference walk.  Asserted on BT(1024): ≥ 3x over legacy and ≥ 2x
+over the PR 3 warm path, with the ``cost_kernel_speedup`` column
+recording the backend cost kernel's own multiplier.  ``python
+benchmarks/bench_service.py --quick`` runs the warm-path scenario
+standalone (the CI smoke step), writing
 ``benchmarks/results/service_throughput_warm_smoke.csv``; the canonical
 ``service_throughput.csv`` is produced by the churn-replay benchmark at
 acceptance scale with the same warm-path columns appended.
@@ -63,8 +64,9 @@ import time
 
 import pytest
 
-from repro.core.color import soar_color
-from repro.core.cost import evaluate_cost, utilization_cost
+from repro.core.color import blue_set, soar_color
+from repro.core.cost import utilization_cost
+from repro.core.engine import BACKENDS
 from repro.core.solver import Solver
 from repro.experiments.service_replay import ROW_COLUMNS, report_rows
 from repro.service.driver import replay_trace
@@ -143,15 +145,16 @@ def warm_path_rows(size: int, rounds: int = 25) -> list[dict]:
     """Compare three generations of the warm table-hit path.
 
     ``table_hit_ms`` is what a gather-table cache hit costs now — one
-    ``GatherTable.place`` call: the batched colour trace plus the flat
-    cost-kernel recompute, no tree reconstruction and no per-node walk.
-    ``pr3_warm_ms`` re-enacts the PR 3 warm path (same batched trace, but
-    the per-node ``utilization_cost`` recompute), ``legacy_warm_ms`` the
-    PR 2 path (rebuild the workload network from the request loads, run
-    the per-node reference trace, recompute the cost per node).
-    ``cost_flat_ms`` / ``cost_reference_ms`` isolate the cost phase the
-    two differ by.  Identical outputs, different machinery — every path
-    is asserted bit-identical before its time is trusted.
+    ``GatherTable.place`` call on the default backend: its colour trace
+    plus its cost recompute, no tree reconstruction and no per-node walk.
+    ``pr3_warm_ms`` re-enacts the PR 3 warm path (the same backend trace,
+    but the per-node ``utilization_cost`` recompute), ``legacy_warm_ms``
+    the PR 2 path (rebuild the workload network from the request loads,
+    run the per-node reference trace, recompute the cost per node).
+    ``cost_flat_ms`` (the backend's ``costs`` of the traced mask) and
+    ``cost_reference_ms`` isolate the cost phase the two differ by.
+    Identical outputs, different machinery — every path is asserted
+    bit-identical before its time is trusted.
     """
     memoized = _WARM_PATH_MEMO.get((size, rounds))
     if memoized is not None:
@@ -160,12 +163,17 @@ def warm_path_rows(size: int, rounds: int = 25) -> list[dict]:
     loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=2021)
     workload = tree.with_loads(loads)
     table = Solver().gather(workload, BUDGET)
-    pr3_table = Solver(cost_kernel="reference").gather(workload, BUDGET)
+    backend = table.backend
+
+    def pr3_warm_hit():
+        flat, masks = backend.trace(workload, table.result, [BUDGET])
+        blue = blue_set(flat.order, masks[0])
+        return blue, utilization_cost(workload, blue)
 
     placement = table.place(BUDGET)
-    pr3_placement = pr3_table.place(BUDGET)
-    assert pr3_placement.blue_nodes == placement.blue_nodes
-    assert pr3_placement.cost == placement.cost
+    pr3_blue, pr3_cost = pr3_warm_hit()
+    assert pr3_blue == placement.blue_nodes
+    assert pr3_cost == placement.cost
 
     def legacy_warm_hit():
         rebuilt = tree.with_loads(loads)
@@ -177,12 +185,13 @@ def warm_path_rows(size: int, rounds: int = 25) -> list[dict]:
 
     blue = placement.blue_nodes
     model = table.cost_model()
-    assert evaluate_cost(workload, blue, model=model) == utilization_cost(workload, blue)
+    _, masks = backend.trace(workload, table.result, [BUDGET])
+    assert backend.costs(workload, masks, model)[0] == utilization_cost(workload, blue)
 
     table_hit_s = _best_of(lambda: table.place(BUDGET), rounds)
-    pr3_warm_s = _best_of(lambda: pr3_table.place(BUDGET), rounds)
+    pr3_warm_s = _best_of(pr3_warm_hit, rounds)
     legacy_s = _best_of(legacy_warm_hit, rounds)
-    cost_flat_s = _best_of(lambda: evaluate_cost(workload, blue, model=model), rounds)
+    cost_flat_s = _best_of(lambda: backend.costs(workload, masks, model), rounds)
     cost_reference_s = _best_of(lambda: utilization_cost(workload, blue), rounds)
     rows = [
         {
@@ -223,7 +232,7 @@ def test_warm_table_hit_colour_only(benchmark, emit_rows, size):
     emit_rows(
         rows,
         f"service_warm_path_bt{size}",
-        f"Warm table-hit path on BT({size}): flat-cost vs PR 3 vs legacy",
+        f"Warm table-hit path on BT({size}): backend cost vs PR 3 vs legacy",
     )
     assert rows[0]["warm_path_speedup"] > 1.0
     assert rows[0]["cost_kernel_speedup"] > 1.0
@@ -239,7 +248,7 @@ def test_warm_table_hit_colour_only(benchmark, emit_rows, size):
 REPAIR_COLUMNS: tuple[str, ...] = (
     "network_size",
     "budget",
-    "engine",
+    "backend",
     "row",
     "delta_size",
     "depth",
@@ -254,22 +263,20 @@ def repair_rows(
 ) -> list[dict]:
     """Time delta repair against the cold gather it replaces.
 
-    For every registered repair-capable engine and every delta size, flip
+    For every backend and every delta size, flip
     the ``delta_size`` deepest available switches (the worst case: the
     longest dirtied ancestor chains), then measure a cold gather at the
     churned availability versus :meth:`GatherTable.repair` on the cached
     table.  Before any time is trusted the repaired table is asserted
     bit-identical to the cold gather: every *valid* cell of the flat DP
     tensors (rows beyond a node's depth are ``np.empty`` garbage in a
-    cold gather and never read — see :func:`repro.core.engine.flat_gather`
-    — so they are masked out), every breadcrumb, the placement, and the
+    cold gather and never read — see :func:`repro.core.engine.gather` —
+    so they are masked out), every breadcrumb, the placement, and the
     cost.  The thorough differential (chained repairs, both backend legs,
     ``exact_k``) lives in ``tests/test_repair.py``; this assertion keeps
     the benchmark honest about *what* it is timing.
     """
     import numpy as np
-
-    from repro.core.engine import REPAIRERS
 
     tree = apply_rate_scheme(bt_network(size), "constant")
     loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=2021)
@@ -280,8 +287,8 @@ def repair_rows(
         workload.available, key=lambda node: (-workload.depth(node), node)
     )
     rows: list[dict] = []
-    for engine in sorted(REPAIRERS):
-        solver = Solver(engine=engine)
+    for backend in BACKENDS:
+        solver = Solver(backend=backend)
         table = solver.gather(workload, BUDGET)
         for delta_size in delta_sizes:
             delta = frozenset(candidates[:delta_size])
@@ -296,12 +303,12 @@ def repair_rows(
                 assert np.array_equal(
                     np.where(valid, getattr(repaired.result.flat, field), 0.0),
                     np.where(valid, getattr(cold.result.flat, field), 0.0),
-                ), f"repaired {field} diverged from the cold gather ({engine})"
+                ), f"repaired {field} diverged from the cold gather ({backend.name})"
             for field in ("splits_red", "splits_blue"):
                 assert np.array_equal(
                     getattr(repaired.result.flat, field),
                     getattr(cold.result.flat, field),
-                ), f"repaired {field} diverged from the cold gather ({engine})"
+                ), f"repaired {field} diverged from the cold gather ({backend.name})"
             cold_place = cold.place(BUDGET)
             repaired_place = repaired.place(BUDGET)
             assert repaired_place.blue_nodes == cold_place.blue_nodes
@@ -313,7 +320,7 @@ def repair_rows(
                 {
                     "network_size": size,
                     "budget": BUDGET,
-                    "engine": engine,
+                    "backend": backend.name,
                     "row": "repair",
                     "delta_size": delta_size,
                     "depth": max(workload.depth(node) for node in delta),
@@ -346,7 +353,7 @@ def test_repair_vs_cold_gather(benchmark, emit_rows, size):
             if row["delta_size"] == 1:
                 assert row["repair_speedup"] >= 5.0, (
                     f"single-switch repair only {row['repair_speedup']:.2f}x "
-                    f"on {row['engine']}"
+                    f"on {row['backend']}"
                 )
 
 
@@ -524,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     either mode the measured row (written to
     ``service_throughput_warm_smoke.csv`` by default) must carry a
     populated ``cost_kernel_speedup`` column above 1 — a blank or
-    non-positive value means the flat cost kernel silently stopped
+    non-positive value means the backend's cost kernel silently stopped
     pulling its weight.
     """
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -568,7 +575,7 @@ def main(argv: list[str] | None = None) -> int:
         for row in rows:
             if float(row["repair_speedup"]) <= 1.0:
                 raise SystemExit(
-                    f"repair slower than cold gather on {row['engine']} "
+                    f"repair slower than cold gather on {row['backend']} "
                     f"(delta {row['delta_size']}: {row['repair_speedup']:.2f}x)"
                 )
             if not args.quick and row["delta_size"] == 1 and (
@@ -576,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
             ):
                 raise SystemExit(
                     f"single-switch repair only {row['repair_speedup']:.2f}x "
-                    f"over the cold gather on {row['engine']} (need ≥ 5x)"
+                    f"over the cold gather on {row['backend']} (need ≥ 5x)"
                 )
         default_path = Path(__file__).parent / "results" / f"service_repair_bt{size}.csv"
         path = write_csv(normalized, Path(args.csv) if args.csv else default_path)
@@ -629,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         raise SystemExit("cost_kernel_speedup column is empty")
     if float(row["cost_kernel_speedup"]) <= 1.0:
         raise SystemExit(
-            "flat cost kernel is not faster than the reference walk "
+            "the backend cost kernel is not faster than the reference walk "
             f"({row['cost_kernel_speedup']})"
         )
     if not args.quick and float(row["warm_speedup_vs_pr3"]) < 2.0:

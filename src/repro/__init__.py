@@ -34,35 +34,28 @@ same-tree entries.  The historical free functions (``repro.solve``,
 deprecation release as bit-identical shims and have been removed; the
 migration table lives in ``CHANGES.md``.
 
-Engines and kernels
--------------------
-Every phase of a solve ships interchangeable implementations, selected
-when constructing the solver:
+Backends
+--------
+Every hot loop of a solve — the gather's dynamic program (and its delta
+repairs), the colour trace, and the Eq. (1) recompute of the traced
+placement — runs on one :class:`repro.Backend`, bound when constructing
+the solver (``Solver(backend=...)``) or the service
+(``PlacementService(..., backend=...)``):
 
-* ``Solver(engine=...)`` — SOAR-Gather: ``"compiled"`` (default: every
-  cold gather and delta repair of :mod:`repro.core.engine` is one C call
-  of the ``repair_chain`` kernel over the structure's memoized flat
-  layout, with a bit-identical numpy fallback), ``"flat"`` (the same
-  driver with the numpy kernel) or ``"reference"`` (per-node Algorithm 3,
-  ground truth),
-* ``Solver(color=...)`` — SOAR-Color: ``"compiled"`` (default: the
-  root-down trace of :mod:`repro.core.color` over the same flat tensors
-  as one C call for every budget of a sweep), ``"batched"`` (the
-  level-batched numpy trace, which ``"compiled"`` falls back to when the
-  C kernels did not build) or ``"reference"`` (per-node Algorithm 4,
-  ground truth),
-* ``Solver(cost_kernel=...)`` — Eq. (1) evaluation: ``"compiled"``
-  (default: the message counts and post-order sum of
-  :mod:`repro.core.cost` as one C call for every placement of a sweep),
-  ``"flat"`` (the level-batched numpy kernel, the fallback) or
-  ``"reference"`` (the per-node message-count walk, ground truth).
+* :data:`repro.DEFAULT_BACKEND` — the ``compiled`` backend when its C
+  kernels build (:mod:`repro.core.engine_compiled`; one C call per
+  gather or repair, one for every budget of a sweep's trace, one for
+  their costs), else the ``numpy`` one; its ``name`` says which,
+* :data:`repro.NUMPY_BACKEND` — the same three loops level-batched in
+  numpy.
 
-With both defaults a sweep — and ``GatherTable.place``, a sweep of one
-budget — is one C colour call plus one C cost call.  All combinations
-produce bit-identical tables, costs, and placements;
-``tests/test_engine_differential.py``, ``tests/test_api_equivalence.py``,
-``tests/test_cost_kernels.py`` and ``tests/test_trace_kernels.py`` enforce
-this on hundreds of seeded random instances.
+Both produce bit-identical tables, costs, and placements, and so do the
+per-node reference walks of the paper (:func:`repro.soar_gather`,
+:func:`repro.soar_color`, :func:`repro.utilization_cost`), which the
+tests use as ground truth; ``tests/test_engine_differential.py``,
+``tests/test_api_equivalence.py``, ``tests/test_cost_kernels.py`` and
+``tests/test_trace_kernels.py`` enforce this on hundreds of seeded random
+instances.
 
 Placement service
 -----------------
@@ -89,27 +82,17 @@ fuzz their own extensions the same way.
 """
 
 from repro.core import (
-    BATCHED_COLOR,
-    COLOR_KERNELS,
-    COST_KERNELS,
-    DEFAULT_COLOR,
-    DEFAULT_COST,
-    DEFAULT_ENGINE,
-    ENGINES,
-    FLAT_COST,
-    FLAT_ENGINE,
+    DEFAULT_BACKEND,
+    NUMPY_BACKEND,
+    Backend,
     GatherTable,
     Placement,
-    REFERENCE_COLOR,
-    REFERENCE_COST,
-    REFERENCE_ENGINE,
     Solver,
     TreeNetwork,
     all_blue_cost,
     all_red_cost,
     cost_model_for,
     evaluate_cost,
-    flat_gather,
     gather,
     link_message_counts,
     normalized_utilization,
@@ -117,7 +100,6 @@ from repro.core import (
     soar_color_batched,
     soar_gather,
     solve_bruteforce,
-    trace_color,
     utilization_cost,
     utilization_cost_flat,
 )
@@ -155,24 +137,15 @@ __version__ = "2.0.0"
 __all__ = [
     "ALL_STRATEGIES",
     "AdmitRequest",
-    "BATCHED_COLOR",
-    "COLOR_KERNELS",
-    "COST_KERNELS",
-    "DEFAULT_COLOR",
-    "DEFAULT_COST",
-    "DEFAULT_ENGINE",
+    "Backend",
+    "DEFAULT_BACKEND",
     "DrainRequest",
-    "ENGINES",
-    "FLAT_COST",
-    "FLAT_ENGINE",
     "GatherTable",
+    "NUMPY_BACKEND",
     "PAPER_STRATEGIES",
     "Placement",
     "PlacementService",
     "PowerLawLoadDistribution",
-    "REFERENCE_COLOR",
-    "REFERENCE_COST",
-    "REFERENCE_ENGINE",
     "ReleaseRequest",
     "SolveRequest",
     "Solver",
@@ -188,7 +161,6 @@ __all__ = [
     "cost_model_for",
     "evaluate_cost",
     "fat_tree_aggregation_tree",
-    "flat_gather",
     "gather",
     "generate_churn_trace",
     "get_strategy",
@@ -201,7 +173,6 @@ __all__ = [
     "soar_color",
     "soar_color_batched",
     "soar_gather",
-    "trace_color",
     "solve_bruteforce",
     "utilization_cost",
     "utilization_cost_flat",

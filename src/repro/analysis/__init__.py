@@ -1,10 +1,9 @@
 """Codebase-specific static analysis for the SOAR reproduction.
 
 Generic linters cannot see the three properties this repo lives or dies
-by: bit-identical determinism across gather engines, the
+by: bit-identical determinism across kernel backends, the
 writer-preferring lock discipline around the service's mutable fleet
-objects, and the coherence of the engine/colour/cost registries plus the
-hand-written ctypes prototypes of the compiled backend.  This package is
+objects, and the hand-written ctypes prototypes of the compiled backend.  This package is
 the mechanical check for all of them — a small AST lint framework
 (:mod:`repro.analysis.core`) plus rules written against this codebase's
 idioms, run by ``soar-repro lint`` / ``python -m repro.analysis`` and
@@ -19,9 +18,6 @@ Rules (each in its own module, self-registered on import):
   no unseeded RNG, no wall-clock reads in ``repro.core`` /
   ``repro.topology``, no unordered set/dict iteration feeding numeric
   reductions or digests.
-* ``registry-coherence`` — every ``ENGINES`` name resolves in
-  ``COLOR_KERNELS`` and ``COST_KERNELS``, directly or via a declared
-  fallback.
 * ``layering`` — ``repro.core`` / ``repro.topology`` never import the
   service/online/experiments layers above them.
 * ``ffi-contract`` — the ``repro_*`` C prototypes match the ctypes
@@ -56,7 +52,6 @@ import repro.analysis.rules_ffi  # noqa: F401  (registration)
 import repro.analysis.rules_layering  # noqa: F401  (registration)
 import repro.analysis.rules_lockorder  # noqa: F401  (registration)
 import repro.analysis.rules_locks  # noqa: F401  (registration)
-import repro.analysis.rules_registry  # noqa: F401  (registration)
 from repro.analysis.baseline import (
     DEFAULT_BASELINE,
     load_baseline,
@@ -81,7 +76,6 @@ from repro.analysis.core import (
 from repro.analysis.formats import FORMATS, render_findings
 from repro.analysis.rules_ffi import check_ffi, parse_c_prototypes, parse_ctypes_decls
 from repro.analysis.rules_lockorder import collect_lock_edges, lock_graph_dot
-from repro.analysis.rules_registry import check_registries
 from repro.analysis.runner import find_project_root, lint_project, main
 from repro.analysis.summaries import SummaryTable, table_for
 
@@ -96,7 +90,6 @@ __all__ = [
     "SourceModule",
     "SummaryTable",
     "check_ffi",
-    "check_registries",
     "collect_lock_edges",
     "filter_suppressed",
     "find_project_root",

@@ -23,10 +23,6 @@ inference:
   ``record = self.tenant(tid)`` types ``record`` as ``TenantRecord``;
 * ``module.func(...)`` / ``func(...)`` — module-level functions, import
   aliases, and nested ``def``\\ s in the enclosing function;
-* ``REGISTRY[name](...)`` — the kernel-registry dispatch idiom: a
-  subscripted call on a module-level dict (``ENGINES``, ``REPAIRERS``,
-  ``COLOR_KERNELS`` …) resolves to *every* registered callable, both
-  dict-literal values and later ``REGISTRY[key] = fn`` registrations;
 * a last-resort unique-method fallback: ``obj.method(...)`` with an
   untypable ``obj`` resolves iff exactly one class in the project
   defines ``method`` *and* the name is not a common container/stdlib
@@ -163,11 +159,6 @@ class ProjectIndex:
         #: per module: local alias -> dotted target ("eng" -> "repro.core.engine",
         #: "soar_gather" -> "repro.core.gather.soar_gather").
         self._imports: dict[str, dict[str, str]] = {}
-        #: registry dicts: "<module>.<NAME>" -> registered callables.
-        self._registries: dict[str, list[FunctionInfo]] = {}
-        #: per module: NAME -> "<module>.<NAME>" for locally defined or
-        #: imported registry dicts.
-        self._registry_aliases: dict[str, dict[str, str]] = {}
 
     # ------------------------------------------------------------------ #
     # construction
@@ -181,8 +172,6 @@ class ProjectIndex:
         for module in modules:
             index._index_module(module)
         known = set(index.classes)
-        for module in modules:
-            index._index_registries(module)
         for info in index.classes.values():
             index._infer_attr_types(info, known)
         return index
@@ -266,73 +255,6 @@ class ProjectIndex:
                         node=node,
                     )
                 )
-
-    def _index_registries(self, module: SourceModule) -> None:
-        aliases = self._imports.get(module.module, {})
-        local: dict[str, str] = {}
-        self._registry_aliases[module.module] = local
-        for node in ast.iter_child_nodes(module.tree):
-            # NAME = {"key": callable, ...} at module level.
-            if (
-                isinstance(node, (ast.Assign, ast.AnnAssign))
-                and isinstance(getattr(node, "value", None), ast.Dict)
-            ):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign) else [node.target]
-                )
-                for target in targets:
-                    if not isinstance(target, ast.Name):
-                        continue
-                    key = f"{module.module}.{target.id}"
-                    local[target.id] = key
-                    bucket = self._registries.setdefault(key, [])
-                    assert isinstance(node.value, ast.Dict)
-                    for value in node.value.values:
-                        fn = self._resolve_value_callable(value, module)
-                        if fn is not None:
-                            bucket.append(fn)
-            # REGISTRY[key] = callable at module level (self-registration).
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                    ):
-                        key = self._registry_key(target.value.id, module)
-                        if key is None:
-                            key = f"{module.module}.{target.value.id}"
-                            local.setdefault(target.value.id, key)
-                        fn = self._resolve_value_callable(node.value, module)
-                        if fn is not None:
-                            self._registries.setdefault(key, []).append(fn)
-        # Imported registry names alias the defining module's dict.
-        for alias, dotted in aliases.items():
-            if dotted in self._registries or any(
-                dotted == key for key in self._registries
-            ):
-                local.setdefault(alias, dotted)
-            else:
-                # "from repro.core.engine import ENGINES" resolves even when
-                # the engine module is indexed after this one.
-                if alias.isupper() and "." in dotted:
-                    local.setdefault(alias, dotted)
-
-    def _registry_key(self, name: str, module: SourceModule) -> str | None:
-        local = self._registry_aliases.get(module.module, {})
-        if name in local:
-            return local[name]
-        dotted = self._imports.get(module.module, {}).get(name)
-        if dotted is not None:
-            return dotted
-        return None
-
-    def _resolve_value_callable(
-        self, value: ast.expr, module: SourceModule
-    ) -> FunctionInfo | None:
-        name = _callable_name(value) if not isinstance(value, ast.Call) else ""
-        if not name:
-            return None
-        return self._resolve_bare_name(name, module)
 
     def _resolve_bare_name(
         self, name: str, module: SourceModule
@@ -520,8 +442,6 @@ class ProjectIndex:
         if isinstance(func, ast.Attribute):
             attr = func.attr
             base = func.value
-            # REGISTRY[name](...) dispatch: base of the attribute chain is
-            # handled below; the direct form is func.value being Subscript.
             if isinstance(base, ast.Name) and base.id in self.classes:
                 method = self.classes[base.id].methods.get(attr)
                 return [method] if method is not None else []
@@ -543,10 +463,5 @@ class ProjectIndex:
                 candidates = self._methods_by_name.get(attr, [])
                 if len(candidates) == 1:
                     return [candidates[0]]
-            return []
-        if isinstance(func, ast.Subscript) and isinstance(func.value, ast.Name):
-            key = self._registry_key(func.value.id, context.module)
-            if key is not None and key in self._registries:
-                return list(self._registries[key])
             return []
         return []

@@ -3,8 +3,8 @@
 ``soar-repro lint`` and ``python -m repro.analysis`` both land here.
 The runner parses every target file **once** into a shared
 :class:`~repro.analysis.core.SourceModule` pool, runs the per-module
-rules over the pool, runs the project-wide rules (registry coherence,
-FFI contracts) once, builds the
+rules over the pool, runs the project-wide rules (FFI contracts)
+once, builds the
 :class:`~repro.analysis.callgraph.ProjectIndex` from the *same* parsed
 trees and runs the interprocedural rules (lock-order,
 blocking-under-lock, atomicity) over it, then filters ``# lint:
@@ -21,8 +21,7 @@ lock-acquisition graph as a Graphviz artifact.
 Exit codes: ``0`` — no findings outside the baseline; ``1`` — new
 findings (always), or a stale baseline entry under ``--strict``; ``2`` —
 a source file failed to parse.  CI runs ``--strict`` on both the
-compiled and ``REPRO_NO_COMPILED=1`` legs, so the import-based registry
-check covers whichever backend the leg exercises.
+compiled and ``REPRO_NO_COMPILED=1`` legs.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-# Importing the rule modules populates the registry (self-registration,
-# like the engine/colour/cost kernel registries).
+# Importing the rule modules populates the rule registry (self-registration).
 import repro.analysis.rules_atomicity  # noqa: F401  (registration)
 import repro.analysis.rules_blocking  # noqa: F401  (registration)
 import repro.analysis.rules_determinism  # noqa: F401  (registration)
@@ -42,7 +40,6 @@ import repro.analysis.rules_ffi  # noqa: F401  (registration)
 import repro.analysis.rules_layering  # noqa: F401  (registration)
 import repro.analysis.rules_lockorder  # noqa: F401  (registration)
 import repro.analysis.rules_locks  # noqa: F401  (registration)
-import repro.analysis.rules_registry  # noqa: F401  (registration)
 from repro.analysis.baseline import (
     DEFAULT_BASELINE,
     load_baseline,
@@ -246,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="soar-repro lint",
         description="Codebase-specific static analysis: lock discipline, "
-        "determinism, registry coherence, layering, FFI contracts, "
+        "determinism, layering, FFI contracts, "
         "typed-exception discipline, lock-order/deadlock, blocking-under-"
         "lock, and atomicity analysis.",
     )

@@ -170,8 +170,8 @@ def random_strategy(
     return frozenset(candidates[int(index)] for index in chosen)
 
 
-#: Shared stateless solver behind :func:`soar_strategy` (default engine,
-#: at-most-k semantics, batched colour).
+#: Shared stateless solver behind :func:`soar_strategy` (default backend,
+#: at-most-k semantics).
 _SOAR: Solver = Solver()
 
 

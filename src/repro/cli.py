@@ -32,7 +32,7 @@ later resume from the snapshot (the journal tail is replayed on restore)::
     soar-repro serve-replay --restore /tmp/fleet.json --journal /tmp/fleet.jsonl --requests 50
 
 Run the codebase-specific static-analysis pass (lock discipline,
-determinism, registry coherence, layering, FFI contracts, plus the
+determinism, layering, FFI contracts, plus the
 interprocedural lock-order / blocking-under-lock / atomicity families —
 see ``repro.analysis``; CI runs it with ``--strict`` and uploads the
 lock-acquisition graph)::
@@ -52,9 +52,6 @@ import argparse
 import sys
 from collections.abc import Sequence
 
-from repro.core.color import COLOR_KERNELS, DEFAULT_COLOR, REFERENCE_COLOR
-from repro.core.cost import COST_KERNELS, DEFAULT_COST, REFERENCE_COST
-from repro.core.engine import DEFAULT_ENGINE, ENGINES, REFERENCE_ENGINE
 from repro.experiments import (
     PAPER_CONFIG,
     QUICK_CONFIG,
@@ -84,9 +81,6 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         network_size=args.network_size or base.network_size,
         repetitions=args.repetitions or base.repetitions,
         seed=args.seed,
-        engine=args.engine,
-        color=args.color,
-        cost=args.cost,
     )
 
 
@@ -149,40 +143,20 @@ def _cmd_fig11(args: argparse.Namespace) -> list[dict]:
     return rows
 
 
+def _comparison_sizes(args: argparse.Namespace) -> tuple[int, ...]:
+    return (256, 512) if args.quick else (256, 512, 1024, 2048, 4096)
+
+
 def _cmd_engines(args: argparse.Namespace) -> list[dict]:
-    config = _config(args)
-    sizes = (256, 512) if args.quick else (256, 512, 1024, 2048, 4096)
-    # The reference engine is always the timing baseline; --engine picks
-    # what gets compared against it.
-    if args.engine == REFERENCE_ENGINE:
-        engines = (REFERENCE_ENGINE,)
-    else:
-        engines = (REFERENCE_ENGINE, args.engine)
-    return run_engine_comparison(sizes=sizes, config=config, engines=engines)
+    return run_engine_comparison(sizes=_comparison_sizes(args), config=_config(args))
 
 
 def _cmd_colors(args: argparse.Namespace) -> list[dict]:
-    config = _config(args)
-    sizes = (256, 512) if args.quick else (256, 512, 1024, 2048, 4096)
-    # The reference trace is always the timing baseline; --color picks
-    # what gets compared against it.
-    if args.color == REFERENCE_COLOR:
-        colors = (REFERENCE_COLOR,)
-    else:
-        colors = (REFERENCE_COLOR, args.color)
-    return run_color_comparison(sizes=sizes, config=config, colors=colors)
+    return run_color_comparison(sizes=_comparison_sizes(args), config=_config(args))
 
 
 def _cmd_costs(args: argparse.Namespace) -> list[dict]:
-    config = _config(args)
-    sizes = (256, 512) if args.quick else (256, 512, 1024, 2048, 4096)
-    # The reference walk is always the timing baseline; --cost picks
-    # what gets compared against it.
-    if args.cost == REFERENCE_COST:
-        costs = (REFERENCE_COST,)
-    else:
-        costs = (REFERENCE_COST, args.cost)
-    return run_cost_comparison(sizes=sizes, config=config, costs=costs)
+    return run_cost_comparison(sizes=_comparison_sizes(args), config=_config(args))
 
 
 def _cmd_serve_replay(args: argparse.Namespace) -> list[dict]:
@@ -228,9 +202,9 @@ _COMMANDS = {
     "fig9": (_cmd_fig9, "SOAR running time (Figure 9)"),
     "fig10": (_cmd_fig10, "Scaling on binary trees (Figure 10, Appendix A)"),
     "fig11": (_cmd_fig11, "Scale-free networks (Figure 11, Appendix B)"),
-    "engines": (_cmd_engines, "Gather engine comparison: --engine vs reference speedup"),
-    "colors": (_cmd_colors, "Colour kernel comparison: --color vs reference trace speedup"),
-    "costs": (_cmd_costs, "Cost kernel comparison: --cost vs reference Eq. (1) speedup"),
+    "engines": (_cmd_engines, "Gather speedup of each backend over the reference walk"),
+    "colors": (_cmd_colors, "Colour speedup of each backend over the reference walk"),
+    "costs": (_cmd_costs, "Eq. (1) speedup of each backend over the reference walk"),
 }
 
 
@@ -252,24 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--repetitions", type=int, default=None, help="override the number of repetitions"
-        )
-        sub.add_argument(
-            "--engine",
-            choices=sorted(ENGINES),
-            default=DEFAULT_ENGINE,
-            help="SOAR-Gather engine to use (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--color",
-            choices=sorted(COLOR_KERNELS),
-            default=DEFAULT_COLOR,
-            help="SOAR-Color kernel to use (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--cost",
-            choices=sorted(COST_KERNELS),
-            default=DEFAULT_COST,
-            help="Eq. (1) cost kernel to use (default: %(default)s)",
         )
 
     for name, (_, help_text) in _COMMANDS.items():

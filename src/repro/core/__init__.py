@@ -6,16 +6,15 @@ The sub-modules map directly onto the paper's sections:
 * :mod:`repro.core.reduce_op` — the Reduce operation (Algorithm 1) and its
   per-link message accounting,
 * :mod:`repro.core.cost` — the utilization complexity (Eq. 1) and its
-  barrier re-formulation (Lemma 4.2); ships the :data:`COST_KERNELS`
-  registry (per-node ``"reference"`` walk vs the level-batched ``"flat"``
-  kernel, bit-identical including summation order),
+  barrier re-formulation (Lemma 4.2): the per-node reference walk and the
+  batched numpy and C kernels, bit-identical including summation order,
 * :mod:`repro.core.gather` / :mod:`repro.core.color` — the two phases of
-  SOAR (Algorithms 3 and 4); each phase ships a batched kernel and a
-  per-node reference implementation,
-* :mod:`repro.core.engine` — the gather-engine registry; the flat
-  engines run one ``repair_chain`` kernel (C for ``"compiled"``, numpy
-  for ``"flat"``) with every switch dirty for a cold gather and a delta's
-  ancestor chains for a repair,
+  SOAR (Algorithms 3 and 4): the per-node reference walks and the
+  backends' batched traces,
+* :mod:`repro.core.engine` — the kernel :class:`Backend` (``numpy``, and
+  ``compiled`` when the C kernels build) and the gather and repair
+  drivers, which run its ``repair_chain`` with every switch dirty for a
+  cold gather and a delta's ancestor chains for a repair,
 * :mod:`repro.core.flat` — the flat ``(l, i, node)`` tensor layout the
   batched kernels share (its structure half,
   :class:`~repro.core.flat.FlatLayout`, is built once per weighted tree
@@ -32,20 +31,8 @@ shims and have been removed; see the migration table in ``CHANGES.md``.
 """
 
 from repro.core.bruteforce import BruteForceSolution, solve_bruteforce
-from repro.core.color import (
-    BATCHED_COLOR,
-    COLOR_KERNELS,
-    DEFAULT_COLOR,
-    REFERENCE_COLOR,
-    soar_color,
-    soar_color_batched,
-    trace_color,
-)
+from repro.core.color import soar_color, soar_color_batched
 from repro.core.cost import (
-    COST_KERNELS,
-    DEFAULT_COST,
-    FLAT_COST,
-    REFERENCE_COST,
     all_blue_cost,
     all_red_cost,
     cost_reduction,
@@ -58,11 +45,10 @@ from repro.core.cost import (
     utilization_cost_flat,
 )
 from repro.core.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    FLAT_ENGINE,
-    REFERENCE_ENGINE,
-    flat_gather,
+    COMPILED_BACKEND,
+    DEFAULT_BACKEND,
+    NUMPY_BACKEND,
+    Backend,
     gather,
 )
 from repro.core.flat import FlatCostModel, FlatTables, cost_model_for
@@ -85,17 +71,11 @@ from repro.core.tree import (
 )
 
 __all__ = [
-    "BATCHED_COLOR",
+    "Backend",
+    "COMPILED_BACKEND",
+    "DEFAULT_BACKEND",
     "BruteForceSolution",
-    "COLOR_KERNELS",
-    "COST_KERNELS",
-    "DEFAULT_COLOR",
-    "DEFAULT_COST",
     "DEFAULT_DESTINATION",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "FLAT_COST",
-    "FLAT_ENGINE",
     "FlatCostModel",
     "FlatTables",
     "GatherResult",
@@ -103,10 +83,8 @@ __all__ = [
     "IncrementalDigest",
     "NodeId",
     "NodeTables",
+    "NUMPY_BACKEND",
     "Placement",
-    "REFERENCE_COLOR",
-    "REFERENCE_COST",
-    "REFERENCE_ENGINE",
     "ReduceTrace",
     "Solver",
     "TreeNetwork",
@@ -117,7 +95,6 @@ __all__ = [
     "evaluate_cost",
     "fingerprint_loads",
     "fingerprint_nodes",
-    "flat_gather",
     "gather",
     "link_message_counts",
     "normalized_utilization",
@@ -127,7 +104,6 @@ __all__ = [
     "soar_color",
     "soar_color_batched",
     "soar_gather",
-    "trace_color",
     "solve_bruteforce",
     "total_messages",
     "utilization_cost",

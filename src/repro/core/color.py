@@ -14,51 +14,48 @@ then
 3. forwards ``(i_child, l_child)`` to each child, where ``l_child = 1`` when
    the node is blue and ``l* + 1`` otherwise.
 
-Three interchangeable kernels implement this trace:
+The per-node :func:`soar_color` is the reference walk of the paper; the
+two backends of :mod:`repro.core.engine` trace a whole sweep's budgets
+at once over the flat ``(l, i, node)`` tensors of :mod:`repro.core.flat`,
+returning one blue mask per budget:
 
-:func:`soar_color` (``"reference"``)
+:func:`soar_color` (the reference oracle)
     The per-node work-list traversal following the distributed description
     of the paper, where each switch acts on the message received from its
     parent.  Iterative, so arbitrarily deep trees do not hit the recursion
-    limit.
+    limit.  Tests call it directly as ground truth.
 
-:func:`soar_color_batched` (``"batched"``)
-    A level-batched traversal over the flat ``(l, i, node)`` tensors of
-    :mod:`repro.core.flat`: every level of the tree decides its colours in
-    one vectorized comparison and scatters its children's budgets in a
-    handful of fancy-indexed passes — the same batching strategy the flat
-    gather engine applies bottom-up, applied top-down.  It is the numpy
-    backend's trace.
+:func:`numpy_blue_masks` (the ``numpy`` backend's ``trace``)
+    One level-batched traversal per budget (:func:`soar_color_batched`):
+    every level of the tree decides its colours in one vectorized
+    comparison and scatters its children's budgets in a handful of
+    fancy-indexed passes — the same batching the numpy gather applies
+    bottom-up, applied top-down.
 
-:func:`soar_color_compiled` (``"compiled"``, the default)
-    The same root-down walk as one C call (``repro_color`` of
-    :mod:`repro.core.engine_compiled`), node by node instead of level by
-    level, and batched over budgets: :func:`compiled_blue_masks` traces a
-    whole sweep in one call, which is how
-    :meth:`~repro.core.solver.GatherTable.sweep` serves a sweep (and
-    ``place`` a single budget) together with the compiled cost kernel.
-    When the C backend did not build, the ``"compiled"`` registry entry is
-    the batched kernel — same name, identical placements.
+:func:`compiled_blue_masks` (the ``compiled`` backend's ``trace``)
+    The same root-down walk as one C call for every budget
+    (``repro_color`` of :mod:`repro.core.engine_compiled`), node by node
+    instead of level by level.
 
-All kernels read the same breadcrumbs and compare the same floats with the
+All of them read the same breadcrumbs and compare the same floats with the
 same strict inequality, so they produce **identical** placements — including
 on exact ties, where the shared ``<`` keeps the node red and the stored
 ascending-``j`` argmin picks the same split — and raise the same
 :class:`~repro.exceptions.PlacementError` on inconsistent tables.  The
 differential suites (``tests/test_api_equivalence.py``,
 ``tests/test_invariants.py``, ``tests/test_trace_kernels.py``) enforce this
-on every engine's tables.
+on both backends' tables.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine_compiled import HAVE_COMPILED, color_masks
-from repro.core.flat import FlatTables, flat_tables_for, instance_vectors
+from repro.core.engine_compiled import color_masks
+from repro.core.flat import FlatTables, traced_vectors
 from repro.core.gather import GatherResult
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import PlacementError
@@ -209,7 +206,8 @@ def soar_color_batched(
     """Level-batched colour trace over the flat ``(l, i, node)`` tensors.
 
     Same parameters, same result, and same raised errors as
-    :func:`soar_color`; the traversal is batched per tree level instead of
+    :func:`soar_color` for tables that carry flat tensors (every table a
+    backend gathers); the traversal is batched per tree level instead of
     per node.  Every child of a depth-``d`` node sits at depth ``d + 1``,
     so processing the levels root-down visits parents strictly before their
     children; within a level, colour decisions are one fancy-indexed tensor
@@ -219,15 +217,27 @@ def soar_color_batched(
     child.
     """
     budget = _validated_budget(tree, gathered, budget)
-    flat = flat_tables_for(tree, gathered)
-    n = len(flat.order)
-    load, avail = _traced_vectors(tree, flat)
+    flat = _flat_tables(gathered)
+    load, avail = traced_vectors(tree, flat)
+    positions = _batched_blue_positions(flat, load, avail, budget, gathered.exact_k)
+    return frozenset(flat.order[position] for position in positions.tolist())
 
+
+def _batched_blue_positions(
+    flat: FlatTables,
+    load: np.ndarray,
+    avail: np.ndarray,
+    budget: int,
+    exact_k: bool,
+) -> np.ndarray:
+    """Flat positions of the blue nodes :func:`soar_color_batched` traces."""
+    n = len(flat.order)
     # (budget, distance) each node receives from its parent; the
-    # destination sends (k, 1) to the root (Algorithm 4 line 2).
+    # destination sends (k, 1) to the root (Algorithm 4 line 2), the one
+    # node of the shallowest level and so the last flat position.
     budget_vec = np.zeros(n, dtype=np.int64)
     dist_vec = np.ones(n, dtype=np.int64)
-    budget_vec[flat.index[gathered.root]] = budget
+    budget_vec[n - 1] = budget
     k = flat.y_red.shape[1] - 1
 
     chosen: list[np.ndarray] = []
@@ -250,7 +260,7 @@ def soar_color_batched(
         if leaves.size:
             # Algorithm 4 lines 4-5, adapted per semantics (_leaf_is_blue).
             blue_leaf = (budget_vec[leaves] > 0) & avail[leaves]
-            if not gathered.exact_k:
+            if not exact_k:
                 blue_leaf &= load[leaves] > 1
             chosen.append(leaves[blue_leaf])
 
@@ -296,31 +306,44 @@ def soar_color_batched(
         budget_vec[first] = remaining - node_blue
         dist_vec[first] = child_distance
 
-    blue = frozenset(
-        flat.order[position]
-        for position in (np.concatenate(chosen) if chosen else ())
-    )
-    if len(blue) > budget:
+    blue = np.concatenate(chosen) if chosen else np.empty(0, dtype=np.int64)
+    if blue.size > budget:
         raise PlacementError(
-            f"traceback selected {len(blue)} blue nodes for budget {budget}; "
+            f"traceback selected {blue.size} blue nodes for budget {budget}; "
             "the gather tables are inconsistent"
         )
     return blue
 
 
-def _traced_vectors(tree: TreeNetwork, flat: FlatTables) -> tuple[np.ndarray, np.ndarray]:
-    """The loads and Λ the leaf colour rule reads, in flat order.
+def _flat_tables(gathered: GatherResult) -> FlatTables:
+    """The flat tensors a backend trace reads; reference results carry none."""
+    if gathered.flat is None:
+        raise PlacementError(
+            "gather result carries no flat tensors; trace reference tables "
+            "with soar_color"
+        )
+    return gathered.flat
 
-    The rule depends on the *caller's* loads and Λ, exactly as the
-    reference consults ``tree`` rather than gather-time state.  On the hot
-    path (service table hits, GatherTable.place) the caller's tree IS the
-    gather-time tree and the cached arrays apply; a caller tracing the
-    tables against a modified same-structure network gets the arrays
-    re-derived from its own tree.
+
+def numpy_blue_masks(
+    tree: TreeNetwork,
+    gathered: GatherResult,
+    budgets: Sequence[int | None],
+) -> tuple[FlatTables, np.ndarray]:
+    """The ``numpy`` backend's trace: :func:`soar_color_batched` per budget.
+
+    Returns the flat tables traced (their ``order`` names the columns) and
+    a ``(len(budgets), n)`` uint8 blue mask per budget.  Every budget is
+    validated before any is traced, as :func:`compiled_blue_masks` does.
     """
-    if tree is flat.tree:
-        return flat.load, flat.avail
-    return instance_vectors(tree, flat)
+    wanted = [_validated_budget(tree, gathered, budget) for budget in budgets]
+    flat = _flat_tables(gathered)
+    load, avail = traced_vectors(tree, flat)
+    masks = np.zeros((len(wanted), len(flat.order)), dtype=np.uint8)
+    for row, budget in enumerate(wanted):
+        blue = _batched_blue_positions(flat, load, avail, budget, gathered.exact_k)
+        masks[row, blue] = 1
+    return flat, masks
 
 
 def compiled_blue_masks(
@@ -328,17 +351,17 @@ def compiled_blue_masks(
     gathered: GatherResult,
     budgets: Sequence[int | None],
 ) -> tuple[FlatTables, np.ndarray]:
-    """Trace every budget of a sweep in one C call.
+    """The ``compiled`` backend's trace: every budget in one C call.
 
-    Returns the flat tables traced (their ``order`` names the columns) and
-    a ``(len(budgets), n)`` uint8 blue mask per budget, row ``b`` equal to
-    :func:`soar_color_batched` at ``budgets[b]``; the same validation and
-    the same :class:`~repro.exceptions.PlacementError` on inconsistent
-    tables.  Requires the C backend (:data:`HAVE_COMPILED`).
+    Returns the flat tables traced and a ``(len(budgets), n)`` uint8 blue
+    mask per budget, row ``b`` equal to :func:`soar_color_batched` at
+    ``budgets[b]``; the same validation and the same
+    :class:`~repro.exceptions.PlacementError` on inconsistent tables.
+    Requires the C backend (:data:`~repro.core.engine_compiled.HAVE_COMPILED`).
     """
     wanted = [_validated_budget(tree, gathered, budget) for budget in budgets]
-    flat = flat_tables_for(tree, gathered)
-    load, avail = _traced_vectors(tree, flat)
+    flat = _flat_tables(gathered)
+    load, avail = traced_vectors(tree, flat)
     return flat, color_masks(flat, load, avail, wanted, gathered.exact_k)
 
 
@@ -346,65 +369,3 @@ def blue_set(order: Sequence[NodeId], mask: np.ndarray) -> frozenset[NodeId]:
     """The switches of a flat-order blue mask."""
     return frozenset(order[position] for position in np.flatnonzero(mask).tolist())
 
-
-def soar_color_compiled(
-    tree: TreeNetwork,
-    gathered: GatherResult,
-    budget: int | None = None,
-) -> frozenset[NodeId]:
-    """One budget of :func:`compiled_blue_masks`, as a blue set.
-
-    Same parameters, result and raised errors as :func:`soar_color`.
-    Requires the C backend; the ``"compiled"`` registry entry falls back to
-    :func:`soar_color_batched` when it did not build.
-    """
-    flat, masks = compiled_blue_masks(tree, gathered, [budget])
-    return blue_set(flat.order, masks[0])
-
-
-#: Name of the level-batched numpy colour kernel.
-BATCHED_COLOR: str = "batched"
-#: Name of the per-node reference trace of Algorithm 4.
-REFERENCE_COLOR: str = "reference"
-#: Name of the C colour kernel (the default).
-COMPILED_COLOR: str = "compiled"
-#: Kernel used when callers do not ask for a specific one.
-DEFAULT_COLOR: str = COMPILED_COLOR
-
-#: Registry of colour kernels, keyed by their public name (the colour-phase
-#: counterpart of :data:`repro.core.engine.ENGINES`).  ``"compiled"`` is the
-#: batched kernel when the C backend did not build.
-COLOR_KERNELS: dict[str, Callable[..., frozenset[NodeId]]] = {
-    BATCHED_COLOR: soar_color_batched,
-    REFERENCE_COLOR: soar_color,
-    COMPILED_COLOR: soar_color_compiled if HAVE_COMPILED else soar_color_batched,
-}
-
-#: Engines with no same-named colour kernel declare which kernel traces
-#: their colour phase here (the registry-coherence lint cross-checks
-#: this against :data:`repro.core.engine.ENGINES`): the ``flat`` gather
-#: engine colours with the batched kernel.
-ENGINE_COLOR_FALLBACKS: dict[str, str] = {
-    "flat": BATCHED_COLOR,
-}
-
-
-def trace_color(
-    tree: TreeNetwork,
-    gathered: GatherResult,
-    budget: int | None = None,
-    color: str = DEFAULT_COLOR,
-) -> frozenset[NodeId]:
-    """Trace a placement with the named colour kernel.
-
-    ``"compiled"`` (default), ``"batched"``, or ``"reference"``; all
-    produce identical placements, the reference kernel is retained as
-    ground truth for differential testing — mirroring
-    :func:`repro.core.engine.gather`.
-    """
-    try:
-        kernel = COLOR_KERNELS[color]
-    except KeyError:
-        known = ", ".join(sorted(COLOR_KERNELS))
-        raise ValueError(f"unknown colour kernel {color!r}; expected one of: {known}")
-    return kernel(tree, gathered, budget=budget)

@@ -14,51 +14,47 @@ This module implements the objective function of the φ-BIC problem:
 
 Cost kernels
 ------------
-Eq. (1) ships three interchangeable kernels, registered in
-:data:`COST_KERNELS` exactly as the colour kernels are in
-:data:`repro.core.color.COLOR_KERNELS`:
+:func:`utilization_cost` is the reference: the per-node post-order Python
+walk of Algorithm 1's accounting
+(:func:`~repro.core.reduce_op.link_message_counts`), which tests call
+directly as ground truth.  Two batched kernels evaluate the same Eq. (1):
 
-``"reference"``
-    :func:`utilization_cost` via :func:`~repro.core.reduce_op.link_message_counts`
-    — the per-node post-order Python walk of Algorithm 1's accounting.
+:func:`utilization_cost_flat` (``numpy``)
+    Level-batched passes over the flat node order of
+    :mod:`repro.core.flat`: every tree level's message counts resolve in
+    one vectorized step, and the final reduction walks the post-order
+    permutation so the floating-point summation order is *identical* to
+    the reference.  :func:`evaluate_cost` is this kernel, and
+    :func:`utilization_costs_flat` runs it over a batch of blue masks as
+    the ``numpy`` backend's ``costs``.
 
-``"flat"``
-    :func:`utilization_cost_flat` — level-batched passes over the flat
-    node order of :mod:`repro.core.flat`: every tree level's message
-    counts resolve in one vectorized step, and the final reduction walks
-    the post-order permutation so the floating-point summation order is
-    *identical* to the reference.  It is the numpy backend's kernel.
-
-``"compiled"`` (the default of :class:`~repro.core.solver.Solver`)
-    :func:`utilization_cost_compiled` — the same message counts and the
-    same post-order sum as one C call (``repro_utilization`` of
-    :mod:`repro.core.engine_compiled`), batched over placements:
-    :func:`utilization_costs_compiled` evaluates a whole sweep's blue
-    masks in one call, which is how
-    :meth:`~repro.core.solver.GatherTable.sweep` recomputes a sweep's
-    costs.  When the C backend did not build, the ``"compiled"`` registry
-    entry is the flat kernel.
+:func:`utilization_costs_compiled` (``compiled``)
+    The same message counts and the same post-order sum for a whole batch
+    of blue masks in one C call (``repro_utilization`` of
+    :mod:`repro.core.engine_compiled`): the ``compiled`` backend's
+    ``costs``, which is how :meth:`~repro.core.solver.GatherTable.sweep`
+    recomputes a sweep's costs when the C kernels built.
 
 All kernels return the same float bit for bit
 (``tests/test_cost_kernels.py`` and ``tests/test_trace_kernels.py``
 enforce this on the seeded generator profiles, near-ties and straddling Λ
 included).  A gather-table cache hit is a colour trace plus this cost
-recompute, which is why the batched kernels exist.  Use
-:func:`evaluate_cost` to pick a kernel by name; pass a prebuilt
+recompute, which is why the batched kernels exist.  Pass a prebuilt
 :class:`~repro.core.flat.FlatCostModel` (``model=``) when evaluating many
 placements over one structure so the metadata is built once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
-from repro.core.engine_compiled import HAVE_COMPILED, utilization_costs
-from repro.core.flat import FlatCostModel, cost_model_for, instance_vectors
+from repro.core.engine_compiled import utilization_costs
+from repro.core.flat import FlatCostModel, cost_model_for, traced_vectors
 from repro.core.reduce_op import link_message_counts, validate_placement
 from repro.core.tree import NodeId, TreeNetwork
+from repro.exceptions import PlacementError
 
 
 def per_link_utilization(
@@ -162,6 +158,11 @@ def utilization_cost_flat(
     """
     _, contributions = _flat_contributions(tree, blue_nodes, loads, validate, model)
     return float(sum(contributions.tolist()))
+
+
+#: Eq. (1) of one placement: the flat kernel, under the name the library's
+#: single-placement callers (experiments, apps, the online scheduler) use.
+evaluate_cost = utilization_cost_flat
 
 
 def per_link_utilization_flat(
@@ -292,24 +293,35 @@ def byte_cost(link_bytes: Mapping[NodeId, float], tree: TreeNetwork) -> float:
 
 
 # --------------------------------------------------------------------------- #
-# the cost-kernel registry
+# the backends' batched costs
 # --------------------------------------------------------------------------- #
 
 
-def _reference_cost_kernel(
+def utilization_costs_flat(
     tree: TreeNetwork,
-    blue_nodes: Iterable[NodeId],
-    loads: Mapping[NodeId, int] | None = None,
-    validate: bool = True,
-    model: FlatCostModel | None = None,
-) -> float:
-    """:func:`utilization_cost` behind the uniform kernel signature.
+    masks: np.ndarray,
+    model: FlatCostModel,
+) -> np.ndarray:
+    """Eq. (1) of a batch of blue masks over ``tree``, by the numpy kernel.
 
-    The per-node reference never consults a flat model; the parameter is
-    accepted (and ignored) so every :data:`COST_KERNELS` entry is callable
-    interchangeably, which is what the differential suite relies on.
+    The ``numpy`` backend's ``costs``, with the contract of
+    :func:`utilization_costs_compiled`: ``masks`` is ``(B, n)`` in
+    ``model``'s flat order, row ``b`` of the result is bit-identical to
+    :func:`utilization_cost_flat` of mask ``b`` with ``tree``'s loads, and
+    the first blue node outside ``tree``'s Λ (row-major) raises
+    :class:`~repro.exceptions.PlacementError`.
     """
-    return utilization_cost(tree, blue_nodes, loads=loads, validate=validate)
+    load, avail = traced_vectors(tree, model)
+    blue = np.asarray(masks, dtype=bool)
+    outside = np.argwhere(blue & ~avail)
+    if outside.size:
+        node = model.order[int(outside[0, 1])]
+        raise PlacementError(f"blue node {node!r} is not in the availability set Λ")
+    costs = np.empty(blue.shape[0], dtype=np.float64)
+    for row, mask in enumerate(blue):
+        counts = flat_link_message_counts(model, mask, load)
+        costs[row] = sum(((counts * model.rho)[model.postorder]).tolist())
+    return costs
 
 
 def utilization_costs_compiled(
@@ -319,87 +331,12 @@ def utilization_costs_compiled(
 ) -> np.ndarray:
     """Eq. (1) of a batch of blue masks over ``tree``, in one C call.
 
-    ``masks`` is ``(B, n)`` in ``model``'s flat order.  Row ``b`` of the
-    result is bit-identical to :func:`utilization_cost_flat` of mask ``b``
-    with ``tree``'s loads, and a blue node outside ``tree``'s Λ raises the
-    same :class:`~repro.exceptions.PlacementError`.  Requires the C backend
+    The ``compiled`` backend's ``costs``: ``masks`` is ``(B, n)`` in
+    ``model``'s flat order.  Row ``b`` of the result is bit-identical to
+    :func:`utilization_cost_flat` of mask ``b`` with ``tree``'s loads, and
+    a blue node outside ``tree``'s Λ raises the same
+    :class:`~repro.exceptions.PlacementError`.  Requires the C backend
     (:data:`~repro.core.engine_compiled.HAVE_COMPILED`).
     """
-    if tree is model.tree:
-        load, avail = model.load, model.avail
-    else:
-        load, avail = instance_vectors(tree, model)
+    load, avail = traced_vectors(tree, model)
     return utilization_costs(model, masks, avail, load)
-
-
-def utilization_cost_compiled(
-    tree: TreeNetwork,
-    blue_nodes: Iterable[NodeId],
-    loads: Mapping[NodeId, int] | None = None,
-    validate: bool = True,
-    model: FlatCostModel | None = None,
-) -> float:
-    """Eq. (1) of one placement by the C kernel.
-
-    Same parameters and result as :func:`utilization_cost_flat`.  Requires
-    the C backend; the ``"compiled"`` registry entry falls back to the flat
-    kernel when it did not build.
-    """
-    blue = validate_placement(tree, blue_nodes) if validate else frozenset(blue_nodes)
-    if model is None:
-        model = cost_model_for(tree)
-    mask = _blue_mask(model, blue)
-    # Λ was validated above (or deliberately not): the mask is its own Λ.
-    load = model.loads_for(tree, loads)
-    return float(utilization_costs(model, mask[None, :], mask, load)[0])
-
-
-#: Name of the level-batched numpy cost kernel.
-FLAT_COST: str = "flat"
-#: Name of the per-node reference evaluation of Eq. (1).
-REFERENCE_COST: str = "reference"
-#: Name of the C cost kernel (the default).
-COMPILED_COST: str = "compiled"
-#: Kernel used when callers do not ask for a specific one.
-DEFAULT_COST: str = COMPILED_COST
-
-#: Registry of cost kernels, keyed by their public name (the cost-phase
-#: counterpart of :data:`repro.core.color.COLOR_KERNELS`); every entry
-#: shares the signature ``kernel(tree, blue, loads=, validate=, model=)``
-#: and returns the bit-identical Eq. (1) value.  ``"compiled"`` is the flat
-#: kernel when the C backend did not build.
-COST_KERNELS: dict[str, Callable[..., float]] = {
-    FLAT_COST: utilization_cost_flat,
-    REFERENCE_COST: _reference_cost_kernel,
-    COMPILED_COST: utilization_cost_compiled if HAVE_COMPILED else utilization_cost_flat,
-}
-
-#: Engines with no same-named cost kernel declare their cost kernel here
-#: (the registry-coherence lint cross-checks this against
-#: :data:`repro.core.engine.ENGINES`).  Currently empty: every engine
-#: name resolves directly in :data:`COST_KERNELS`.
-ENGINE_COST_FALLBACKS: dict[str, str] = {}
-
-
-def evaluate_cost(
-    tree: TreeNetwork,
-    blue_nodes: Iterable[NodeId],
-    loads: Mapping[NodeId, int] | None = None,
-    validate: bool = True,
-    cost: str = DEFAULT_COST,
-    model: FlatCostModel | None = None,
-) -> float:
-    """Evaluate ``phi(T, L, U)`` with the named cost kernel.
-
-    ``"compiled"`` (default), ``"flat"``, or ``"reference"``; all produce
-    identical floats, the reference kernel is retained as ground truth for
-    differential testing — mirroring :func:`repro.core.color.trace_color`.
-    ``model`` is forwarded to the flat and compiled kernels (ignored by
-    the reference).
-    """
-    try:
-        kernel = COST_KERNELS[cost]
-    except KeyError:
-        known = ", ".join(sorted(COST_KERNELS))
-        raise ValueError(f"unknown cost kernel {cost!r}; expected one of: {known}")
-    return kernel(tree, blue_nodes, loads=loads, validate=validate, model=model)

@@ -1,71 +1,71 @@
-"""Gather engines: interchangeable implementations of SOAR-Gather.
+"""Backends: the kernels SOAR's three hot loops run on, and the gather drivers.
 
 The reference implementation in :mod:`repro.core.gather` follows Algorithm 3
 closely: it walks the post-order with a Python loop and builds one
 :class:`~repro.core.gather.NodeTables` per node, combining children one at a
-time.  That structure is ideal for studying the algorithm but the per-node
-Python work dominates the running time on the larger instances of Figures 9
-and 10.
+time.  That structure is ideal for studying the algorithm (tests use it as
+ground truth) but the per-node Python work dominates the running time on
+the larger instances of Figures 9 and 10.
 
-The flat engines in this module compute the very same dynamic program on
+The drivers in this module compute the very same dynamic program on
 contiguous ``(l, i, node)`` tensors over the structure's
 :class:`~repro.core.flat.FlatLayout` — node order, child lists, breadcrumb
 slots and the ``path_rho`` table, built once per weighted tree and shared
 by every gather on it.  A single kernel does all of the arithmetic:
 ``repair_chain(flat, dirty, exact_k)`` recomputes the ``dirty`` columns of
-the tables in place, deepest level first.  A cold gather is that call with
-every switch dirty over freshly allocated tables; a delta repair is the
-same call on a clone of cached tables with only the flipped switches and
-their ancestors dirty.  The per-node tables are never materialized up
-front: the result maps nodes lazily onto slices of the flat tensors (see
-below).
+the tables in place, deepest level first.  A cold gather (:func:`gather`)
+is that call with every switch dirty over freshly allocated tables; a
+delta repair (:func:`repair`) is the same call on a clone of cached tables
+with only the flipped switches and their ancestors dirty.  The per-node
+tables are never materialized up front: the result maps nodes lazily onto
+slices of the flat tensors (see below).
 
-The registry holds **three** engines:
+A :class:`Backend` bundles that kernel with the two that answer queries
+from the tables — the colour ``trace`` of a list of budgets and the
+Eq. (1) ``costs`` of the traced placements.  There are two:
 
-``"compiled"`` (the default)
-    ``repair_chain`` is one C call (``repro_repair_chain`` of
-    ``_gather_kernels.c``, built on demand and called through
-    ``ctypes``, which releases the GIL for the call;
-    :mod:`repro.core.engine_compiled`).  When no C compiler is available
-    (or ``REPRO_NO_COMPILED`` is set) the entry stays registered and
-    **falls back to the numpy kernel**: same name, same results, no
-    consumer changes — ``repro.core.engine_compiled.HAVE_COMPILED`` tells
-    you which path is active, and the compiled-specific tests skip.
-
-``"flat"``
-    ``repair_chain`` in numpy: level by level, with the ``mCost``
+:data:`NUMPY_BACKEND` (``"numpy"``)
+    ``repair_chain`` level by level, with the ``mCost``
     (min,+)-convolution batched across every node of a level that has an
     ``m``-th child and its split range capped by the children's subtree
-    availability (:func:`_batched_combine`).
+    availability (:func:`_batched_combine`); the level-batched colour
+    trace per budget (:func:`repro.core.color.numpy_blue_masks`) and the
+    level-batched cost kernel per placement
+    (:func:`repro.core.cost.utilization_costs_flat`).
 
-``"reference"``
-    The per-node Algorithm 3 walk of :mod:`repro.core.gather`, retained as
-    ground truth for differential testing (see :mod:`repro.testing` and
-    ``tests/test_engine_differential.py``).
+:data:`COMPILED_BACKEND` (``"compiled"``)
+    The same three loops as one C call each (``_gather_kernels.c``, built
+    on demand and called through ``ctypes``, which releases the GIL for
+    the call; :mod:`repro.core.engine_compiled`).  ``None`` when no C
+    compiler is available or ``REPRO_NO_COMPILED`` is set.
 
-Per element the arithmetic (and its floating-point evaluation order) is
-identical across all three, including the ascending-``j`` tie-breaking of
-the convolution argmin, so the engines produce **bit-identical** tables,
-costs, and traceback breadcrumbs.  The flat engines hand out their
-output as a :class:`~repro.core.flat.LazyNodeTables` mapping: each node's
-ordinary :class:`~repro.core.gather.NodeTables` is built from views into
-the flat tensors the first time it is looked up, so
+:data:`DEFAULT_BACKEND` is the compiled one when it built and the numpy
+one otherwise, picked once at import, so a backend's name always says
+which kernels ran.  Per element the arithmetic (and its floating-point
+evaluation order) is identical across both backends and the reference,
+including the ascending-``j`` tie-breaking of the convolution argmin, so
+they produce **bit-identical** tables, traceback breadcrumbs, placements
+and costs.  The drivers hand out their output as a
+:class:`~repro.core.flat.LazyNodeTables` mapping: each node's ordinary
+:class:`~repro.core.gather.NodeTables` is built from views into the flat
+tensors the first time it is looked up, so
 :func:`repro.core.color.soar_color` traces the result unchanged while the
-batched colour kernel and ``cost_for_budget`` never pay for the ``n - 1``
-nodes they do not read.  Cold gathers and delta repairs therefore produce
+backends' traces and ``cost_for_budget`` never pay for the ``n - 1`` nodes
+they do not read.  Cold gathers and delta repairs therefore produce
 artifacts of the same shape.
-
-Use :func:`gather` to pick an engine by name.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core import engine_compiled
+from repro.core.color import compiled_blue_masks, numpy_blue_masks
+from repro.core.cost import utilization_costs_compiled, utilization_costs_flat
 from repro.core.flat import (
     FlatLayout,
     FlatTables,
@@ -74,24 +74,14 @@ from repro.core.flat import (
     dirty_ancestor_positions,
     dirty_level_runs,
 )
-from repro.core.gather import GatherResult, normalize_budget, soar_gather
+from repro.core.gather import GatherResult, normalize_budget
 from repro.core.tree import TreeNetwork
 from repro.exceptions import RepairError
 
-#: Name of the vectorized flat-array engine.
-FLAT_ENGINE: str = "flat"
-#: Name of the per-node reference engine of :mod:`repro.core.gather`.
-REFERENCE_ENGINE: str = "reference"
-#: Name of the C-kernel engine of :mod:`repro.core.engine_compiled`.
-COMPILED_ENGINE: str = "compiled"
-#: Engine used when callers do not ask for a specific one.  It falls back
-#: to the numpy kernels, bit-identically, when the C kernels cannot build.
-DEFAULT_ENGINE: str = COMPILED_ENGINE
-
 
 @dataclass(frozen=True)
-class GatherKernels:
-    """The swappable kernel of the flat gather and repair drivers.
+class Backend:
+    """The kernels behind SOAR's three hot loops, bit-identical across backends.
 
     ``repair_chain(flat, dirty, exact_k)``
         Every ``dirty`` column of the ``flat`` tables — leaf columns,
@@ -100,13 +90,24 @@ class GatherKernels:
         and the children's current columns, deepest first.  ``dirty`` is
         ascending flat positions closed under ancestors: every switch for
         a cold gather, a delta's ancestor chains for a repair.
+    ``trace(tree, gathered, budgets)``
+        SOAR-Color for every budget of the list: the traced
+        :class:`~repro.core.flat.FlatTables` and a ``(len(budgets), n)``
+        uint8 blue mask per budget in their flat order.
+    ``costs(tree, masks, model)``
+        Eq. (1) of every mask row over ``tree``'s loads, as a float64
+        array; a blue node outside ``tree``'s Λ raises
+        :class:`~repro.exceptions.PlacementError`.
 
     Every implementation must perform the identical per-element IEEE-754
-    operations in the identical order — the differential suite holds all
-    kernel sets to bit-identical outputs.
+    operations in the identical order — the differential suite holds both
+    backends and the reference walks to bit-identical outputs.
     """
 
-    repair_chain: Callable[..., None]
+    name: str
+    repair_chain: Callable[..., None] = field(repr=False)
+    trace: Callable[..., tuple] = field(repr=False)
+    costs: Callable[..., np.ndarray] = field(repr=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -287,53 +288,6 @@ def subtree_available_counts(layout: FlatLayout, avail: np.ndarray) -> np.ndarra
     return counts
 
 
-def _gather_flat_tensors(
-    tree: TreeNetwork,
-    budget: int,
-    exact_k: bool,
-    kernels: GatherKernels,
-    engine: str,
-) -> GatherResult:
-    """The shared flat-tensor gather driver, parameterized by kernel set.
-
-    A cold gather is a repair with every switch dirty: the tables are
-    allocated over the tree's memoized layout (``y`` uninitialized,
-    breadcrumbs zeroed) and ``kernels.repair_chain`` computes every
-    column.  The result carries its :class:`FlatTables` and a
-    :class:`LazyNodeTables` mapping over them, so no per-node
-    :class:`~repro.core.gather.NodeTables` is built until a consumer looks
-    one up.
-    """
-    k = normalize_budget(tree, budget)
-    flat = allocate_tables(tree, k)
-    kernels.repair_chain(flat, np.arange(tree.num_switches), exact_k)
-    return GatherResult(
-        tables=LazyNodeTables(flat),
-        root=tree.root,
-        budget=k,
-        requested_budget=int(budget),
-        exact_k=exact_k,
-        engine=engine,
-        flat=flat,
-    )
-
-
-def flat_gather(
-    tree: TreeNetwork,
-    budget: int,
-    exact_k: bool = False,
-) -> GatherResult:
-    """Run SOAR-Gather on flat ``(l, i, node)`` tensors.
-
-    Drop-in replacement for :func:`repro.core.gather.soar_gather`: same
-    parameters, same :class:`~repro.core.gather.GatherResult` (the per-node
-    tables are numpy views into the contiguous tensors).
-    """
-    return _gather_flat_tensors(
-        tree, budget, exact_k, kernels=NUMPY_KERNELS, engine=FLAT_ENGINE
-    )
-
-
 def _clone_together(*arrays: np.ndarray) -> list[np.ndarray]:
     """Copies of ``arrays`` carved out of one allocation.
 
@@ -359,7 +313,7 @@ def _clone_together(*arrays: np.ndarray) -> list[np.ndarray]:
 def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
     """Recompute the ``dirty`` columns of ``flat`` in place, level by level.
 
-    The numpy ``repair_chain`` kernel (see :class:`GatherKernels`): dirty
+    The numpy ``repair_chain`` kernel (see :class:`Backend`): dirty
     leaves are re-broadcast in one go, then the dirty internal nodes are
     run level-batched from the deepest level up, each stage's convolution
     batched over every node of the level that has that many children.
@@ -455,16 +409,71 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
         y_blue_flat[:rows, :, group] = y_blue
 
 
-#: The pure-numpy kernel set of the ``"flat"`` engine (and the fallback of
-#: the ``"compiled"`` one).
-NUMPY_KERNELS = GatherKernels(repair_chain=_repair_chain_numpy)
+#: The pure-numpy kernels.
+NUMPY_BACKEND = Backend(
+    name="numpy",
+    repair_chain=_repair_chain_numpy,
+    trace=numpy_blue_masks,
+    costs=utilization_costs_flat,
+)
+
+#: The C kernels of :mod:`repro.core.engine_compiled`; ``None`` when they
+#: did not build.
+COMPILED_BACKEND: Backend | None = (
+    Backend(
+        name="compiled",
+        repair_chain=engine_compiled.repair_chain,
+        trace=compiled_blue_masks,
+        costs=utilization_costs_compiled,
+    )
+    if engine_compiled.HAVE_COMPILED
+    else None
+)
+
+#: Every backend this process can run, numpy first.
+BACKENDS: tuple[Backend, ...] = tuple(
+    backend for backend in (NUMPY_BACKEND, COMPILED_BACKEND) if backend is not None
+)
+#: The backend callers get unless they pass one: compiled when it built.
+DEFAULT_BACKEND: Backend = BACKENDS[-1]
+#: :data:`DEFAULT_BACKEND`'s name (``perfbench/checks.py`` records it).
+DEFAULT_ENGINE: str = DEFAULT_BACKEND.name
 
 
-def _repair_flat_tensors(
+def gather(
+    tree: TreeNetwork,
+    budget: int,
+    exact_k: bool = False,
+    backend: Backend = DEFAULT_BACKEND,
+) -> GatherResult:
+    """Run SOAR-Gather on flat ``(l, i, node)`` tensors with ``backend``.
+
+    Same parameters and bit-identical :class:`~repro.core.gather.GatherResult`
+    as :func:`repro.core.gather.soar_gather`.  A cold gather is a repair
+    with every switch dirty: the tables are allocated over the tree's
+    memoized layout (``y`` uninitialized, breadcrumbs zeroed) and
+    ``backend.repair_chain`` computes every column.  The result carries
+    its :class:`FlatTables` and a :class:`LazyNodeTables` mapping over
+    them, so no per-node :class:`~repro.core.gather.NodeTables` is built
+    until a consumer looks one up.
+    """
+    k = normalize_budget(tree, budget)
+    flat = allocate_tables(tree, k)
+    backend.repair_chain(flat, np.arange(tree.num_switches), exact_k)
+    return GatherResult(
+        tables=LazyNodeTables(flat),
+        root=tree.root,
+        budget=k,
+        requested_budget=int(budget),
+        exact_k=exact_k,
+        flat=flat,
+    )
+
+
+def repair(
     result: GatherResult,
     tree: TreeNetwork,
-    kernels: GatherKernels,
-    engine: str,
+    backend: Backend = DEFAULT_BACKEND,
 ) -> GatherResult:
     """Delta-repair a flat gather result towards ``tree``'s availability.
 
@@ -472,7 +481,7 @@ def _repair_flat_tensors(
     ``tree`` is the same structure and loads under a different Λ.  Only the
     switches of the symmetric difference Λ₀ ^ Λ and their ancestors have
     stale DP slabs — every other subtree sees an unchanged Λ ∩ T_v — so
-    the repair clones the flat tensors and has ``kernels.repair_chain``
+    the repair clones the flat tensors and has ``backend.repair_chain``
     recompute the dirty columns alone: O(depth · k² · |delta|) work
     instead of the cold gather's O(n · k²).
 
@@ -493,9 +502,12 @@ def _repair_flat_tensors(
     same artifact shape as a cold gather — so no per-node view
     materialization is paid up front.
 
-    Raises :class:`~repro.exceptions.RepairError` when repair is unsound:
-    no flat tensors, different structure or loads, or a changed effective
-    budget (the tensor width would differ).
+    The result is bit-identical (costs, tables, breadcrumbs, traced
+    placements) to ``gather(tree, result.requested_budget,
+    result.exact_k)``.  Raises :class:`~repro.exceptions.RepairError` when
+    repair is unsound: no flat tensors (a reference result), different
+    structure or loads, or a changed effective budget (the tensor width
+    would differ); callers handle it by re-gathering.
     """
     old_flat = result.flat
     if not isinstance(old_flat, FlatTables):
@@ -542,7 +554,7 @@ def _repair_flat_tensors(
         splits_red=splits_red_flat,
         cost_model=None,
     )
-    kernels.repair_chain(new_flat, dirty, result.exact_k)
+    backend.repair_chain(new_flat, dirty, result.exact_k)
 
     old_model = old_flat.cost_model
     if old_model is not None:
@@ -557,77 +569,6 @@ def _repair_flat_tensors(
         budget=k,
         requested_budget=result.requested_budget,
         exact_k=result.exact_k,
-        engine=engine,
         flat=new_flat,
         cost_model=new_flat.cost_model,
     )
-
-
-def flat_repair(result: GatherResult, tree: TreeNetwork) -> GatherResult:
-    """Delta-repair a flat-engine gather result towards ``tree``.
-
-    Drop-in sibling of :func:`flat_gather`: the returned result is
-    bit-identical (costs, tables, breadcrumbs, traced placements) to
-    ``flat_gather(tree, result.requested_budget, result.exact_k)``.
-    """
-    return _repair_flat_tensors(result, tree, kernels=NUMPY_KERNELS, engine=FLAT_ENGINE)
-
-
-#: Registry of gather-table repairers, keyed by engine name.  The
-#: ``"compiled"`` entry is appended by :mod:`repro.core.engine_compiled`;
-#: the ``"reference"`` engine has none (its results may not carry flat
-#: tensors), so repairing a reference table falls back to a cold gather.
-REPAIRERS: dict[str, Callable[[GatherResult, TreeNetwork], GatherResult]] = {
-    FLAT_ENGINE: flat_repair,
-}
-
-
-def repair(result: GatherResult, tree: TreeNetwork, engine: str | None = None) -> GatherResult:
-    """Delta-repair ``result`` towards ``tree`` with the named engine.
-
-    Defaults to the engine that produced the result.  Raises
-    :class:`~repro.exceptions.RepairError` when the engine has no
-    registered repairer or the repair would be unsound (see
-    :func:`_repair_flat_tensors`); callers handle it by re-gathering.
-    """
-    name = result.engine if engine is None else engine
-    repairer = REPAIRERS.get(name)
-    if repairer is None:
-        raise RepairError(
-            f"no gather-table repairer registered for engine {name!r}"
-        )
-    return repairer(result, tree)
-
-
-#: Registry of gather engines, keyed by their public name.  The
-#: ``"compiled"`` entry is appended by :mod:`repro.core.engine_compiled`
-#: at the bottom of this module (it needs the driver defined first).
-ENGINES: dict[str, Callable[..., GatherResult]] = {
-    FLAT_ENGINE: flat_gather,
-    REFERENCE_ENGINE: soar_gather,
-}
-
-
-def gather(
-    tree: TreeNetwork,
-    budget: int,
-    exact_k: bool = False,
-    engine: str = DEFAULT_ENGINE,
-) -> GatherResult:
-    """Run SOAR-Gather with the named engine.
-
-    ``"compiled"`` (default; numpy kernels when no C compiler is found),
-    ``"flat"``, or ``"reference"``; all three produce bit-identical
-    results — see the module docstring.
-    """
-    try:
-        implementation = ENGINES[engine]
-    except KeyError:
-        known = ", ".join(sorted(ENGINES))
-        raise ValueError(f"unknown gather engine {engine!r}; expected one of: {known}")
-    return implementation(tree, budget, exact_k=exact_k)
-
-
-# Registers the "compiled" engine (self-registration keeps the import
-# order safe whichever module is imported first).
-import repro.core.engine_compiled  # noqa: E402,F401  (registration side effect)

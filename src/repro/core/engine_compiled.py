@@ -1,37 +1,37 @@
-"""The ``"compiled"`` backend (the default): C kernels behind the flat drivers.
+"""The C kernels of the ``compiled`` backend (the default when they build).
 
-Every cold gather and every delta repair of the flat engines is one call
-of the ``repair_chain`` kernel — all switches dirty for a gather, a
-delta's ancestor chains for a repair.  Under numpy that kernel is a
-level loop of small array operations that holds the GIL for the whole
-solve.  This module compiles the same kernel from ``_gather_kernels.c``
-into a small shared library and calls it through ``ctypes``, which
-**releases the GIL for the duration of every kernel call**, so a gather
-or a repair is a single C call (``repro_repair_chain``) between the
-unchanged :func:`repro.core.engine._gather_flat_tensors` and
-:func:`repro.core.engine._repair_flat_tensors` drivers.
+:mod:`repro.core.engine` runs SOAR's three hot loops through a
+:class:`~repro.core.engine.Backend`: the gather/repair ``repair_chain``,
+the colour ``trace`` of a sweep's budgets, and the Eq. (1) ``costs`` of
+the traced placements.  Under numpy the chain is a level loop of small
+array operations that holds the GIL for the whole solve.  This module
+compiles the same three loops from ``_gather_kernels.c`` into a small
+shared library and calls them through ``ctypes``, which **releases the
+GIL for the duration of every kernel call**:
 
-The same library carries the ``"compiled"`` colour and cost kernels, each
-batched over the budgets of a sweep: :func:`color_masks` runs SOAR-Color
-(``repro_color``) for every budget in one call, and
-:func:`utilization_costs` evaluates Eq. (1) (``repro_utilization``) for
-every traced placement in another.  Their consistency checks (negative or
-out-of-range budgets, too many blue nodes, a blue node outside Λ) are
-kernel status codes the wrappers raise as
-:class:`~repro.exceptions.PlacementError`.
+* :func:`repair_chain` (``repro_repair_chain``) — a cold gather or a
+  delta repair as one call;
+* :func:`color_masks` (``repro_color``) — SOAR-Color for every budget of
+  a sweep in one call;
+* :func:`utilization_costs` (``repro_utilization``) — Eq. (1) for every
+  traced placement in one call.
+
+The colour and cost consistency checks (negative or out-of-range budgets,
+too many blue nodes, a blue node outside Λ) are kernel status codes the
+wrappers raise as :class:`~repro.exceptions.PlacementError`.
 
 Bit-identity
 ------------
 Each C kernel performs the identical per-element IEEE-754 operations in
 the identical order as its numpy counterpart (a single multiply or add
 followed by a strict ``<``; ascending-``j`` argmin with strict
-improvement), so the compiled engine's tables, breadcrumbs, placements,
-and costs are byte-identical to ``"flat"`` — enforced across the seeded
-generator corpus by ``tests/test_engine_differential.py`` and
-``tests/test_trace_kernels.py``.  Both chains
-skip the splits above a child subtree's available-switch count (the C
-one per child, the numpy one per level batch); such splits cannot
-strictly improve any entry, so the cap changes no bit.
+improvement), so the two backends' tables, breadcrumbs, placements, and
+costs are byte-identical — enforced across the seeded generator corpus
+by ``tests/test_engine_differential.py`` and
+``tests/test_trace_kernels.py``.  Both chains skip the splits above a
+child subtree's available-switch count (the C one per child, the numpy
+one per level batch); such splits cannot strictly improve any entry, so
+the cap changes no bit.
 
 Build and fallback
 ------------------
@@ -45,12 +45,10 @@ so the compile runs once per source revision per machine.  The publish is
 an atomic :func:`os.replace`, making concurrent first builds safe.
 
 When no compiler is available, the build fails, or ``REPRO_NO_COMPILED``
-is set (the CI no-backend job), the ``"compiled"`` registry entries stay
-callable and transparently compute with the numpy kernels (the flat
-engine's ``repair_chain``, the ``"batched"`` colour and ``"flat"`` cost
-kernels) — same names, bit-identical results, no consumer changes.  :data:`HAVE_COMPILED` (and
-:func:`compiled_available`) report which path is active; compiled-specific
-tests skip when it is ``False``.
+is set (the CI no-backend job), :data:`HAVE_COMPILED` is ``False``: there
+is no ``compiled`` backend and :data:`repro.core.engine.DEFAULT_BACKEND`
+is the numpy one — bit-identical results, and a backend name that says
+which kernels actually ran.  Compiled-specific tests skip.
 """
 
 from __future__ import annotations
@@ -67,18 +65,7 @@ from pathlib import Path
 import numpy as np
 from numpy.ctypeslib import ndpointer
 
-from repro.core.engine import (
-    COMPILED_ENGINE,
-    ENGINES,
-    NUMPY_KERNELS,
-    REPAIRERS,
-    GatherKernels,
-    _gather_flat_tensors,
-    _repair_flat_tensors,
-)
 from repro.core.flat import FlatCostModel, FlatTables
-from repro.core.gather import GatherResult
-from repro.core.tree import TreeNetwork
 from repro.exceptions import PlacementError
 
 #: Set this environment variable (to any non-empty value) to skip the C
@@ -170,8 +157,8 @@ def _build_library() -> ctypes.CDLL | None:
 
 _LIB = _build_library()
 
-#: True when the C kernels compiled and loaded; False means the
-#: ``"compiled"`` engine name still works but computes with numpy.
+#: True when the C kernels compiled and loaded; False means there is no
+#: ``compiled`` backend and the default one is numpy.
 HAVE_COMPILED: bool = _LIB is not None
 
 
@@ -181,11 +168,12 @@ def compiled_available() -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# kernel wrappers (see repro.core.engine.GatherKernels for the contracts)
+# kernel wrappers (see repro.core.engine.Backend for the contracts)
 # --------------------------------------------------------------------------- #
 
 
-def _repair_chain_compiled(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+    """The ``repair_chain`` of the compiled backend: one ``repro_repair_chain`` call."""
     height = flat.y_red.shape[0] - 1
     width, n = flat.y_red.shape[1], flat.y_red.shape[2]
     status = _LIB.repro_repair_chain(
@@ -213,48 +201,6 @@ def _repair_chain_compiled(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -
         raise MemoryError("repro_repair_chain could not allocate its scratch")
 
 
-#: The kernel set of the ``"compiled"`` engine — the C kernels when the
-#: library built, the numpy kernels otherwise (bit-identical either way).
-COMPILED_KERNELS: GatherKernels = (
-    GatherKernels(repair_chain=_repair_chain_compiled)
-    if HAVE_COMPILED
-    else NUMPY_KERNELS
-)
-
-
-def compiled_gather(
-    tree: TreeNetwork,
-    budget: int,
-    exact_k: bool = False,
-) -> GatherResult:
-    """Run SOAR-Gather with the compiled (GIL-releasing) kernels.
-
-    Drop-in replacement for :func:`repro.core.engine.flat_gather` with
-    byte-identical output.  When the C backend is unavailable (see the
-    module docstring) this computes with the numpy kernels instead; the
-    result still records ``engine="compiled"`` — provenance names the
-    registry entry that produced it, and the entries are bit-identical by
-    contract, with :data:`HAVE_COMPILED` distinguishing the backends.
-    """
-    return _gather_flat_tensors(
-        tree, budget, exact_k, kernels=COMPILED_KERNELS, engine=COMPILED_ENGINE
-    )
-
-
-def compiled_repair(result: GatherResult, tree: TreeNetwork) -> GatherResult:
-    """Delta-repair a compiled-engine gather result towards ``tree``.
-
-    The shared repair driver of :mod:`repro.core.engine` parameterized by
-    the compiled kernel set — the whole dirty chain (leaf re-broadcast,
-    stage seeding, every convolution, breadcrumbs) is recomputed by one C
-    call (releasing the GIL) when the backend is active, and by the numpy
-    level loop otherwise, bit-identical either way.
-    """
-    return _repair_flat_tensors(
-        result, tree, kernels=COMPILED_KERNELS, engine=COMPILED_ENGINE
-    )
-
-
 # --------------------------------------------------------------------------- #
 # the colour and cost kernels (see repro.core.color / repro.core.cost)
 # --------------------------------------------------------------------------- #
@@ -268,8 +214,8 @@ _OUTSIDE_AVAILABILITY = 4
 
 #: Python's built-in ``sum`` of floats is a plain running total before 3.12
 #: and Neumaier-compensated from 3.12 on; the cost kernel reproduces
-#: whichever this interpreter uses, so it stays bit-identical to the flat
-#: and reference kernels' ``sum``.
+#: whichever this interpreter uses, so it stays bit-identical to the numpy
+#: kernel's and the reference walk's ``sum``.
 _COMPENSATED_SUM = int(sys.version_info >= (3, 12))
 
 
@@ -386,9 +332,3 @@ def utilization_costs(
     if status != 0:
         raise _kernel_failure(status, info, model.order, None, 0)
     return costs
-
-
-# Self-registration: done here (not in repro.core.engine) so the modules
-# can be imported in either order without a partially-initialized cycle.
-ENGINES[COMPILED_ENGINE] = compiled_gather
-REPAIRERS[COMPILED_ENGINE] = compiled_repair

@@ -1,8 +1,8 @@
-"""Flat tensor view of a gather result, shared by the batched kernels.
+"""Flat tensor view of a gather result, shared by the backends' kernels.
 
-The flat gather engine of :mod:`repro.core.engine` computes the SOAR dynamic
-program directly on contiguous ``(l, i, node)`` tensors; the level-batched
-colour kernel of :mod:`repro.core.color` traces placements out of the very
+The gather drivers of :mod:`repro.core.engine` compute the SOAR dynamic
+program directly on contiguous ``(l, i, node)`` tensors; the backends'
+colour traces (:mod:`repro.core.color`) read placements out of the very
 same layout.  :class:`FlatLayout` is the structure half of that layout
 (node order, per-level slabs, ragged child lists, breadcrumb slots, the
 ``path_rho`` table), built once per weighted tree by
@@ -10,20 +10,18 @@ same layout.  :class:`FlatLayout` is the structure half of that layout
 (:meth:`~repro.core.tree.TreeNetwork.flat_layout`);
 :class:`FlatTables` adds one gather's tensors plus its loads and Λ.
 
-Results produced by the flat engines carry their :class:`FlatTables`
+Every result a backend gathers or repairs carries its :class:`FlatTables`
 zero-copy (the per-node :class:`~repro.core.gather.NodeTables` are built
 on demand from views into the same memory; see :class:`LazyNodeTables`).
-Results produced by the per-node reference engine do not;
-:func:`flat_tables_for` stacks them into the flat layout on first use and
-caches the outcome on the result, so the batched colour kernel works
-identically on both engines' tables — which is exactly what the
-differential tests exploit.
+Results of the per-node reference walk
+(:func:`~repro.core.gather.soar_gather`) carry none; only the reference
+colour walk reads them.
 
 The cost phase shares the layout too: :class:`FlatCostModel` is the
 structural slice of it (node order, parent pointers, per-link ``rho``,
-level slabs, the post-order permutation) that the flat cost kernel of
-:mod:`repro.core.cost` batches Eq. (1) over.  A model depends only on the
-*topology and rates* — loads and Λ are call-time inputs — so one model
+level slabs, the post-order permutation) that the batched cost kernels
+of :mod:`repro.core.cost` evaluate Eq. (1) over.  A model depends only on
+the *topology and rates* — loads and Λ are call-time inputs — so one model
 serves every same-structure workload network, and a
 :class:`~repro.core.solver.GatherTable` derives its model from the layout
 it already carries (:func:`cost_model_for`), which is why a warm table
@@ -31,13 +29,13 @@ hit never rebuilds the per-link message-count dicts.
 
 Node order
 ----------
-Nodes are laid out deepest level first (stable within a level), matching
-the flat engine: every level is then one contiguous slab, recorded in
-``level_slices``, so both the bottom-up gather and the top-down colour
-trace touch contiguous runs.  The children of all nodes are concatenated
-into one ragged array (``child_concat`` + ``child_offset``), keeping the
-per-stage scatter of the colour traceback a single fancy-indexed gather
-even on trees with wildly varying fan-out.
+Nodes are laid out deepest level first (stable within a level): every
+level is then one contiguous slab, recorded in ``level_slices``, so both
+the bottom-up gather and the top-down colour trace touch contiguous runs.
+The children of all nodes are concatenated into one ragged array
+(``child_concat`` + ``child_offset``), keeping the per-stage scatter of
+the colour traceback a single fancy-indexed gather even on trees with
+wildly varying fan-out.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gather import GatherResult, NodeTables
+from repro.core.gather import NodeTables
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import RepairError
 
@@ -60,7 +58,7 @@ class FlatLayout:
     loads or Λ — so :func:`build_metadata` computes it once per structure
     and :meth:`TreeNetwork.flat_layout` memoizes it in a slot that
     :meth:`~TreeNetwork.with_loads` / :meth:`~TreeNetwork.with_available`
-    copies share: every gather, repair, stack and cost model of the same
+    copies share: every gather, repair and cost model of the same
     weighted tree reads the same (read-only) arrays.
 
     Attributes
@@ -125,8 +123,8 @@ class FlatTables(FlatLayout):
         The instance the tables were gathered for — the network whose
         loads and Λ the cached ``load`` / ``avail`` arrays reflect.
         Consumers tracing for a *different* (same-structure) network must
-        re-derive those two arrays from their own tree (the colour kernel
-        does; see :func:`repro.core.color.soar_color_batched`).
+        re-derive those two arrays from their own tree (the backends'
+        traces and costs do; see :func:`traced_vectors`).
     load, avail:
         The tree's loads (int64) and Λ membership (bool) in flat order.
     y_blue, y_red:
@@ -146,7 +144,7 @@ class FlatTables(FlatLayout):
     splits_blue: np.ndarray
     splits_red: np.ndarray
     #: Lazily-derived :class:`FlatCostModel` sharing this layout (see
-    #: :func:`cost_model_for`); never built by the engines themselves.
+    #: :func:`cost_model_for`); never built by the gather drivers themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
 
     def node_tables(self, position: int) -> NodeTables:
@@ -378,6 +376,23 @@ def instance_vectors(
     return load, avail
 
 
+def traced_vectors(
+    tree: TreeNetwork, owner: "FlatTables | FlatCostModel"
+) -> tuple[np.ndarray, np.ndarray]:
+    """The loads and Λ a trace or cost evaluation over ``owner`` reads.
+
+    Both depend on the *caller's* loads and Λ, exactly as the reference
+    walks consult ``tree`` rather than gather-time state.  On the hot path
+    (service table hits, ``GatherTable.place``) the caller's tree IS the
+    tree ``owner`` was built for and its cached arrays apply; a caller
+    tracing against a modified same-structure network gets the arrays
+    re-derived from its own tree.
+    """
+    if tree is owner.tree:
+        return owner.load, owner.avail
+    return instance_vectors(tree, owner)
+
+
 def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
     """Unfilled :class:`FlatTables` for ``tree`` at effective budget ``budget``.
 
@@ -402,45 +417,12 @@ def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
     )
 
 
-def _stack_result(tree: TreeNetwork, result: GatherResult) -> FlatTables:
-    """Stack per-node :class:`NodeTables` into the flat layout.
-
-    Used for results of the per-node reference engine (the flat engines
-    attach their tensors directly).  Rows beyond a node's depth are left
-    uninitialized, exactly as the flat engines leave them.
-    """
-    flat = allocate_tables(tree, result.budget)
-    for position, node in enumerate(flat.order):
-        tables = result.tables[node]
-        rows = int(flat.depth[position]) + 1
-        flat.y_blue[:rows, :, position] = tables.y_blue
-        flat.y_red[:rows, :, position] = tables.y_red
-        base = int(flat.stage_offset[position])
-        for stage, split in enumerate(tables.splits_blue):
-            flat.splits_blue[:rows, :, base + stage] = split
-        for stage, split in enumerate(tables.splits_red):
-            flat.splits_red[:rows, :, base + stage] = split
-    return flat
-
-
-def flat_tables_for(tree: TreeNetwork, result: GatherResult) -> FlatTables:
-    """The :class:`FlatTables` of ``result``, building and caching if needed.
-
-    Flat-engine results carry theirs from birth; reference-engine results
-    pay one per-node stacking pass on first use, memoized on the result so
-    budget sweeps over the same tables stack only once.
-    """
-    if result.flat is None:
-        result.flat = _stack_result(tree, result)
-    return result.flat
-
-
 class LazyNodeTables(dict):
     """``node -> NodeTables`` mapping materialized on demand from flat tensors.
 
     Eagerly building all ``n`` per-node views costs about a fifth of a cold
     gather on BT(1024) — and most of a delta repair, which recomputes only
-    the dirtied DP slabs.  Both flat-engine paths (cold gathers and
+    the dirtied DP slabs.  Both driver paths (cold gathers and
     repairs) therefore carry this mapping instead: a real ``dict`` (so
     every consumer treating ``tables`` as a mapping keeps working) whose
     entries are built from :meth:`FlatTables.node_tables` the first time a
@@ -452,7 +434,7 @@ class LazyNodeTables(dict):
     containment, equality) reflect the *full* node set: they materialize
     every node in canonical flat order first, making the mapping
     indistinguishable from an eager per-node dict such as the reference
-    engine builds.
+    walk builds.
     """
 
     def __init__(self, flat: FlatTables) -> None:

@@ -96,18 +96,14 @@ class GatherResult:
         The budget the caller asked for.
     exact_k:
         Which budget semantics the tables encode.
-    engine:
-        Name of the gather engine that produced the tables (provenance;
-        the engines are bit-identical but artifacts advertise their
-        origin so reuse mismatches are detectable).
     flat:
         The :class:`~repro.core.flat.FlatTables` layout of the tables,
-        attached by the flat engine at construction and lazily stacked
-        for reference-engine results (see
-        :func:`repro.core.flat.flat_tables_for`).
+        attached by :func:`repro.core.engine.gather` at construction;
+        ``None`` for results of :func:`soar_gather`, which only the
+        reference walks read.
     cost_model:
-        The :class:`~repro.core.flat.FlatCostModel` the flat cost kernel
-        evaluates placements traced from these tables with; built lazily
+        The :class:`~repro.core.flat.FlatCostModel` the backends' cost
+        kernels evaluate placements traced from these tables with; built lazily
         by :meth:`repro.core.solver.GatherTable.place` and cached here so
         budget sweeps over one gather price the metadata once.
     """
@@ -117,7 +113,6 @@ class GatherResult:
     budget: int
     requested_budget: int
     exact_k: bool
-    engine: str = "reference"
     flat: "object | None" = field(default=None, repr=False, compare=False)
     cost_model: "object | None" = field(default=None, repr=False, compare=False)
 
@@ -316,5 +311,4 @@ def soar_gather(
         budget=effective,
         requested_budget=int(budget),
         exact_k=exact_k,
-        engine="reference",
     )

@@ -4,8 +4,9 @@ SOAR is a two-phase algorithm — an expensive gather dynamic program followed
 by a cheap colouring trace — and this module makes that structure the public
 API instead of hiding it behind keyword-threaded free functions:
 
-* :class:`Solver` binds the engine, the budget semantics, and the colour
-  kernel **once**; every artifact it produces records that provenance.
+* :class:`Solver` binds the kernel :class:`~repro.core.engine.Backend`
+  and the budget semantics **once**; every artifact it produces records
+  them.
 * :class:`GatherTable` is the immutable product of the gather phase.  A
   table gathered at budget ``k`` carries every column ``0 .. k``, so one
   table answers *every* smaller budget through :meth:`GatherTable.cost`,
@@ -32,12 +33,13 @@ Example
 
 Reuse safety
 ------------
-A :class:`GatherTable` knows the engine and semantics it was built under
-and refuses to be passed off as anything else: :meth:`GatherTable.require`
-raises :class:`~repro.exceptions.EngineMismatchError` or
-:class:`~repro.exceptions.SemanticsMismatchError` on a mismatch, closing
-the historical hole where ``solve(..., gathered=...)`` silently traced
-at-most-k answers out of exactly-k tables (or vice versa).
+A :class:`GatherTable` knows the budget semantics it was built under and
+refuses to be passed off as the other one: :meth:`GatherTable.require`
+raises :class:`~repro.exceptions.SemanticsMismatchError` on a mismatch,
+closing the historical hole where ``solve(..., gathered=...)`` silently
+traced at-most-k answers out of exactly-k tables (or vice versa).  The
+backends build bit-identical tables, so a table serves a solver on
+either.
 """
 
 from __future__ import annotations
@@ -45,36 +47,23 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.color import (
-    COLOR_KERNELS,
-    DEFAULT_COLOR,
-    blue_set,
-    compiled_blue_masks,
-    soar_color_compiled,
-    trace_color,
-)
-from repro.core.cost import (
-    COST_KERNELS,
-    DEFAULT_COST,
-    REFERENCE_COST,
-    evaluate_cost,
-    utilization_cost_compiled,
-    utilization_costs_compiled,
-)
+from repro.core.color import blue_set
 from repro.core.engine import (
-    DEFAULT_ENGINE,
-    ENGINES,
+    DEFAULT_BACKEND,
+    Backend,
     gather as run_gather,
     repair as run_repair,
 )
 from repro.core.flat import FlatCostModel, cost_model_for
 from repro.core.gather import GatherResult, normalize_budget
 from repro.core.tree import NodeId, TreeNetwork
-from repro.exceptions import (
-    EngineMismatchError,
-    InvalidBudgetError,
-    SemanticsMismatchError,
-)
+from repro.exceptions import InvalidBudgetError, SemanticsMismatchError
+
+# perfbench/tracer.py times the colour and cost phases by wrapping these two
+# names of this module.  A backend sweep calls neither, so those spans read
+# 0; stage timers inside the library are to replace the wrapping.
+from repro.core.color import soar_color_batched as trace_color  # noqa: F401
+from repro.core.cost import evaluate_cost  # noqa: F401
 
 __all__ = ["GatherTable", "Placement", "Solver"]
 
@@ -131,25 +120,17 @@ class GatherTable:
     tree:
         The φ-BIC instance the tables were gathered for (topology, rates,
         loads, Λ).
-    engine:
-        Gather engine that built the tables.
+    backend:
+        The :class:`~repro.core.engine.Backend` that gathered the tables
+        and that :meth:`place`, :meth:`sweep` and :meth:`repair` run on
+        (bound from the producing :class:`Solver`).  On the compiled
+        backend a whole sweep is one C colour call plus one C cost call.
     exact_k:
         Budget semantics the tables encode.
-    color:
-        Colour kernel :meth:`place` and :meth:`sweep` use by default
-        (bound from the producing :class:`Solver`).
     fingerprint:
         Digest of the full instance (:meth:`TreeNetwork.fingerprint`);
         equal fingerprints mean the table is valid verbatim for the other
         instance.
-    cost_kernel:
-        Cost kernel :meth:`place` recomputes the achieved utilization
-        with (bound from the producing :class:`Solver`; the flat and
-        compiled kernels reuse the trace metadata the artifact already
-        carries, so a warm table hit never rebuilds the per-link
-        message-count dicts).  When both kernels are ``"compiled"`` (the
-        defaults) and the C backend built, a whole sweep is one C colour
-        call plus one C cost call.
     repaired_from:
         Repair lineage: the fingerprint of the table this one was
         delta-repaired out of (:meth:`repair`), ``None`` for a cold
@@ -162,11 +143,9 @@ class GatherTable:
 
     result: GatherResult = field(repr=False)
     tree: TreeNetwork = field(repr=False)
-    engine: str
+    backend: Backend
     exact_k: bool
-    color: str
     fingerprint: str
-    cost_kernel: str = DEFAULT_COST
     repaired_from: str | None = field(default=None, repr=False)
     repair_generation: int = 0
 
@@ -185,21 +164,14 @@ class GatherTable:
         """Root switch of the instance the tables belong to."""
         return self.result.root
 
-    def require(self, engine: str | None = None, exact_k: bool | None = None) -> None:
-        """Assert the table may be reused under the given settings.
+    def require(self, exact_k: bool | None = None) -> None:
+        """Assert the table may be reused under the given budget semantics.
 
         Raises
         ------
-        EngineMismatchError
-            If ``engine`` is given and differs from the table's engine.
         SemanticsMismatchError
             If ``exact_k`` is given and differs from the table's semantics.
         """
-        if engine is not None and engine != self.engine:
-            raise EngineMismatchError(
-                f"gather table was built by engine {self.engine!r}; "
-                f"cannot reuse it as {engine!r} output"
-            )
         if exact_k is not None and exact_k != self.exact_k:
             raise SemanticsMismatchError(
                 f"gather table encodes exact_k={self.exact_k}; "
@@ -219,77 +191,50 @@ class GatherTable:
         """Optimal utilization ``X_r(1, budget)`` — a pure table lookup."""
         return self.result.cost_for_budget(self.effective_budget(budget))
 
-    def cost_model(self) -> FlatCostModel | None:
+    def cost_model(self) -> FlatCostModel:
         """The artifact's :class:`~repro.core.flat.FlatCostModel`, built lazily.
 
-        ``None`` for a table bound to the reference cost kernel (the
-        per-node walk needs no metadata).  Flat-engine tables derive the
-        model zero-copy from their :class:`~repro.core.flat.FlatTables`;
-        reference-engine tables pay one metadata pass.  Cached on the
-        underlying :class:`~repro.core.gather.GatherResult`, so every
-        placement traced from the table shares it.
+        Derived zero-copy from the table's
+        :class:`~repro.core.flat.FlatTables` and cached on the underlying
+        :class:`~repro.core.gather.GatherResult`, so every placement
+        traced from the table shares it.
         """
-        if self.cost_kernel == REFERENCE_COST:
-            return None
         if self.result.cost_model is None:
             self.result.cost_model = cost_model_for(self.tree, self.result.flat)
         return self.result.cost_model
 
-    def place(self, budget: int | None = None, color: str | None = None) -> Placement:
+    def place(self, budget: int | None = None) -> Placement:
         """Trace an optimal placement for ``budget`` out of the tables.
 
         This is the whole cost of answering a query from a cached table:
         the colour trace plus the verification recompute of the achieved
-        cost — a sweep of one budget (see :meth:`sweep`).  ``color``
-        overrides the table's default kernel (e.g. ``"reference"`` for
-        differential runs).
+        cost — a sweep of one budget (see :meth:`sweep`).
         """
-        effective = self.effective_budget(budget)
-        return self._trace([effective], color or self.color)[0]
+        return self._trace([self.effective_budget(budget)])[0]
 
-    def sweep(
-        self,
-        budgets: Iterable[int],
-        color: str | None = None,
-    ) -> dict[int, Placement]:
+    def sweep(self, budgets: Iterable[int]) -> dict[int, Placement]:
         """Trace one placement per budget — the Figure 3/6 sweep surface.
 
         Budgets above :attr:`budget` are clamped (they share the widest
         column); duplicates after clamping are traced once and shared.
-        With the compiled colour and cost kernels every distinct budget is
-        traced by one C colour call and costed by one C cost call.
+        Every distinct budget is traced by one ``backend.trace`` call and
+        costed by one ``backend.costs`` call.
         """
         wanted = sorted({int(b) for b in budgets})
         effective = {budget: self.effective_budget(budget) for budget in wanted}
         distinct = sorted(set(effective.values()))
-        traced = dict(zip(distinct, self._trace(distinct, color or self.color)))
+        traced = dict(zip(distinct, self._trace(distinct)))
         return {budget: traced[effective[budget]] for budget in wanted}
 
-    def _trace(self, budgets: list[int], color: str) -> list[Placement]:
+    def _trace(self, budgets: list[int]) -> list[Placement]:
         """Placements for effective ``budgets``, colour then cost recompute.
 
         The cost is recomputed from the traced blue set, never copied from
         the tables, so ``cost == predicted_cost`` stays a real check.
         """
-        if (
-            COLOR_KERNELS.get(color) is soar_color_compiled
-            and COST_KERNELS.get(self.cost_kernel) is utilization_cost_compiled
-        ):
-            flat, masks = compiled_blue_masks(self.tree, self.result, budgets)
-            costs = utilization_costs_compiled(
-                self.tree, masks, self.cost_model()
-            ).tolist()
-            blues = [blue_set(flat.order, mask) for mask in masks]
-        else:
-            blues, costs = [], []
-            for budget in budgets:
-                blue = trace_color(self.tree, self.result, budget=budget, color=color)
-                blues.append(blue)
-                costs.append(
-                    evaluate_cost(
-                        self.tree, blue, cost=self.cost_kernel, model=self.cost_model()
-                    )
-                )
+        flat, masks = self.backend.trace(self.tree, self.result, budgets)
+        costs = self.backend.costs(self.tree, masks, self.cost_model()).tolist()
+        blues = [blue_set(flat.order, mask) for mask in masks]
         return [
             Placement(
                 blue_nodes=blue,
@@ -319,23 +264,20 @@ class GatherTable:
         Raises
         ------
         RepairError
-            When the repair would be unsound — the table's engine has no
-            registered repairer (``"reference"``), the result carries no
-            flat tensors, or the delta changes the effective budget
-            (|Λ| crossing the requested ``k`` changes the tensor width).
+            When the repair would be unsound — a delta entry is not a
+            switch, or the delta changes the effective budget (|Λ|
+            crossing the requested ``k`` changes the tensor width).
             Callers fall back to a cold gather.
         """
         flips = frozenset(delta)
         new_tree = self.tree.with_available(self.tree.available ^ flips)
-        result = run_repair(self.result, new_tree, engine=self.engine)
+        result = run_repair(self.result, new_tree, self.backend)
         return GatherTable(
             result=result,
             tree=new_tree,
-            engine=self.engine,
+            backend=self.backend,
             exact_k=self.exact_k,
-            color=self.color,
             fingerprint=new_tree.fingerprint(),
-            cost_kernel=self.cost_kernel,
             repaired_from=self.fingerprint,
             repair_generation=self.repair_generation + 1,
         )
@@ -343,51 +285,26 @@ class GatherTable:
 
 @dataclass(frozen=True)
 class Solver:
-    """Facade binding engine, budget semantics, and colour kernel once.
+    """Facade binding the kernel backend and the budget semantics once.
 
     Parameters
     ----------
-    engine:
-        Gather engine (``"compiled"`` default, ``"flat"`` numpy,
-        ``"reference"`` ground truth); see :mod:`repro.core.engine`.
+    backend:
+        The :class:`~repro.core.engine.Backend` every gather, trace, cost
+        recompute and repair runs on: :data:`~repro.core.engine.DEFAULT_BACKEND`
+        (compiled when the C kernels built) or
+        :data:`~repro.core.engine.NUMPY_BACKEND`.  The backends are
+        bit-identical; on the compiled one a sweep or a placement is one C
+        colour call plus one C cost call, whatever the number of budgets.
     exact_k:
         Budget semantics; see :mod:`repro.core.gather`.  The default
         (at-most-k) is never worse than the paper-literal exactly-k mode.
-    color:
-        Colour kernel placements are traced with (``"compiled"`` default,
-        ``"batched"`` numpy, ``"reference"`` ground truth); see
-        :mod:`repro.core.color`.
-    cost_kernel:
-        Cost kernel the achieved utilization is recomputed with
-        (``"compiled"`` default, ``"flat"`` numpy, ``"reference"`` ground
-        truth); see :data:`repro.core.cost.COST_KERNELS`.  With both
-        defaults a sweep or a placement is one C colour call plus one C
-        cost call, whatever the number of budgets.
 
     The solver is stateless and immutable — share one per configuration.
     """
 
-    engine: str = DEFAULT_ENGINE
+    backend: Backend = DEFAULT_BACKEND
     exact_k: bool = False
-    color: str = DEFAULT_COLOR
-    cost_kernel: str = DEFAULT_COST
-
-    def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            known = ", ".join(sorted(ENGINES))
-            raise ValueError(
-                f"unknown gather engine {self.engine!r}; expected one of: {known}"
-            )
-        if self.color not in COLOR_KERNELS:
-            known = ", ".join(sorted(COLOR_KERNELS))
-            raise ValueError(
-                f"unknown colour kernel {self.color!r}; expected one of: {known}"
-            )
-        if self.cost_kernel not in COST_KERNELS:
-            known = ", ".join(sorted(COST_KERNELS))
-            raise ValueError(
-                f"unknown cost kernel {self.cost_kernel!r}; expected one of: {known}"
-            )
 
     def with_semantics(self, exact_k: bool) -> "Solver":
         """A solver identical to this one except for the budget semantics."""
@@ -404,17 +321,12 @@ class Solver:
         table answers every smaller budget through :meth:`GatherTable.cost`
         / :meth:`GatherTable.place` for the price of a colour trace.
         """
-        result = run_gather(
-            tree, max_budget, exact_k=self.exact_k, engine=self.engine
-        )
         return GatherTable(
-            result=result,
+            result=run_gather(tree, max_budget, self.exact_k, self.backend),
             tree=tree,
-            engine=self.engine,
+            backend=self.backend,
             exact_k=self.exact_k,
-            color=self.color,
             fingerprint=tree.fingerprint(),
-            cost_kernel=self.cost_kernel,
         )
 
     def solve(self, tree: TreeNetwork, budget: int) -> Placement:

@@ -54,21 +54,10 @@ class PlacementError(ReproError):
 class TableMismatchError(ReproError):
     """A gather-table artifact is being reused under incompatible settings.
 
-    Gather tables are only valid for the exact configuration they were
-    computed under; reusing them with a different engine or different budget
-    semantics would silently produce tables that answer a *different*
-    problem.  The two concrete subclasses identify which half of the
-    contract was violated.
-    """
-
-
-class EngineMismatchError(TableMismatchError):
-    """A gather table is being reused with a different gather engine.
-
-    The shipped engines are bit-identical, so this is about keeping the
-    provenance contract self-evident: a table advertises the engine that
-    built it, and a solver bound to another engine must not claim the
-    table as its own output.
+    Gather tables are only valid for the exact instance and budget
+    semantics they were computed under; reusing them otherwise would
+    silently produce tables that answer a *different* problem.  The
+    concrete subclasses identify which half of the contract was violated.
     """
 
 
@@ -89,8 +78,8 @@ class RepairError(TableMismatchError):
     which is only sound when the target network differs from the gather's
     network in *availability alone* and the effective budget (the tensor
     width) is unchanged.  Structure or load differences, a delta that
-    shrinks Λ below the requested budget, an engine without a registered
-    repairer, or a result carrying no flat tensors all raise this error;
+    shrinks Λ below the requested budget, or a result carrying no flat
+    tensors (a reference walk's) all raise this error;
     callers fall back to a cold gather.
     """
 
@@ -108,8 +97,10 @@ class PersistenceError(ReproError):
 
     Raised when a snapshot's format version is unknown, when a snapshot or
     journal was recorded for a different network (structure fingerprints
-    disagree), or when a journal is attached to a service whose mutation
-    history it does not describe.
+    disagree), when a journal is attached to a service whose mutation
+    history it does not describe, or when a snapshot, journal or trace
+    file holds a torn or undecodable record (the message names the file
+    and line).
     """
 
 

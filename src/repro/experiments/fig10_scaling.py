@@ -67,7 +67,7 @@ def run_fig10_utilization(
             rng = np.random.default_rng(seed)
             tree = _sampled_tree(size, rng)
             baseline = all_red_cost(tree)
-            gathered = Solver(engine=config.engine).gather(tree, max_budget)
+            gathered = Solver().gather(tree, max_budget)
             for name, budget in budgets.items():
                 cost = gathered.cost(budget)
                 per_rule[name].append(cost / baseline if baseline else 0.0)
@@ -124,7 +124,7 @@ def run_fig10_required_fraction(
             rng = np.random.default_rng(seed)
             tree = _sampled_tree(size, rng)
             baseline = all_red_cost(tree)
-            gathered = Solver(engine=config.engine).gather(
+            gathered = Solver().gather(
                 tree, min(search_budget, tree.num_switches)
             )
             costs = [gathered.cost(k) for k in range(gathered.budget + 1)]

@@ -108,7 +108,7 @@ def run_fig11_scaling(
             rng = np.random.default_rng(seed)
             tree = sf_network(size, rng=rng)
             baseline = all_red_cost(tree)
-            gathered = gather(tree, max_budget, engine=config.engine)
+            gathered = gather(tree, max_budget)
             for name, budget in budgets.items():
                 cost = gathered.cost_for_budget(budget)
                 per_rule[name].append(cost / baseline if baseline else 0.0)

@@ -47,7 +47,7 @@ def run_fig6(
     error — exactly the series of the corresponding sub-plot.
     """
     strategies = dict(strategies or PAPER_STRATEGIES)
-    solver = Solver(engine=config.engine, color=config.color, cost_kernel=config.cost)
+    solver = Solver()
     rows: list[dict] = []
 
     for distribution in distributions:
@@ -74,10 +74,7 @@ def run_fig6(
                             cost = soar_solutions[budget].cost
                         else:
                             cost = evaluate_cost(
-                                tree,
-                                strategy(tree, budget),
-                                cost=config.cost,
-                                model=model,
+                                tree, strategy(tree, budget), model=model
                             )
                         value = cost / baseline if baseline else 0.0
                         normalized[name].setdefault(budget, []).append(value)

@@ -57,7 +57,7 @@ def run_fig8(
     averaged over the configured repetitions.
     """
     applications = dict(applications or default_applications())
-    solver = Solver(engine=config.engine, color=config.color)
+    solver = Solver()
     rows: list[dict] = []
 
     for app_name, application in applications.items():

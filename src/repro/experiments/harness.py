@@ -19,9 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.color import DEFAULT_COLOR
-from repro.core.cost import DEFAULT_COST
-from repro.core.engine import DEFAULT_ENGINE
 from repro.core.tree import TreeNetwork
 from repro.exceptions import ExperimentError
 from repro.topology.binary_tree import bt_network
@@ -51,24 +48,14 @@ class ExperimentConfig:
         uses 10).
     seed:
         Base seed; repetition ``i`` uses an independent child seed.
-    engine:
-        SOAR-Gather engine used by the experiments (``"compiled"`` default,
-        ``"flat"`` or ``"reference"``; see :mod:`repro.core.engine`).
-    color:
-        SOAR-Color kernel used by the experiments (``"compiled"`` default,
-        ``"batched"`` or ``"reference"``; see :mod:`repro.core.color`).
-    cost:
-        Cost kernel used by the experiments (``"compiled"`` default,
-        ``"flat"`` or ``"reference"``; see
-        :data:`repro.core.cost.COST_KERNELS`).
+
+    Experiments solve on :data:`repro.core.engine.DEFAULT_BACKEND`; the
+    backends are bit-identical, so the figures do not depend on it.
     """
 
     network_size: int = 256
     repetitions: int = 10
     seed: int = 2021
-    engine: str = DEFAULT_ENGINE
-    color: str = DEFAULT_COLOR
-    cost: str = DEFAULT_COST
     extra: dict = field(default_factory=dict)
 
     def scaled(self, network_size: int | None = None, repetitions: int | None = None):

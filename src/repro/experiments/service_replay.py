@@ -76,7 +76,7 @@ ROW_COLUMNS: tuple[str, ...] = (
     "repairs",
     "repair_hits",
     "verified",
-    "engine",
+    "backend",
 )
 
 
@@ -138,23 +138,9 @@ def run_service_replay(
     tree = apply_rate_scheme(bt_network(config.network_size), rate_scheme)
     journal = Journal(journal_path, tree=tree) if journal_path is not None else None
     if restore_path is not None:
-        service = PlacementService.restore(
-            tree,
-            restore_path,
-            journal,
-            engine=config.engine,
-            color=config.color,
-            cost_kernel=config.cost,
-        )
+        service = PlacementService.restore(tree, restore_path, journal)
     else:
-        service = PlacementService(
-            tree,
-            capacity,
-            engine=config.engine,
-            color=config.color,
-            cost_kernel=config.cost,
-            journal=journal,
-        )
+        service = PlacementService(tree, capacity, journal=journal)
     if trace_path is not None:
         check_trace_compatible(tree, trace_header(trace_path))
         trace = read_trace(trace_path)

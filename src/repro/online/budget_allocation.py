@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.engine import DEFAULT_ENGINE
 from repro.core.solver import Solver
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import InvalidBudgetError
@@ -70,13 +69,12 @@ def workload_cost_curve(
     tree: TreeNetwork,
     loads: Mapping[NodeId, int],
     max_budget: int,
-    engine: str = DEFAULT_ENGINE,
 ) -> list[float]:
     """Optimal utilization of one workload for every budget ``0..max_budget``."""
     if max_budget < 0:
         raise InvalidBudgetError(f"budget must be non-negative, got {max_budget}")
     workload_tree = tree.with_loads(loads)
-    table = Solver(engine=engine).gather(workload_tree, max_budget)
+    table = Solver().gather(workload_tree, max_budget)
     curve = [table.cost(budget) for budget in range(table.budget + 1)]
     # If the budget was clamped (more budget than available switches), the
     # curve is flat beyond the clamp point.

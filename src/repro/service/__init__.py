@@ -17,11 +17,11 @@ Module tour
 :mod:`repro.service.cache`
     The speed multiplier: an LRU cache of public
     :class:`repro.GatherTable` artifacts keyed by (structure fingerprint,
-    Λ fingerprint, loads digest, budget semantics, engine).  A table
+    Λ fingerprint, loads digest, budget semantics).  A table
     gathered at budget ``k`` answers every budget ``k' <= k`` through
-    ``table.place(k')`` (*budget upcasting*) — a colour trace plus the
-    cost-kernel recompute (:data:`repro.core.cost.COST_KERNELS`; by
-    default one C call each, for every budget a sweep needs),
+    ``table.place(k')`` (*budget upcasting*) — the backend's colour trace
+    plus its cost recompute (:class:`repro.Backend`; on the compiled one,
+    one C call each for every budget a sweep needs),
     both over tensors the artifact already carries, since it owns its
     workload network — and a per-budget solution memo answers exact
     repeats without even a colour trace.  Keys digest everything a gather
@@ -87,14 +87,17 @@ Snapshot format
 ---------------
 A snapshot is a single JSON object (``kind: "fleet-snapshot"``,
 ``version: 1``) carrying the structure fingerprint of the network, the
-engine/colour/cost provenance, the journal position ``seq``, the fleet
+journal position ``seq``, the fleet
 state (initial + residual capacities, drained switches, consumed
 assignments, lifetime counters, and the tenant registry with each
 tenant's loads, budget, semantics, blue set, costs, and loads digest —
 switches stringified exactly like trace events), the incremental Λ digest
 (re-derived and checked on restore), and the cache's hot workloads in LRU
-order.  Unknown versions and foreign structure fingerprints are refused
-with :class:`repro.exceptions.PersistenceError`.
+order.  Unknown versions, foreign structure fingerprints and torn or
+truncated files are refused with
+:class:`repro.exceptions.PersistenceError`.  Snapshots written before the
+backend knob also carry ``engine`` / ``color`` / ``cost_kernel`` names;
+they restore unchanged and the names are ignored.
 
 Quickstart
 ----------

@@ -31,14 +31,15 @@ bit-identical to cold calls of :meth:`repro.core.solver.Solver.solve` /
 
 The warm path
 -------------
-A gather-table cache hit is served by ``table.place()`` alone: the colour
-trace plus the cost-kernel recompute (:data:`repro.core.cost.COST_KERNELS`),
-both running over tensors the artifact already carries — no tree
-reconstruction, no per-node Python walk.  A sweep first resolves every
-budget through the cache (memo, table, repair, gather — the same lookups
-in the same order as one budget at a time), then traces all the budgets a
-table answered with one ``table.sweep()``: with the default compiled
-kernels, one C colour call and one C cost call.
+A gather-table cache hit is served by ``table.place()`` alone: the
+backend's colour trace plus its cost recompute
+(:class:`repro.core.engine.Backend`), both running over tensors the
+artifact already carries — no tree reconstruction, no per-node Python
+walk.  A sweep first resolves every budget through the cache (memo,
+table, repair, gather — the same lookups in the same order as one budget
+at a time), then traces all the budgets a table answered with one
+``table.sweep()``: on the compiled backend, one C colour call and one C
+cost call.
 The digests feeding the cache key are kept warm the same way: the Λ
 fingerprint is maintained *incrementally* by the capacity tracker across
 admit/release/drain (O(changed switches) per mutation instead of a full
@@ -95,9 +96,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
-from repro.core.color import DEFAULT_COLOR
-from repro.core.cost import COST_KERNELS, DEFAULT_COST
-from repro.core.engine import DEFAULT_ENGINE, ENGINES
+from repro.core.engine import DEFAULT_BACKEND, Backend
 from repro.core.solver import GatherTable, Placement, Solver
 from repro.core.tree import (
     NodeId,
@@ -446,18 +445,16 @@ class PlacementService:
         the tree's own loads.
     capacity:
         Per-switch aggregation capacity ``a(s)`` (scalar or mapping).
-    engine:
-        Gather engine used for every solve (see :mod:`repro.core.engine`).
+    backend:
+        The :class:`~repro.core.engine.Backend` every gather, repair,
+        trace and cost recompute runs on (see :mod:`repro.core.engine`);
+        on the compiled default a sweep's table-answered budgets are
+        traced in one C call and costed in one more.
     cache_entries:
         LRU capacity of the gather-table cache.
-    color:
-        Colour kernel placements are traced with (see
-        :mod:`repro.core.color`); the ``"compiled"`` default traces every
-        table-answered budget of a sweep in one C call.
-    cost_kernel:
-        Cost kernel placements' achieved utilization is recomputed with
-        (see :data:`repro.core.cost.COST_KERNELS`); the ``"compiled"``
-        default costs those placements in one more C call.
+    journal:
+        Write-ahead journal to append mutating requests to (see
+        :meth:`attach_journal`).
     max_repair_delta:
         Cache policy knob for incremental gather-table repair.  ``None``
         (the default) repairs every availability miss whose nearest cached
@@ -472,36 +469,19 @@ class PlacementService:
         self,
         tree: TreeNetwork,
         capacity: int | Mapping[NodeId, int],
-        engine: str = DEFAULT_ENGINE,
+        backend: Backend = DEFAULT_BACKEND,
         cache_entries: int = 64,
-        color: str = DEFAULT_COLOR,
-        cost_kernel: str = DEFAULT_COST,
         journal: "Journal | None" = None,
         max_repair_delta: int | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}; expected one of {sorted(ENGINES)}"
-            )
-        if cost_kernel not in COST_KERNELS:
-            raise ValueError(
-                f"unknown cost kernel {cost_kernel!r}; "
-                f"expected one of {sorted(COST_KERNELS)}"
-            )
         self._state = FleetState(tree, capacity)
         self._cache = GatherTableCache(
             max_entries=cache_entries, max_repair_delta=max_repair_delta
         )
-        self._engine = engine
-        self._color = color
-        self._cost_kernel = cost_kernel
-        # One immutable solver per budget semantics, bound to the service's
-        # engine, colour kernel, and cost kernel once.
+        self._backend = backend
+        # One immutable solver per budget semantics, bound to the backend.
         self._solvers = {
-            exact_k: Solver(
-                engine=engine, exact_k=exact_k, color=color, cost_kernel=cost_kernel
-            )
-            for exact_k in (False, True)
+            exact_k: Solver(backend=backend, exact_k=exact_k) for exact_k in (False, True)
         }
         self._structure_fp = tree.structure_fingerprint()
         self._request_counts: dict[str, int] = {}
@@ -544,16 +524,9 @@ class PlacementService:
         return self._cache
 
     @property
-    def engine(self) -> str:
-        return self._engine
-
-    @property
-    def color(self) -> str:
-        return self._color
-
-    @property
-    def cost_kernel(self) -> str:
-        return self._cost_kernel
+    def backend(self) -> Backend:
+        """The kernel backend every solve runs on."""
+        return self._backend
 
     def solver(self, exact_k: bool = False) -> Solver:
         """The service's bound :class:`~repro.core.solver.Solver` for the semantics."""
@@ -622,7 +595,6 @@ class PlacementService:
             available=self._availability_fingerprint(),
             loads=loads_fp,
             exact_k=exact_k,
-            engine=self._engine,
         )
 
     def _workload_tree(self, loads: Mapping[NodeId, int]) -> TreeNetwork:
@@ -719,12 +691,12 @@ class PlacementService:
         """Answer an availability miss by delta-repairing a cached table.
 
         Asks the cache for the nearest same-family candidate (same
-        structure, loads, semantics, engine — differing from the live Λ
-        alone, within the ``max_repair_delta`` policy), splices the delta into
-        a clone of its tensors, and stores the repaired table under the
+        structure, loads, semantics — differing from the live Λ alone,
+        within the ``max_repair_delta`` policy), splices the delta into a
+        clone of its tensors, and stores the repaired table under the
         missed key.  Returns ``None`` when no candidate qualifies or the
-        engine-level repair refuses (:class:`~repro.exceptions.RepairError`
-        — e.g. no repairer for the engine); the caller then cold-gathers.
+        repair refuses (:class:`~repro.exceptions.RepairError`); the
+        caller then cold-gathers.
         """
         candidate = self._cache.repair_candidate(key, budget, self.available())
         if candidate is None:
@@ -1153,10 +1125,7 @@ class PlacementService:
         journal: "Journal | str | Sequence | None" = None,
         *,
         capacity: int | Mapping[NodeId, int] | None = None,
-        engine: str | None = None,
         cache_entries: int = 64,
-        color: str | None = None,
-        cost_kernel: str | None = None,
         prewarm: bool = True,
     ) -> "PlacementService":
         """Rebuild a service from a snapshot and/or a write-ahead journal.
@@ -1182,9 +1151,12 @@ class PlacementService:
         re-attaches it, so the restored service keeps appending where the
         crashed one stopped.
 
-        ``engine`` / ``color`` / ``cost_kernel`` default to what the
-        snapshot recorded (the kernels are bit-identical, so overriding
-        them changes latency, never answers).
+        The restored service runs on
+        :data:`~repro.core.engine.DEFAULT_BACKEND`; the backends are
+        bit-identical, so the one the crashed service used changes
+        latency, never answers.  Snapshots written before the backend
+        knob record ``engine`` / ``color`` / ``cost_kernel`` names; they
+        restore unchanged and the names are ignored.
 
         Raises
         ------
@@ -1202,9 +1174,6 @@ class PlacementService:
             snapshot,
             journal,
             capacity=capacity,
-            engine=engine,
             cache_entries=cache_entries,
-            color=color,
-            cost_kernel=cost_kernel,
             prewarm=prewarm,
         )

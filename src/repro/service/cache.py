@@ -19,9 +19,9 @@ Keys and correctness
 --------------------
 Entries are keyed by :class:`CacheKey` — the structure fingerprint
 (topology + rates), the availability fingerprint of Λ at gather time, the
-loads digest, the ``exact_k`` semantics, and the engine name (engines are
-bit-identical, but the key keeps the contract self-evident).  Because the
-key digests *everything* the gather depends on, a cache hit is always
+loads digest, and the ``exact_k`` semantics.  The kernel backend is not
+part of it: the backends build bit-identical tables.  Because the key
+digests *everything* the gather depends on, a cache hit is always
 bitwise-correct: there is no way to observe a stale table through a
 matching key.  Capacity churn that changes Λ simply changes the key, so
 requests after an :class:`~repro.service.api.AdmitRequest` or
@@ -64,8 +64,8 @@ key, so every admit/release/drain turned the next solve per workload into
 a cold O(n · k²) gather — and drains additionally *deleted* the affected
 entries outright.  Delta repair replaces both behaviours.  On an
 availability miss, :meth:`repair_candidate` looks for the nearest cached
-table of the same *family* — identical structure, loads, semantics, and
-engine, differing only in Λ — and returns it together with the symmetric
+table of the same *family* — identical structure, loads, and semantics,
+differing only in Λ — and returns it together with the symmetric
 difference between its recorded Λ and the live one.  The service then
 splices that delta into the cached tensors via
 :meth:`repro.core.solver.GatherTable.repair` (O(depth · k² · |delta|),
@@ -83,7 +83,7 @@ switches plus their ancestors; past that the miss gathers instead.
 ``benchmarks/bench_service.py --repair`` (BT(1024), ``k = 16``, the 1, 2,
 4 and 8 deepest available switches flipped, best of 25; one run on a
 2-vCPU container) puts repair time over cold-gather time at 0.19–0.36
-for the default compiled engine and 0.20–0.27 for the numpy flat engine,
+for the compiled backend and 0.20–0.27 for the numpy one,
 now that a cold gather is itself one ``repair_chain`` call over every
 switch (single-switch repair: 0.58 ms compiled, 1.48 ms flat).  The
 random-flip ratios measured before that change (compiled 0.07 for 1 flip
@@ -110,7 +110,7 @@ a hit hands the table out and the (expensive) colour trace runs with no
 lock held — the lock only covers the dictionary book-keeping.  When two
 threads race to gather the same key, :meth:`store` keeps the *widest*
 table, so concurrent stores can never narrow what the cache answers; the
-engines are deterministic, so either racer's table serves identical bits.
+backends are deterministic, so either racer's table serves identical bits.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from repro.core.flat import FlatTables, dirty_ancestor_positions
+from repro.core.flat import dirty_ancestor_positions
 from repro.core.solver import GatherTable
 from repro.core.tree import NodeId
 
@@ -132,7 +132,6 @@ class CacheKey(NamedTuple):
     available: str
     loads: str
     exact_k: bool
-    engine: str
 
 
 class CachedSolution(NamedTuple):
@@ -210,11 +209,11 @@ class _Entry:
 #: Everything of a :class:`CacheKey` except the availability fingerprint —
 #: two entries in the same family describe the same gather under different
 #: Λ's, i.e. exactly the pairs delta repair can bridge.
-_FamilyKey = tuple[str, str, bool, str]
+_FamilyKey = tuple[str, str, bool]
 
 
 def _family_of(key: CacheKey) -> _FamilyKey:
-    return (key.structure, key.loads, key.exact_k, key.engine)
+    return (key.structure, key.loads, key.exact_k)
 
 
 def _repair_worthwhile(table: GatherTable, delta: frozenset[NodeId]) -> bool:
@@ -222,14 +221,10 @@ def _repair_worthwhile(table: GatherTable, delta: frozenset[NodeId]) -> bool:
 
     A repair re-convolves the delta switches and all their ancestors; once
     that is more than half the tree it costs about as much as a cold
-    gather (see the module docstring).  Tables without flat tensors have
-    no repairer to guard — the engine-level repair refuses them anyway.
+    gather (see the module docstring).
     """
-    flat = table.result.flat
-    if not isinstance(flat, FlatTables):
-        return True
     tree = table.tree
-    dirty = dirty_ancestor_positions(tree, flat.index, delta)
+    dirty = dirty_ancestor_positions(tree, table.result.flat.index, delta)
     return len(dirty) <= tree.num_switches // 2
 
 
@@ -432,11 +427,11 @@ class GatherTableCache:
     ) -> tuple[GatherTable, frozenset[NodeId]] | None:
         """The nearest cached table repairable to ``key``'s availability.
 
-        Scans the entries of ``key``'s family (same structure, loads,
-        semantics, and engine — candidates differ from the live network in
-        Λ alone) and returns ``(table, delta)`` for the one whose recorded
-        Λ is the fewest switch flips from ``available``, or ``None`` when
-        no candidate qualifies.  ``delta`` is the symmetric difference to
+        Scans the entries of ``key``'s family (same structure, loads, and
+        semantics — candidates differ from the live network in Λ alone)
+        and returns ``(table, delta)`` for the one whose recorded Λ is the
+        fewest switch flips from ``available``, or ``None`` when no
+        candidate qualifies.  ``delta`` is the symmetric difference to
         feed :meth:`repro.core.solver.GatherTable.repair`.
 
         A table is a candidate only when the repair is sound: the delta is
@@ -444,8 +439,8 @@ class GatherTableCache:
         is set), the stored table can answer the requested effective
         ``budget``, and the repaired table's effective budget would keep
         the stored tensor width (``min(requested_budget, |Λ|)`` unchanged
-        — the engine-level repair enforces the same and would refuse
-        otherwise).  Ties on delta size keep the earliest-stored candidate.
+        — :func:`repro.core.engine.repair` enforces the same and would
+        refuse otherwise).  Ties on delta size keep the earliest-stored candidate.
         The nearest candidate is returned only when the repair is also
         worthwhile: it recomputes at most half the switches (the delta
         switches and their ancestors, ``num_switches // 2`` at most);

@@ -33,9 +33,9 @@ run of read-only requests between two barriers is fanned out across the
 workers.  Within such a run the fleet state cannot change, so every
 request is independent and the *payload* of each response — blue set,
 costs, budgets (see :func:`response_payload`) — is bit-identical to a
-serial replay of the same trace.  Threads share the GIL, though, so with
-the numpy engine the fan-out buys nothing (the measured
-``concurrent_speedup`` was 0.78 on BT(256)); the compiled engine releases
+serial replay of the same trace.  Threads share the GIL, though, so on
+the numpy backend the fan-out buys nothing (the measured
+``concurrent_speedup`` was 0.78 on BT(256)); the compiled backend releases
 the GIL inside its kernels, and ``mode="process"`` sidesteps it entirely.
 
 ``mode="process"`` replays with true process parallelism.  The parent
@@ -48,9 +48,10 @@ pool with workload affinity (requests sharing a loads fingerprint go to
 the same batch, so one worker pays the cold gather and its siblings ride
 that worker's cache), and dispatched as the epoch closes, overlapping
 with the parent's continuing mutation stream.  Each worker process holds
-a persistent replica service, resyncing its fleet snapshot once per
-epoch (the gather-table cache keys include the Λ fingerprint, so the
-cache survives resyncs and stale entries are unreachable).  Response
+a persistent replica service on the coordinating service's backend,
+resyncing its fleet snapshot once per epoch (the gather-table cache keys
+include the Λ fingerprint, so the cache survives resyncs and stale
+entries are unreachable).  Response
 payloads are bit-identical to the serial replay; diagnostics
 (``cache_hit`` / ``cache_source``, ``Stats`` counters) may differ, as in
 thread mode.  ``tests/test_service_persistence.py`` pins the payload
@@ -66,9 +67,7 @@ from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from repro.core.color import DEFAULT_COLOR
-from repro.core.cost import DEFAULT_COST
-from repro.core.engine import DEFAULT_ENGINE
+from repro.core.engine import Backend
 from repro.core.solver import Solver
 from repro.core.tree import NodeId, TreeNetwork, fingerprint_loads
 from repro.service.api import (
@@ -107,7 +106,8 @@ class ReplayReport:
     records: list[ReplayRecord]
     wall_s: float
     verified: int
-    engine: str
+    #: Name of the kernel backend the service ran on.
+    backend: str
     workers: int = 1
     mode: str = "serial"
     #: Cache counters captured after the replay: completed delta repairs and
@@ -233,7 +233,7 @@ class ReplayReport:
             "repairs": self.repairs,
             "repair_hits": self.repair_hits,
             "verified": self.verified,
-            "engine": self.engine,
+            "backend": self.backend,
         }
 
 
@@ -325,14 +325,20 @@ def _verify_response(
     available: frozenset[NodeId],
     request: Request,
     response: Response,
-    engine: str,
+    engine: str | None = None,
 ) -> bool:
     """Re-solve a placement response cold and assert bitwise agreement.
+
+    The cold solve runs on :data:`~repro.core.engine.DEFAULT_BACKEND`
+    whatever backend served the response (the backends are bit-identical,
+    so this also checks a numpy service against the compiled kernels).
+    ``engine`` is unused: it is kept because ``perfbench/checks.py`` still
+    passes a backend name in that position.
 
     Returns True when the response type is verifiable (solve/sweep/admit),
     False otherwise.  Raises AssertionError on any mismatch.
     """
-    solver = Solver(engine=engine, exact_k=request.exact_k) if isinstance(
+    solver = Solver(exact_k=request.exact_k) if isinstance(
         request, (SolveRequest, AdmitRequest, SweepRequest)
     ) else None
     if isinstance(request, (SolveRequest, AdmitRequest)) and isinstance(
@@ -392,10 +398,8 @@ _PROCESS_REPLICA: dict = {}
 def _process_worker_init(
     tree: TreeNetwork,
     capacity: int | Mapping[NodeId, int],
-    engine: str,
+    backend: Backend,
     cache_entries: int,
-    color: str,
-    cost_kernel: str,
 ) -> None:
     """Build this worker process's persistent replica service.
 
@@ -408,12 +412,7 @@ def _process_worker_init(
     until (and unless) that exact Λ returns.
     """
     _PROCESS_REPLICA["service"] = PlacementService(
-        tree,
-        capacity,
-        engine=engine,
-        cache_entries=cache_entries,
-        color=color,
-        cost_kernel=cost_kernel,
+        tree, capacity, backend=backend, cache_entries=cache_entries
     )
     _PROCESS_REPLICA["index"] = node_index(tree)
     _PROCESS_REPLICA["epoch"] = None
@@ -512,10 +511,8 @@ def _replay_process(
         initargs=(
             tree,
             1,  # placeholder capacity; every batch resyncs the real fleet
-            service.engine,
+            service.backend,
             cache_entries,
-            service.color,
-            service.cost_kernel,
         ),
     ) as executor:
 
@@ -585,7 +582,6 @@ def _replay_process(
                 available_at[position] or frozenset(),
                 request,
                 responses[position],
-                service.engine,
             ):
                 verified += 1
 
@@ -606,12 +602,9 @@ def replay_trace(
     tree: TreeNetwork,
     events: Sequence[TraceEvent],
     capacity: int | Mapping[NodeId, int] = 4,
-    engine: str | None = None,
     cache_entries: int = 64,
     verify: bool = False,
     service: PlacementService | None = None,
-    color: str | None = None,
-    cost_kernel: str | None = None,
     workers: int = 1,
     mode: str = "thread",
 ) -> ReplayReport:
@@ -624,9 +617,8 @@ def replay_trace(
     events:
         The trace (see :mod:`repro.service.events`).
     capacity:
-        Per-switch capacity used when constructing a fresh service.
-    engine:
-        Gather engine for a fresh service (default: the library default).
+        Per-switch capacity used when constructing a fresh service, which
+        runs on :data:`~repro.core.engine.DEFAULT_BACKEND`.
     cache_entries:
         Cache size for a fresh service.
     verify:
@@ -636,16 +628,10 @@ def replay_trace(
         wall clock).
     service:
         Replay into an existing service instead of a fresh one (state and
-        cache carry over; ``capacity``/``engine``/``cache_entries``/
-        ``color`` are then ignored).
-    color:
-        Colour kernel for a fresh service (default: the library default);
-        ``"reference"`` replays with the per-node trace, which is how the
-        colour-phase benchmark isolates the default kernel's contribution.
-    cost_kernel:
-        Cost kernel for a fresh service (default: the library default);
-        ``"reference"`` replays with the per-node Eq. (1) walk, isolating
-        the default cost kernel's contribution the same way.
+        cache carry over; ``capacity`` and ``cache_entries`` are then
+        ignored).  This is how a replay runs on another backend:
+        ``service=PlacementService(tree, capacity, backend=NUMPY_BACKEND)``.
+        Process-mode replicas run on the service's backend.
     workers:
         Number of workers driving the service.  ``1`` (default) is the
         serial replay.  With more, read-only requests are fanned out per
@@ -662,14 +648,7 @@ def replay_trace(
     if mode not in ("thread", "process"):
         raise ValueError(f"unknown replay mode {mode!r}: expected 'thread' or 'process'")
     if service is None:
-        service = PlacementService(
-            tree,
-            capacity,
-            engine=engine or DEFAULT_ENGINE,
-            cache_entries=cache_entries,
-            color=color or DEFAULT_COLOR,
-            cost_kernel=cost_kernel or DEFAULT_COST,
-        )
+        service = PlacementService(tree, capacity, cache_entries=cache_entries)
     index_map = node_index(tree)
     workers = max(1, int(workers))
     requests = [event_to_request(tree, event, index_map) for event in events]
@@ -685,7 +664,7 @@ def replay_trace(
             records=records,
             wall_s=wall,
             verified=verified,
-            engine=service.engine,
+            backend=service.backend.name,
             workers=workers,
             mode="process",
             repairs=service.cache.stats.repairs,
@@ -715,9 +694,7 @@ def replay_trace(
             available = service.state.available() if verify else frozenset()
             response, elapsed = _timed_submit(service, request)
             wall += elapsed
-            if verify and _verify_response(
-                tree, available, request, response, service.engine
-            ):
+            if verify and _verify_response(tree, available, request, response):
                 verified += 1
             record(position, response, elapsed)
     else:
@@ -744,7 +721,7 @@ def replay_trace(
                     for offset, (response, elapsed) in enumerate(outcomes):
                         at = position + offset
                         if verify and _verify_response(
-                            tree, available, requests[at], response, service.engine
+                            tree, available, requests[at], response
                         ):
                             verified += 1
                         record(at, response, elapsed)
@@ -754,7 +731,7 @@ def replay_trace(
                     response, elapsed = _timed_submit(service, requests[position])
                     wall += elapsed
                     if verify and _verify_response(
-                        tree, available, requests[position], response, service.engine
+                        tree, available, requests[position], response
                     ):
                         verified += 1
                     record(position, response, elapsed)
@@ -763,7 +740,7 @@ def replay_trace(
         records=records,
         wall_s=wall,
         verified=verified,
-        engine=service.engine,
+        backend=service.backend.name,
         workers=workers,
         mode="serial" if workers == 1 else "thread",
         repairs=service.cache.stats.repairs,

@@ -29,12 +29,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.core.tree import NodeId, TreeNetwork
-from repro.exceptions import WorkloadError
+from repro.exceptions import PersistenceError, WorkloadError
 from repro.service.api import (
     AdmitRequest,
     DrainRequest,
@@ -94,7 +94,10 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         """Parse one JSON line back into an event."""
-        payload = json.loads(line)
+        return cls._from_payload(json.loads(line))
+
+    @classmethod
+    def _from_payload(cls, payload: dict) -> "TraceEvent":
         kind = payload.get("kind")
         if kind not in EVENT_KINDS:
             raise WorkloadError(f"unknown trace event kind: {kind!r}")
@@ -268,17 +271,35 @@ def write_trace(
     return target
 
 
-def trace_header(path: str | Path) -> dict | None:
-    """Return the trace file's header payload, or ``None`` if it has none."""
+def _json_lines(path: str | Path) -> Iterator[dict]:
+    """The JSON objects of a JSON-lines file, blank lines skipped.
+
+    Raises
+    ------
+    PersistenceError
+        Naming the file and line, when a line is not a JSON object — the
+        torn last record of a crash mid-append, for one.
+    """
     with Path(path).open() as handle:
-        for line in handle:
+        for number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
-            if payload.get("kind") == TRACE_HEADER_KIND:
-                return payload
-            return None
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise PersistenceError(
+                    f"{path}:{number}: torn or malformed JSON line ({exc.msg})"
+                ) from exc
+            if not isinstance(payload, dict):
+                raise PersistenceError(f"{path}:{number}: line is not a JSON object")
+            yield payload
+
+
+def trace_header(path: str | Path) -> dict | None:
+    """Return the trace file's header payload, or ``None`` if it has none."""
+    for payload in _json_lines(path):
+        return payload if payload.get("kind") == TRACE_HEADER_KIND else None
     return None
 
 
@@ -304,21 +325,14 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
     """Read a JSON-lines trace file back into events (header skipped).
 
     Use :func:`trace_header` + :func:`check_trace_compatible` to validate
-    the recorded network identity before replaying.
+    the recorded network identity before replaying.  A line that is not a
+    JSON object raises :class:`~repro.exceptions.PersistenceError` naming
+    the file and line.
     """
-    events: list[TraceEvent] = []
-    first = True
-    with Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            if first:
-                first = False
-                if json.loads(line).get("kind") == TRACE_HEADER_KIND:
-                    continue
-            events.append(TraceEvent.from_json(line))
-    return events
+    payloads = list(_json_lines(path))
+    if payloads and payloads[0].get("kind") == TRACE_HEADER_KIND:
+        payloads = payloads[1:]
+    return [TraceEvent._from_payload(payload) for payload in payloads]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ artifacts with one invariant between them:
 
 ``PlacementService.restore(tree, snapshot, journal)`` loads the snapshot
 and replays the journal events past ``seq``.  Because every mutating
-request is deterministic given the fleet state (the engines, colour
-kernels, and cost kernels are bit-identical and the drain loop re-places
-displaced tenants in arrival order), replaying the tail reproduces the
+request is deterministic given the fleet state (the kernel backends are
+bit-identical and the drain loop re-places displaced tenants in arrival
+order), replaying the tail reproduces the
 crashed service's registry, residuals, counters, and incremental Λ digest
 bit-for-bit — the restored service answers every subsequent request with
 exactly the placements and costs an uninterrupted run would have produced.
@@ -43,7 +43,10 @@ Durability
 ``fsync`` — the classic write-ahead trade of latency for crash-window.
 Appends happen *after* the handler returns (under the service's write
 lock), so a journal line always records a mutation that was applied, and
-a request that raised is never journaled.
+a request that raised is never journaled.  A torn last line (a crash
+mid-append) or a truncated snapshot raises
+:class:`~repro.exceptions.PersistenceError` naming the file and line;
+recovering by truncating the torn record is not attempted.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ import tempfile
 from pathlib import Path
 from collections.abc import Mapping, Sequence
 
-from repro.core.color import DEFAULT_COLOR
-from repro.core.cost import DEFAULT_COST
-from repro.core.engine import DEFAULT_ENGINE
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import PersistenceError, ReproError
 from repro.service.events import (
@@ -246,11 +246,10 @@ def build_snapshot(service, include_cache: bool = True) -> dict:
     Called by :meth:`repro.service.PlacementService.snapshot` (which holds
     the write lock around it); prefer that entry point.  The payload is
     pure JSON-serializable data: fleet state via
-    :meth:`~repro.service.state.FleetState.state_dict`, provenance
-    (structure fingerprint, engine / colour / cost kernels), the journal
-    position ``seq``, the Λ digest (an integrity check for the restore
-    path), and — with ``include_cache`` — the hot workloads of the
-    gather-table cache in LRU order (each cached
+    :meth:`~repro.service.state.FleetState.state_dict`, the structure
+    fingerprint, the journal position ``seq``, the Λ digest (an integrity
+    check for the restore path), and — with ``include_cache`` — the hot
+    workloads of the gather-table cache in LRU order (each cached
     :class:`~repro.core.solver.GatherTable` owns the workload network it
     was gathered for, so its loads can be read straight off the artifact).
     """
@@ -261,9 +260,6 @@ def build_snapshot(service, include_cache: bool = True) -> dict:
         "version": SNAPSHOT_VERSION,
         "structure": tree.structure_fingerprint(),
         "num_switches": tree.num_switches,
-        "engine": service.engine,
-        "color": service.color,
-        "cost_kernel": service.cost_kernel,
         "seq": int(service.mutation_seq),
         "availability": state.availability_fingerprint(),
         "fleet": state.state_dict(),
@@ -323,10 +319,16 @@ def read_snapshot(path: str | Path) -> dict:
     Raises
     ------
     PersistenceError
-        If the file does not hold a fleet snapshot.
+        If the file does not hold a fleet snapshot, or holds a truncated
+        or otherwise undecodable one.
     """
     with Path(path).open() as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise PersistenceError(
+                f"{path}:{exc.lineno}: snapshot is truncated or is not JSON ({exc.msg})"
+            ) from exc
     if not isinstance(payload, dict) or payload.get("kind") != SNAPSHOT_KIND:
         raise PersistenceError(f"{path} does not contain a fleet snapshot")
     return payload
@@ -386,10 +388,7 @@ def restore_service(
     journal=None,
     *,
     capacity: "int | Mapping[NodeId, int] | None" = None,
-    engine: str | None = None,
     cache_entries: int = 64,
-    color: str | None = None,
-    cost_kernel: str | None = None,
     prewarm: bool = True,
 ):
     """Implementation of :meth:`repro.service.PlacementService.restore`.
@@ -397,7 +396,8 @@ def restore_service(
     ``capacity`` is only consulted for journal-only recovery
     (``snapshot=None``), where no snapshot records the initial
     capacities; with a snapshot it is ignored — the snapshot is
-    authoritative.
+    authoritative.  The ``engine`` / ``color`` / ``cost_kernel`` names of
+    snapshots written before the backend knob are never read.
     """
     index = node_index(tree)
     if isinstance(snapshot, (str, Path)):
@@ -420,15 +420,7 @@ def restore_service(
                 "capacity=... (a snapshot records them, a journal does not)"
             )
 
-    defaults = snapshot or {}
-    service = cls(
-        tree,
-        capacity,
-        engine=engine or defaults.get("engine") or DEFAULT_ENGINE,
-        cache_entries=cache_entries,
-        color=color or defaults.get("color") or DEFAULT_COLOR,
-        cost_kernel=cost_kernel or defaults.get("cost_kernel") or DEFAULT_COST,
-    )
+    service = cls(tree, capacity, cache_entries=cache_entries)
     if snapshot is not None:
         service.state.load_state(snapshot["fleet"], index)
         recorded = snapshot.get("availability")

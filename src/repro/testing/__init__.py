@@ -1,7 +1,7 @@
 """Randomized testing toolkit: φ-BIC instance generators and invariant checkers.
 
 This package is public API.  The repo's own test-suite drives its
-differential verification of the gather engines through it
+differential verification of the kernel backends through it
 (``tests/test_engine_differential.py``, ``tests/test_invariants.py``), and
 downstream users extending the solver are encouraged to fuzz their changes
 the same way::
@@ -9,7 +9,7 @@ the same way::
     from repro.testing import check_instance, instance_stream
 
     for tree, budget in instance_stream(seed=42, count=500):
-        check_instance(tree, budget)               # flat == reference == brute force
+        check_instance(tree, budget)               # backends == reference == brute force
         check_instance(tree, budget, exact_k=True)
 
 See :mod:`repro.testing.generators` for the instance space (tree shapes,

@@ -31,7 +31,7 @@ Load profiles
 
 Rates are drawn from ``rate_choices``; the default choices are powers of
 two, so every path cost is an exact dyadic float and differential tests can
-assert bit-identical costs across engines.
+assert bit-identical costs across backends.
 
 Rate profiles
 -------------
@@ -86,7 +86,7 @@ from repro.core.tree import NodeId, TreeNetwork
 SHAPES: tuple[str, ...] = ("uniform", "kary", "scale_free", "path", "star", "binary")
 #: Load profiles :func:`random_instance` can draw from.
 LOAD_PROFILES: tuple[str, ...] = ("zero", "positive", "skewed", "mixed")
-#: Power-of-two rates: exact in binary floating point, so engine
+#: Power-of-two rates: exact in binary floating point, so backend
 #: comparisons are free of rounding noise.
 DYADIC_RATES: tuple[float, ...] = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
 #: Rate profiles :func:`random_rates` can draw from.

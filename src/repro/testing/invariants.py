@@ -4,9 +4,9 @@ Every checker raises :class:`AssertionError` with a descriptive message on
 violation and returns useful values on success, so they compose equally
 well inside ``pytest`` tests and ad-hoc fuzzing scripts.  The one-stop
 :func:`check_instance` runs a full differential verification of one
-instance: solve with every engine, check per-solution invariants, compare
-engines against each other, and (on small instances) against the
-brute-force ground truth.
+instance: solve on every backend, check per-solution invariants, compare
+each backend bit for bit against the per-node reference walks of the
+paper, and (on small instances) against the brute-force ground truth.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from repro.core.cost import (
     utilization_cost,
     utilization_cost_barrier,
 )
-from repro.core.color import COLOR_KERNELS
-from repro.core.engine import DEFAULT_ENGINE, ENGINES
-from repro.core.gather import GatherResult
+from repro.core.color import soar_color
+from repro.core.engine import BACKENDS, Backend
+from repro.core.gather import GatherResult, soar_gather
 from repro.core.solver import Placement, Solver
 from repro.core.tree import NodeId, TreeNetwork
 
@@ -136,7 +136,7 @@ def assert_gather_consistent(tree: TreeNetwork, gathered: GatherResult) -> None:
 def assert_tables_equal(a: GatherResult, b: GatherResult) -> None:
     """Bitwise equality of two gather results (tables and breadcrumbs).
 
-    The flat and reference engines evaluate the same floating-point
+    The backends and the reference walk evaluate the same floating-point
     operations in the same order, so their tables must match exactly — not
     just within a tolerance.
     """
@@ -167,76 +167,74 @@ def check_instance(
     tree: TreeNetwork,
     budget: int,
     exact_k: bool = False,
-    engines: Sequence[str] = tuple(ENGINES),
-    colors: Sequence[str] = tuple(COLOR_KERNELS),
+    backends: Sequence[Backend] = BACKENDS,
     bruteforce: bool | None = None,
     bruteforce_limit: int = 100_000,
 ) -> dict[str, Placement]:
     """Full differential verification of one φ-BIC instance.
 
-    Solves with every requested engine, asserts the per-solution invariants
-    (:func:`assert_solution_consistent`, :func:`assert_cost_sandwich` for
-    at-most-k), asserts every colour kernel traces the *identical* blue set
-    out of each engine's tables, asserts all engines report the identical
-    cost and placement, and — when ``bruteforce`` is true, or ``None`` and
-    the instance is small enough — certifies optimality against
-    :func:`solve_bruteforce`.
+    Solves on every requested backend and asserts the per-solution
+    invariants (:func:`assert_solution_consistent`,
+    :func:`assert_cost_sandwich` for at-most-k).  The reference walks are
+    the oracle: every backend must trace the blue set that
+    :func:`~repro.core.color.soar_color` traces out of its own tables and
+    out of :func:`~repro.core.gather.soar_gather`'s, with the identical
+    predicted cost and the identical Eq. (1) float of
+    :func:`~repro.core.cost.utilization_cost`.  When ``bruteforce`` is
+    true, or ``None`` and the instance is small enough, optimality is
+    certified against :func:`solve_bruteforce`.
 
-    Returns the per-engine solutions for further inspection.
+    Returns the solutions keyed by backend name for further inspection.
     """
+    reference = soar_gather(tree, budget, exact_k=exact_k)
+    reference_blue = soar_color(tree, reference)
+    reference_cost = utilization_cost(tree, reference_blue)
     solutions: dict[str, Placement] = {}
-    for engine in engines:
-        table = Solver(engine=engine, exact_k=exact_k).gather(tree, budget)
+    for backend in backends:
+        table = Solver(backend=backend, exact_k=exact_k).gather(tree, budget)
         solution = table.place()
         assert_solution_consistent(tree, solution)
         if not exact_k:
             assert_cost_sandwich(tree, solution.cost)
-        for color in colors:
-            if color == table.color:
-                continue
-            traced = table.place(color=color)
-            assert traced.blue_nodes == solution.blue_nodes, (
-                f"colour kernel {color!r} traced "
-                f"{sorted(map(repr, traced.blue_nodes))} out of {engine!r} "
-                f"tables, {table.color!r} traced "
-                f"{sorted(map(repr, solution.blue_nodes))}"
-            )
-        solutions[engine] = solution
-
-    baseline = solutions[engines[0]]
-    for engine, solution in solutions.items():
-        assert solution.cost == baseline.cost, (
-            f"engine {engine!r} cost {solution.cost} != "
-            f"{engines[0]!r} cost {baseline.cost}"
+        traced = soar_color(tree, table.result)
+        assert traced == solution.blue_nodes, (
+            f"the reference trace of the {backend.name!r} tables gives "
+            f"{sorted(map(repr, traced))}, the backend traced "
+            f"{sorted(map(repr, solution.blue_nodes))}"
         )
-        assert solution.blue_nodes == baseline.blue_nodes, (
-            f"engine {engine!r} placement differs from {engines[0]!r}: "
+        assert solution.blue_nodes == reference_blue, (
+            f"backend {backend.name!r} placement differs from the reference: "
             f"{sorted(map(repr, solution.blue_nodes))} vs "
-            f"{sorted(map(repr, baseline.blue_nodes))}"
+            f"{sorted(map(repr, reference_blue))}"
         )
+        assert solution.predicted_cost == reference.cost_for_budget(), (
+            f"backend {backend.name!r} predicts {solution.predicted_cost}, "
+            f"the reference gather {reference.cost_for_budget()}"
+        )
+        assert solution.cost == reference_cost, (
+            f"backend {backend.name!r} cost {solution.cost} != "
+            f"reference cost {reference_cost}"
+        )
+        solutions[backend.name] = solution
 
     if bruteforce is None:
         bruteforce = bruteforce_subset_count(tree, budget, exact_k) <= bruteforce_limit
     if bruteforce:
         truth = solve_bruteforce(tree, budget, exact_k=exact_k)
-        assert costs_close(truth.cost, baseline.cost), (
-            f"SOAR found {baseline.cost}, brute force found {truth.cost} "
+        assert costs_close(truth.cost, reference_cost), (
+            f"SOAR found {reference_cost}, brute force found {truth.cost} "
             f"(budget {budget}, exact_k={exact_k})"
         )
     return solutions
 
 
-def check_budget_sweep(
-    tree: TreeNetwork,
-    max_budget: int,
-    engine: str = DEFAULT_ENGINE,
-) -> dict[int, float]:
+def check_budget_sweep(tree: TreeNetwork, max_budget: int) -> dict[int, float]:
     """Solve every budget ``0 .. max_budget`` and assert monotonicity.
 
     Uses at-most-k semantics (monotonicity does not hold for exactly-k).
     Returns the budget -> cost curve.
     """
-    solutions = Solver(engine=engine).sweep(tree, range(max_budget + 1))
+    solutions = Solver().sweep(tree, range(max_budget + 1))
     costs = {budget: solution.cost for budget, solution in solutions.items()}
     assert_budget_monotone(costs)
     return costs

@@ -3,12 +3,11 @@
 Three contracts, each enforced on hundreds of seeded random instances:
 
 * the level-batched colour kernel traces exactly the same blue set as the
-  per-node reference trace, out of both engines' tables, at every budget a
-  table carries — including on adversarial near-tie instances where every
+  per-node reference trace, out of every backend's tables, at every budget
+  a table carries — including on adversarial near-tie instances where every
   argmin is a tie-break over the stored breadcrumbs;
-* reusing a gather artifact under the wrong provenance raises
-  (:class:`~repro.exceptions.SemanticsMismatchError` /
-  :class:`~repro.exceptions.EngineMismatchError`) instead of silently
+* reusing a gather artifact under the wrong budget semantics raises
+  (:class:`~repro.exceptions.SemanticsMismatchError`) instead of silently
   tracing answers for a different problem;
 * no internal path emits a ``DeprecationWarning`` — the pre-``Solver``
   free-function shims (``solve`` / ``solve_budget_sweep`` /
@@ -19,18 +18,16 @@ Three contracts, each enforced on hundreds of seeded random instances:
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro.core.color import soar_color, soar_color_batched
-from repro.core.engine import flat_gather, gather
+from repro.core.cost import utilization_cost
+from repro.core.engine import BACKENDS, DEFAULT_BACKEND, NUMPY_BACKEND, gather
 from repro.core.gather import soar_gather
 from repro.core.solver import GatherTable, Solver
-from repro.exceptions import (
-    EngineMismatchError,
-    SemanticsMismatchError,
-    TableMismatchError,
-)
+from repro.exceptions import SemanticsMismatchError, TableMismatchError
 from repro.testing import instance_stream, near_tie_stream
 
 
@@ -54,12 +51,12 @@ class TestBatchedColorExactness:
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_random_instances_every_budget(self, exact_k):
         for tree, budget in instance_stream(seed=90210, count=60, max_switches=12):
-            for build in (flat_gather, soar_gather):
-                gathered = build(tree, budget, exact_k=exact_k)
+            for backend in BACKENDS:
+                gathered = gather(tree, budget, exact_k, backend)
                 for k in range(gathered.budget + 1):
                     assert soar_color_batched(tree, gathered, budget=k) == soar_color(
                         tree, gathered, budget=k
-                    ), f"kernels diverge at budget {k} on {build.__name__} tables"
+                    ), f"kernels diverge at budget {k} on {backend.name} tables"
 
     def test_near_tie_instances_breadcrumb_ties(self):
         # Symmetric rates/loads and straddled Λ make every colour decision
@@ -88,31 +85,27 @@ class TestBatchedColorExactness:
         )
 
     def test_solver_color_selection_matches(self, loaded_bt16):
-        batched = Solver(color="batched").solve(loaded_bt16, 5)
-        reference = Solver(color="reference").solve(loaded_bt16, 5)
-        assert batched.blue_nodes == reference.blue_nodes
-        assert batched.cost == reference.cost
+        for backend in BACKENDS:
+            solution = Solver(backend=backend).solve(loaded_bt16, 5)
+            traced = soar_color(loaded_bt16, solution.table.result, 5)
+            assert solution.blue_nodes == traced
+            assert solution.cost == utilization_cost(loaded_bt16, traced)
 
 
 class TestSolverKernelEquivalence:
-    """Every (engine, color, cost_kernel) combination is bit-identical."""
+    """Every backend is bit-identical to the paper's per-node walks."""
 
     def test_kernel_grid_on_seeded_instances(self):
-        configurations = [
-            Solver(),
-            Solver(engine="reference"),
-            Solver(color="reference"),
-            Solver(cost_kernel="reference"),
-            Solver(engine="reference", color="reference", cost_kernel="reference"),
-        ]
         for tree, budget in instance_stream(seed=31337, count=40, max_switches=12):
-            baseline = configurations[0].solve(tree, budget)
-            for solver in configurations[1:]:
-                other = solver.solve(tree, budget)
-                assert other.blue_nodes == baseline.blue_nodes
-                assert other.cost == baseline.cost
-                assert other.predicted_cost == baseline.predicted_cost
-                assert other.budget == baseline.budget
+            reference = soar_gather(tree, budget)
+            blue = soar_color(tree, reference)
+            cost = utilization_cost(tree, blue)
+            for backend in BACKENDS:
+                solution = Solver(backend=backend).solve(tree, budget)
+                assert solution.blue_nodes == blue
+                assert solution.cost == cost
+                assert solution.predicted_cost == reference.optimal_cost
+                assert solution.budget == reference.budget
 
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_semantics_produce_distinct_tables_but_stable_answers(self, exact_k):
@@ -130,9 +123,8 @@ class TestReuseMismatchRegression:
     """Mismatched artifact reuse raises instead of lying.
 
     Historically the free-function API silently traced tables gathered
-    under one budget semantics as answers for the other (and engine
-    provenance was unchecked), corrupting whole sweeps.  The artifact
-    carries its semantics and engine and refuses the mismatch.
+    under one budget semantics as answers for the other, corrupting whole
+    sweeps.  The artifact carries its semantics and refuses the mismatch.
     """
 
     def _zero_load_tree(self):
@@ -159,31 +151,35 @@ class TestReuseMismatchRegression:
         assert exact_table.place(3).cost != at_most_table.place(3).cost
 
     def test_engine_mismatch_on_the_artifact(self, paper_tree):
-        reference_table = Solver(engine="reference").gather(paper_tree, 2)
-        with pytest.raises(EngineMismatchError):
-            reference_table.require(engine="flat")
-        reference_table.require(engine="reference")  # matching: no raise
-        assert reference_table.place(2).cost == 20.0
+        # Tables carry no engine contract any more: the backends build
+        # bit-identical tables, so a table answers identically whichever
+        # backend traces it, and require() has no engine to check.
+        table = Solver(backend=NUMPY_BACKEND).gather(paper_tree, 2)
+        with pytest.raises(TypeError):
+            table.require(engine="flat")
+        for backend in BACKENDS:
+            placement = replace(table, backend=backend).place(2)
+            assert placement.cost == 20.0
+            assert placement.blue_nodes == table.place(2).blue_nodes
 
     def test_require_on_the_artifact(self, paper_tree):
-        table = Solver(engine="flat", exact_k=True).gather(paper_tree, 2)
+        table = Solver(backend=NUMPY_BACKEND, exact_k=True).gather(paper_tree, 2)
         with pytest.raises(SemanticsMismatchError):
             table.require(exact_k=False)
-        with pytest.raises(EngineMismatchError):
-            table.require(engine="reference")
-        table.require(engine="flat", exact_k=True)  # matching: no raise
+        table.require(exact_k=True)  # matching: no raise
+        table.require()  # nothing asked: no raise
 
     def test_mismatches_share_a_catchable_base(self, paper_tree):
         table = Solver(exact_k=True).gather(paper_tree, 2)
         with pytest.raises(TableMismatchError):
             table.require(exact_k=False)
-        assert issubclass(EngineMismatchError, TableMismatchError)
         assert issubclass(SemanticsMismatchError, TableMismatchError)
 
     def test_artifact_provenance_fields(self, paper_tree):
-        table = Solver(engine="reference").gather(paper_tree, 3)
+        table = Solver(backend=NUMPY_BACKEND).gather(paper_tree, 3)
         assert isinstance(table, GatherTable)
-        assert table.engine == "reference"
+        assert table.backend is NUMPY_BACKEND
+        assert Solver().gather(paper_tree, 3).backend is DEFAULT_BACKEND
         assert table.fingerprint == paper_tree.fingerprint()
 
 

@@ -2,8 +2,9 @@
 
 Two subsystems under test, both introduced for the service's warm path:
 
-* **COST_KERNELS** — every registry entry must return the *bit-identical*
-  Eq. (1) value (same float, not approximately equal) as the per-node
+* **Cost kernels** — the flat kernel and every backend's batched
+  ``costs`` must return the *bit-identical* Eq. (1) value (same float,
+  not approximately equal) as the per-node
   :func:`~repro.core.cost.utilization_cost` walk, on the full seeded
   generator space: random shapes/loads/Λ, the adversarial near-tie rate
   and load profiles, and straddling availability patterns.  The barrier
@@ -22,17 +23,16 @@ import numpy as np
 import pytest
 
 from repro.core.cost import (
-    COMPILED_COST,
-    COST_KERNELS,
-    FLAT_COST,
-    REFERENCE_COST,
     evaluate_cost,
     per_link_utilization,
     per_link_utilization_flat,
     utilization_cost,
     utilization_cost_barrier,
     utilization_cost_flat,
+    utilization_costs_compiled,
+    utilization_costs_flat,
 )
+from repro.core.engine import BACKENDS, COMPILED_BACKEND, NUMPY_BACKEND
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
 from repro.core.tree import (
@@ -60,11 +60,28 @@ def _candidate_placements(tree, budget, rng):
         yield frozenset(available[int(i)] for i in picks)
 
 
+def _kernel_costs(tree, blue, model):
+    """Eq. (1) of ``blue`` by the flat kernel and by every backend's ``costs``."""
+    mask = np.zeros((1, len(model.order)), dtype=np.uint8)
+    mask[0, [model.index[node] for node in blue]] = 1
+    values = {
+        "flat": utilization_cost_flat(tree, blue),
+        "flat+model": utilization_cost_flat(tree, blue, model=model),
+    }
+    for backend in BACKENDS:
+        values[backend.name] = float(backend.costs(tree, mask, model)[0])
+    return values
+
+
 class TestCostKernelDifferential:
-    """Every COST_KERNELS entry == utilization_cost, bit for bit."""
+    """Every cost kernel == utilization_cost, bit for bit."""
 
     def test_registry_shape(self):
-        assert set(COST_KERNELS) == {FLAT_COST, REFERENCE_COST, COMPILED_COST}
+        # The single-placement name and each backend's batched kernel.
+        assert evaluate_cost is utilization_cost_flat
+        assert NUMPY_BACKEND.costs is utilization_costs_flat
+        if COMPILED_BACKEND is not None:
+            assert COMPILED_BACKEND.costs is utilization_costs_compiled
 
     def test_random_instances_all_kernels(self):
         rng = np.random.default_rng(0xC057)
@@ -72,9 +89,8 @@ class TestCostKernelDifferential:
             model = cost_model_for(tree)
             for blue in _candidate_placements(tree, budget, rng):
                 expected = utilization_cost(tree, blue)
-                for name, kernel in COST_KERNELS.items():
-                    assert kernel(tree, blue) == expected, name
-                    assert kernel(tree, blue, model=model) == expected, name
+                for name, value in _kernel_costs(tree, blue, model).items():
+                    assert value == expected, name
                 # Lemma 4.2 cross-check (tolerance-based: arbitrary rates).
                 assert costs_close(expected, utilization_cost_barrier(tree, blue))
 
@@ -86,7 +102,7 @@ class TestCostKernelDifferential:
             blue = Solver().solve(tree, budget).blue_nodes
             expected = utilization_cost(tree, blue)
             assert utilization_cost_flat(tree, blue) == expected
-            assert evaluate_cost(tree, blue, cost=FLAT_COST) == expected
+            assert evaluate_cost(tree, blue) == expected
             assert costs_close(expected, utilization_cost_barrier(tree, blue))
 
     def test_per_link_breakdown_identical(self):
@@ -129,27 +145,26 @@ class TestCostKernelDifferential:
         )
 
     def test_unknown_kernel_rejected(self, paper_tree):
-        with pytest.raises(ValueError, match="unknown cost kernel"):
-            evaluate_cost(paper_tree, frozenset(), cost="warp")
-        with pytest.raises(ValueError, match="unknown cost kernel"):
-            Solver(cost_kernel="warp")
+        # Cost kernels are no longer picked by name: the old knobs fail
+        # loudly instead of being ignored.
+        with pytest.raises(TypeError):
+            evaluate_cost(paper_tree, frozenset(), cost="flat")
+        with pytest.raises(TypeError):
+            Solver(cost_kernel="flat")
 
     def test_placement_cost_matches_reference_kernel(self):
-        # The solver-bound kernels: a flat-cost Placement and a
-        # reference-cost Placement carry the identical float.
+        # Every backend's Placement carries the reference walk's float.
         for tree, budget in instance_stream(seed=555, count=30, max_switches=12):
-            flat = Solver().solve(tree, budget)
-            reference = Solver(cost_kernel=REFERENCE_COST).solve(tree, budget)
-            assert flat.cost == reference.cost
-            assert flat.blue_nodes == reference.blue_nodes
-            assert flat.cost == utilization_cost(tree, flat.blue_nodes)
+            for backend in BACKENDS:
+                placement = Solver(backend=backend).solve(tree, budget)
+                assert placement.cost == utilization_cost(tree, placement.blue_nodes)
 
     def test_gather_table_caches_one_model_per_result(self, loaded_bt16):
-        table = Solver().gather(loaded_bt16, 4)
-        first = table.cost_model()
-        table.sweep(range(5))
-        assert table.cost_model() is first
-        assert Solver(cost_kernel=REFERENCE_COST).gather(loaded_bt16, 2).cost_model() is None
+        for backend in BACKENDS:
+            table = Solver(backend=backend).gather(loaded_bt16, 4)
+            first = table.cost_model()
+            table.sweep(range(5))
+            assert table.cost_model() is first
 
 
 class TestIncrementalDigest:
@@ -254,8 +269,8 @@ class TestCostKernelSweep:
                 placement = table.place(k)
                 expected = utilization_cost(tree, placement.blue_nodes)
                 assert placement.cost == expected
-                for kernel in COST_KERNELS.values():
-                    assert kernel(tree, placement.blue_nodes, model=model) == expected
+                for name, value in _kernel_costs(tree, placement.blue_nodes, model).items():
+                    assert value == expected, name
 
     def test_near_tie_load_profiles_with_models(self):
         for tree, budget in near_tie_stream(

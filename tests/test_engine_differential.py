@@ -1,10 +1,10 @@
-"""Differential verification of the flat gather engine against the reference.
+"""Differential verification of the kernel backends against the reference.
 
-The flat engine (:mod:`repro.core.engine`) re-implements SOAR-Gather on
-contiguous ``(l, i, node)`` tensors but evaluates the identical
-floating-point operations in the identical order, so everything it produces
-— tables, argmin breadcrumbs, traced placements, costs — must be
-*bit-identical* to the per-node reference implementation, and both must be
+Both backends of :mod:`repro.core.engine` re-implement SOAR-Gather on
+contiguous ``(l, i, node)`` tensors but evaluate the identical
+floating-point operations in the identical order, so everything they
+produce — tables, argmin breadcrumbs, traced placements, costs — must be
+*bit-identical* to the per-node reference implementation, and all must be
 certified optimal by brute force on small instances.
 
 Quick tier: a few dozen instances per tree shape.  Slow tier (``-m slow``):
@@ -17,23 +17,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.color import soar_color, soar_color_batched, trace_color
+from backend_params import needs_compiled
+from repro.core import engine_compiled
+from repro.core.color import blue_set, compiled_blue_masks, soar_color, soar_color_batched
 from repro.core.engine import (
+    BACKENDS,
+    COMPILED_BACKEND,
+    DEFAULT_BACKEND,
     DEFAULT_ENGINE,
-    ENGINES,
-    NUMPY_KERNELS,
+    NUMPY_BACKEND,
     _batched_combine,
     _combine_small_batch,
-    flat_gather,
     gather,
     subtree_available_counts,
 )
+from repro.core.engine_compiled import HAVE_COMPILED
 from repro.core.flat import instance_vectors
-from repro.core.engine_compiled import (
-    COMPILED_KERNELS,
-    HAVE_COMPILED,
-    compiled_gather,
-)
 from repro.core.gather import soar_gather
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
@@ -48,49 +47,44 @@ from repro.testing import (
     random_instance,
 )
 
-requires_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="C backend unavailable (no compiler); numpy fallback active"
-)
-
-
 def _assert_engines_identical(tree, budget, exact_k):
     """Tables, placements, and costs must match bit for bit."""
     reference = soar_gather(tree, budget, exact_k=exact_k)
-    flat = flat_gather(tree, budget, exact_k=exact_k)
-    compiled = compiled_gather(tree, budget, exact_k=exact_k)
-    assert_tables_equal(reference, flat)
-    assert_tables_equal(reference, compiled)
     traced = soar_color(tree, reference)
-    assert traced == soar_color(tree, flat)
-    assert traced == soar_color(tree, compiled)
-    # ... and the batched/compiled colour kernels trace the same set out of
-    # every engine's tables.
-    assert soar_color_batched(tree, reference) == traced
-    assert soar_color_batched(tree, flat) == traced
-    assert trace_color(tree, compiled, color="compiled") == traced
+    for backend in BACKENDS:
+        result = gather(tree, budget, exact_k, backend)
+        assert_tables_equal(reference, result)
+        assert soar_color(tree, result) == traced
+        # ... and every backend's trace finds the same set in its tables.
+        flat, masks = backend.trace(tree, result, [None])
+        assert blue_set(flat.order, masks[0]) == traced
+        assert soar_color_batched(tree, result) == traced
 
 
 class TestEngineDispatch:
     def test_unknown_engine_rejected(self, paper_tree):
-        with pytest.raises(ValueError, match="unknown gather engine"):
-            gather(paper_tree, 2, engine="warp")
-        with pytest.raises(ValueError, match="unknown gather engine"):
-            Solver(engine="warp")
+        # Backends are objects, not names: the old name knobs fail loudly.
+        with pytest.raises(TypeError):
+            gather(paper_tree, 2, engine="flat")
+        with pytest.raises(TypeError):
+            Solver(engine="flat")
 
     def test_registry_contains_all_engines(self):
-        assert set(ENGINES) == {"flat", "reference", "compiled"}
+        names = [backend.name for backend in BACKENDS]
+        assert names == (["numpy", "compiled"] if HAVE_COMPILED else ["numpy"])
+        assert BACKENDS[0] is NUMPY_BACKEND and DEFAULT_BACKEND is BACKENDS[-1]
 
     def test_results_record_their_engine(self, paper_tree):
-        for engine in ENGINES:
-            assert gather(paper_tree, 2, engine=engine).engine == engine
+        for backend in BACKENDS:
+            assert Solver(backend=backend).gather(paper_tree, 2).backend is backend
 
     def test_solver_accepts_every_engine(self, paper_tree):
-        for engine in ENGINES:
-            assert Solver(engine=engine).solve(paper_tree, 2).cost == 20.0
+        for backend in BACKENDS:
+            assert Solver(backend=backend).solve(paper_tree, 2).cost == 20.0
 
     def test_sweep_accepts_every_engine(self, paper_tree):
-        for engine in ENGINES:
-            sweep = Solver(engine=engine).sweep(paper_tree, range(1, 5))
+        for backend in BACKENDS:
+            sweep = Solver(backend=backend).sweep(paper_tree, range(1, 5))
             assert [sweep[k].cost for k in (1, 2, 3, 4)] == [35.0, 20.0, 15.0, 11.0]
 
 
@@ -167,17 +161,21 @@ class TestSubtreeAvailability:
 
 
 class TestCompiledBackend:
-    """The compiled engine specifically: activation, fallback, near-ties."""
+    """The compiled backend specifically: activation, fallback, near-ties."""
 
-    @requires_compiled
+    @needs_compiled
     def test_c_kernels_are_active(self):
-        # When a compiler exists the "compiled" entry must run the C
-        # kernel set, not silently fall back to numpy.
-        assert COMPILED_KERNELS is not NUMPY_KERNELS
+        # When a compiler exists the default backend runs the three C
+        # kernels, not the numpy ones.
+        assert DEFAULT_BACKEND is COMPILED_BACKEND
+        assert COMPILED_BACKEND.repair_chain is engine_compiled.repair_chain
+        assert COMPILED_BACKEND.trace is compiled_blue_masks
+        for kernel in ("repair_chain", "trace", "costs"):
+            assert getattr(COMPILED_BACKEND, kernel) is not getattr(NUMPY_BACKEND, kernel)
 
     def test_disable_env_forces_numpy_fallback(self):
-        # A fresh interpreter with REPRO_NO_COMPILED set must keep the
-        # "compiled" registry entry callable and bit-identical.
+        # A fresh interpreter with REPRO_NO_COMPILED set runs the numpy
+        # kernels and says so: no backend reports "compiled".
         import os
         import subprocess
         import sys
@@ -185,15 +183,16 @@ class TestCompiledBackend:
         env = dict(os.environ, REPRO_NO_COMPILED="1")
         script = (
             "from repro.core.engine_compiled import HAVE_COMPILED\n"
-            "from repro.core.engine import ENGINES, flat_gather, gather\n"
+            "from repro.core.engine import (\n"
+            "    BACKENDS, COMPILED_BACKEND, DEFAULT_BACKEND, DEFAULT_ENGINE, gather)\n"
+            "from repro.core.gather import soar_gather\n"
             "from repro.experiments.motivating import motivating_tree\n"
             "from repro.testing import assert_tables_equal\n"
-            "assert not HAVE_COMPILED\n"
-            "assert 'compiled' in ENGINES\n"
+            "assert not HAVE_COMPILED and COMPILED_BACKEND is None\n"
+            "assert DEFAULT_BACKEND.name == 'numpy' and DEFAULT_ENGINE == 'numpy'\n"
+            "assert [backend.name for backend in BACKENDS] == ['numpy']\n"
             "tree = motivating_tree()\n"
-            "result = gather(tree, 2, engine='compiled')\n"
-            "assert result.engine == 'compiled'\n"
-            "assert_tables_equal(flat_gather(tree, 2), result)\n"
+            "assert_tables_equal(soar_gather(tree, 2), gather(tree, 2))\n"
         )
         subprocess.run([sys.executable, "-c", script], check=True, env=env)
 
@@ -206,18 +205,19 @@ class TestCompiledBackend:
         for tree, budget in near_tie_stream(
             seed=20260807 + int(exact_k), count=25, max_switches=12
         ):
-            flat = flat_gather(tree, budget, exact_k=exact_k)
-            compiled = compiled_gather(tree, budget, exact_k=exact_k)
+            flat = gather(tree, budget, exact_k, NUMPY_BACKEND)
+            compiled = gather(tree, budget, exact_k)
             assert_tables_equal(flat, compiled)
             traced = soar_color_batched(tree, flat)
-            assert trace_color(tree, compiled, color="compiled") == traced
+            _, masks = DEFAULT_BACKEND.trace(tree, compiled, [None])
+            assert blue_set(compiled.flat.order, masks[0]) == traced
             assert soar_color(tree, compiled) == traced
             count += 1
         assert count == 25
 
 
 #: Digest of every defined table cell, breadcrumb, cost and placement of a
-#: default-engine cold gather and delta repair, run in a fresh interpreter.
+#: default-backend cold gather and delta repair, run in a fresh interpreter.
 _DEFAULT_ENGINE_DIGEST = """
 import hashlib
 import numpy as np
@@ -233,7 +233,7 @@ workload = tree.with_loads(loads, available=switches[::2])
 digest = hashlib.sha256()
 for exact_k in (False, True):
     solver = Solver(exact_k=exact_k)
-    assert solver.engine == "compiled"
+    assert solver.backend.name == ("compiled" if HAVE_COMPILED else "numpy")
     cold = solver.gather(workload, 8)
     for table in (cold, cold.repair(frozenset(switches[1:12:2]) | {switches[0]})):
         for node in table.result.flat.order:
@@ -248,18 +248,20 @@ print(HAVE_COMPILED, digest.hexdigest())
 
 
 class TestDefaultEngine:
-    """The compiled backend is the default everywhere, bit-identically."""
+    """The compiled backend is the default everywhere it built, bit-identically."""
 
     def test_solver_and_service_default_to_compiled(self, paper_tree):
         from repro.service import PlacementService
 
-        assert DEFAULT_ENGINE == "compiled"
-        assert Solver().engine == "compiled"
-        assert PlacementService(paper_tree, 2).engine == "compiled"
-        assert Solver().gather(paper_tree, 2).result.engine == "compiled"
+        expected = COMPILED_BACKEND if HAVE_COMPILED else NUMPY_BACKEND
+        assert DEFAULT_BACKEND is expected
+        assert DEFAULT_ENGINE == expected.name
+        assert Solver().backend is expected
+        assert PlacementService(paper_tree, 2).backend is expected
+        assert Solver().gather(paper_tree, 2).backend is expected
 
     def test_numpy_fallback_leg_is_byte_identical(self):
-        # The same default-engine gathers and repairs in two fresh
+        # The same default-backend gathers and repairs in two fresh
         # interpreters: the C kernels (when a compiler exists) and the
         # REPRO_NO_COMPILED=1 numpy fallback must digest identically.
         import os
@@ -345,8 +347,8 @@ class TestRandomizedQuick:
 
 
 class TestEdgeShapes:
-    """Edges the seeded streams draw rarely or never, through both flat
-    kernel sets' cold gather against the reference, both semantics.  (Deep
+    """Edges the seeded streams draw rarely or never, through every
+    backend's cold gather against the reference, both semantics.  (Deep
     paths and wide stars run in :class:`TestRandomizedSlow`.)"""
 
     @pytest.mark.parametrize("exact_k", [False, True])
@@ -384,7 +386,7 @@ class TestRandomizedSlow:
         count = 0
         for tree, budget in instance_stream(seed=20211207, count=500, max_switches=12):
             for exact_k in (False, True):
-                # check_instance asserts flat cost == reference cost, equal
+                # check_instance asserts backend cost == reference cost, equal
                 # placements, feasibility, and brute-force optimality on
                 # instances small enough to enumerate.
                 check_instance(tree, budget, exact_k=exact_k)
@@ -411,7 +413,7 @@ class TestRandomizedSlow:
 
     def test_deep_path_instances(self):
         # Path networks stress the parameter axis (depth = n) and must not
-        # recurse; both engines are iterative.
+        # recurse; every implementation is iterative.
         rng = np.random.default_rng(5)
         tree = random_instance(rng, shape="path", num_switches=300)
         for exact_k in (False, True):

@@ -9,8 +9,9 @@ this file before it can corrupt the evaluation figures.
 
 The values were derived from Eq. (4) / Algorithm 3 and cross-checked by
 hand against the Figure 5 walkthrough; ``X_r(1, 2) = 20`` is the optimum
-the paper reports for ``k = 2``.  Both engines must reproduce every entry
-exactly (no tolerance: all quantities are small dyadic floats).
+the paper reports for ``k = 2``.  Both backends and the reference walk must
+reproduce every entry exactly (no tolerance: all quantities are small dyadic
+floats).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINES, gather
+from backend_params import GATHER_PARAMS
 from repro.experiments.motivating import motivating_tree
 
 INF = np.inf
@@ -71,14 +72,14 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("run_gather", GATHER_PARAMS)
 class TestFigure5Golden:
     @pytest.fixture
-    def gathered(self, engine):
-        return gather(motivating_tree(), 2, engine=engine)
+    def gathered(self, run_gather):
+        return run_gather(motivating_tree(), 2)
 
     @pytest.mark.parametrize("node", sorted(GOLDEN))
-    def test_tables_match_golden(self, gathered, node, engine):
+    def test_tables_match_golden(self, gathered, node):
         tables = gathered.tables[node]
         expected = GOLDEN[node]
         assert np.array_equal(tables.x, np.array(expected["x"], dtype=float)), node
@@ -92,10 +93,10 @@ class TestFigure5Golden:
         for actual, pinned in zip(tables.splits_blue, expected["splits_blue"]):
             assert np.array_equal(actual, np.array(pinned))
 
-    def test_optimum_is_twenty(self, gathered, engine):
+    def test_optimum_is_twenty(self, gathered):
         assert gathered.optimal_cost == 20.0
 
-    def test_breadcrumb_dtypes_and_shapes(self, gathered, engine):
+    def test_breadcrumb_dtypes_and_shapes(self, gathered):
         # The breadcrumb *format* is part of the contract: float64 tables of
         # shape (D(v) + 1, k + 1), uint8 choices, integer splits.
         tree = motivating_tree()

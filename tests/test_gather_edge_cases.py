@@ -8,6 +8,7 @@ import pytest
 from repro.core.bruteforce import solve_bruteforce
 from repro.core.color import soar_color
 from repro.core.cost import utilization_cost
+from repro.core.engine import NUMPY_BACKEND
 from repro.core.gather import soar_gather
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
@@ -94,7 +95,7 @@ class TestGatherColorContracts:
         assert gathered.cost_for_budget(100) == gathered.cost_for_budget(2)
 
     def test_narrow_table_clamps_and_fresh_gather_honours_budget(self, paper_tree):
-        solver = Solver(engine="reference")
+        solver = Solver(backend=NUMPY_BACKEND)
         narrow = solver.gather(paper_tree, 1)
         # A table only answers the budgets it carries: larger requests clamp.
         assert narrow.place(3).budget == 1

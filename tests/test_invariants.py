@@ -1,7 +1,7 @@
 """Invariant checks on every solve, driven by the ``repro.testing`` checkers.
 
 These tests pin the *semantic* contract of the solver regardless of which
-engine produced the tables:
+backend (or the per-node reference walk) produced the tables:
 
 * ``predicted_cost == cost`` on every solve (the DP optimum matches the
   cost recomputed from the Reduce message counts),
@@ -22,8 +22,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.engine import ENGINES, gather
-from repro.core.solver import Solver
+from backend_params import BACKEND_PARAMS, GATHER_PARAMS
+from repro.core.color import soar_color
+from repro.core.cost import utilization_cost
+from repro.core.engine import BACKENDS, gather
+from repro.core.gather import soar_gather
+from repro.core.solver import Placement, Solver
 from repro.experiments.motivating import motivating_tree
 from repro.testing import (
     AVAILABILITY_PATTERNS,
@@ -48,13 +52,29 @@ from repro.testing import (
 )
 
 
+def _reference_solve(tree, budget, exact_k):
+    """The paper's per-node walks end to end, as a :class:`Placement`."""
+    gathered = soar_gather(tree, budget, exact_k=exact_k)
+    blue = soar_color(tree, gathered)
+    return Placement(
+        blue_nodes=blue,
+        cost=utilization_cost(tree, blue),
+        predicted_cost=gathered.optimal_cost,
+        budget=gathered.budget,
+        table=None,
+    )
+
+
 class TestSolutionInvariants:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("backend", [*BACKEND_PARAMS, pytest.param(None, id="reference")])
     @pytest.mark.parametrize("exact_k", [False, True])
-    def test_paper_tree_every_budget(self, engine, exact_k):
+    def test_paper_tree_every_budget(self, backend, exact_k):
         tree = motivating_tree()
         for budget in range(tree.num_switches + 1):
-            solution = Solver(engine=engine, exact_k=exact_k).solve(tree, budget)
+            if backend is None:
+                solution = _reference_solve(tree, budget, exact_k)
+            else:
+                solution = Solver(backend=backend, exact_k=exact_k).solve(tree, budget)
             assert_solution_consistent(tree, solution)
 
     def test_random_instances_predicted_equals_cost(self, session_rng):
@@ -103,19 +123,20 @@ class TestCostSandwich:
 
 
 class TestGatherTableInvariants:
-    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("run_gather", GATHER_PARAMS)
     @pytest.mark.parametrize("exact_k", [False, True])
-    def test_paper_tree_tables(self, engine, exact_k):
+    def test_paper_tree_tables(self, run_gather, exact_k):
         tree = motivating_tree()
-        gathered = gather(tree, 3, exact_k=exact_k, engine=engine)
+        gathered = run_gather(tree, 3, exact_k=exact_k)
         assert_gather_consistent(tree, gathered)
 
     def test_random_instances_tables(self, session_rng):
         for _ in range(10):
             tree = random_instance(session_rng, max_switches=10)
             budget = random_budget(session_rng, tree)
-            for engine in ENGINES:
-                assert_gather_consistent(tree, gather(tree, budget, engine=engine))
+            assert_gather_consistent(tree, soar_gather(tree, budget))
+            for backend in BACKENDS:
+                assert_gather_consistent(tree, gather(tree, budget, backend=backend))
 
 
 class TestCheckersCanFail:
@@ -147,8 +168,9 @@ class TestCheckersCanFail:
 
     def test_check_instance_runs_bruteforce_when_small(self, paper_tree):
         solutions = check_instance(paper_tree, 2)
-        assert solutions["flat"].cost == 20.0
-        assert solutions["reference"].cost == 20.0
+        assert {name: solution.cost for name, solution in solutions.items()} == {
+            backend.name: 20.0 for backend in BACKENDS
+        }
 
 
 class TestNearTieRates:
@@ -206,7 +228,7 @@ class TestNearTieRates:
     def test_exact_ties_on_symmetric_binary_tree(self, session_rng):
         # Fully symmetric instance: constant rates, equal loads.  Every
         # same-level placement is exactly tied; the sweep must still be
-        # monotone and consistent across engines and against brute force.
+        # monotone and consistent across backends and against brute force.
         tree = random_instance(
             session_rng,
             shape="binary",
@@ -222,8 +244,8 @@ class TestNearTieRates:
 class TestNearTieLoadsAndAvailability:
     """Load-tie profiles and straddling Λ patterns (the ROADMAP item twinned
     with the rate profiles), stressing the batched colour kernel's
-    tie-breaking: ``check_instance`` traces every colour kernel out of
-    every engine's tables and requires identical blue sets."""
+    tie-breaking: ``check_instance`` traces the reference colour walk out
+    of every backend's tables and requires identical blue sets."""
 
     def test_tie_load_shapes(self, session_rng):
         parents = {0: "d", 1: 0, 2: 0, 3: 1, 4: 1}
@@ -323,5 +345,6 @@ class TestInvariantSweep:
             tree = random_instance(rng, max_switches=12)
             budget = random_budget(rng, tree)
             check_instance(tree, budget, bruteforce=False)
-            for engine in ENGINES:
-                assert_gather_consistent(tree, gather(tree, budget, engine=engine))
+            assert_gather_consistent(tree, soar_gather(tree, budget))
+            for backend in BACKENDS:
+                assert_gather_consistent(tree, gather(tree, budget, backend=backend))

@@ -48,7 +48,6 @@ PUBLIC_MODULES = [
     "repro.analysis.rules_locks",
     "repro.analysis.rules_determinism",
     "repro.analysis.rules_layering",
-    "repro.analysis.rules_registry",
     "repro.analysis.rules_ffi",
     "repro.analysis.rules_excepts",
     "repro.analysis.callgraph",

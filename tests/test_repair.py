@@ -2,7 +2,7 @@
 
 A repaired table must be *bit-identical* to a cold gather at the new
 availability — tables, argmin breadcrumbs, traced placements, costs — on
-both backend legs (numpy flat and compiled), for chains of
+both backends (numpy and compiled), for chains of
 repair-of-repair, and for every budget semantics.  Where repair is
 unsound (structure or load changes, a shifted effective budget, results
 without flat tensors) it must refuse with
@@ -15,17 +15,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from pathlib import Path
+
+from backend_params import BACKEND_PARAMS, needs_compiled
+from repro.core import engine_compiled
 from repro.core.color import soar_color, soar_color_batched
 from repro.core.engine import (
-    NUMPY_KERNELS,
-    REPAIRERS,
-    _repair_flat_tensors,
-    flat_gather,
+    BACKENDS,
+    COMPILED_BACKEND,
+    NUMPY_BACKEND,
     gather,
     repair,
 )
-from repro.core.engine_compiled import COMPILED_KERNELS, HAVE_COMPILED, compiled_gather
 from repro.core.flat import LazyNodeTables, dirty_ancestor_positions
+from repro.core.gather import soar_gather
 from repro.core.solver import Solver
 from repro.exceptions import AvailabilityError, RepairError
 from repro.testing import (
@@ -36,16 +39,6 @@ from repro.testing import (
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
-requires_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="C backend unavailable (no compiler); numpy fallback active"
-)
-
-#: Engines with a registered repairer; "compiled" stays registered under the
-#: numpy fallback (REPRO_NO_COMPILED or no compiler), so both legs always run.
-REPAIR_ENGINES = ("flat", "compiled")
-
-COLD_GATHERS = {"flat": flat_gather, "compiled": compiled_gather}
-
 
 def _random_delta(rng, tree, max_flips=3):
     """A random non-empty availability delta over the tree's switches."""
@@ -55,13 +48,10 @@ def _random_delta(rng, tree, max_flips=3):
     return frozenset(switches[int(p)] for p in picks)
 
 
-def _assert_repair_matches_cold(engine, result, new_tree):
+def _assert_repair_matches_cold(backend, result, new_tree):
     """Repair ``result`` towards ``new_tree`` and compare to a cold gather."""
-    repaired = repair(result, new_tree)
-    cold = COLD_GATHERS[engine](
-        new_tree, result.requested_budget, exact_k=result.exact_k
-    )
-    assert repaired.engine == engine
+    repaired = repair(result, new_tree, backend)
+    cold = gather(new_tree, result.requested_budget, result.exact_k, backend)
     assert_tables_equal(cold, repaired)
     assert soar_color(new_tree, repaired) == soar_color(new_tree, cold)
     assert soar_color_batched(new_tree, repaired) == soar_color_batched(new_tree, cold)
@@ -73,19 +63,19 @@ def _assert_repair_matches_cold(engine, result, new_tree):
 class TestRepairBitIdentity:
     """Repair equals cold gather on seeded instance streams, both legs."""
 
-    @pytest.mark.parametrize("engine", REPAIR_ENGINES)
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     @pytest.mark.parametrize("exact_k", [False, True])
-    def test_instance_stream(self, engine, exact_k):
+    def test_instance_stream(self, backend, exact_k):
         rng = np.random.default_rng(90210 + int(exact_k))
         repaired_count = 0
         for tree, budget in instance_stream(
             seed=4590 + int(exact_k), count=30, max_switches=12
         ):
-            result = gather(tree, budget, exact_k=exact_k, engine=engine)
+            result = gather(tree, budget, exact_k, backend)
             delta = _random_delta(rng, tree)
             new_tree = tree.with_available(tree.available ^ delta)
             try:
-                _assert_repair_matches_cold(engine, result, new_tree)
+                _assert_repair_matches_cold(backend, result, new_tree)
             except RepairError:
                 # Legitimate refusal: the delta moved |Λ| across the
                 # requested budget, so the tensor width changed.
@@ -94,27 +84,27 @@ class TestRepairBitIdentity:
             repaired_count += 1
         assert repaired_count >= 15  # the stream must mostly exercise repair
 
-    @pytest.mark.parametrize("engine", REPAIR_ENGINES)
-    def test_near_tie_stream(self, engine):
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_near_tie_stream(self, backend):
         # Symmetric rates and loads make every argmin a tie-break — where
         # a repair replaying the convolution in a different order would
         # diverge first.
         rng = np.random.default_rng(777)
         repaired_count = 0
         for tree, budget in near_tie_stream(seed=9182, count=20, max_switches=12):
-            result = gather(tree, budget, engine=engine)
+            result = gather(tree, budget, backend=backend)
             delta = _random_delta(rng, tree)
             new_tree = tree.with_available(tree.available ^ delta)
             try:
-                _assert_repair_matches_cold(engine, result, new_tree)
+                _assert_repair_matches_cold(backend, result, new_tree)
             except RepairError:
                 assert min(budget, len(new_tree.available)) != result.budget
                 continue
             repaired_count += 1
         assert repaired_count >= 10
 
-    @pytest.mark.parametrize("engine", REPAIR_ENGINES)
-    def test_chained_repairs_track_cold_gathers(self, engine):
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_chained_repairs_track_cold_gathers(self, backend):
         """Satellite: 50+ chained repair-of-repair steps stay bit-identical.
 
         The table is only ever repaired (never re-gathered), so any drift
@@ -129,7 +119,7 @@ class TestRepairBitIdentity:
         budget = 4
         floor = budget + 4  # keep |Λ| clear of the budget so repair stays sound
 
-        solver = Solver(engine=engine)
+        solver = Solver(backend=backend)
         table = solver.gather(workload, budget)
         assert table.repair_generation == 0 and table.repaired_from is None
 
@@ -157,8 +147,8 @@ class TestRepairBitIdentity:
         assert table.repair_generation >= 50
 
     def test_numpy_fallback_leg_bit_identical(self):
-        """Satellite: the compiled registry entry repairs under the numpy
-        fallback too (fresh interpreter, REPRO_NO_COMPILED=1)."""
+        """Under REPRO_NO_COMPILED=1 (a fresh interpreter) the default
+        backend is the numpy one and repairs bit-identically."""
         import os
         import subprocess
         import sys
@@ -167,28 +157,31 @@ class TestRepairBitIdentity:
         script = (
             "import numpy as np\n"
             "from repro.core.engine_compiled import HAVE_COMPILED\n"
-            "from repro.core.engine import REPAIRERS, gather, repair\n"
+            "from repro.core.engine import BACKENDS, DEFAULT_BACKEND, NUMPY_BACKEND, gather, repair\n"
             "from repro.testing import assert_tables_equal, instance_stream\n"
             "assert not HAVE_COMPILED\n"
-            "assert set(REPAIRERS) == {'flat', 'compiled'}\n"
+            "assert BACKENDS == (NUMPY_BACKEND,) and DEFAULT_BACKEND is NUMPY_BACKEND\n"
             "rng = np.random.default_rng(5)\n"
             "checked = 0\n"
             "for tree, budget in instance_stream(seed=31, count=10, max_switches=10):\n"
             "    switches = list(tree.switches)\n"
             "    pick = switches[int(rng.integers(len(switches)))]\n"
             "    new_tree = tree.with_available(tree.available ^ {pick})\n"
-            "    result = gather(tree, budget, engine='compiled')\n"
+            "    result = gather(tree, budget)\n"
             "    try:\n"
             "        repaired = repair(result, new_tree)\n"
             "    except Exception:\n"
             "        continue\n"
-            "    cold = gather(new_tree, budget, engine='compiled')\n"
+            "    cold = gather(new_tree, budget)\n"
             "    assert_tables_equal(cold, repaired)\n"
             "    checked += 1\n"
             "assert checked >= 5\n"
         )
         subprocess.run(
-            [sys.executable, "-c", script], check=True, env=env, cwd="/root/repo"
+            [sys.executable, "-c", script],
+            check=True,
+            env=env,
+            cwd=Path(__file__).resolve().parents[1],
         )
 
 
@@ -212,19 +205,16 @@ def _defined_cells(flat, name):
 
 
 def _assert_chain_kernels_match_cold(result, new_tree):
-    """Repair with the numpy and the compiled ``repair_chain`` kernels and
-    byte-compare both with each other and with a cold gather."""
-    numpy_flat, compiled_flat = (
-        _repair_flat_tensors(result, new_tree, kernels=kernels, engine=result.engine).flat
-        for kernels in (NUMPY_KERNELS, COMPILED_KERNELS)
-    )
-    cold = compiled_gather(new_tree, result.requested_budget, exact_k=result.exact_k).flat
+    """Repair with every backend's ``repair_chain`` kernel and byte-compare
+    them with each other and with a cold gather."""
+    repaired = [repair(result, new_tree, backend).flat for backend in BACKENDS]
+    cold = gather(new_tree, result.requested_budget, exact_k=result.exact_k).flat
     for name in TENSORS:
-        # Both kernels start from the same clone: even the undefined rows
-        # must agree, or one of them wrote a cell the other did not.
-        assert getattr(numpy_flat, name).tobytes() == getattr(compiled_flat, name).tobytes()
-        assert _defined_cells(compiled_flat, name) == _defined_cells(cold, name)
-    return compiled_flat
+        # Every kernel starts from the same clone: even the undefined rows
+        # must agree, or one of them wrote a cell another did not.
+        assert len({getattr(flat, name).tobytes() for flat in repaired}) == 1
+        assert _defined_cells(repaired[-1], name) == _defined_cells(cold, name)
+    return repaired[-1]
 
 
 def _dirtying_exactly(tree, index, target):
@@ -254,7 +244,7 @@ class TestRepairChainKernels:
         rng = np.random.default_rng(6021 + int(exact_k))
         repaired_count = 0
         for tree, budget in stream(seed=3303 + int(exact_k), count=30, max_switches=16):
-            result = compiled_gather(tree, budget, exact_k=exact_k)
+            result = gather(tree, budget, exact_k=exact_k)
             delta = _random_delta(rng, tree, max_flips=4)
             new_tree = tree.with_available(tree.available ^ delta)
             try:
@@ -287,7 +277,7 @@ class TestRepairChainKernels:
     @pytest.mark.parametrize("exact_k", [False, True])
     @pytest.mark.parametrize("edge", ["root", "subtree-leaves", "half-tree"])
     def test_edge_deltas(self, workload, edge, exact_k):
-        result = compiled_gather(workload, 6, exact_k=exact_k)
+        result = gather(workload, 6, exact_k=exact_k)
         delta = self._edge_deltas(workload, result.flat.index)[edge]
         if edge == "half-tree":
             dirty = dirty_ancestor_positions(workload, result.flat.index, delta)
@@ -296,7 +286,7 @@ class TestRepairChainKernels:
 
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_lost_blue_eligibility_zeroes_stale_breadcrumbs(self, workload, exact_k):
-        result = compiled_gather(workload, 6, exact_k=exact_k)
+        result = gather(workload, 6, exact_k=exact_k)
         flat = result.flat
         node = workload.root  # available, two children: one breadcrumb slot
         position = flat.index[node]
@@ -311,7 +301,7 @@ class TestRepairChainKernels:
 
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_budget_one(self, workload, exact_k):
-        result = compiled_gather(workload, 1, exact_k=exact_k)
+        result = gather(workload, 1, exact_k=exact_k)
         assert result.budget == 1
         rng = np.random.default_rng(41)
         for _ in range(5):
@@ -320,9 +310,10 @@ class TestRepairChainKernels:
                 result, workload.with_available(workload.available ^ delta)
             )
 
-    @requires_compiled
+    @needs_compiled
     def test_compiled_kernel_is_the_c_one(self):
-        assert COMPILED_KERNELS.repair_chain is not NUMPY_KERNELS.repair_chain
+        assert COMPILED_BACKEND.repair_chain is engine_compiled.repair_chain
+        assert COMPILED_BACKEND.repair_chain is not NUMPY_BACKEND.repair_chain
 
 
 class TestRepairRefusals:
@@ -335,18 +326,23 @@ class TestRepairRefusals:
         return tree.with_loads(loads)
 
     def test_reference_engine_has_no_repairer(self, workload):
-        result = gather(workload, 2, engine="reference")
+        result = soar_gather(workload, 2)
         new_tree = workload.with_available(
             workload.available - {next(iter(sorted(workload.available)))}
         )
-        with pytest.raises(RepairError, match="reference"):
+        with pytest.raises(RepairError, match="no flat tensors"):
             repair(result, new_tree)
 
-    def test_repairer_registry_matches_flat_backends(self):
-        assert set(REPAIRERS) == {"flat", "compiled"}
+    def test_repairer_registry_matches_flat_backends(self, workload):
+        # Every backend repairs the flat tables it gathers.
+        switch = sorted(workload.available)[0]
+        new_tree = workload.with_available(workload.available - {switch})
+        for backend in BACKENDS:
+            repaired = repair(gather(workload, 2, backend=backend), new_tree, backend)
+            assert_tables_equal(gather(new_tree, 2, backend=backend), repaired)
 
     def test_load_change_refused(self, workload):
-        result = flat_gather(workload, 2)
+        result = gather(workload, 2)
         leaves = [s for s in workload.switches if not workload.children(s)]
         patched = workload.with_loads(
             {**workload.loads, leaves[0]: workload.loads[leaves[0]] + 1}
@@ -355,7 +351,7 @@ class TestRepairRefusals:
             repair(result, patched)
 
     def test_structure_change_refused(self, workload):
-        result = flat_gather(workload, 2)
+        result = gather(workload, 2)
         other = bt_network(16)
         other = other.with_loads(
             sample_leaf_loads(other, PowerLawLoadDistribution(), rng=3)
@@ -367,14 +363,14 @@ class TestRepairRefusals:
         # |Λ| = 3 with requested budget 5 → effective 3; removing one more
         # available switch narrows the tensor width, so repair must refuse.
         small = workload.with_available(sorted(workload.available)[:3])
-        result = flat_gather(small, 5)
+        result = gather(small, 5)
         assert result.budget == 3
         shrunk = small.with_available(sorted(small.available)[:2])
         with pytest.raises(RepairError, match="budget"):
             repair(result, shrunk)
 
     def test_non_switch_delta_refused(self, workload):
-        result = flat_gather(workload, 2)
+        result = gather(workload, 2)
         with pytest.raises(RepairError, match="switch"):
             dirty_ancestor_positions(
                 workload, result.flat.index, {"no-such-switch"}
@@ -387,7 +383,7 @@ class TestRepairRefusals:
 
 
 class TestColdGatherLazyTables:
-    """Cold flat-engine gathers hand out the same lazy mapping as repairs."""
+    """Cold gathers hand out the same lazy mapping as repairs."""
 
     @pytest.fixture()
     def workload(self):
@@ -396,10 +392,10 @@ class TestColdGatherLazyTables:
         available = frozenset(sorted(tree.switches)[::2])
         return tree.with_loads(loads, available=available)
 
-    @pytest.mark.parametrize("engine", REPAIR_ENGINES)
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
     @pytest.mark.parametrize("exact_k", [False, True])
-    def test_nothing_materialized_until_accessed(self, workload, engine, exact_k):
-        result = COLD_GATHERS[engine](workload, 3, exact_k=exact_k)
+    def test_nothing_materialized_until_accessed(self, workload, backend, exact_k):
+        result = gather(workload, 3, exact_k, backend)
         tables = result.tables
         assert isinstance(tables, LazyNodeTables)
         assert dict.__len__(tables) == 0
@@ -408,7 +404,7 @@ class TestColdGatherLazyTables:
         soar_color_batched(workload, result)
         result.cost_for_budget(2)
         assert dict.__len__(tables) == 1
-        assert_tables_equal(gather(workload, 3, exact_k=exact_k, engine="reference"), result)
+        assert_tables_equal(soar_gather(workload, 3, exact_k=exact_k), result)
         assert dict.__len__(tables) == workload.num_switches
 
 
@@ -420,10 +416,10 @@ class TestLazyNodeTables:
         tree = bt_network(8)
         loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=11)
         workload = tree.with_loads(loads)
-        result = flat_gather(workload, 3)
+        result = gather(workload, 3)
         switch = sorted(workload.available)[0]
         new_tree = workload.with_available(workload.available ^ {switch})
-        return repair(result, new_tree), flat_gather(new_tree, 3)
+        return repair(result, new_tree), gather(new_tree, 3)
 
     def test_is_lazy_and_complete(self, repaired):
         lazy, cold = repaired

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from backend_params import BACKEND_PARAMS
+from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
 from repro.core.solver import Solver
 from repro.core.tree import fingerprint_loads, fingerprint_nodes
 from repro.exceptions import (
@@ -228,19 +230,42 @@ class TestCapacityRelease:
 
 def _key(tag: str, exact_k: bool = False) -> CacheKey:
     return CacheKey(
-        structure="s", available=f"a-{tag}", loads=f"l-{tag}", exact_k=exact_k, engine="flat"
+        structure="s", available=f"a-{tag}", loads=f"l-{tag}", exact_k=exact_k
     )
 
 
 class _FakeTree:
+    # Every switch hangs directly off the destination of a 64-switch tree,
+    # so the cache's half-tree repair guard sees a delta dirty only itself.
+    destination = None
+    num_switches = 64
+
     def __init__(self, available: frozenset) -> None:
         self.available = available
 
+    def parent(self, node):
+        return self.destination
+
+
+class _Positions(dict):
+    """Flat positions handed out to switch names on first lookup."""
+
+    def __contains__(self, node) -> bool:
+        return True
+
+    def __missing__(self, node) -> int:
+        self[node] = len(self)
+        return self[node]
+
+
+class _FakeFlat:
+    def __init__(self) -> None:
+        self.index = _Positions()
+
 
 class _FakeResult:
-    # No flat tensors: the cache's half-tree repair guard has nothing to
-    # measure and leaves the candidate to the engine-level repair.
-    flat = None
+    def __init__(self) -> None:
+        self.flat = _FakeFlat()
 
 
 class _FakeTable:
@@ -332,7 +357,7 @@ class TestGatherTableCache:
 def _avail_key(tag: str) -> CacheKey:
     """Keys of one repair family: they differ in availability alone."""
     return CacheKey(
-        structure="s", available=f"a-{tag}", loads="l", exact_k=False, engine="flat"
+        structure="s", available=f"a-{tag}", loads="l", exact_k=False
     )
 
 
@@ -850,8 +875,11 @@ class TestPlacementService:
             service.submit(SolveRequest(loads={"s2_0": -3}, budget=1))
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            small_service(engine="warp")
+        # The kernels are a Backend object now: the old name knobs fail loudly.
+        with pytest.raises(TypeError):
+            small_service(engine="flat")
+        with pytest.raises(TypeError):
+            small_service(cost_kernel="flat")
 
     def test_submit_batch_matches_serial_and_plans_gathers(self):
         tree = complete_binary_tree(16)
@@ -965,13 +993,13 @@ class TestCacheRepair:
         assert small_service().cache.max_repair_delta is None
         assert small_service().cache.repair_enabled
 
-    @pytest.mark.parametrize("engine", ["flat", "compiled"])
-    def test_far_neighbour_repaired_bit_identically(self, engine):
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_far_neighbour_repaired_bit_identically(self, backend):
         # Ten drained leaves of one subtree of BT(64): the only cached
         # table is ten flips away (beyond the old cap of eight) yet its
         # repair recomputes 23 of 127 switches, so the default policy
         # repairs instead of gathering.
-        service = small_service(num_leaves=64, capacity=4, engine=engine)
+        service = small_service(num_leaves=64, capacity=4, backend=backend)
         loads = leaf_loads(service.state.tree, seed=3)
         service.submit(SolveRequest(loads=loads, budget=4))
         for leaf in range(10):
@@ -982,7 +1010,7 @@ class TestCacheRepair:
         assert stats.repair_hits == stats.repairs == 1
 
         workload = service.state.tree.with_loads(loads, available=service.available())
-        cold = Solver(engine=engine).gather(workload, 4)
+        cold = Solver(backend=backend).gather(workload, 4)
         key, repaired = service.cache.tables()[-1]
         assert repaired.repaired_from is not None
         assert repaired.tree.available == workload.available
@@ -1154,9 +1182,12 @@ class TestDifferentialReplay:
     def test_replay_with_both_engines_agree(self):
         tree = complete_binary_tree(8)
         trace = generate_churn_trace(tree, 50, seed=3, budget=3)
-        flat = replay_trace(tree, trace, capacity=3, engine="flat", verify=True)
-        reference = replay_trace(tree, trace, capacity=3, engine="reference", verify=True)
-        for left, right in zip(flat.records, reference.records):
+        numpy_service = PlacementService(tree, 3, backend=NUMPY_BACKEND)
+        numpy_replay = replay_trace(tree, trace, service=numpy_service, verify=True)
+        default = replay_trace(tree, trace, capacity=3, verify=True)
+        assert numpy_replay.backend == "numpy"
+        assert default.backend == DEFAULT_BACKEND.name
+        for left, right in zip(numpy_replay.records, default.records):
             if hasattr(left.response, "cost"):
                 assert left.response.cost == right.response.cost
                 assert left.response.blue_nodes == right.response.blue_nodes
@@ -1195,12 +1226,11 @@ class TestDifferentialReplay:
 
 
 class TestTraceKernelDefaults:
-    """The compiled colour/cost defaults serve exactly what numpy kernels do.
+    """The default backend serves exactly what the numpy backend does.
 
     A sweep resolves every budget through the cache first and then traces
     the table-answered ones in one batched call; the payloads and every
-    cache counter must match a service tracing budget by budget with the
-    numpy ``batched`` / ``flat`` kernels.
+    cache counter must match a service on the numpy backend.
     """
 
     def _trace(self, tree):
@@ -1221,11 +1251,10 @@ class TestTraceKernelDefaults:
         tree = complete_binary_tree(32)
         trace = self._trace(tree)
         assert {"sweep", "solve", "admit", "drain"} <= {e.kind for e in trace}
-        numpy_service = PlacementService(tree, 2, color="batched", cost_kernel="flat")
+        numpy_service = PlacementService(tree, 2, backend=NUMPY_BACKEND)
         default_service = PlacementService(tree, 2)
-        assert (default_service.color, default_service.cost_kernel) == (
-            "compiled", "compiled",
-        )
+        assert numpy_service.backend is NUMPY_BACKEND
+        assert default_service.backend is DEFAULT_BACKEND
         assert self._run(numpy_service, trace, tree) == self._run(
             default_service, trace, tree
         )
@@ -1246,14 +1275,20 @@ class TestTraceKernelDefaults:
         assert response.costs[50] == response.costs[60]
 
     def test_numpy_kernel_snapshot_restores_with_its_names(self, tmp_path):
+        # A snapshot in the format written before the backend knob, which
+        # named the numpy kernels, restores and replays identically; new
+        # snapshots no longer name any kernel.
         tree = complete_binary_tree(32)
         trace = self._trace(tree)
         head, tail = trace[:80], trace[80:]
-        service = PlacementService(tree, 2, color="batched", cost_kernel="flat")
+        service = PlacementService(tree, 2, backend=NUMPY_BACKEND)
         self._run(service, head, tree)
-        path = write_snapshot(service.snapshot(), tmp_path / "snap.json")
+        snapshot = service.snapshot()
+        assert not {"engine", "color", "cost_kernel"} & set(snapshot)
+        parent_format = {**snapshot, "engine": "flat", "color": "batched", "cost_kernel": "flat"}
+        path = write_snapshot(parent_format, tmp_path / "snap.json")
         restored = PlacementService.restore(tree, read_snapshot(path))
-        assert (restored.color, restored.cost_kernel) == ("batched", "flat")
+        assert restored.backend is DEFAULT_BACKEND
         assert self._run(restored, tail, tree) == self._run(service, tail, tree)
 
 
@@ -1280,13 +1315,13 @@ class TestServiceAcceptance:
         assert "table_hit_mean_ms" in summary and "memo_hit_mean_ms" in summary
 
     def test_bt1024_table_hit_beats_legacy_warm_path_3x(self):
-        # The warm hit, three generations deep: GatherTable.place (batched
-        # trace + flat cost kernel) versus the PR 3 path (batched trace +
-        # per-node cost recompute) versus what PR 2's warm path did for the
-        # same hit (rebuild the workload network, per-node reference trace,
-        # per-node cost).  Same bits out of all three; ≥ 2x over PR 3 and
-        # ≥ 3x over legacy, with the flat cost kernel itself ahead of the
-        # per-node walk.
+        # The warm hit, three generations deep: GatherTable.place (the
+        # backend's trace + cost kernel) versus the PR 3 path (the same
+        # trace + per-node cost recompute) versus what PR 2's warm path did
+        # for the same hit (rebuild the workload network, per-node reference
+        # trace, per-node cost).  Same bits out of all three; ≥ 2x over PR 3
+        # and ≥ 3x over legacy, with the backend's cost kernel itself ahead
+        # of the per-node walk.
         from benchmarks.bench_service import warm_path_rows
 
         rows = warm_path_rows(1024)

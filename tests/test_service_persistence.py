@@ -18,10 +18,12 @@ Three layers:
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
 
+from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
 from repro.exceptions import PersistenceError
 from repro.online.capacity import CapacityTracker
 from repro.service import (
@@ -37,6 +39,7 @@ from repro.service import (
     generate_churn_trace,
     node_index,
     read_snapshot,
+    read_trace,
     replay_trace,
     request_to_event,
     response_payload,
@@ -133,6 +136,35 @@ class TestJournal:
         service.submit(ReleaseRequest(tenant_id="b"))
         assert service.mutation_seq == 3
 
+    def test_torn_last_record_raises_typed_error(self, tmp_path):
+        # A crash mid-append leaves a prefix of the last record.  Cut at
+        # every byte offset inside it, every reader must raise a typed
+        # error naming the file and the torn line (header, then two
+        # records: the torn one is line 3) — never a raw JSONDecodeError.
+        tree = complete_binary_tree(4)
+        path = tmp_path / "j.jsonl"
+        journal = Journal(path, tree=tree)
+        journal.append(TraceEvent(kind="admit", tenant="a", budget=2, loads=(("s2_0", 3),)))
+        journal.append(TraceEvent(kind="drain", switch="s2_1"))
+        journal.close()
+        data = path.read_bytes()
+        end = len(data) - 1  # the last record, without its newline
+        start = data.rfind(b"\n", 0, end) + 1
+        for cut in range(start + 1, end):
+            torn = tmp_path / f"torn-{cut}.jsonl"
+            torn.write_bytes(data[:cut])
+            where = re.escape(f"{torn}:3")
+            with pytest.raises(PersistenceError, match=where):
+                read_trace(torn)
+            with pytest.raises(PersistenceError, match=where):
+                Journal(torn, tree=tree)
+            with pytest.raises(PersistenceError, match=where):
+                PlacementService.restore(tree, None, torn, capacity=2)
+        # Cut exactly between records, the journal is whole and shorter.
+        whole = tmp_path / "whole.jsonl"
+        whole.write_bytes(data[:start])
+        assert Journal(whole, tree=tree).event_count == 1
+
     def test_failed_requests_are_not_journaled(self, tmp_path):
         from repro.exceptions import WorkloadError
 
@@ -188,22 +220,38 @@ class TestSnapshotState:
         assert restored.state.admitted_total == service.state.admitted_total
 
     def test_snapshot_engine_survives_the_default(self):
-        # A snapshot recorded before the compiled default keeps serving
-        # with the engine it names.
+        # A snapshot written before the backend knob names its engine; the
+        # name survives only as an ignored key, and the restored service
+        # serves (repairs included) on the default backend.
         tree = complete_binary_tree(8)
-        service = PlacementService(tree, capacity=3, engine="flat")
+        service = PlacementService(tree, capacity=3, backend=NUMPY_BACKEND)
         loads = leaf_loads(tree)
         service.submit(AdmitRequest(tenant_id="a", loads=loads, budget=3))
-        snapshot = service.snapshot()
-        assert snapshot["engine"] == "flat"
+        snapshot = {**service.snapshot(), "engine": "flat"}
         restored = PlacementService.restore(tree, snapshot)
-        assert restored.engine == restored.solver().engine == "flat"
+        assert restored.backend is restored.solver().backend is DEFAULT_BACKEND
         restored.submit(SolveRequest(loads=loads, budget=2))
         restored.submit(DrainRequest(switch="s3_7"))
         assert restored.submit(SolveRequest(loads=loads, budget=2)).cache_source == "repair"
         tables = [table for _, table in restored.cache.tables()]
-        assert tables and {table.engine for table in tables} == {"flat"}
-        assert {table.result.engine for table in tables} == {"flat"}
+        assert tables and {table.backend for table in tables} == {DEFAULT_BACKEND}
+        assert "engine" not in restored.snapshot()
+
+    def test_truncated_snapshot_raises_typed_error(self, tmp_path):
+        tree = complete_binary_tree(8)
+        service = PlacementService(tree, capacity=3)
+        service.submit(AdmitRequest(tenant_id="a", loads=leaf_loads(tree), budget=3))
+        path = write_snapshot(service.snapshot(), tmp_path / "snap.json")
+        data = path.read_bytes()
+        truncated = tmp_path / "truncated.json"
+        # Every proper prefix short of the closing brace is torn.
+        for cut in range(0, len(data) - 2, 7):
+            truncated.write_bytes(data[:cut])
+            where = re.escape(f"{truncated}:")
+            with pytest.raises(PersistenceError, match=where):
+                read_snapshot(truncated)
+            with pytest.raises(PersistenceError, match=where):
+                PlacementService.restore(tree, truncated)
 
     def test_prewarm_restores_cache_hits(self, tmp_path):
         tree = complete_binary_tree(8)
@@ -458,6 +506,18 @@ class TestConcurrentReplay:
         assert serial.mode == "serial"
         concurrent = replay_trace(tree, trace, capacity=3, workers=4, mode="process")
         assert concurrent.workers == 4 and concurrent.mode == "process"
+        assert [response_payload(r.response) for r in serial.records] == [
+            response_payload(r.response) for r in concurrent.records
+        ]
+
+    def test_numpy_service_process_replay_matches_serial(self):
+        # Process-mode replicas run on the coordinating service's backend.
+        tree = complete_binary_tree(16)
+        trace = generate_churn_trace(tree, 60, seed=7, budget=4, workload_pool=3)
+        serial = replay_trace(tree, trace, capacity=3)
+        service = PlacementService(tree, 3, backend=NUMPY_BACKEND)
+        concurrent = replay_trace(tree, trace, service=service, workers=2, mode="process")
+        assert concurrent.backend == "numpy" and concurrent.mode == "process"
         assert [response_payload(r.response) for r in serial.records] == [
             response_payload(r.response) for r in concurrent.records
         ]

@@ -8,6 +8,7 @@ import pytest
 from repro.core.bruteforce import solve_bruteforce
 from repro.core.color import soar_color
 from repro.core.cost import utilization_cost
+from repro.core.engine import NUMPY_BACKEND
 from repro.core.gather import BLUE, RED, normalize_budget, soar_gather
 from repro.core.solver import GatherTable, Placement, Solver
 from repro.core.tree import TreeNetwork
@@ -165,10 +166,11 @@ class TestSolver:
         assert Solver().cost(paper_tree, 2) == pytest.approx(20.0)
 
     def test_rejects_unknown_engine_and_color(self):
-        with pytest.raises(ValueError, match="unknown gather engine"):
-            Solver(engine="warp")
-        with pytest.raises(ValueError, match="unknown colour kernel"):
-            Solver(color="warp")
+        # Kernels are a Backend object now: the old name knobs fail loudly.
+        with pytest.raises(TypeError):
+            Solver(engine="flat")
+        with pytest.raises(TypeError):
+            Solver(color="batched")
 
     def test_sweep_shares_one_table(self, paper_tree):
         sweep = Solver().sweep(paper_tree, [0, 1, 2, 3, 4])
@@ -195,9 +197,9 @@ class TestSolver:
             assert placement.table is table
 
     def test_table_records_provenance(self, paper_tree):
-        table = Solver(engine="reference", exact_k=True).gather(paper_tree, 3)
+        table = Solver(backend=NUMPY_BACKEND, exact_k=True).gather(paper_tree, 3)
         assert isinstance(table, GatherTable)
-        assert table.engine == "reference" and table.exact_k is True
+        assert table.backend is NUMPY_BACKEND and table.exact_k is True
         assert table.fingerprint == paper_tree.fingerprint()
         assert table.root == paper_tree.root
 
@@ -256,7 +258,7 @@ class TestExactKMode:
     def test_with_semantics(self, paper_tree):
         solver = Solver()
         assert solver.with_semantics(True).exact_k is True
-        assert solver.with_semantics(True).engine == solver.engine
+        assert solver.with_semantics(True).backend is solver.backend
 
     def test_exact_uses_full_budget_on_positive_loads(self, paper_tree):
         solution = Solver(exact_k=True).solve(paper_tree, 3)

@@ -3,9 +3,9 @@
 Each rule family is exercised two ways: its positive fixture under
 ``tests/analysis_fixtures/`` must produce findings (the rule catches the
 hazard it exists for) and its negative fixture must produce none (the
-allowed idioms stay quiet).  The project-wide checks — registry
-coherence and the C/ctypes FFI contract — are additionally regression
-tested by perturbing copies of the real inputs: a linter that passes a
+allowed idioms stay quiet).  The project-wide check — the C/ctypes FFI
+contract — is additionally regression tested by perturbing copies of the
+real inputs: a linter that passes a
 broken contract is worse than no linter.  The interprocedural families
 (lock-order, blocking-under-lock, atomicity) get the same treatment at
 whole-program scope: doctored copies of the real service code, linted in
@@ -30,7 +30,6 @@ from repro.analysis import (
     Finding,
     ProjectIndex,
     check_ffi,
-    check_registries,
     filter_suppressed,
     lint_project,
     lint_source,
@@ -71,7 +70,6 @@ def test_all_rule_families_registered():
         "determinism-rng",
         "determinism-clock",
         "determinism-order",
-        "registry-coherence",
         "layering",
         "ffi-contract",
         "broad-except",
@@ -210,54 +208,6 @@ def test_broad_except_scoped_to_service_layer(tmp_path):
         "        return None\n"
     )
     assert fixture_rule_hits(path, "broad-except") == []
-
-
-# --------------------------------------------------------------------------- #
-# registry coherence
-# --------------------------------------------------------------------------- #
-
-
-GOOD_REGISTRIES = dict(
-    engines={"flat": 1, "reference": 1, "compiled": 1},
-    color_kernels={"batched": 1, "reference": 1, "compiled": 1},
-    cost_kernels={"flat": 1, "reference": 1, "compiled": 1},
-    color_fallbacks={"flat": "batched"},
-    cost_fallbacks={},
-)
-
-
-def test_registry_check_passes_on_coherent_registries():
-    assert check_registries(**GOOD_REGISTRIES) == []
-    assert (
-        check_registries(
-            **GOOD_REGISTRIES,
-            defaults={"engine": "flat", "color": "batched", "cost": "flat"},
-        )
-        == []
-    )
-
-
-def test_registry_check_flags_unresolvable_engine():
-    broken = dict(GOOD_REGISTRIES, color_fallbacks={})
-    findings = check_registries(**broken)
-    assert any("'flat' has no colour kernel" in f.message for f in findings)
-
-
-def test_registry_check_flags_bad_fallbacks_and_defaults():
-    findings = check_registries(
-        **dict(GOOD_REGISTRIES, color_fallbacks={"flat": "nope", "ghost": "batched"})
-    )
-    messages = "\n".join(f.message for f in findings)
-    assert "unknown kernel 'nope'" in messages
-    assert "unknown engine 'ghost'" in messages
-    findings = check_registries(
-        **GOOD_REGISTRIES, defaults={"engine": "turbo", "color": None, "cost": None}
-    )
-    assert any("DEFAULT_ENGINE = 'turbo'" in f.message for f in findings)
-
-
-def test_live_registries_are_coherent():
-    assert RULES["registry-coherence"].check_project(REPO_ROOT) == []
 
 
 # --------------------------------------------------------------------------- #

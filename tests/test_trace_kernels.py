@@ -1,21 +1,22 @@
-"""Differential suite for the compiled colour and cost kernels.
+"""Differential suite for the backends' colour and cost kernels.
 
-``repro_color`` traces every budget of a sweep in one C call and
-``repro_utilization`` costs every traced placement in another; together
-they are how :meth:`GatherTable.sweep` (and ``place``, a sweep of one
-budget) serves the default ``"compiled"`` colour and cost kernels.  Both
-must agree bit for bit with the per-node oracles — :func:`soar_color` and
-:func:`utilization_cost` — on every engine's tables, under both budget
-semantics, on the edge shapes, and on a foreign same-structure network;
-and corrupt tables must raise :class:`PlacementError` on both backend legs
-(the C kernels, and the numpy kernels the ``"compiled"`` names fall back
-to when the library did not build).
+On the compiled backend ``repro_color`` traces every budget of a sweep in
+one C call and ``repro_utilization`` costs every traced placement in
+another; on the numpy backend the level-batched trace and the flat cost
+kernel do the same budget by budget.  Together they are how
+:meth:`GatherTable.sweep` (and ``place``, a sweep of one budget) answers.
+Both backends must agree bit for bit with the per-node oracles —
+:func:`soar_color` and :func:`utilization_cost` — on every backend's
+tables, under both budget semantics, on the edge shapes, and on a foreign
+same-structure network; and corrupt tables must raise
+:class:`PlacementError` naming the same node on both backends.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,25 +25,20 @@ import repro.core.color as color_module
 import repro.core.cost as cost_module
 import repro.core.engine_compiled as engine_compiled
 import repro.core.solver as solver_module
+from backend_params import needs_compiled
 from repro.core.color import (
-    COLOR_KERNELS,
     blue_set,
     compiled_blue_masks,
     soar_color,
     soar_color_batched,
-    soar_color_compiled,
-    trace_color,
 )
 from repro.core.cost import (
-    COST_KERNELS,
     per_link_utilization,
     utilization_cost,
-    utilization_cost_compiled,
     utilization_cost_flat,
     utilization_costs_compiled,
 )
-from repro.core.engine import ENGINES
-from repro.core.engine_compiled import HAVE_COMPILED
+from repro.core.engine import BACKENDS, COMPILED_BACKEND, DEFAULT_BACKEND, NUMPY_BACKEND
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
@@ -51,27 +47,29 @@ from repro.testing import instance_stream, near_tie_stream, random_instance
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
-requires_compiled = pytest.mark.skipif(
-    not HAVE_COMPILED, reason="C backend unavailable (no compiler); numpy fallback active"
-)
-
-
 def _assert_matches_oracles(tree: TreeNetwork, budget: int, exact_k: bool) -> None:
-    """Every engine's tables: the default sweep == soar_color + utilization_cost."""
-    for engine in ENGINES:
-        table = Solver(engine=engine, exact_k=exact_k).gather(tree, budget)
+    """Every backend's sweep and raw kernels == soar_color + utilization_cost."""
+    for backend in BACKENDS:
+        table = Solver(backend=backend, exact_k=exact_k).gather(tree, budget)
         budgets = list(range(table.budget + 1))
         blues = [soar_color(tree, table.result, k) for k in budgets]
         costs = [utilization_cost(tree, blue) for blue in blues]
         sweep = table.sweep(budgets)
-        assert [sweep[k].blue_nodes for k in budgets] == blues, engine
-        assert [sweep[k].cost for k in budgets] == costs, engine
-        if HAVE_COMPILED:
-            # The kernels themselves, reference tables stacked on the way.
-            flat, masks = compiled_blue_masks(tree, table.result, budgets)
-            assert [blue_set(flat.order, mask) for mask in masks] == blues, engine
-            model = cost_model_for(tree, flat)
-            assert utilization_costs_compiled(tree, masks, model).tolist() == costs
+        assert [sweep[k].blue_nodes for k in budgets] == blues, backend
+        assert [sweep[k].cost for k in budgets] == costs, backend
+        # The kernels themselves.
+        flat, masks = backend.trace(tree, table.result, budgets)
+        assert [blue_set(flat.order, mask) for mask in masks] == blues, backend
+        model = cost_model_for(tree, flat)
+        assert backend.costs(tree, masks, model).tolist() == costs, backend
+
+
+def _compiled_cost(tree: TreeNetwork, blue) -> float:
+    """Eq. (1) of one placement by the C cost kernel."""
+    model = cost_model_for(tree)
+    mask = np.zeros((1, len(model.order)), dtype=np.uint8)
+    mask[0, [model.index[node] for node in blue]] = 1
+    return float(utilization_costs_compiled(tree, mask, model)[0])
 
 
 class TestDifferential:
@@ -168,23 +166,25 @@ class TestForeignTree:
             model = cost_model_for(tree)
             for budget in range(table.budget + 1):
                 expected = soar_color_batched(foreign, table.result, budget)
-                assert trace_color(foreign, table.result, budget, "compiled") == expected
-                if expected <= foreign.available:
-                    assert COST_KERNELS["compiled"](
-                        foreign, expected, model=model
-                    ) == utilization_cost_flat(foreign, expected, model=model)
-                else:
-                    with pytest.raises(PlacementError, match="availability set"):
-                        COST_KERNELS["compiled"](foreign, expected, model=model)
+                for backend in BACKENDS:
+                    flat, masks = backend.trace(foreign, table.result, [budget])
+                    assert blue_set(flat.order, masks[0]) == expected
+                    if expected <= foreign.available:
+                        assert backend.costs(foreign, masks, model)[
+                            0
+                        ] == utilization_cost_flat(foreign, expected, model=model)
+                    else:
+                        with pytest.raises(PlacementError, match="availability set"):
+                            backend.costs(foreign, masks, model)
 
 
 def _corruptible_table(available=None):
-    """A fresh flat-engine BT(32) table whose root has two internal children."""
+    """A fresh BT(32) table whose root has two internal children."""
     tree = bt_network(32)
     tree = tree.with_loads(sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=5))
     if available is not None:
         tree = tree.with_available(available(tree))
-    return Solver(engine="flat").gather(tree, 4)
+    return Solver().gather(tree, 4)
 
 
 class TestCorruptTables:
@@ -196,10 +196,9 @@ class TestCorruptTables:
 
     def _assert_negative_budget(self, table, k, offender):
         message = f"negative budget to {offender!r}"
-        with pytest.raises(PlacementError, match=message):
-            table.place(k)
-        with pytest.raises(PlacementError, match=message):
-            trace_color(table.tree, table.result, k, color="compiled")
+        for backend in BACKENDS:
+            with pytest.raises(PlacementError, match=message):
+                replace(table, backend=backend).place(k)
         with pytest.raises(PlacementError, match=message):
             soar_color_batched(table.tree, table.result, k)
 
@@ -224,7 +223,7 @@ class TestCorruptTables:
             {"r": "d", **{f"l{i}": "r" for i in range(6)}},
             loads={f"l{i}": 2 + i for i in range(6)},
         )
-        table = Solver(engine="flat").gather(tree, 4)
+        table = Solver().gather(tree, 4)
         flat = table.result.flat
         _, slot = self._root_split_slot(flat)
         k = table.budget
@@ -240,13 +239,17 @@ class TestCorruptTables:
         root, _ = self._root_split_slot(flat)
         k = table.budget
         flat.y_blue[1, k, root] = -1.0  # forces y_blue < y_red at the root
-        assert table.tree.root in trace_color(table.tree, table.result, k, "compiled")
-        with pytest.raises(PlacementError, match="not in the availability set"):
-            table.place(k)
-        with pytest.raises(PlacementError, match="not in the availability set"):
-            table.sweep(range(k + 1))
+        message = f"blue node {table.tree.root!r} is not in the availability set"
+        for backend in BACKENDS:
+            traced, masks = backend.trace(table.tree, table.result, [k])
+            assert table.tree.root in blue_set(traced.order, masks[0])
+            on_backend = replace(table, backend=backend)
+            with pytest.raises(PlacementError, match=message):
+                on_backend.place(k)
+            with pytest.raises(PlacementError, match=message):
+                on_backend.sweep(range(k + 1))
 
-    @requires_compiled
+    @needs_compiled
     def test_kernel_checks_budgets_it_is_handed(self):
         table = _corruptible_table()
         flat = table.result.flat
@@ -257,11 +260,13 @@ class TestCorruptTables:
                 )
 
 
-@requires_compiled
+@needs_compiled
 class TestCompiledDispatch:
     def test_registry_holds_the_c_kernels(self):
-        assert COLOR_KERNELS["compiled"] is soar_color_compiled
-        assert COST_KERNELS["compiled"] is utilization_cost_compiled
+        assert DEFAULT_BACKEND is COMPILED_BACKEND
+        assert COMPILED_BACKEND.repair_chain is engine_compiled.repair_chain
+        assert COMPILED_BACKEND.trace is compiled_blue_masks
+        assert COMPILED_BACKEND.costs is utilization_costs_compiled
 
     def test_sweep_is_one_colour_and_one_cost_call(self, monkeypatch, loaded_bt16):
         calls = {"color": 0, "cost": 0}
@@ -287,16 +292,29 @@ class TestCompiledDispatch:
         assert len(sweep) == 19
         table.place(3)
         assert calls == {"color": 2, "cost": 2}
-        # Any other combination keeps the per-budget path.
-        table.sweep(range(1, 5), color="reference")
-        assert calls == {"color": 2, "cost": 6}
+        # The same tables on the numpy backend make no C call.
+        replace(table, backend=NUMPY_BACKEND).sweep(range(1, 5))
+        assert calls == {"color": 2, "cost": 2}
 
 
 class TestCostModelCache:
+    # Backends under the ids of their (colour, cost) kernel pairs; a
+    # Backend is a plain value, so the test also mixes the numpy trace
+    # with the C cost kernel.
     @pytest.mark.parametrize(
-        "color, cost", [("compiled", "compiled"), ("batched", "compiled"), ("batched", "flat")]
+        "backend",
+        [
+            pytest.param(COMPILED_BACKEND, id="compiled-compiled", marks=needs_compiled),
+            pytest.param(
+                COMPILED_BACKEND
+                and replace(NUMPY_BACKEND, name="mixed", costs=COMPILED_BACKEND.costs),
+                id="batched-compiled",
+                marks=needs_compiled,
+            ),
+            pytest.param(NUMPY_BACKEND, id="batched-flat"),
+        ],
     )
-    def test_many_places_build_the_model_once(self, monkeypatch, loaded_bt16, color, cost):
+    def test_many_places_build_the_model_once(self, monkeypatch, loaded_bt16, backend):
         builds = []
         original = solver_module.cost_model_for
 
@@ -305,9 +323,7 @@ class TestCostModelCache:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "cost_model_for", counting)
-        table = Solver(engine="reference", color=color, cost_kernel=cost).gather(
-            loaded_bt16, 4
-        )
+        table = Solver(backend=backend).gather(loaded_bt16, 4)
         for _ in range(20):
             for budget in range(5):
                 table.place(budget)
@@ -330,7 +346,7 @@ def _python312_sum(terms: list[float]) -> float:
     return total
 
 
-@requires_compiled
+@needs_compiled
 class TestSummation:
     """The C sum reproduces the interpreter's ``sum`` in either mode."""
 
@@ -357,7 +373,7 @@ class TestSummation:
         assert running != _python312_sum(terms)  # the two modes differ here
         monkeypatch.setattr(engine_compiled, "_COMPENSATED_SUM", compensated)
         expected = _python312_sum(terms) if compensated else running
-        assert utilization_cost_compiled(tree, frozenset()) == expected
+        assert _compiled_cost(tree, frozenset()) == expected
 
     def test_interpreter_sum_is_modelled(self):
         terms = list(per_link_utilization(self._star(), frozenset()).values())
@@ -368,4 +384,4 @@ class TestSummation:
             for term in terms:
                 running += term
             assert sum(terms) == running
-        assert utilization_cost_compiled(self._star(), frozenset()) == sum(terms)
+        assert _compiled_cost(self._star(), frozenset()) == sum(terms)
