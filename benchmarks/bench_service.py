@@ -295,9 +295,9 @@ def repair_rows(
             churned = workload.with_available(workload.available ^ delta)
             cold = solver.gather(churned, BUDGET)
             repaired = table.repair(delta)
-            rows_axis = cold.result.flat.y_red.shape[0]
+            rows_axis = cold.result.flat.y_red.shape[1]
             valid = (
-                np.arange(rows_axis)[:, None, None] <= cold.result.flat.depth[None, None, :]
+                np.arange(rows_axis)[None, :, None] <= cold.result.flat.depth[:, None, None]
             )
             for field in ("y_red", "y_blue"):
                 assert np.array_equal(

@@ -40,15 +40,33 @@ class LockEdge:
     #: Qualname of the function the acquisition happens in (for labels).
     via: str
 
+    def sort_key(self) -> tuple[str, int, str, int, str]:
+        return (
+            self.holder.path,
+            self.holder.line,
+            self.acquired.path,
+            self.acquired.line,
+            self.via,
+        )
+
 
 def collect_lock_edges(project: ProjectIndex) -> dict[tuple[str, str], LockEdge]:
-    """All lock-order edges of a project, one witness per (src, dst) pair."""
+    """All lock-order edges of a project, one witness per (src, dst) pair.
+
+    The summaries are walked in an order that depends on the hash seed, so
+    each pair keeps its *smallest* witness by (holder file, line, acquired
+    file, line, via): findings and the DOT artifact then name the same
+    sites on every run of an unchanged tree.
+    """
     table = table_for(project)
     edges: dict[tuple[str, str], LockEdge] = {}
 
     def witness(holder: LockAcquisition, acquired: LockAcquisition, via: str) -> None:
         key = (holder.lock, acquired.lock)
-        edges.setdefault(key, LockEdge(holder=holder, acquired=acquired, via=via))
+        edge = LockEdge(holder=holder, acquired=acquired, via=via)
+        kept = edges.get(key)
+        if kept is None or edge.sort_key() < kept.sort_key():
+            edges[key] = edge
 
     for summary in table.summaries.values():
         qual = summary.func.qualname

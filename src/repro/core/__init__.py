@@ -15,7 +15,7 @@ The sub-modules map directly onto the paper's sections:
   ``compiled`` when the C kernels build) and the gather and repair
   drivers, which run its ``repair_chain`` with every switch dirty for a
   cold gather and a delta's ancestor chains for a repair,
-* :mod:`repro.core.flat` — the flat ``(l, i, node)`` tensor layout the
+* :mod:`repro.core.flat` — the node-major ``(node, l, i)`` tensor layout the
   batched kernels share (its structure half,
   :class:`~repro.core.flat.FlatLayout`, is built once per weighted tree
   and memoized on it), plus the :class:`~repro.core.flat.FlatCostModel`

@@ -19,7 +19,13 @@
  * ctypes, which releases the GIL around every call, so the service can
  * run gathers and traces truly in parallel.
  *
- * All tensors arrive C-contiguous with the layouts noted per kernel.
+ * All tensors arrive C-contiguous.  The gather tables are node-major:
+ * y_blue / y_red are (n, height + 1, width) and the breadcrumbs
+ * (stages, height + 1, width), so one switch's DP column (its
+ * (height + 1) x width table, or one breadcrumb slot) is a single
+ * contiguous block of `block = (height + 1) * width` elements, and row l
+ * of node v starts at v * block + l * width.  The gather reads a child's
+ * rows and writes a node's rows as unit-stride runs.
  */
 
 #include <math.h>
@@ -28,28 +34,29 @@
 
 #define INF (1.0 / 0.0)
 
-/* Every row of the y_blue / y_red columns of the given leaves (tensors
- * (rows, width, n)): red entries are path_rho * load (every column under
+/* Every row of the y_blue / y_red blocks of the given leaves (tensors
+ * (n, rows, width)): red entries are path_rho * load (every column under
  * at-most-k, column 0 under exactly-k), blue entries are +inf except
  * column 1 (exactly-k) / columns 1..k (at-most-k) of an available leaf.
- * Rows and columns run outermost, so consecutive leaves write adjacent
- * doubles. */
+ * Each leaf's block is written front to back in one contiguous run. */
 static void leaf_columns(double *y_blue, double *y_red, const double *path_rho,
                          const double *load, const uint8_t *avail,
                          const int64_t *leaves, int64_t num_leaves,
                          int64_t rows, int64_t width, int64_t n,
                          int32_t exact_k) {
-  for (int64_t l = 0; l < rows; l++) {
-    const double *path = path_rho + l * n;
-    for (int64_t b = 0; b < width; b++) {
-      double *yr = y_red + (l * width + b) * n;
-      double *yb = y_blue + (l * width + b) * n;
-      const int red_defined = !exact_k || b == 0;
-      const int blue_defined = exact_k ? b == 1 : b >= 1;
-      for (int64_t m = 0; m < num_leaves; m++) {
-        const int64_t v = leaves[m];
-        yr[v] = red_defined ? path[v] * load[v] : INF;
-        yb[v] = (blue_defined && avail[v]) ? path[v] : INF;
+  const int64_t block = rows * width;
+  for (int64_t m = 0; m < num_leaves; m++) {
+    const int64_t v = leaves[m];
+    double *yr = y_red + v * block;
+    double *yb = y_blue + v * block;
+    for (int64_t l = 0; l < rows; l++) {
+      const double path = path_rho[l * n + v];
+      const double red = path * load[v];
+      for (int64_t b = 0; b < width; b++) {
+        const int red_defined = !exact_k || b == 0;
+        const int blue_defined = exact_k ? b == 1 : b >= 1;
+        yr[l * width + b] = red_defined ? red : INF;
+        yb[l * width + b] = (blue_defined && avail[v]) ? path : INF;
       }
     }
   }
@@ -66,19 +73,18 @@ static void leaf_columns(double *y_blue, double *y_red, const double *path_rho,
  * strictly improve any entry (see _batched_combine), so the cap changes no
  * bit of the result.
  *
- *   table  : (rows, width) float64, updated in place
+ *   table  : (rows, width) float64, the node's own block, updated in place
  *   child  : (rows, width) float64; a blue stage reads row 0 for every h
- *   splits : breadcrumb slot, element (h, b) at splits[(h * width + b) *
- *            stages]
+ *   splits : (rows, width) int32, the stage's breadcrumb block
  */
 static void combine_column(double *table, const double *child,
                            int32_t *splits, int64_t rows, int64_t width,
-                           int64_t stages, int blue, int64_t j_cap) {
+                           int blue, int64_t j_cap) {
   const int64_t start = blue ? 1 : 0;
   for (int64_t h = 0; h < rows; h++) {
     double *row = table + h * width;
     const double *child_h = child + (blue ? 0 : h * width);
-    int32_t *split_h = splits + h * width * stages;
+    int32_t *split_h = splits + h * width;
     for (int64_t b = width - 1; b >= start; b--) {
       double best = row[b] + child_h[0]; /* j = 0 seed, split 0 */
       int32_t split = 0;
@@ -91,26 +97,25 @@ static void combine_column(double *table, const double *child,
         }
       }
       row[b] = best;
-      split_h[b * stages] = split;
+      split_h[b] = split;
     }
     for (int64_t b = 0; b < start && b < width; b++) {
       row[b] = INF;
-      split_h[b * stages] = 0;
+      split_h[b] = 0;
     }
   }
 }
 
-/* The x rows 1 .. rows of node c as a (rows, width) block:
- * x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free input. */
+/* The x rows 1 .. count of node c as a (count, width) block:
+ * x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free input.
+ * Rows 1 .. count of c's block are one contiguous run. */
 static void child_x_rows(double *out, const double *y_blue,
-                         const double *y_red, int64_t c, int64_t rows,
-                         int64_t width, int64_t n) {
-  for (int64_t l = 0; l < rows; l++) {
-    for (int64_t b = 0; b < width; b++) {
-      const int64_t at = ((l + 1) * width + b) * n + c;
-      const double r = y_red[at], bl = y_blue[at];
-      out[l * width + b] = (bl < r) ? bl : r;
-    }
+                         const double *y_red, int64_t c, int64_t count,
+                         int64_t width, int64_t block) {
+  const double *red = y_red + c * block + width;
+  const double *blue = y_blue + c * block + width;
+  for (int64_t i = 0; i < count * width; i++) {
+    out[i] = (blue[i] < red[i]) ? blue[i] : red[i];
   }
 }
 
@@ -119,8 +124,8 @@ static void child_x_rows(double *out, const double *y_blue,
  * tables for a cold gather, a delta's ancestor chains of cloned ones for
  * a repair.
  *
- *   y_blue, y_red           : (height + 1, width, n) float64, in place
- *   splits_blue, splits_red : (height + 1, width, stages) int32, in place
+ *   y_blue, y_red           : (n, height + 1, width) float64, in place
+ *   splits_blue, splits_red : (stages, height + 1, width) int32, in place
  *   path_rho                : (height + 1, n) float64
  *   load                    : (n,) float64
  *   avail                   : (n,) uint8 (bool), the repaired Λ
@@ -132,13 +137,15 @@ static void child_x_rows(double *out, const double *y_blue,
  * final before its parent is touched, and one ascending pass over all n
  * positions counts |Λ ∩ T_v|, the convolutions' split cap.  Dirty leaves
  * are rewritten first, on all height + 1 rows (leaf_columns).  A dirty
- * internal node at depth d recomputes rows 0 .. d: stage 1 seeds red with
- * child x + path_rho * load and blue (when available and k >= 1) with
- * child x row 1 shifted one unit + path_rho; each further stage runs the
- * red and blue convolutions against that child's x rows, re-zeroing the
- * stage's blue breadcrumbs first (a node that lost blue eligibility must
- * not keep stale ones).  Returns 0, or -1 when scratch allocation fails,
- * in which case nothing has been written.
+ * internal node at depth d recomputes rows 0 .. d of its own block in
+ * place: stage 1 seeds red with child x + path_rho * load and blue (when
+ * available and k >= 1) with child x row 1 shifted one unit + path_rho;
+ * each further stage runs the red and blue convolutions against that
+ * child's x rows, re-zeroing the stage's blue breadcrumbs first (a node
+ * that lost blue eligibility must not keep stale ones).  The node's block
+ * is read only by its parent, which runs later, so no stage needs a copy
+ * of it.  Returns 0, or -1 when scratch allocation fails, in which case
+ * nothing has been written.
  */
 int32_t repro_repair_chain(double *y_blue, double *y_red,
                            int32_t *splits_blue, int32_t *splits_red,
@@ -149,18 +156,18 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
                            const int64_t *child_offset,
                            const int64_t *stage_offset, const int64_t *dirty,
                            int64_t num_dirty, int64_t height, int64_t width,
-                           int64_t n, int64_t stages, int32_t exact_k) {
+                           int64_t n, int32_t exact_k) {
   const int64_t k = width - 1;
   const int64_t block = (height + 1) * width;
-  double *scratch = malloc(3 * (size_t)block * sizeof(double));
+  /* one child's x rows */
+  double *cx = malloc((size_t)block * sizeof(double));
   /* n subtree-availability counts, then the dirty leaves */
   int64_t *subtree_avail = malloc((size_t)(n + num_dirty) * sizeof(int64_t));
-  if (scratch == NULL || subtree_avail == NULL) {
-    free(scratch);
+  if (cx == NULL || subtree_avail == NULL) {
+    free(cx);
     free(subtree_avail);
     return -1;
   }
-  double *red = scratch, *blue = scratch + block, *cx = scratch + 2 * block;
   for (int64_t v = 0; v < n; v++) {
     int64_t count = avail[v];
     for (int64_t c = 0; c < num_children[v]; c++) {
@@ -189,9 +196,10 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     }
     const int64_t rows = depth[v] + 1;
     const int64_t *children = child_concat + child_offset[v];
+    double *red = y_red + v * block, *blue = y_blue + v * block;
 
     /* stage m = 1 */
-    child_x_rows(cx, y_blue, y_red, children[0], rows, width, n);
+    child_x_rows(cx, y_blue, y_red, children[0], rows, width, block);
     for (int64_t l = 0; l < rows; l++) {
       const double upward = path_rho[l * n + v];
       const double seed = upward * load[v];
@@ -210,23 +218,19 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     for (int64_t stage = 1; stage < fan_out; stage++) {
       const int64_t slot = stage_offset[v] + stage - 1;
       const int64_t j_cap = subtree_avail[children[stage]];
-      child_x_rows(cx, y_blue, y_red, children[stage], rows, width, n);
-      combine_column(red, cx, splits_red + slot, rows, width, stages, 0, j_cap);
+      int32_t *slot_blue = splits_blue + slot * block;
+      child_x_rows(cx, y_blue, y_red, children[stage], rows, width, block);
+      combine_column(red, cx, splits_red + slot * block, rows, width, 0,
+                     j_cap);
       for (int64_t i = 0; i < rows * width; i++) {
-        splits_blue[i * stages + slot] = 0;
+        slot_blue[i] = 0;
       }
       if (can_blue) {
-        combine_column(blue, cx, splits_blue + slot, rows, width, stages, 1,
-                       j_cap);
+        combine_column(blue, cx, slot_blue, rows, width, 1, j_cap);
       }
     }
-
-    for (int64_t i = 0; i < rows * width; i++) {
-      y_red[i * n + v] = red[i];
-      y_blue[i * n + v] = blue[i];
-    }
   }
-  free(scratch);
+  free(cx);
   free(subtree_avail);
   return 0;
 }
@@ -251,8 +255,8 @@ static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
 /* SOAR-Color (Algorithm 4) for every budget of a sweep in one call: the
  * root-down walk of the batched numpy trace, node by node.
  *
- *   y_blue, y_red           : (height + 1, width, n) float64
- *   splits_blue, splits_red : (height + 1, width, stages) int32
+ *   y_blue, y_red           : (n, height + 1, width) float64
+ *   splits_blue, splits_red : (stages, height + 1, width) int32
  *   load                    : (n,) int64, the traced network's loads
  *   avail                   : (n,) uint8 (bool), the traced network's Λ
  *   num_children, child_concat, child_offset, stage_offset : the layout
@@ -283,9 +287,10 @@ int32_t repro_color(const double *y_blue, const double *y_red,
                     const int64_t *num_children, const int64_t *child_concat,
                     const int64_t *child_offset, const int64_t *stage_offset,
                     const int64_t *budgets, int64_t num_budgets,
-                    int64_t width, int64_t n, int64_t stages, int32_t exact_k,
+                    int64_t height, int64_t width, int64_t n, int32_t exact_k,
                     uint8_t *blue_out, int64_t *info) {
   const int64_t k = width - 1;
+  const int64_t block = (height + 1) * width;
   /* (budget, distance) each node receives from its parent */
   int64_t *received = malloc(2 * (size_t)n * sizeof(int64_t));
   if (received == NULL) {
@@ -311,7 +316,7 @@ int32_t repro_color(const double *y_blue, const double *y_red,
         selected += blue[v];
         continue;
       }
-      const int64_t at = (l * width + i) * n + v;
+      const int64_t at = v * block + l * width + i;
       const int is_blue = y_blue[at] < y_red[at];
       blue[v] = (uint8_t)is_blue;
       selected += is_blue;
@@ -321,7 +326,7 @@ int32_t repro_color(const double *y_blue, const double *y_red,
       int64_t remaining = i;
       for (int64_t stage = fan_out - 1; stage >= 1; stage--) {
         const int64_t slot = stage_offset[v] + stage - 1;
-        const int64_t share = splits[(l * width + remaining) * stages + slot];
+        const int64_t share = splits[slot * block + l * width + remaining];
         if (share < 0) {
           status = kernel_error(info, COLOR_NEGATIVE_BUDGET, row,
                                 children[stage], share);

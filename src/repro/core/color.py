@@ -16,7 +16,7 @@ then
 
 The per-node :func:`soar_color` is the reference walk of the paper; the
 two backends of :mod:`repro.core.engine` trace a whole sweep's budgets
-at once over the flat ``(l, i, node)`` tensors of :mod:`repro.core.flat`,
+at once over the node-major ``(node, l, i)`` tensors of :mod:`repro.core.flat`,
 returning one blue mask per budget:
 
 :func:`soar_color` (the reference oracle)
@@ -203,7 +203,7 @@ def soar_color_batched(
     gathered: GatherResult,
     budget: int | None = None,
 ) -> frozenset[NodeId]:
-    """Level-batched colour trace over the flat ``(l, i, node)`` tensors.
+    """Level-batched colour trace over the flat ``(node, l, i)`` tensors.
 
     Same parameters, same result, and same raised errors as
     :func:`soar_color` for tables that carry flat tensors (every table a
@@ -238,7 +238,7 @@ def _batched_blue_positions(
     budget_vec = np.zeros(n, dtype=np.int64)
     dist_vec = np.ones(n, dtype=np.int64)
     budget_vec[n - 1] = budget
-    k = flat.y_red.shape[1] - 1
+    k = flat.y_red.shape[2] - 1
 
     chosen: list[np.ndarray] = []
     for start, stop in flat.level_slices:
@@ -270,8 +270,8 @@ def _batched_blue_positions(
         l_params = dist_vec[internal]
         budgets = budget_vec[internal]
         node_blue = np.less(
-            flat.y_blue[l_params, budgets, internal],
-            flat.y_red[l_params, budgets, internal],
+            flat.y_blue[internal, l_params, budgets],
+            flat.y_red[internal, l_params, budgets],
         )
         chosen.append(internal[node_blue])
         child_distance = np.where(node_blue, 1, l_params + 1)
@@ -294,8 +294,8 @@ def _batched_blue_positions(
                 r_sel = np.clip(r_sel, 0, k)
             share = np.where(
                 node_blue[active],
-                flat.splits_blue[l_sel, r_sel, slot],
-                flat.splits_red[l_sel, r_sel, slot],
+                flat.splits_blue[slot, l_sel, r_sel],
+                flat.splits_red[slot, l_sel, r_sel],
             ).astype(np.int64)
             child = flat.child_concat[flat.child_offset[nodes] + (stage - 1)]
             budget_vec[child] = share

@@ -8,10 +8,14 @@ ground truth) but the per-node Python work dominates the running time on
 the larger instances of Figures 9 and 10.
 
 The drivers in this module compute the very same dynamic program on
-contiguous ``(l, i, node)`` tensors over the structure's
+node-major ``(node, l, i)`` tensors over the structure's
 :class:`~repro.core.flat.FlatLayout` — node order, child lists, breadcrumb
 slots and the ``path_rho`` table, built once per weighted tree and shared
-by every gather on it.  A single kernel does all of the arithmetic:
+by every gather on it.  Each switch's ``(height + 1) x (k + 1)`` table,
+and each breadcrumb slot, is one contiguous block (``y_red[p]``,
+``splits_red[slot]``), so a node's DP reads its children's blocks and
+writes its own as unit-stride runs.  A single kernel does all of the
+arithmetic:
 ``repair_chain(flat, dirty, exact_k)`` recomputes the ``dirty`` columns of
 the tables in place, deepest level first.  A cold gather (:func:`gather`)
 is that call with every switch dirty over freshly allocated tables; a
@@ -28,7 +32,9 @@ Eq. (1) ``costs`` of the traced placements.  There are two:
     ``repair_chain`` level by level, with the ``mCost``
     (min,+)-convolution batched across every node of a level that has an
     ``m``-th child and its split range capped by the children's subtree
-    availability (:func:`_batched_combine`); the level-batched colour
+    availability (:func:`_batched_combine`, which runs on the level's
+    blocks gathered with ``y[nodes]`` and the node axis moved last); the
+    level-batched colour
     trace per budget (:func:`repro.core.color.numpy_blue_masks`) and the
     level-batched cost kernel per placement
     (:func:`repro.core.cost.utilization_costs_flat`).
@@ -255,20 +261,37 @@ def _leaf_init_numpy(
     exact_k: bool,
     k: int,
 ) -> None:
-    """Write every row of the ``leaves`` columns in one numpy broadcast."""
-    leaf_paths = path_rho[:, leaves]  # (height + 1, m)
-    red_columns = leaf_paths * load[leaves]
+    """Write every row of the ``leaves`` blocks in one numpy broadcast."""
+    leaf_paths = path_rho[:, leaves].T  # (m, height + 1)
+    red_columns = leaf_paths * load[leaves, None]
     blue_leaves = leaves[avail[leaves]]
-    y_blue_flat[:, :, leaves] = np.inf
+    y_blue_flat[leaves] = np.inf
     if exact_k:
-        y_red_flat[:, :, leaves] = np.inf
-        y_red_flat[:, 0, leaves] = red_columns
+        y_red_flat[leaves] = np.inf
+        y_red_flat[leaves, :, 0] = red_columns
         if k >= 1 and blue_leaves.size:
-            y_blue_flat[:, 1, blue_leaves] = path_rho[:, blue_leaves]
+            y_blue_flat[blue_leaves, :, 1] = path_rho[:, blue_leaves].T
     else:
-        y_red_flat[:, :, leaves] = red_columns[:, None, :]
+        y_red_flat[leaves] = red_columns[:, :, None]
         if k >= 1 and blue_leaves.size:
-            y_blue_flat[:, 1:, blue_leaves] = path_rho[:, blue_leaves][:, None, :]
+            y_blue_flat[blue_leaves, :, 1:] = path_rho[:, blue_leaves].T[:, :, None]
+
+
+def _child_x_rows(
+    y_blue_flat: np.ndarray, y_red_flat: np.ndarray, children: np.ndarray, rows: int
+) -> np.ndarray:
+    """The x rows ``1 .. rows`` of ``children``, shape ``(rows, k + 1, B)``.
+
+    ``x = min(y_red, y_blue)`` of each child's block, written with the
+    node axis last, the layout :func:`_batched_combine` batches over.
+    """
+    child_x = np.empty((rows, y_red_flat.shape[2], children.size), dtype=np.float64)
+    np.minimum(
+        y_red_flat[children, 1 : rows + 1],
+        y_blue_flat[children, 1 : rows + 1],
+        out=child_x.transpose(2, 0, 1),
+    )
+    return child_x
 
 
 def subtree_available_counts(layout: FlatLayout, avail: np.ndarray) -> np.ndarray:
@@ -320,7 +343,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     """
     y_blue_flat, y_red_flat = flat.y_blue, flat.y_red
     splits_blue_flat, splits_red_flat = flat.splits_blue, flat.splits_red
-    k = y_red_flat.shape[1] - 1
+    k = y_red_flat.shape[2] - 1
     child_concat = flat.child_concat
     child_offset = flat.child_offset
     stage_offset = flat.stage_offset
@@ -339,7 +362,9 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     # ---- dirty internal nodes, level-batched from the deepest level up ----
     # Per-node inputs of every dirty internal node are gathered once; each
     # level then reads a contiguous run of them (the positions are in flat
-    # order, so equal depths are adjacent, deepest first).
+    # order, so equal depths are adjacent, deepest first).  A level's
+    # tables are built with the node axis last, (rows, k + 1, B), and
+    # written back into the nodes' blocks once the level is done.
     internal = dirty[~is_leaf]
     upward_all = flat.path_rho[:, internal]
     red_seed_all = upward_all * load[internal]
@@ -356,11 +381,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
         # stage m = 1.  Children live one level deeper and were finalized
         # before this level (dirty or clean alike), so their x rows are the
         # minimum of the y tensors as they stand now.
-        first_child = first_child_all[run]
-        child_x = np.minimum(
-            y_red_flat[1 : rows + 1, :, first_child],
-            y_blue_flat[1 : rows + 1, :, first_child],
-        )
+        child_x = _child_x_rows(y_blue_flat, y_red_flat, first_child_all[run], rows)
         y_red = child_x + red_seed_all[:rows, None, run]
         y_blue = np.full_like(y_red, np.inf)
         sel = np.flatnonzero(can_blue)  # can_blue already folds in k >= 1
@@ -379,20 +400,17 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
             slots = stage_offset[nodes] + (stage - 2)
             j_cap = int(subtree_avail[child].max())
 
-            child_x = np.minimum(
-                y_red_flat[1 : rows + 1, :, child],
-                y_blue_flat[1 : rows + 1, :, child],
-            )
+            child_x = _child_x_rows(y_blue_flat, y_red_flat, child, rows)
             merged_red, split_red = _batched_combine(
                 y_red[:, :, active], child_x, k, blue=False, j_max=j_cap
             )
             y_red[:, :, active] = merged_red
-            splits_red_flat[:rows, :, slots] = split_red
+            splits_red_flat[slots, :rows] = split_red.transpose(2, 0, 1)
 
             # A dirty node that could be blue at Λ₀ but cannot any more
             # would otherwise keep its stale breadcrumbs; a cold gather
             # starts from zeroed breadcrumbs.
-            splits_blue_flat[:rows, :, slots] = 0
+            splits_blue_flat[slots, :rows] = 0
             blue_active = np.flatnonzero(can_blue[active])
             if blue_active.size:
                 merged_blue, split_blue = _batched_combine(
@@ -403,10 +421,10 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
                     j_max=j_cap,
                 )
                 y_blue[:, :, active[blue_active]] = merged_blue
-                splits_blue_flat[:rows, :, slots[blue_active]] = split_blue
+                splits_blue_flat[slots[blue_active], :rows] = split_blue.transpose(2, 0, 1)
 
-        y_red_flat[:rows, :, group] = y_red
-        y_blue_flat[:rows, :, group] = y_blue
+        y_red_flat[group, :rows] = y_red.transpose(2, 0, 1)
+        y_blue_flat[group, :rows] = y_blue.transpose(2, 0, 1)
 
 
 #: The pure-numpy kernels.
@@ -446,7 +464,7 @@ def gather(
     exact_k: bool = False,
     backend: Backend = DEFAULT_BACKEND,
 ) -> GatherResult:
-    """Run SOAR-Gather on flat ``(l, i, node)`` tensors with ``backend``.
+    """Run SOAR-Gather on node-major ``(node, l, i)`` tensors with ``backend``.
 
     Same parameters and bit-identical :class:`~repro.core.gather.GatherResult`
     as :func:`repro.core.gather.soar_gather`.  A cold gather is a repair

@@ -105,7 +105,7 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     library.repro_utilization.restype = ctypes.c_int32
     library.repro_repair_chain.argtypes = [
         _f64, _f64, _i32, _i32, _f64, _f64, _u8, _i64, _i64, _i64, _i64, _i64, _i64,
-        _ll, _ll, _ll, _ll, _ll, ctypes.c_int32,
+        _ll, _ll, _ll, _ll, ctypes.c_int32,
     ]
     library.repro_repair_chain.restype = ctypes.c_int32
     return library
@@ -174,8 +174,7 @@ def compiled_available() -> bool:
 
 def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
     """The ``repair_chain`` of the compiled backend: one ``repro_repair_chain`` call."""
-    height = flat.y_red.shape[0] - 1
-    width, n = flat.y_red.shape[1], flat.y_red.shape[2]
+    n, rows, width = flat.y_red.shape
     status = _LIB.repro_repair_chain(
         flat.y_blue,
         flat.y_red,
@@ -191,10 +190,9 @@ def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
         flat.stage_offset,
         np.ascontiguousarray(dirty, dtype=np.int64),
         dirty.size,
-        height,
+        rows - 1,
         width,
         n,
-        flat.splits_red.shape[2],
         int(exact_k),
     )
     if status != 0:
@@ -267,7 +265,7 @@ def color_masks(
     :class:`~repro.exceptions.PlacementError` with the numpy trace's
     messages on inconsistent tables.
     """
-    width, n = flat.y_red.shape[1], flat.y_red.shape[2]
+    n, rows, width = flat.y_red.shape
     _require_vectors(n, load=load, avail=avail)
     wanted = np.array(budgets, dtype=np.int64)
     masks = np.empty((wanted.size, n), dtype=np.uint8)
@@ -285,9 +283,9 @@ def color_masks(
         flat.stage_offset,
         wanted,
         wanted.size,
+        rows - 1,
         width,
         n,
-        flat.splits_red.shape[2],
         int(exact_k),
         masks,
         info,

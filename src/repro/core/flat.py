@@ -1,7 +1,7 @@
 """Flat tensor view of a gather result, shared by the backends' kernels.
 
 The gather drivers of :mod:`repro.core.engine` compute the SOAR dynamic
-program directly on contiguous ``(l, i, node)`` tensors; the backends'
+program directly on node-major ``(node, l, i)`` tensors; the backends'
 colour traces (:mod:`repro.core.color`) read placements out of the very
 same layout.  :class:`FlatLayout` is the structure half of that layout
 (node order, per-level slabs, ragged child lists, breadcrumb slots, the
@@ -36,6 +36,18 @@ The children of all nodes are concatenated into one ragged array
 (``child_concat`` + ``child_offset``), keeping the per-stage scatter of
 the colour traceback a single fancy-indexed gather even on trees with
 wildly varying fan-out.
+
+Table layout
+------------
+The tensors are node-major: ``y_blue`` / ``y_red`` have shape
+``(n, height + 1, k + 1)`` and the breadcrumbs ``(num_stages, height + 1,
+k + 1)``.  One switch's DP column (its ``Y`` table) and one breadcrumb
+slot are therefore each a single C-contiguous ``(height + 1, k + 1)``
+block: SOAR-Gather reads a child's block and writes its parent's as
+unit-stride runs, :meth:`FlatTables.node_tables` hands out contiguous
+slices, and a column can be copied or shared as one block.  The numpy
+kernels gather the blocks of a level's nodes (``y[nodes]``) and move the
+node axis last for their batched convolution.
 """
 
 from __future__ import annotations
@@ -112,7 +124,7 @@ class FlatLayout:
 
 @dataclass
 class FlatTables(FlatLayout):
-    """Flat ``(l, i, node)`` tensors over a :class:`FlatLayout`.
+    """Node-major ``(node, l, i)`` tensors over a :class:`FlatLayout`.
 
     The layout fields are the structure's shared, read-only arrays (see
     :class:`FlatLayout`); the rest belong to one gather.
@@ -129,11 +141,13 @@ class FlatTables(FlatLayout):
         The tree's loads (int64) and Λ membership (bool) in flat order.
     y_blue, y_red:
         The final-stage colour-decision tables, shape
-        ``(height + 1, k + 1, n)``.  Rows ``l > depth`` of a node are
-        unspecified (never read: the traceback parameter satisfies
-        ``l <= depth``).
+        ``(n, height + 1, k + 1)``: ``y_red[p]`` is the contiguous table
+        of the node at position ``p``.  Rows ``l > depth`` of an internal
+        node are unspecified (never read: the traceback parameter
+        satisfies ``l <= depth``).
     splits_blue, splits_red:
-        Breadcrumb tensors of shape ``(height + 1, k + 1, num_stages)``.
+        Breadcrumb tensors of shape ``(num_stages, height + 1, k + 1)``,
+        one contiguous block per slot.
     """
 
     tree: TreeNetwork
@@ -148,10 +162,11 @@ class FlatTables(FlatLayout):
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
 
     def node_tables(self, position: int) -> NodeTables:
-        """The per-node slab views of one flat position, as :class:`NodeTables`.
+        """The per-node views of one flat position, as :class:`NodeTables`.
 
-        ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy views
-        into the flat tensors; ``x`` and ``choice`` are derived per node
+        ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy,
+        contiguous views of the position's blocks in the flat tensors
+        (rows ``0 .. depth``); ``x`` and ``choice`` are derived per node
         (``x = min(y_red, y_blue)`` elementwise and the strict
         ``y_blue < y_red`` decision), exactly the ``x`` rows the
         ``repair_chain`` kernels read for a parent.  This is what lets cold gathers
@@ -159,8 +174,8 @@ class FlatTables(FlatLayout):
         hand out per-node tables on demand (:class:`LazyNodeTables`).
         """
         rows = int(self.depth[position]) + 1
-        y_blue = self.y_blue[:rows, :, position]
-        y_red = self.y_red[:rows, :, position]
+        y_blue = self.y_blue[position, :rows]
+        y_red = self.y_red[position, :rows]
         stages = max(int(self.num_children[position]) - 1, 0)
         base = int(self.stage_offset[position])
         return NodeTables(
@@ -169,10 +184,10 @@ class FlatTables(FlatLayout):
             y_red=y_red,
             choice=np.less(y_blue, y_red).view(np.uint8),
             splits_blue=[
-                self.splits_blue[:rows, :, base + stage] for stage in range(stages)
+                self.splits_blue[base + stage, :rows] for stage in range(stages)
             ],
             splits_red=[
-                self.splits_red[:rows, :, base + stage] for stage in range(stages)
+                self.splits_red[base + stage, :rows] for stage in range(stages)
             ],
         )
 
@@ -402,9 +417,9 @@ def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
     """
     layout = tree.flat_layout()
     load, avail = instance_vectors(tree, layout)
-    shape = (tree.height + 1, budget + 1)
-    y_blue = np.empty((*shape, tree.num_switches), dtype=np.float64)
-    splits_blue = np.zeros((*shape, layout.num_stages), dtype=np.int32)
+    block = (tree.height + 1, budget + 1)
+    y_blue = np.empty((tree.num_switches, *block), dtype=np.float64)
+    splits_blue = np.zeros((layout.num_stages, *block), dtype=np.int32)
     return FlatTables(
         **vars(layout),
         tree=tree,

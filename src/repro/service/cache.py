@@ -81,15 +81,19 @@ qualifies whenever repairing it recomputes at most half the switches —
 ``len(dirty_ancestor_positions(...)) <= num_switches // 2``, the delta
 switches plus their ancestors; past that the miss gathers instead.
 ``benchmarks/bench_service.py --repair`` (BT(1024), ``k = 16``, the 1, 2,
-4 and 8 deepest available switches flipped, best of 25; one run on a
-2-vCPU container) puts repair time over cold-gather time at 0.19–0.36
-for the compiled backend and 0.20–0.27 for the numpy one,
-now that a cold gather is itself one ``repair_chain`` call over every
-switch (single-switch repair: 0.58 ms compiled, 1.48 ms flat).  The
-random-flip ratios measured before that change (compiled 0.07 for 1 flip
-up to 0.38 for 512 flips, flat 0.21 up to 0.91) had a 3–4x slower
-denominator and have not been re-measured, so whether the half-tree
-guard still only turns away repairs that buy little is open.
+4 and 8 deepest available switches flipped, best of 25; three runs on a
+2-vCPU container) puts repair time over cold-gather time at 0.47–0.64
+for the compiled backend and 0.15–0.35 for the numpy one
+(single-switch repair: 0.61–0.84 ms compiled, 1.37–2.09 ms numpy).
+The compiled ratio roughly doubled from 0.30–0.44 when the tables became
+node-major: a cold gather now reads and writes every switch's table as
+one contiguous block (1.05–1.78 ms, from 1.9–2.6 ms), while a repair
+still pays the copy-on-write clone of every tensor.  The random-flip
+ratios measured before a cold gather became one ``repair_chain`` call
+(compiled 0.07 for 1 flip up to 0.38 for 512 flips, flat 0.21 up to
+0.91) had a 3–4x slower denominator and have not been re-measured, so
+whether the half-tree guard still only turns away repairs that buy
+little is open.
 
 The policy knob is ``max_repair_delta``.  ``None`` (the default) puts no
 bound on the flips; an int additionally ignores candidates further than

@@ -3,7 +3,7 @@
 The ids are the names these tests had when the suite was parametrized
 over gather engines: ``compiled`` is the C backend (skipped when its
 kernels did not build), ``flat`` the numpy backend (its kernels run on the
-flat ``(l, i, node)`` tensors), and ``reference`` the per-node walk of
+node-major ``(node, l, i)`` tensors), and ``reference`` the per-node walk of
 the paper.
 """
 

@@ -1,7 +1,7 @@
 """Differential verification of the kernel backends against the reference.
 
 Both backends of :mod:`repro.core.engine` re-implement SOAR-Gather on
-contiguous ``(l, i, node)`` tensors but evaluate the identical
+node-major ``(node, l, i)`` tensors but evaluate the identical
 floating-point operations in the identical order, so everything they
 produce — tables, argmin breadcrumbs, traced placements, costs — must be
 *bit-identical* to the per-node reference implementation, and all must be

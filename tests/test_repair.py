@@ -199,9 +199,9 @@ def _defined_cells(flat, name):
     tensor = getattr(flat, name)
     if name.startswith("splits"):
         return tensor.tobytes()
-    rows = np.arange(tensor.shape[0])[:, None]
-    defined = flat.leaf[None, :] | (rows <= flat.depth[None, :])
-    return tensor.transpose(0, 2, 1)[defined].tobytes()
+    rows = np.arange(tensor.shape[1])[None, :]
+    defined = flat.leaf[:, None] | (rows <= flat.depth[:, None])
+    return tensor[defined].tobytes()
 
 
 def _assert_chain_kernels_match_cold(result, new_tree):
@@ -292,12 +292,12 @@ class TestRepairChainKernels:
         position = flat.index[node]
         slot = int(flat.stage_offset[position])
         rows = int(flat.depth[position]) + 1
-        assert flat.splits_blue[:rows, :, slot].any()
+        assert flat.splits_blue[slot, :rows].any()
         repaired = _assert_chain_kernels_match_cold(
             result, workload.with_available(workload.available - {node})
         )
-        assert not repaired.splits_blue[:rows, :, slot].any()
-        assert flat.splits_blue[:rows, :, slot].any()  # the source is untouched
+        assert not repaired.splits_blue[slot, :rows].any()
+        assert flat.splits_blue[slot, :rows].any()  # the source is untouched
 
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_budget_one(self, workload, exact_k):
@@ -314,6 +314,66 @@ class TestRepairChainKernels:
     def test_compiled_kernel_is_the_c_one(self):
         assert COMPILED_BACKEND.repair_chain is engine_compiled.repair_chain
         assert COMPILED_BACKEND.repair_chain is not NUMPY_BACKEND.repair_chain
+
+
+@pytest.mark.parametrize("backend", BACKEND_PARAMS)
+class TestNodeMajorLayout:
+    """Each switch's table and each breadcrumb slot is one contiguous block."""
+
+    @pytest.fixture()
+    def workload(self):
+        tree = bt_network(32)
+        loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=23)
+        available = frozenset(sorted(tree.switches)[::2]) | {tree.root}
+        return tree.with_loads(loads, available=available)
+
+    def test_blocks_are_contiguous(self, backend, workload):
+        flat = gather(workload, 5, backend=backend).flat
+        block = (workload.height + 1, 6)
+        assert flat.y_red.shape == flat.y_blue.shape == (workload.num_switches, *block)
+        assert flat.splits_red.shape == flat.splits_blue.shape == (flat.num_stages, *block)
+        for name in TENSORS:
+            tensor = getattr(flat, name)
+            assert tensor.flags.c_contiguous
+            for position in range(tensor.shape[0]):
+                assert tensor[position].shape == block
+                assert tensor[position].flags.c_contiguous
+
+    def test_node_tables_are_views(self, backend, workload):
+        flat = gather(workload, 5, backend=backend).flat
+        for position in range(workload.num_switches):
+            tables = flat.node_tables(position)
+            rows = int(flat.depth[position]) + 1
+            for name in ("y_blue", "y_red"):
+                view = getattr(tables, name)
+                assert view.flags.c_contiguous and view.shape == (rows, 6)
+                assert np.shares_memory(view, getattr(flat, name)[position])
+            for name in ("splits_blue", "splits_red"):
+                base = int(flat.stage_offset[position])
+                for stage, view in enumerate(getattr(tables, name)):
+                    assert view.flags.c_contiguous and view.shape == (rows, 6)
+                    assert np.shares_memory(view, getattr(flat, name)[base + stage])
+
+    def test_repair_copies_clean_blocks_and_keeps_the_source(self, backend, workload):
+        result = gather(workload, 5, backend=backend)
+        source = result.flat
+        before = {name: getattr(source, name).copy() for name in TENSORS}
+        delta = frozenset(sorted(workload.switches)[:3])
+        repaired = repair(result, workload.with_available(workload.available ^ delta), backend)
+        dirty = set(dirty_ancestor_positions(workload, source.index, delta).tolist())
+        assert 0 < len(dirty) < workload.num_switches
+        dirty_slots = {
+            int(source.stage_offset[v]) + stage
+            for v in dirty
+            for stage in range(max(int(source.num_children[v]) - 1, 0))
+        }
+        for name in TENSORS:
+            tensor = getattr(repaired.flat, name)
+            assert not np.shares_memory(tensor, getattr(source, name))
+            assert getattr(source, name).tobytes() == before[name].tobytes()
+            touched = dirty_slots if name.startswith("splits") else dirty
+            for block in set(range(tensor.shape[0])) - touched:
+                assert tensor[block].tobytes() == before[name][block].tobytes()
 
 
 class TestRepairRefusals:

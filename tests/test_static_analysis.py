@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -594,6 +595,29 @@ def test_lock_graph_dot_artifact_written_for_real_tree(tmp_path):
     assert "PlacementService._fleet_lock" in dot
     # Edge labels are repo-relative (portable CI artifacts).
     assert str(REPO_ROOT) not in dot
+
+
+def test_lock_graph_dot_is_independent_of_the_hash_seed(tmp_path):
+    # Each seed walks the summaries in another order; every edge must
+    # still name the same witness, so CI can diff the artifact.
+    dots = []
+    for seed in ("0", "3", "6"):
+        dot_path = tmp_path / f"lock_order_{seed}.dot"
+        subprocess.run(
+            [sys.executable, "-m", "repro.analysis", "--strict",
+             "--lock-graph-dot", str(dot_path)],
+            check=True,
+            capture_output=True,
+            cwd=REPO_ROOT,
+            env={
+                **os.environ,
+                "PYTHONPATH": str(REPO_ROOT / "src"),
+                "PYTHONHASHSEED": seed,
+            },
+        )
+        dots.append(dot_path.read_bytes())
+    assert dots[0].startswith(b"digraph lock_order")
+    assert dots[1:] == dots[:1] * 2
 
 
 # --------------------------------------------------------------------------- #

@@ -211,8 +211,8 @@ class TestCorruptTables:
         # The split the root reads at (l = 1, i = k), whatever its colour:
         # -1 goes to the highest child; a share above k leaves the first
         # child a negative remainder.
-        flat.splits_blue[1, k, slot] = value
-        flat.splits_red[1, k, slot] = value
+        flat.splits_blue[slot, 1, k] = value
+        flat.splits_red[slot, 1, k] = value
         children = table.tree.children(table.tree.root)
         self._assert_negative_budget(table, k, children[-1] if value < 0 else children[0])
 
@@ -227,8 +227,8 @@ class TestCorruptTables:
         flat = table.result.flat
         _, slot = self._root_split_slot(flat)
         k = table.budget
-        flat.splits_blue[1, k, slot] = k + 10
-        flat.splits_red[1, k, slot] = k + 10
+        flat.splits_blue[slot, 1, k] = k + 10
+        flat.splits_red[slot, 1, k] = k + 10
         self._assert_negative_budget(table, k, tree.children("r")[0])
 
     def test_blue_node_outside_availability(self):
@@ -238,7 +238,7 @@ class TestCorruptTables:
         flat = table.result.flat
         root, _ = self._root_split_slot(flat)
         k = table.budget
-        flat.y_blue[1, k, root] = -1.0  # forces y_blue < y_red at the root
+        flat.y_blue[root, 1, k] = -1.0  # forces y_blue < y_red at the root
         message = f"blue node {table.tree.root!r} is not in the availability set"
         for backend in BACKENDS:
             traced, masks = backend.trace(table.tree, table.result, [k])
