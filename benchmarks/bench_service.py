@@ -268,11 +268,11 @@ def repair_rows(
     longest dirtied ancestor chains), then measure a cold gather at the
     churned availability versus :meth:`GatherTable.repair` on the cached
     table.  Before any time is trusted the repaired table is asserted
-    bit-identical to the cold gather: every *valid* cell of the flat DP
-    tensors (rows beyond a node's depth are ``np.empty`` garbage in a
-    cold gather and never read — see :func:`repro.core.engine.gather` —
-    so they are masked out), every breadcrumb, the placement, and the
-    cost.  The thorough differential (chained repairs, both backend legs,
+    bit-identical to the cold gather: every *valid* cell of every table
+    and breadcrumb block, read through the tables' column and slot
+    indices (rows beyond a node's depth are ``np.empty`` garbage and never
+    read — see :func:`repro.core.engine.gather` — so they are masked
+    out), the placement, and the cost.  The thorough differential (chained repairs, both backend legs,
     ``exact_k``) lives in ``tests/test_repair.py``; this assertion keeps
     the benchmark honest about *what* it is timing.
     """
@@ -295,19 +295,19 @@ def repair_rows(
             churned = workload.with_available(workload.available ^ delta)
             cold = solver.gather(churned, BUDGET)
             repaired = table.repair(delta)
-            rows_axis = cold.result.flat.y_red.shape[1]
-            valid = (
-                np.arange(rows_axis)[None, :, None] <= cold.result.flat.depth[:, None, None]
-            )
-            for field in ("y_red", "y_blue"):
+            flat = cold.result.flat
+            rows_axis = np.arange(flat.y_red.shape[1])[None, :, None]
+            slot_depth = np.repeat(flat.depth, np.maximum(flat.num_children - 1, 0))
+            for field in ("y_red", "y_blue", "splits_red", "splits_blue"):
+                splits = field.startswith("splits")
+                depth = slot_depth if splits else flat.depth
+                valid = rows_axis <= depth[:, None, None]
+                blocks = [
+                    getattr(f, field)[f.scol if splits else f.col]
+                    for f in (repaired.result.flat, flat)
+                ]
                 assert np.array_equal(
-                    np.where(valid, getattr(repaired.result.flat, field), 0.0),
-                    np.where(valid, getattr(cold.result.flat, field), 0.0),
-                ), f"repaired {field} diverged from the cold gather ({backend.name})"
-            for field in ("splits_red", "splits_blue"):
-                assert np.array_equal(
-                    getattr(repaired.result.flat, field),
-                    getattr(cold.result.flat, field),
+                    np.where(valid, blocks[0], 0), np.where(valid, blocks[1], 0)
                 ), f"repaired {field} diverged from the cold gather ({backend.name})"
             cold_place = cold.place(BUDGET)
             repaired_place = repaired.place(BUDGET)

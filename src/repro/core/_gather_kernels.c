@@ -19,13 +19,19 @@
  * ctypes, which releases the GIL around every call, so the service can
  * run gathers and traces truly in parallel.
  *
- * All tensors arrive C-contiguous.  The gather tables are node-major:
- * y_blue / y_red are (n, height + 1, width) and the breadcrumbs
- * (stages, height + 1, width), so one switch's DP column (its
- * (height + 1) x width table, or one breadcrumb slot) is a single
- * contiguous block of `block = (height + 1) * width` elements, and row l
- * of node v starts at v * block + l * width.  The gather reads a child's
- * rows and writes a node's rows as unit-stride runs.
+ * All tensors arrive C-contiguous.  The gather tables are stores of
+ * node-major blocks: y_blue / y_red are (capacity, height + 1, width) and
+ * the breadcrumbs (slot capacity, height + 1, width), so one switch's DP
+ * column (its (height + 1) x width table) and one breadcrumb slot are
+ * each a single contiguous block of `block = (height + 1) * width`
+ * elements.  A table names its blocks through two indices: node v's
+ * block starts at y + col[v] * block and breadcrumb slot s's at
+ * splits + scol[s] * block, so row l of node v is at
+ * col[v] * block + l * width.  A cold gather passes the identity index;
+ * a repair's index shares its source's clean blocks and names fresh ones
+ * for the dirty columns, which are the only blocks it writes.  The
+ * gather reads a child's rows and writes a node's rows as unit-stride
+ * runs.
  */
 
 #include <math.h>
@@ -34,21 +40,21 @@
 
 #define INF (1.0 / 0.0)
 
-/* Every row of the y_blue / y_red blocks of the given leaves (tensors
- * (n, rows, width)): red entries are path_rho * load (every column under
+/* Every row of the y_blue / y_red blocks of the given leaves (stores
+ * (capacity, rows, width), leaf v at block col[v]): red entries are path_rho * load (every column under
  * at-most-k, column 0 under exactly-k), blue entries are +inf except
  * column 1 (exactly-k) / columns 1..k (at-most-k) of an available leaf.
  * Each leaf's block is written front to back in one contiguous run. */
-static void leaf_columns(double *y_blue, double *y_red, const double *path_rho,
-                         const double *load, const uint8_t *avail,
-                         const int64_t *leaves, int64_t num_leaves,
-                         int64_t rows, int64_t width, int64_t n,
-                         int32_t exact_k) {
+static void leaf_columns(double *y_blue, double *y_red, const int64_t *col,
+                         const double *path_rho, const double *load,
+                         const uint8_t *avail, const int64_t *leaves,
+                         int64_t num_leaves, int64_t rows, int64_t width,
+                         int64_t n, int32_t exact_k) {
   const int64_t block = rows * width;
   for (int64_t m = 0; m < num_leaves; m++) {
     const int64_t v = leaves[m];
-    double *yr = y_red + v * block;
-    double *yb = y_blue + v * block;
+    double *yr = y_red + col[v] * block;
+    double *yb = y_blue + col[v] * block;
     for (int64_t l = 0; l < rows; l++) {
       const double path = path_rho[l * n + v];
       const double red = path * load[v];
@@ -106,9 +112,9 @@ static void combine_column(double *table, const double *child,
   }
 }
 
-/* The x rows 1 .. count of node c as a (count, width) block:
- * x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free input.
- * Rows 1 .. count of c's block are one contiguous run. */
+/* The x rows 1 .. count of the node at store block c as a (count, width)
+ * block: x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free
+ * input.  Rows 1 .. count of the block are one contiguous run. */
 static void child_x_rows(double *out, const double *y_blue,
                          const double *y_red, int64_t c, int64_t count,
                          int64_t width, int64_t block) {
@@ -121,11 +127,13 @@ static void child_x_rows(double *out, const double *y_blue,
 
 /* The repair_chain kernel of repro.core.engine in one call: recompute
  * every dirty column of the flat tables in place — all columns of fresh
- * tables for a cold gather, a delta's ancestor chains of cloned ones for
- * a repair.
+ * tables for a cold gather, a delta's ancestor chains for a repair, whose
+ * dirty columns and slots name fresh blocks.
  *
- *   y_blue, y_red           : (n, height + 1, width) float64, in place
- *   splits_blue, splits_red : (stages, height + 1, width) int32, in place
+ *   y_blue, y_red           : (capacity, height + 1, width) float64 stores
+ *   splits_blue, splits_red : (slot capacity, height + 1, width) int32 stores
+ *   col                     : (n,) int64, each position's store block
+ *   scol                    : (stages,) int64, each slot's store block
  *   path_rho                : (height + 1, n) float64
  *   load                    : (n,) float64
  *   avail                   : (n,) uint8 (bool), the repaired Λ
@@ -141,14 +149,16 @@ static void child_x_rows(double *out, const double *y_blue,
  * place: stage 1 seeds red with child x + path_rho * load and blue (when
  * available and k >= 1) with child x row 1 shifted one unit + path_rho;
  * each further stage runs the red and blue convolutions against that
- * child's x rows, re-zeroing the stage's blue breadcrumbs first (a node
- * that lost blue eligibility must not keep stale ones).  The node's block
+ * child's x rows, zeroing the stage's blue breadcrumbs first (a node that
+ * cannot be blue gets zeros there, its slot block being fresh and
+ * uninitialized).  The node's block
  * is read only by its parent, which runs later, so no stage needs a copy
  * of it.  Returns 0, or -1 when scratch allocation fails, in which case
  * nothing has been written.
  */
 int32_t repro_repair_chain(double *y_blue, double *y_red,
                            int32_t *splits_blue, int32_t *splits_red,
+                           const int64_t *col, const int64_t *scol,
                            const double *path_rho, const double *load,
                            const uint8_t *avail, const int64_t *depth,
                            const int64_t *num_children,
@@ -184,8 +194,8 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
       leaves[num_leaves++] = dirty[m];
     }
   }
-  leaf_columns(y_blue, y_red, path_rho, load, avail, leaves, num_leaves,
-               height + 1, width, n, exact_k);
+  leaf_columns(y_blue, y_red, col, path_rho, load, avail, leaves,
+               num_leaves, height + 1, width, n, exact_k);
 
   for (int64_t m = 0; m < num_dirty; m++) {
     const int64_t v = dirty[m];
@@ -196,10 +206,10 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     }
     const int64_t rows = depth[v] + 1;
     const int64_t *children = child_concat + child_offset[v];
-    double *red = y_red + v * block, *blue = y_blue + v * block;
+    double *red = y_red + col[v] * block, *blue = y_blue + col[v] * block;
 
     /* stage m = 1 */
-    child_x_rows(cx, y_blue, y_red, children[0], rows, width, block);
+    child_x_rows(cx, y_blue, y_red, col[children[0]], rows, width, block);
     for (int64_t l = 0; l < rows; l++) {
       const double upward = path_rho[l * n + v];
       const double seed = upward * load[v];
@@ -216,10 +226,11 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
 
     /* stages m = 2 .. C(v) */
     for (int64_t stage = 1; stage < fan_out; stage++) {
-      const int64_t slot = stage_offset[v] + stage - 1;
+      const int64_t slot = scol[stage_offset[v] + stage - 1];
       const int64_t j_cap = subtree_avail[children[stage]];
       int32_t *slot_blue = splits_blue + slot * block;
-      child_x_rows(cx, y_blue, y_red, children[stage], rows, width, block);
+      child_x_rows(cx, y_blue, y_red, col[children[stage]], rows, width,
+                   block);
       combine_column(red, cx, splits_red + slot * block, rows, width, 0,
                      j_cap);
       for (int64_t i = 0; i < rows * width; i++) {
@@ -255,8 +266,10 @@ static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
 /* SOAR-Color (Algorithm 4) for every budget of a sweep in one call: the
  * root-down walk of the batched numpy trace, node by node.
  *
- *   y_blue, y_red           : (n, height + 1, width) float64
- *   splits_blue, splits_red : (stages, height + 1, width) int32
+ *   y_blue, y_red           : (capacity, height + 1, width) float64 stores
+ *   splits_blue, splits_red : (slot capacity, height + 1, width) int32 stores
+ *   col, scol               : the tables' block indices, as in
+ *                             repro_repair_chain
  *   load                    : (n,) int64, the traced network's loads
  *   avail                   : (n,) uint8 (bool), the traced network's Λ
  *   num_children, child_concat, child_offset, stage_offset : the layout
@@ -283,6 +296,7 @@ static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
  * scratch allocation fails. */
 int32_t repro_color(const double *y_blue, const double *y_red,
                     const int32_t *splits_blue, const int32_t *splits_red,
+                    const int64_t *col, const int64_t *scol,
                     const int64_t *load, const uint8_t *avail,
                     const int64_t *num_children, const int64_t *child_concat,
                     const int64_t *child_offset, const int64_t *stage_offset,
@@ -316,7 +330,7 @@ int32_t repro_color(const double *y_blue, const double *y_red,
         selected += blue[v];
         continue;
       }
-      const int64_t at = v * block + l * width + i;
+      const int64_t at = col[v] * block + l * width + i;
       const int is_blue = y_blue[at] < y_red[at];
       blue[v] = (uint8_t)is_blue;
       selected += is_blue;
@@ -325,7 +339,7 @@ int32_t repro_color(const double *y_blue, const double *y_red,
       const int64_t *children = child_concat + child_offset[v];
       int64_t remaining = i;
       for (int64_t stage = fan_out - 1; stage >= 1; stage--) {
-        const int64_t slot = stage_offset[v] + stage - 1;
+        const int64_t slot = scol[stage_offset[v] + stage - 1];
         const int64_t share = splits[slot * block + l * width + remaining];
         if (share < 0) {
           status = kernel_error(info, COLOR_NEGATIVE_BUDGET, row,

@@ -16,7 +16,8 @@ then
 
 The per-node :func:`soar_color` is the reference walk of the paper; the
 two backends of :mod:`repro.core.engine` trace a whole sweep's budgets
-at once over the node-major ``(node, l, i)`` tensors of :mod:`repro.core.flat`,
+at once over the node-major blocks of :mod:`repro.core.flat` (position
+``p``'s table is ``y_red[col[p]]``),
 returning one blue mask per budget:
 
 :func:`soar_color` (the reference oracle)
@@ -269,9 +270,10 @@ def _batched_blue_positions(
             continue
         l_params = dist_vec[internal]
         budgets = budget_vec[internal]
+        blocks = flat.col[internal]
         node_blue = np.less(
-            flat.y_blue[internal, l_params, budgets],
-            flat.y_red[internal, l_params, budgets],
+            flat.y_blue[blocks, l_params, budgets],
+            flat.y_red[blocks, l_params, budgets],
         )
         chosen.append(internal[node_blue])
         child_distance = np.where(node_blue, 1, l_params + 1)
@@ -284,7 +286,7 @@ def _batched_blue_positions(
         for stage in range(top, 1, -1):
             active = counts >= stage
             nodes = internal[active]
-            slot = flat.stage_offset[nodes] + (stage - 2)
+            slot = flat.scol[flat.stage_offset[nodes] + (stage - 2)]
             l_sel = l_params[active]
             r_sel = remaining[active]
             if stage < top:

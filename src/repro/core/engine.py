@@ -8,21 +8,24 @@ ground truth) but the per-node Python work dominates the running time on
 the larger instances of Figures 9 and 10.
 
 The drivers in this module compute the very same dynamic program on
-node-major ``(node, l, i)`` tensors over the structure's
+node-major ``(node, l, i)`` blocks over the structure's
 :class:`~repro.core.flat.FlatLayout` — node order, child lists, breadcrumb
 slots and the ``path_rho`` table, built once per weighted tree and shared
 by every gather on it.  Each switch's ``(height + 1) x (k + 1)`` table,
-and each breadcrumb slot, is one contiguous block (``y_red[p]``,
-``splits_red[slot]``), so a node's DP reads its children's blocks and
-writes its own as unit-stride runs.  A single kernel does all of the
+and each breadcrumb slot, is one contiguous block of a store, named by
+the tables' column and slot indices (``y_red[col[p]]``,
+``splits_red[scol[slot]]``), so a node's DP reads its children's blocks
+and writes its own as unit-stride runs.  A single kernel does all of the
 arithmetic:
 ``repair_chain(flat, dirty, exact_k)`` recomputes the ``dirty`` columns of
 the tables in place, deepest level first.  A cold gather (:func:`gather`)
-is that call with every switch dirty over freshly allocated tables; a
-delta repair (:func:`repair`) is the same call on a clone of cached tables
-with only the flipped switches and their ancestors dirty.  The per-node
-tables are never materialized up front: the result maps nodes lazily onto
-slices of the flat tensors (see below).
+is that call with every switch dirty over freshly allocated tables under
+the identity index; a delta repair (:func:`repair`) is the same call with
+only the flipped switches and their ancestors dirty, on tables that share
+every clean block with their source and own fresh blocks for the dirty
+ones (:func:`repro.core.flat.derive_tables`).  The per-node tables are
+never materialized up front: the result maps nodes lazily onto slices of
+the stores (see below).
 
 A :class:`Backend` bundles that kernel with the two that answer queries
 from the tables — the colour ``trace`` of a list of budgets and the
@@ -33,8 +36,8 @@ Eq. (1) ``costs`` of the traced placements.  There are two:
     (min,+)-convolution batched across every node of a level that has an
     ``m``-th child and its split range capped by the children's subtree
     availability (:func:`_batched_combine`, which runs on the level's
-    blocks gathered with ``y[nodes]`` and the node axis moved last); the
-    level-batched colour
+    blocks gathered with ``y[col[nodes]]`` and the node axis moved last);
+    the level-batched colour
     trace per budget (:func:`repro.core.color.numpy_blue_masks`) and the
     level-batched cost kernel per placement
     (:func:`repro.core.cost.utilization_costs_flat`).
@@ -77,11 +80,12 @@ from repro.core.flat import (
     FlatTables,
     LazyNodeTables,
     allocate_tables,
+    derive_tables,
     dirty_ancestor_positions,
     dirty_level_runs,
 )
 from repro.core.gather import GatherResult, normalize_budget
-from repro.core.tree import TreeNetwork
+from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import RepairError
 
 
@@ -92,8 +96,9 @@ class Backend:
     ``repair_chain(flat, dirty, exact_k)``
         Every ``dirty`` column of the ``flat`` tables — leaf columns,
         stage-1 seeding, each stage's red and blue convolution,
-        breadcrumbs — rewritten in place from ``flat.avail``, ``flat.load``
-        and the children's current columns, deepest first.  ``dirty`` is
+        breadcrumbs — rewritten in place (at the blocks ``flat.col`` and
+        ``flat.scol`` name) from ``flat.avail``, ``flat.load`` and the
+        children's current columns, deepest first.  ``dirty`` is
         ascending flat positions closed under ancestors: every switch for
         a cold gather, a delta's ancestor chains for a repair.
     ``trace(tree, gathered, budgets)``
@@ -257,38 +262,44 @@ def _leaf_init_numpy(
     path_rho: np.ndarray,
     load: np.ndarray,
     leaves: np.ndarray,
+    blocks: np.ndarray,
     avail: np.ndarray,
     exact_k: bool,
     k: int,
 ) -> None:
-    """Write every row of the ``leaves`` blocks in one numpy broadcast."""
+    """Write every row of the ``leaves``' blocks in one numpy broadcast.
+
+    ``blocks`` are the leaves' store blocks (``col[leaves]``).
+    """
     leaf_paths = path_rho[:, leaves].T  # (m, height + 1)
     red_columns = leaf_paths * load[leaves, None]
-    blue_leaves = leaves[avail[leaves]]
-    y_blue_flat[leaves] = np.inf
+    is_blue = avail[leaves]
+    blue_leaves, blue_blocks = leaves[is_blue], blocks[is_blue]
+    y_blue_flat[blocks] = np.inf
     if exact_k:
-        y_red_flat[leaves] = np.inf
-        y_red_flat[leaves, :, 0] = red_columns
+        y_red_flat[blocks] = np.inf
+        y_red_flat[blocks, :, 0] = red_columns
         if k >= 1 and blue_leaves.size:
-            y_blue_flat[blue_leaves, :, 1] = path_rho[:, blue_leaves].T
+            y_blue_flat[blue_blocks, :, 1] = path_rho[:, blue_leaves].T
     else:
-        y_red_flat[leaves] = red_columns[:, :, None]
+        y_red_flat[blocks] = red_columns[:, :, None]
         if k >= 1 and blue_leaves.size:
-            y_blue_flat[blue_leaves, :, 1:] = path_rho[:, blue_leaves].T[:, :, None]
+            y_blue_flat[blue_blocks, :, 1:] = path_rho[:, blue_leaves].T[:, :, None]
 
 
 def _child_x_rows(
-    y_blue_flat: np.ndarray, y_red_flat: np.ndarray, children: np.ndarray, rows: int
+    y_blue_flat: np.ndarray, y_red_flat: np.ndarray, blocks: np.ndarray, rows: int
 ) -> np.ndarray:
-    """The x rows ``1 .. rows`` of ``children``, shape ``(rows, k + 1, B)``.
+    """The x rows ``1 .. rows`` of the children at store ``blocks``.
 
-    ``x = min(y_red, y_blue)`` of each child's block, written with the
-    node axis last, the layout :func:`_batched_combine` batches over.
+    ``x = min(y_red, y_blue)`` of each child's block, shape
+    ``(rows, k + 1, B)``: written with the node axis last, the layout
+    :func:`_batched_combine` batches over.
     """
-    child_x = np.empty((rows, y_red_flat.shape[2], children.size), dtype=np.float64)
+    child_x = np.empty((rows, y_red_flat.shape[2], blocks.size), dtype=np.float64)
     np.minimum(
-        y_red_flat[children, 1 : rows + 1],
-        y_blue_flat[children, 1 : rows + 1],
+        y_red_flat[blocks, 1 : rows + 1],
+        y_blue_flat[blocks, 1 : rows + 1],
         out=child_x.transpose(2, 0, 1),
     )
     return child_x
@@ -311,28 +322,6 @@ def subtree_available_counts(layout: FlatLayout, avail: np.ndarray) -> np.ndarra
     return counts
 
 
-def _clone_together(*arrays: np.ndarray) -> list[np.ndarray]:
-    """Copies of ``arrays`` carved out of one allocation.
-
-    A repair clones a few MB of tensors.  Allocated one by one, blocks of
-    that size come from fresh memory mappings (glibc returns them to the
-    system on free) and page-fault on nearly every repair: on BT(1024) at
-    ``k = 16`` about 900 faults per single-switch repair, more time than
-    the repair's arithmetic.  One block of the combined size is recycled
-    instead (about 70 faults).  Pass the float64 arrays first so every
-    view stays aligned.
-    """
-    buffer = np.empty(sum(array.nbytes for array in arrays), dtype=np.uint8)
-    clones = []
-    offset = 0
-    for array in arrays:
-        clone = buffer[offset : offset + array.nbytes].view(array.dtype).reshape(array.shape)
-        np.copyto(clone, array)
-        clones.append(clone)
-        offset += array.nbytes
-    return clones
-
-
 def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
     """Recompute the ``dirty`` columns of ``flat`` in place, level by level.
 
@@ -340,9 +329,11 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     leaves are re-broadcast in one go, then the dirty internal nodes are
     run level-batched from the deepest level up, each stage's convolution
     batched over every node of the level that has that many children.
+    Blocks are read and written through ``flat.col`` / ``flat.scol``.
     """
     y_blue_flat, y_red_flat = flat.y_blue, flat.y_red
     splits_blue_flat, splits_red_flat = flat.splits_blue, flat.splits_red
+    col, scol = flat.col, flat.scol
     k = y_red_flat.shape[2] - 1
     child_concat = flat.child_concat
     child_offset = flat.child_offset
@@ -356,7 +347,15 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     dirty_leaves = dirty[is_leaf]
     if dirty_leaves.size:
         _leaf_init_numpy(
-            y_blue_flat, y_red_flat, flat.path_rho, load, dirty_leaves, avail, exact_k, k
+            y_blue_flat,
+            y_red_flat,
+            flat.path_rho,
+            load,
+            dirty_leaves,
+            col[dirty_leaves],
+            avail,
+            exact_k,
+            k,
         )
 
     # ---- dirty internal nodes, level-batched from the deepest level up ----
@@ -369,7 +368,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     upward_all = flat.path_rho[:, internal]
     red_seed_all = upward_all * load[internal]
     fan_out_all = flat.num_children[internal]
-    first_child_all = child_concat[child_offset[internal]]
+    first_child_all = col[child_concat[child_offset[internal]]]
     can_blue_all = avail[internal] & (k >= 1)
     for level, run in dirty_level_runs(flat.depth, internal):
         group = internal[run]
@@ -397,19 +396,18 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
             active = np.flatnonzero(fan_out >= stage)
             nodes = group[active]
             child = child_concat[child_offset[nodes] + (stage - 1)]
-            slots = stage_offset[nodes] + (stage - 2)
+            slots = scol[stage_offset[nodes] + (stage - 2)]
             j_cap = int(subtree_avail[child].max())
 
-            child_x = _child_x_rows(y_blue_flat, y_red_flat, child, rows)
+            child_x = _child_x_rows(y_blue_flat, y_red_flat, col[child], rows)
             merged_red, split_red = _batched_combine(
                 y_red[:, :, active], child_x, k, blue=False, j_max=j_cap
             )
             y_red[:, :, active] = merged_red
             splits_red_flat[slots, :rows] = split_red.transpose(2, 0, 1)
 
-            # A dirty node that could be blue at Λ₀ but cannot any more
-            # would otherwise keep its stale breadcrumbs; a cold gather
-            # starts from zeroed breadcrumbs.
+            # A node that cannot be blue still gets defined (zero) blue
+            # breadcrumbs: its slot blocks are fresh and uninitialized.
             splits_blue_flat[slots, :rows] = 0
             blue_active = np.flatnonzero(can_blue[active])
             if blue_active.size:
@@ -423,8 +421,8 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
                 y_blue[:, :, active[blue_active]] = merged_blue
                 splits_blue_flat[slots[blue_active], :rows] = split_blue.transpose(2, 0, 1)
 
-        y_red_flat[group, :rows] = y_red.transpose(2, 0, 1)
-        y_blue_flat[group, :rows] = y_blue.transpose(2, 0, 1)
+        y_red_flat[col[group], :rows] = y_red.transpose(2, 0, 1)
+        y_blue_flat[col[group], :rows] = y_blue.transpose(2, 0, 1)
 
 
 #: The pure-numpy kernels.
@@ -469,8 +467,8 @@ def gather(
     Same parameters and bit-identical :class:`~repro.core.gather.GatherResult`
     as :func:`repro.core.gather.soar_gather`.  A cold gather is a repair
     with every switch dirty: the tables are allocated over the tree's
-    memoized layout (``y`` uninitialized, breadcrumbs zeroed) and
-    ``backend.repair_chain`` computes every column.  The result carries
+    memoized layout (``n`` uninitialized blocks under the identity index)
+    and ``backend.repair_chain`` computes every column.  The result carries
     its :class:`FlatTables` and a :class:`LazyNodeTables` mapping over
     them, so no per-node :class:`~repro.core.gather.NodeTables` is built
     until a consumer looks one up.
@@ -492,6 +490,7 @@ def repair(
     result: GatherResult,
     tree: TreeNetwork,
     backend: Backend = DEFAULT_BACKEND,
+    delta: frozenset[NodeId] | None = None,
 ) -> GatherResult:
     """Delta-repair a flat gather result towards ``tree``'s availability.
 
@@ -499,9 +498,13 @@ def repair(
     ``tree`` is the same structure and loads under a different Λ.  Only the
     switches of the symmetric difference Λ₀ ^ Λ and their ancestors have
     stale DP slabs — every other subtree sees an unchanged Λ ∩ T_v — so
-    the repair clones the flat tensors and has ``backend.repair_chain``
-    recompute the dirty columns alone: O(depth · k² · |delta|) work
-    instead of the cold gather's O(n · k²).
+    the repaired tables share every clean block with ``result``'s and own
+    fresh blocks for the dirty columns and their breadcrumb slots alone
+    (:func:`~repro.core.flat.derive_tables`); ``backend.repair_chain``
+    fills those: O(depth · k² · |delta|) work instead of the cold
+    gather's O(n · k²), and no tensor is copied.  ``result`` is left
+    unchanged — its blocks are never written — so the cache may repair
+    the same artifact towards several Λ's, concurrently too.
 
     Bit-identity with a cold gather is preserved end to end: a cold
     gather *is* ``repair_chain`` with every switch dirty, so the dirty
@@ -509,16 +512,17 @@ def repair(
     order, from the same inputs — clean children's columns are exactly
     what a cold gather at the new Λ computes, because their subtrees see
     an unchanged ``Λ ∩ T_v``.  The layout (``path_rho`` included) is the
-    structure's shared, read-only one, and stale blue breadcrumbs of
-    dirty nodes are re-zeroed before the blue convolution writes,
-    matching a cold gather's zeroed breadcrumbs for nodes that can no
-    longer be blue.
+    structure's shared, read-only one, and the blue breadcrumbs of dirty
+    nodes are zeroed before the blue convolution writes, matching a cold
+    gather for nodes that can no longer be blue.
 
-    Clean columns keep their cloned values untouched, rows beyond a
-    node's depth stay unspecified (never read) exactly as in a cold
-    gather, and the repaired result carries :class:`LazyNodeTables` — the
-    same artifact shape as a cold gather — so no per-node view
-    materialization is paid up front.
+    Rows beyond a node's depth stay unspecified (never read) exactly as
+    in a cold gather, and the repaired result carries
+    :class:`LazyNodeTables` — the same artifact shape as a cold gather —
+    so no per-node view materialization is paid up front.
+
+    ``delta``, when the caller already holds it, must be the symmetric
+    difference of the two Λ's (it is computed otherwise).
 
     The result is bit-identical (costs, tables, breadcrumbs, traced
     placements) to ``gather(tree, result.requested_budget,
@@ -550,29 +554,16 @@ def repair(
         )
 
     index = old_flat.index
-    delta = old_tree.available ^ tree.available
+    if delta is None:
+        delta = old_tree.available ^ tree.available
     dirty = dirty_ancestor_positions(tree, index, delta)
 
     avail = old_flat.avail.copy()
     for switch in delta:
         avail[index[switch]] = switch in tree.available
 
-    # Copy-on-write clone: the repaired result must not mutate the cached
-    # tensors (the cache may repair the same artifact towards several Λ's).
-    y_blue_flat, y_red_flat, splits_blue_flat, splits_red_flat = _clone_together(
-        old_flat.y_blue, old_flat.y_red, old_flat.splits_blue, old_flat.splits_red
-    )
-    new_flat = replace(
-        old_flat,
-        tree=tree,
-        avail=avail,
-        y_blue=y_blue_flat,
-        y_red=y_red_flat,
-        splits_blue=splits_blue_flat,
-        splits_red=splits_red_flat,
-        cost_model=None,
-    )
-    backend.repair_chain(new_flat, dirty, result.exact_k)
+    with derive_tables(old_flat, tree, avail, dirty) as new_flat:
+        backend.repair_chain(new_flat, dirty, result.exact_k)
 
     old_model = old_flat.cost_model
     if old_model is not None:

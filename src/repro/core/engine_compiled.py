@@ -95,8 +95,8 @@ def _find_compiler() -> str | None:
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     """Attach prototypes so ctypes checks dtypes and contiguity for us."""
     library.repro_color.argtypes = [
-        _f64, _f64, _i32, _i32, _i64, _u8, _i64, _i64, _i64, _i64, _i64, _ll,
-        _ll, _ll, _ll, ctypes.c_int32, _u8, _i64,
+        _f64, _f64, _i32, _i32, _i64, _i64, _i64, _u8, _i64, _i64, _i64, _i64,
+        _i64, _ll, _ll, _ll, _ll, ctypes.c_int32, _u8, _i64,
     ]
     library.repro_color.restype = ctypes.c_int32
     library.repro_utilization.argtypes = [
@@ -104,8 +104,8 @@ def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
     ]
     library.repro_utilization.restype = ctypes.c_int32
     library.repro_repair_chain.argtypes = [
-        _f64, _f64, _i32, _i32, _f64, _f64, _u8, _i64, _i64, _i64, _i64, _i64, _i64,
-        _ll, _ll, _ll, _ll, ctypes.c_int32,
+        _f64, _f64, _i32, _i32, _i64, _i64, _f64, _f64, _u8, _i64, _i64, _i64,
+        _i64, _i64, _i64, _ll, _ll, _ll, _ll, ctypes.c_int32,
     ]
     library.repro_repair_chain.restype = ctypes.c_int32
     return library
@@ -174,12 +174,14 @@ def compiled_available() -> bool:
 
 def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
     """The ``repair_chain`` of the compiled backend: one ``repro_repair_chain`` call."""
-    n, rows, width = flat.y_red.shape
+    rows, width = flat.y_red.shape[1:]
     status = _LIB.repro_repair_chain(
         flat.y_blue,
         flat.y_red,
         flat.splits_blue,
         flat.splits_red,
+        flat.col,
+        flat.scol,
         flat.path_rho,
         flat.load.astype(np.float64),
         flat.avail.view(np.uint8),
@@ -192,7 +194,7 @@ def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
         dirty.size,
         rows - 1,
         width,
-        n,
+        len(flat.order),
         int(exact_k),
     )
     if status != 0:
@@ -265,7 +267,8 @@ def color_masks(
     :class:`~repro.exceptions.PlacementError` with the numpy trace's
     messages on inconsistent tables.
     """
-    n, rows, width = flat.y_red.shape
+    n = len(flat.order)
+    rows, width = flat.y_red.shape[1:]
     _require_vectors(n, load=load, avail=avail)
     wanted = np.array(budgets, dtype=np.int64)
     masks = np.empty((wanted.size, n), dtype=np.uint8)
@@ -275,6 +278,8 @@ def color_masks(
         flat.y_red,
         flat.splits_blue,
         flat.splits_red,
+        flat.col,
+        flat.scol,
         load,
         avail.view(np.uint8),
         flat.num_children,

@@ -39,20 +39,38 @@ wildly varying fan-out.
 
 Table layout
 ------------
-The tensors are node-major: ``y_blue`` / ``y_red`` have shape
-``(n, height + 1, k + 1)`` and the breadcrumbs ``(num_stages, height + 1,
-k + 1)``.  One switch's DP column (its ``Y`` table) and one breadcrumb
-slot are therefore each a single C-contiguous ``(height + 1, k + 1)``
-block: SOAR-Gather reads a child's block and writes its parent's as
-unit-stride runs, :meth:`FlatTables.node_tables` hands out contiguous
-slices, and a column can be copied or shared as one block.  The numpy
-kernels gather the blocks of a level's nodes (``y[nodes]``) and move the
-node axis last for their batched convolution.
+The tensors are node-major blocks: one switch's DP column (its ``Y``
+table) and one breadcrumb slot are each a single C-contiguous
+``(height + 1, k + 1)`` block.  SOAR-Gather reads a child's block and
+writes its parent's as unit-stride runs, :meth:`FlatTables.node_tables`
+hands out contiguous slices, and a block can be shared as a whole.
+
+A table does not own its blocks by position.  ``y_blue`` / ``y_red``
+are *stores* of shape ``(capacity, height + 1, k + 1)`` and the
+breadcrumbs stores of ``(slot capacity, height + 1, k + 1)``; the
+table's column index ``col`` (length ``n``) names the store block of
+every flat position and ``scol`` (length ``num_stages``) that of every
+breadcrumb slot, so position ``p``'s table is ``y_red[col[p]]`` and
+slot ``s`` is ``splits_red[scol[s]]``.  A cold gather allocates exactly
+``n`` blocks and ``num_stages`` slots and uses the layout's frozen
+identity index (``col[p] == p``), so its tensors read exactly as
+node-major tensors.  A delta repair (:func:`derive_tables`) copies the
+source's two index arrays, points the dirty positions and their slots at
+fresh blocks of the lineage's :class:`ColumnStore` and leaves every clean
+entry pointing at the source's block: it copies no tensor.  The numpy
+kernels gather a level's blocks with ``y[col[nodes]]``; the C kernels
+address ``store + col[v] * block``.
+
+Rows ``l > depth`` of an internal node's ``y`` blocks and of its
+breadcrumb slots are unspecified: no kernel writes or reads them.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import threading
+import weakref
+from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +103,9 @@ class FlatLayout:
     parent:
         Flat position of every node's parent; ``-1`` for the root (whose
         parent is the destination).
+    parent_of:
+        ``parent`` as a tuple of ints, for Python-level walks
+        (:func:`dirty_ancestor_positions`).
     rho:
         Per-link transmission time ``rho((v, p(v)))`` in flat order.
     child_concat, child_offset:
@@ -104,6 +125,9 @@ class FlatLayout:
     postorder:
         Permutation mapping post-order rank to flat position
         (``order[postorder[i]]`` is ``tree.switches[i]``).
+    identity:
+        ``arange(n)``: every cold gather's column index is ``identity``
+        and its slot index ``identity[:num_stages]`` (see "Table layout").
     """
 
     order: tuple[NodeId, ...]
@@ -112,6 +136,7 @@ class FlatLayout:
     leaf: np.ndarray
     num_children: np.ndarray
     parent: np.ndarray
+    parent_of: tuple[int, ...]
     rho: np.ndarray
     child_concat: np.ndarray
     child_offset: np.ndarray
@@ -120,6 +145,7 @@ class FlatLayout:
     level_slices: tuple[tuple[int, int], ...]
     path_rho: np.ndarray
     postorder: np.ndarray
+    identity: np.ndarray
 
 
 @dataclass
@@ -140,14 +166,20 @@ class FlatTables(FlatLayout):
     load, avail:
         The tree's loads (int64) and Λ membership (bool) in flat order.
     y_blue, y_red:
-        The final-stage colour-decision tables, shape
-        ``(n, height + 1, k + 1)``: ``y_red[p]`` is the contiguous table
-        of the node at position ``p``.  Rows ``l > depth`` of an internal
-        node are unspecified (never read: the traceback parameter
-        satisfies ``l <= depth``).
+        Stores of the final-stage colour-decision tables, shape
+        ``(capacity, height + 1, k + 1)``: ``y_red[col[p]]`` is the
+        contiguous table of the node at position ``p``.  Rows
+        ``l > depth`` of an internal node are unspecified (never read: the
+        traceback parameter satisfies ``l <= depth``).
     splits_blue, splits_red:
-        Breadcrumb tensors of shape ``(num_stages, height + 1, k + 1)``,
-        one contiguous block per slot.
+        Breadcrumb stores of shape ``(slot capacity, height + 1, k + 1)``;
+        slot ``s`` is the block ``splits_red[scol[s]]``.
+    col, scol:
+        The column index (length ``n``) and slot index (length
+        ``num_stages``) into the stores; frozen.
+    store:
+        The lineage's :class:`ColumnStore` once a repair has derived a
+        table from this one, else ``None``.
     """
 
     tree: TreeNetwork
@@ -157,16 +189,20 @@ class FlatTables(FlatLayout):
     y_red: np.ndarray
     splits_blue: np.ndarray
     splits_red: np.ndarray
+    col: np.ndarray
+    scol: np.ndarray
     #: Lazily-derived :class:`FlatCostModel` sharing this layout (see
     #: :func:`cost_model_for`); never built by the gather drivers themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
+    store: "ColumnStore | None" = field(default=None, repr=False, compare=False)
 
     def node_tables(self, position: int) -> NodeTables:
         """The per-node views of one flat position, as :class:`NodeTables`.
 
         ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy,
-        contiguous views of the position's blocks in the flat tensors
-        (rows ``0 .. depth``); ``x`` and ``choice`` are derived per node
+        contiguous views of the position's blocks in the stores
+        (``y_red[col[position]]`` and ``splits_red[scol[slot]]``, rows
+        ``0 .. depth``); ``x`` and ``choice`` are derived per node
         (``x = min(y_red, y_blue)`` elementwise and the strict
         ``y_blue < y_red`` decision), exactly the ``x`` rows the
         ``repair_chain`` kernels read for a parent.  This is what lets cold gathers
@@ -174,21 +210,18 @@ class FlatTables(FlatLayout):
         hand out per-node tables on demand (:class:`LazyNodeTables`).
         """
         rows = int(self.depth[position]) + 1
-        y_blue = self.y_blue[position, :rows]
-        y_red = self.y_red[position, :rows]
-        stages = max(int(self.num_children[position]) - 1, 0)
+        block = int(self.col[position])
+        y_blue = self.y_blue[block, :rows]
+        y_red = self.y_red[block, :rows]
         base = int(self.stage_offset[position])
+        slots = self.scol[base : base + max(int(self.num_children[position]) - 1, 0)]
         return NodeTables(
             x=np.minimum(y_red, y_blue),
             y_blue=y_blue,
             y_red=y_red,
             choice=np.less(y_blue, y_red).view(np.uint8),
-            splits_blue=[
-                self.splits_blue[base + stage, :rows] for stage in range(stages)
-            ],
-            splits_red=[
-                self.splits_red[base + stage, :rows] for stage in range(stages)
-            ],
+            splits_blue=[self.splits_blue[slot, :rows] for slot in slots.tolist()],
+            splits_red=[self.splits_red[slot, :rows] for slot in slots.tolist()],
         )
 
 
@@ -362,6 +395,7 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
         leaf=num_children == 0,
         num_children=num_children,
         parent=parent,
+        parent_of=tuple(parent.tolist()),
         rho=rho,
         child_concat=child_concat,
         child_offset=np.concatenate(([0], np.cumsum(num_children)[:-1])),
@@ -372,6 +406,7 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
         postorder=np.fromiter(
             (index[v] for v in tree.switches), dtype=np.int64, count=n
         ),
+        identity=np.arange(n, dtype=np.int64),
     )
     for value in vars(layout).values():
         if isinstance(value, np.ndarray):
@@ -412,24 +447,229 @@ def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
     """Unfilled :class:`FlatTables` for ``tree`` at effective budget ``budget``.
 
     The layout is the tree's memoized :class:`FlatLayout`, ``load`` and
-    ``avail`` are the tree's own; the ``y`` tensors are uninitialized and
-    the breadcrumb tensors zeroed, as a gather expects to find them.
+    ``avail`` are the tree's own; the stores hold exactly ``n`` blocks and
+    ``num_stages`` slots, all uninitialized, under the identity index.
     """
     layout = tree.flat_layout()
     load, avail = instance_vectors(tree, layout)
     block = (tree.height + 1, budget + 1)
     y_blue = np.empty((tree.num_switches, *block), dtype=np.float64)
-    splits_blue = np.zeros((layout.num_stages, *block), dtype=np.int32)
+    splits_blue = np.empty((layout.num_stages, *block), dtype=np.int32)
     return FlatTables(
-        **vars(layout),
+        **{name: getattr(layout, name) for name in _LAYOUT_FIELDS},
         tree=tree,
         load=load,
         avail=avail,
         y_blue=y_blue,
         y_red=np.empty_like(y_blue),
         splits_blue=splits_blue,
-        splits_red=np.zeros_like(splits_blue),
+        splits_red=np.empty_like(splits_blue),
+        col=layout.identity,
+        scol=layout.identity[: layout.num_stages],
     )
+
+
+class _BlockPool:
+    """One pair of blue/red stores and a reference count per block."""
+
+    def __init__(self, blue: np.ndarray, red: np.ndarray) -> None:
+        self.blue, self.red = blue, red
+        # The adopted cold tensors are held by every block and never
+        # written again, so the first claim always grows (see ColumnStore).
+        self.refs = np.ones(len(blue), dtype=np.int64)
+        self.adopted = True
+
+    def claim(self, count: int) -> np.ndarray:
+        """``count`` unreferenced block indices, growing the stores if needed."""
+        if count == 0:
+            return self.refs[:0]
+        free = np.flatnonzero(self.refs == 0)
+        if self.adopted or free.size < count:
+            capacity = len(self.refs)
+            grown = max(2 * capacity, capacity + count)
+            self.blue = _grown(self.blue, grown)
+            self.red = _grown(self.red, grown)
+            self.refs = np.concatenate((self.refs, np.zeros(grown - capacity, np.int64)))
+            self.adopted = False
+            free = np.flatnonzero(self.refs == 0)
+        return free[:count]
+
+
+def _grown(store: np.ndarray, capacity: int) -> np.ndarray:
+    """A copy of ``store`` with room for ``capacity`` blocks, same indices."""
+    grown = np.empty((capacity, *store.shape[1:]), dtype=store.dtype)
+    grown[: len(store)] = store
+    return grown
+
+
+class _Pinned:
+    """A store's memory, exposed with a strong reference to a table's lease.
+
+    Every array derived from a lineage table's stores (its
+    :meth:`FlatTables.node_tables` views included) keeps the lease alive,
+    so the table's blocks cannot be reclaimed and rewritten while anything
+    can still read them.
+    """
+
+    __slots__ = ("__array_interface__", "array", "lease")
+
+    def __init__(self, array: np.ndarray, lease: "_Lease") -> None:
+        self.__array_interface__ = array.__array_interface__
+        self.array = array
+        self.lease = lease
+
+
+class _Lease:
+    """The object whose death returns a table's blocks to its store."""
+
+    __slots__ = ("__weakref__",)
+
+
+class ColumnStore:
+    """The column and slot blocks of one lineage of tables, reference counted.
+
+    A lineage is a cold gather and every table repaired from it, directly
+    or through other repairs.  The first repair adopts the cold table's
+    tensors as the store's first blocks; each repair then claims fresh
+    blocks for its dirty columns and slots only and references the rest
+    from its source (:func:`derive_tables`).  Each block counts the live
+    tables that reference it.  A table's stores are pinned to a lease
+    (:class:`_Pinned`) whose death — the table's and every view's — queues
+    the table's blocks for release; the next claim collects them.  A block
+    is claimed again only at count zero, so no block a live table or view
+    can read is ever overwritten.
+
+    The stores grow geometrically (doubling, or by the claim when larger)
+    and are never compacted.  Growth copies the current stores into larger
+    ones under the same indices, and the repair's source is re-pinned to
+    them, so a repaired table always shares its clean blocks with its
+    source.  Stores a growth replaced are never written again; they live
+    while a table or view pinned to them does.  The adopted cold tensors
+    hold all of their blocks, so a lineage grows at its first repair, and
+    afterwards only when its live blocks outgrow the store.  A repair
+    holds :attr:`lock` from its claim until its kernel has filled the
+    fresh blocks, so growth never copies a half-written block.  The store
+    lives as long as one of its tables does.
+    """
+
+    def __init__(self, source: FlatTables) -> None:
+        self.columns = _BlockPool(source.y_blue, source.y_red)
+        self.slots = _BlockPool(source.splits_blue, source.splits_red)
+        self.lock = threading.Lock()
+        # Finalizers only append here (never lock): they can run inside a
+        # locked section of the same thread when the collector fires.
+        self._released: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def release(self, col: np.ndarray, scol: np.ndarray) -> None:
+        """Queue a dead table's blocks for the next claim (finalizer)."""
+        self._released.append((col, scol))
+
+    def collect(self) -> None:
+        """Apply queued releases; callers hold :attr:`lock`."""
+        while self._released:
+            col, scol = self._released.pop()
+            self.columns.refs[col] -= 1
+            self.slots.refs[scol] -= 1
+
+    def live_blocks(self) -> tuple[int, int]:
+        """The column and slot blocks some live table references."""
+        with self.lock:
+            self.collect()
+            return (
+                int(np.count_nonzero(self.columns.refs)),
+                int(np.count_nonzero(self.slots.refs)),
+            )
+
+    def lease(self, col: np.ndarray, scol: np.ndarray) -> _Lease:
+        """A lease releasing ``col`` / ``scol`` when it dies."""
+        lease = _Lease()
+        weakref.finalize(lease, self.release, col, scol).atexit = False
+        return lease
+
+    def pin(self, flat: FlatTables, lease: _Lease) -> None:
+        """Point ``flat``'s stores at the current ones, pinned to ``lease``.
+
+        Callers hold :attr:`lock` (or own ``flat`` exclusively).  Re-pinning
+        a live table changes which arrays it reads, never what it reads:
+        its blocks hold the same bytes in every store that has them.
+        """
+        flat.y_blue = np.asarray(_Pinned(self.columns.blue, lease))
+        flat.y_red = np.asarray(_Pinned(self.columns.red, lease))
+        flat.splits_blue = np.asarray(_Pinned(self.slots.blue, lease))
+        flat.splits_red = np.asarray(_Pinned(self.slots.red, lease))
+
+
+_ADOPT_LOCK = threading.Lock()
+
+
+def _store_of(source: FlatTables) -> ColumnStore:
+    """``source``'s lineage store, adopting a cold table's tensors first."""
+    with _ADOPT_LOCK:
+        if source.store is None:
+            # Views handed out before adoption read the cold tensors
+            # unpinned; no claim ever writes those (_BlockPool.adopted).
+            store = ColumnStore(source)
+            store.pin(source, store.lease(source.col, source.scol))
+            source.store = store
+        return source.store
+
+
+def dirty_slots(layout: FlatLayout, dirty: np.ndarray) -> np.ndarray:
+    """The breadcrumb slots of the ``dirty`` positions, ascending."""
+    counts = np.maximum(layout.num_children[dirty] - 1, 0)
+    firsts = layout.stage_offset[dirty] - (np.cumsum(counts) - counts)
+    return np.repeat(firsts, counts) + np.arange(int(counts.sum()))
+
+
+@contextmanager
+def derive_tables(
+    source: FlatTables, tree: TreeNetwork, avail: np.ndarray, dirty: np.ndarray
+) -> Iterator[FlatTables]:
+    """Tables for ``tree`` sharing ``source``'s clean blocks, dirty ones fresh.
+
+    The new column and slot indices are copies of ``source``'s with the
+    ``dirty`` positions (ascending, closed under ancestors) and their
+    breadcrumb slots pointed at fresh blocks of the lineage's
+    :class:`ColumnStore`.  The fresh blocks are uninitialized: the caller
+    fills them inside the ``with`` block (``backend.repair_chain``), which
+    holds the store's lock.  The tables' blocks return to the store when
+    the tables and every view of them are gone.
+    """
+    store = _store_of(source)
+    slots = dirty_slots(source, dirty)
+    with store.lock:
+        store.collect()
+        col = source.col.copy()
+        scol = source.scol.copy()
+        col[dirty] = store.columns.claim(dirty.size)
+        scol[slots] = store.slots.claim(slots.size)
+        store.columns.refs[col] += 1
+        store.slots.refs[scol] += 1
+        col.setflags(write=False)
+        scol.setflags(write=False)
+        pinned = source.y_blue.base
+        if pinned.array is not store.columns.blue or (
+            source.splits_blue.base.array is not store.slots.blue
+        ):
+            store.pin(source, pinned.lease)
+        flat = FlatTables(
+            **{name: getattr(source, name) for name in _LAYOUT_FIELDS},
+            tree=tree,
+            load=source.load,
+            avail=avail,
+            y_blue=source.y_blue,
+            y_red=source.y_red,
+            splits_blue=source.splits_blue,
+            splits_red=source.splits_red,
+            col=col,
+            scol=scol,
+            store=store,
+        )
+        store.pin(flat, store.lease(col, scol))
+        yield flat
+
+
+_LAYOUT_FIELDS: tuple[str, ...] = tuple(FlatLayout.__dataclass_fields__)
 
 
 class LazyNodeTables(dict):
@@ -516,7 +756,13 @@ def dirty_ancestor_positions(
     exactly those switches plus all their ancestors up to the root — the
     union of the delta's root paths.  Ancestor walks stop early when they
     hit a position already collected, so overlapping paths are not
-    re-walked.  Returns the positions sorted ascending (``np.int64``).
+    re-walked.  ``index`` is the flat index of ``tree``'s structure.
+    Returns the positions sorted ascending (``np.int64``, read-only).
+
+    The last walk of a ``frozenset`` delta is remembered: the service's
+    repair guard (:mod:`repro.service.cache`) walks the very delta object
+    the repair it approves then walks, so the repair reuses the guard's
+    positions instead of walking again.
 
     Raises
     ------
@@ -524,23 +770,34 @@ def dirty_ancestor_positions(
         If a delta entry is not a switch of ``tree`` (repairing towards a
         different structure is unsound).
     """
-    destination = tree.destination
+    global _last_walk
+    layout = tree.flat_layout()
+    last = _last_walk
+    if last is not None and last[0] is layout and last[1] is delta:
+        return last[2]
+    parent_of = layout.parent_of
     dirty: set[int] = set()
     for switch in delta:
-        if switch not in index:
+        position = index.get(switch)
+        if position is None:
             raise RepairError(
                 f"availability delta entry {switch!r} is not a switch of the network"
             )
-        node = switch
-        while True:
-            position = index[node]
-            if position in dirty:
-                break
+        while position >= 0 and position not in dirty:
             dirty.add(position)
-            node = tree.parent(node)
-            if node == destination:
-                break
-    return np.array(sorted(dirty), dtype=np.int64)
+            position = parent_of[position]
+    positions = np.array(sorted(dirty), dtype=np.int64)
+    positions.setflags(write=False)
+    if isinstance(delta, frozenset):
+        _last_walk = (layout, delta, positions)
+    return positions
+
+
+#: ``(layout, delta, positions)`` of the last frozenset walk (see
+#: :func:`dirty_ancestor_positions`); replaced whole, so threads only ever
+#: see a consistent triple, and an identity match on an immutable delta
+#: cannot go stale.
+_last_walk: tuple[FlatLayout, frozenset, np.ndarray] | None = None
 
 
 def dirty_level_runs(

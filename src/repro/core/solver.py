@@ -271,7 +271,7 @@ class GatherTable:
         """
         flips = frozenset(delta)
         new_tree = self.tree.with_available(self.tree.available ^ flips)
-        result = run_repair(self.result, new_tree, self.backend)
+        result = run_repair(self.result, new_tree, self.backend, flips)
         return GatherTable(
             result=result,
             tree=new_tree,

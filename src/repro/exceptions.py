@@ -74,8 +74,8 @@ class RepairError(TableMismatchError):
     """A gather table cannot be delta-repaired to the requested network.
 
     Incremental repair (:meth:`repro.core.solver.GatherTable.repair`)
-    splices recomputed DP slabs into a clone of the cached flat tensors,
-    which is only sound when the target network differs from the gather's
+    recomputes the dirty DP columns into fresh blocks beside the cached
+    table's clean ones, which is only sound when the target network differs from the gather's
     network in *availability alone* and the effective budget (the tensor
     width) is unchanged.  Structure or load differences, a delta that
     shrinks Λ below the requested budget, or a result carrying no flat

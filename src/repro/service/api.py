@@ -692,9 +692,9 @@ class PlacementService:
 
         Asks the cache for the nearest same-family candidate (same
         structure, loads, semantics — differing from the live Λ alone,
-        within the ``max_repair_delta`` policy), splices the delta into a
-        clone of its tensors, and stores the repaired table under the
-        missed key.  Returns ``None`` when no candidate qualifies or the
+        within the ``max_repair_delta`` policy), repairs it by the delta
+        (the new table shares every clean column with its source), and
+        stores the repaired table under the missed key.  Returns ``None`` when no candidate qualifies or the
         repair refuses (:class:`~repro.exceptions.RepairError`); the
         caller then cold-gathers.
         """

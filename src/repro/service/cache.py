@@ -67,33 +67,50 @@ availability miss, :meth:`repair_candidate` looks for the nearest cached
 table of the same *family* — identical structure, loads, and semantics,
 differing only in Λ — and returns it together with the symmetric
 difference between its recorded Λ and the live one.  The service then
-splices that delta into the cached tensors via
+repairs the cached table by that delta via
 :meth:`repro.core.solver.GatherTable.repair` (O(depth · k² · |delta|),
-bit-identical to a cold gather) and stores the result under the missed
-key.  Under the same policy a drain *keeps* the entries mentioning the
-drained switch: each is now a repair source one switch away from the
-post-drain Λ, which is exactly the delta repair was built for (they still
-evict LRU-wise once stale enough).
+bit-identical to a cold gather; the repaired table shares every clean
+column with its source and owns fresh blocks for the dirty ones) and
+stores the result under the missed key.  Under the same policy a drain
+*keeps* the entries mentioning the drained switch: each is now a repair
+source one switch away from the post-drain Λ, which is exactly the delta
+repair was built for (they still evict LRU-wise once stale enough).
 
 Repair is the first resort on every availability miss.  The nearest
 same-family table (fewest switch flips, ties to the earliest stored)
 qualifies whenever repairing it recomputes at most half the switches —
 ``len(dirty_ancestor_positions(...)) <= num_switches // 2``, the delta
-switches plus their ancestors; past that the miss gathers instead.
-``benchmarks/bench_service.py --repair`` (BT(1024), ``k = 16``, the 1, 2,
-4 and 8 deepest available switches flipped, best of 25; three runs on a
-2-vCPU container) puts repair time over cold-gather time at 0.47–0.64
-for the compiled backend and 0.15–0.35 for the numpy one
-(single-switch repair: 0.61–0.84 ms compiled, 1.37–2.09 ms numpy).
-The compiled ratio roughly doubled from 0.30–0.44 when the tables became
-node-major: a cold gather now reads and writes every switch's table as
-one contiguous block (1.05–1.78 ms, from 1.9–2.6 ms), while a repair
-still pays the copy-on-write clone of every tensor.  The random-flip
-ratios measured before a cold gather became one ``repair_chain`` call
-(compiled 0.07 for 1 flip up to 0.38 for 512 flips, flat 0.21 up to
-0.91) had a 3–4x slower denominator and have not been re-measured, so
-whether the half-tree guard still only turns away repairs that buy
-little is open.
+switches plus their ancestors; past that the miss gathers instead.  The
+repair the guard approves walks the same delta object, so it reuses the
+guard's positions (:func:`~repro.core.flat.dirty_ancestor_positions`
+remembers its last walk) and each repair walks once.  Flips are counted
+on the tables' flat Λ masks (``flat.avail``) against one live mask per
+miss; only the winner's frozenset delta is built.
+
+The guard sits at the compiled backend's crossover.  Repair time over
+cold-gather time, BT(1024), ``k = 16``, random flips, median of 60
+(compiled) or 12 (numpy) back-to-back pairs with the networks built
+beforehand (2-vCPU container; IQR in brackets):
+
+=======  ==============  ==================  ==================
+flips    dirty switches  compiled            numpy
+=======  ==============  ==================  ==================
+1        9 (1%)          0.18 (0.18–0.20)    0.18 (0.14–0.18)
+16       84 (8%)         0.33 (0.30–0.36)    0.36 (0.33–0.38)
+128      345 (34%)       0.68 (0.64–0.74)    0.67 (0.63–0.69)
+256      510 (50%)       0.84 (0.81–0.87)    0.77 (0.71–0.83)
+512      733 (72%)       1.08 (1.04–1.12)    0.91 (0.89–0.93)
+=======  ==============  ==================  ==================
+
+A numpy repair never loses; a compiled one loses past about 60% of the
+switches, so half the tree keeps every repair the guard admits cheaper
+than the gather it replaces on both backends.
+``benchmarks/bench_service.py --repair`` (the 1, 2, 4 and 8 deepest
+available switches, best of 25) puts a single-switch repair at
+0.26–0.37 ms compiled (cold gather 1.4–1.5 ms, 4.1–5.8x) and 1.0–1.3 ms
+numpy (8.1–9.1x).  Before repairs shared clean columns they cloned every
+tensor first (about 3.8 MB here), which was most of a repair: 0.61–0.84
+ms compiled.
 
 The policy knob is ``max_repair_delta``.  ``None`` (the default) puts no
 bound on the flips; an int additionally ignores candidates further than
@@ -123,6 +140,8 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 from repro.core.flat import dirty_ancestor_positions
 from repro.core.solver import GatherTable
@@ -223,9 +242,10 @@ def _family_of(key: CacheKey) -> _FamilyKey:
 def _repair_worthwhile(table: GatherTable, delta: frozenset[NodeId]) -> bool:
     """Whether repairing ``table`` by ``delta`` recomputes at most half the switches.
 
-    A repair re-convolves the delta switches and all their ancestors; once
-    that is more than half the tree it costs about as much as a cold
-    gather (see the module docstring).
+    A repair re-convolves the delta switches and all their ancestors; past
+    about 60% of the tree the compiled backend's repair costs more than a
+    cold gather (see the module docstring).  The walk is remembered, so
+    the repair of the same delta does not walk again.
     """
     tree = table.tree
     dirty = dirty_ancestor_positions(tree, table.result.flat.index, delta)
@@ -444,10 +464,13 @@ class GatherTableCache:
         ``budget``, and the repaired table's effective budget would keep
         the stored tensor width (``min(requested_budget, |Λ|)`` unchanged
         — :func:`repro.core.engine.repair` enforces the same and would
-        refuse otherwise).  Ties on delta size keep the earliest-stored candidate.
-        The nearest candidate is returned only when the repair is also
-        worthwhile: it recomputes at most half the switches (the delta
-        switches and their ancestors, ``num_switches // 2`` at most);
+        refuse otherwise).  Ties on delta size keep the earliest-stored
+        candidate.  Flips are counted on each table's flat Λ mask against
+        one mask of ``available`` built per call; the frozenset delta is
+        built for the winner alone.  The nearest candidate is returned
+        only when the repair is also worthwhile: it recomputes at most
+        half the switches (the delta switches and their ancestors,
+        ``num_switches // 2`` at most; see the module docstring);
         otherwise the miss is left to a cold gather.  A returned candidate
         counts as a ``repair_hit`` and refreshes the source entry's LRU
         position (it is doing useful work).
@@ -460,8 +483,8 @@ class GatherTableCache:
                 return None
             bound = self._max_repair_delta
             best_key: CacheKey | None = None
-            best_table: GatherTable | None = None
-            best_delta: frozenset[NodeId] | None = None
+            best_flips = 0
+            live: np.ndarray | None = None
             for other_key in members:
                 if other_key == key:
                     # The same key missed (absent or too narrow); there is
@@ -472,20 +495,31 @@ class GatherTableCache:
                     continue
                 if min(int(table.requested_budget), len(available)) != table.budget:
                     continue
-                delta = self._entries[other_key].available ^ available
-                if not delta:
+                flat = table.result.flat
+                if live is None:
+                    # Every family member shares the structure, so one
+                    # live mask in its flat order serves the whole scan.
+                    live = np.fromiter(
+                        map(available.__contains__, flat.order),
+                        dtype=bool,
+                        count=len(flat.order),
+                    )
+                flips = int(np.count_nonzero(flat.avail != live))
+                if not flips:
                     continue
-                if bound is not None and len(delta) > bound:
+                if bound is not None and flips > bound:
                     continue
-                if best_delta is None or len(delta) < len(best_delta):
-                    best_key, best_table, best_delta = other_key, table, delta
-            if best_key is None or best_table is None or best_delta is None:
+                if best_key is None or flips < best_flips:
+                    best_key, best_flips = other_key, flips
+            if best_key is None:
                 return None
-            if not _repair_worthwhile(best_table, best_delta):
+            best = self._entries[best_key]
+            delta = best.available ^ available
+            if not _repair_worthwhile(best.table, delta):
                 return None
             self._entries.move_to_end(best_key)
             self.stats.repair_hits += 1
-            return best_table, best_delta
+            return best.table, delta
 
     def note_repair(self) -> None:
         """Count one completed delta repair (the repaired table was stored)."""

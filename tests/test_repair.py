@@ -12,6 +12,11 @@ gather instead of serving a wrong answer.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -27,7 +32,7 @@ from repro.core.engine import (
     gather,
     repair,
 )
-from repro.core.flat import LazyNodeTables, dirty_ancestor_positions
+from repro.core.flat import LazyNodeTables, dirty_ancestor_positions, dirty_slots
 from repro.core.gather import soar_gather
 from repro.core.solver import Solver
 from repro.exceptions import AvailabilityError, RepairError
@@ -188,20 +193,55 @@ class TestRepairBitIdentity:
 TENSORS = ("y_blue", "y_red", "splits_blue", "splits_red")
 
 
-def _defined_cells(flat, name):
-    """The bytes of the cells a gather defines in one flat tensor.
+def _blocks(flat, name):
+    """A table's blocks of one store in flat order (``store[col]``)."""
+    index = flat.scol if name.startswith("splits") else flat.col
+    return getattr(flat, name)[index]
 
-    Breadcrumb tensors are zero-initialized, so every cell counts.  A
-    ``y`` tensor is defined on every row of a leaf column (the leaf
+
+def _defined_cells(flat, name):
+    """The bytes of the cells a gather defines in one table's blocks.
+
+    A ``y`` block is defined on every row of a leaf column (the leaf
     broadcast writes them all) and on rows ``0 .. depth`` of an internal
-    one; the rows above are never written nor read.
+    one, and a breadcrumb slot on rows ``0 .. depth`` of the node owning
+    it; the rows above are never written nor read.
     """
-    tensor = getattr(flat, name)
-    if name.startswith("splits"):
-        return tensor.tobytes()
+    tensor = _blocks(flat, name)
     rows = np.arange(tensor.shape[1])[None, :]
+    if name.startswith("splits"):
+        owner_depth = np.repeat(flat.depth, np.maximum(flat.num_children - 1, 0))
+        return tensor[rows <= owner_depth[:, None]].tobytes()
     defined = flat.leaf[:, None] | (rows <= flat.depth[:, None])
     return tensor[defined].tobytes()
+
+
+def _assert_kernels_write_the_same_cells(flat, dirty, exact_k):
+    """Every backend's ``repair_chain`` on one poisoned copy of ``flat``.
+
+    Each kernel starts from the same node-major copy of the tables with
+    the dirty blocks and slots poisoned: every byte must agree
+    afterwards, undefined rows included, or one kernel wrote a cell
+    another did not.
+    """
+    slots = dirty_slots(flat, dirty)
+    outputs = set()
+    for backend in BACKENDS:
+        tensors = {name: _blocks(flat, name) for name in TENSORS}
+        for name in ("y_blue", "y_red"):
+            tensors[name][dirty] = np.nan
+        for name in ("splits_blue", "splits_red"):
+            tensors[name][slots] = -7
+        start = dataclasses.replace(
+            flat,
+            **tensors,
+            col=flat.identity,
+            scol=flat.identity[: flat.num_stages],
+            store=None,
+        )
+        backend.repair_chain(start, dirty, exact_k)
+        outputs.add(b"".join(tensors[name].tobytes() for name in TENSORS))
+    assert len(outputs) == 1
 
 
 def _assert_chain_kernels_match_cold(result, new_tree):
@@ -210,10 +250,11 @@ def _assert_chain_kernels_match_cold(result, new_tree):
     repaired = [repair(result, new_tree, backend).flat for backend in BACKENDS]
     cold = gather(new_tree, result.requested_budget, exact_k=result.exact_k).flat
     for name in TENSORS:
-        # Every kernel starts from the same clone: even the undefined rows
-        # must agree, or one of them wrote a cell another did not.
-        assert len({getattr(flat, name).tobytes() for flat in repaired}) == 1
+        assert len({_defined_cells(flat, name) for flat in repaired}) == 1
         assert _defined_cells(repaired[-1], name) == _defined_cells(cold, name)
+    delta = result.flat.tree.available ^ new_tree.available
+    dirty = dirty_ancestor_positions(new_tree, cold.index, delta)
+    _assert_kernels_write_the_same_cells(repaired[-1], dirty, result.exact_k)
     return repaired[-1]
 
 
@@ -292,12 +333,12 @@ class TestRepairChainKernels:
         position = flat.index[node]
         slot = int(flat.stage_offset[position])
         rows = int(flat.depth[position]) + 1
-        assert flat.splits_blue[slot, :rows].any()
+        assert flat.splits_blue[flat.scol[slot], :rows].any()
         repaired = _assert_chain_kernels_match_cold(
             result, workload.with_available(workload.available - {node})
         )
-        assert not repaired.splits_blue[slot, :rows].any()
-        assert flat.splits_blue[slot, :rows].any()  # the source is untouched
+        assert not repaired.splits_blue[repaired.scol[slot], :rows].any()
+        assert flat.splits_blue[flat.scol[slot], :rows].any()  # the source is untouched
 
     @pytest.mark.parametrize("exact_k", [False, True])
     def test_budget_one(self, workload, exact_k):
@@ -316,9 +357,15 @@ class TestRepairChainKernels:
         assert COMPILED_BACKEND.repair_chain is not NUMPY_BACKEND.repair_chain
 
 
+def _flip_first(workload, count):
+    """The availability delta flipping the first ``count`` switches."""
+    return frozenset(sorted(workload.switches)[:count])
+
+
 @pytest.mark.parametrize("backend", BACKEND_PARAMS)
 class TestNodeMajorLayout:
-    """Each switch's table and each breadcrumb slot is one contiguous block."""
+    """Each switch's table and each breadcrumb slot is one contiguous block
+    of a store, named by the table's column and slot indices."""
 
     @pytest.fixture()
     def workload(self):
@@ -327,53 +374,194 @@ class TestNodeMajorLayout:
         available = frozenset(sorted(tree.switches)[::2]) | {tree.root}
         return tree.with_loads(loads, available=available)
 
+    def _cold_and_repaired(self, backend, workload):
+        result = gather(workload, 5, backend=backend)
+        delta = _flip_first(workload, 3)
+        repaired = repair(result, workload.with_available(workload.available ^ delta), backend)
+        return result, repaired
+
     def test_blocks_are_contiguous(self, backend, workload):
-        flat = gather(workload, 5, backend=backend).flat
         block = (workload.height + 1, 6)
-        assert flat.y_red.shape == flat.y_blue.shape == (workload.num_switches, *block)
-        assert flat.splits_red.shape == flat.splits_blue.shape == (flat.num_stages, *block)
-        for name in TENSORS:
-            tensor = getattr(flat, name)
-            assert tensor.flags.c_contiguous
-            for position in range(tensor.shape[0]):
-                assert tensor[position].shape == block
-                assert tensor[position].flags.c_contiguous
+        # A cold gather owns exactly n blocks and num_stages slots, in order.
+        fresh = gather(workload, 5, backend=backend).flat
+        assert fresh.y_red.shape == fresh.y_blue.shape == (workload.num_switches, *block)
+        assert fresh.splits_red.shape == fresh.splits_blue.shape == (fresh.num_stages, *block)
+        assert fresh.col.tolist() == list(range(workload.num_switches))
+        assert fresh.scol.tolist() == list(range(fresh.num_stages))
+        cold, repaired = self._cold_and_repaired(backend, workload)
+        for flat in (fresh, cold.flat, repaired.flat):
+            assert flat.y_red.shape == flat.y_blue.shape
+            assert flat.y_red.shape[1:] == block
+            assert flat.splits_red.shape == flat.splits_blue.shape
+            assert flat.splits_red.shape[1:] == block
+            assert flat.col.shape == (workload.num_switches,)
+            assert flat.scol.shape == (flat.num_stages,)
+            for name in TENSORS:
+                tensor = getattr(flat, name)
+                assert tensor.flags.c_contiguous
+                index = flat.scol if name.startswith("splits") else flat.col
+                assert len(set(index.tolist())) == index.size  # one block each
+                for position in index.tolist():
+                    assert tensor[position].shape == block
+                    assert tensor[position].flags.c_contiguous
 
     def test_node_tables_are_views(self, backend, workload):
-        flat = gather(workload, 5, backend=backend).flat
-        for position in range(workload.num_switches):
-            tables = flat.node_tables(position)
-            rows = int(flat.depth[position]) + 1
-            for name in ("y_blue", "y_red"):
-                view = getattr(tables, name)
-                assert view.flags.c_contiguous and view.shape == (rows, 6)
-                assert np.shares_memory(view, getattr(flat, name)[position])
-            for name in ("splits_blue", "splits_red"):
-                base = int(flat.stage_offset[position])
-                for stage, view in enumerate(getattr(tables, name)):
+        for result in self._cold_and_repaired(backend, workload):
+            flat = result.flat
+            for position in range(workload.num_switches):
+                tables = flat.node_tables(position)
+                rows = int(flat.depth[position]) + 1
+                for name in ("y_blue", "y_red"):
+                    view = getattr(tables, name)
                     assert view.flags.c_contiguous and view.shape == (rows, 6)
-                    assert np.shares_memory(view, getattr(flat, name)[base + stage])
+                    assert np.shares_memory(view, getattr(flat, name)[flat.col[position]])
+                for name in ("splits_blue", "splits_red"):
+                    base = int(flat.stage_offset[position])
+                    for stage, view in enumerate(getattr(tables, name)):
+                        assert view.flags.c_contiguous and view.shape == (rows, 6)
+                        slot = flat.scol[base + stage]
+                        assert np.shares_memory(view, getattr(flat, name)[slot])
 
-    def test_repair_copies_clean_blocks_and_keeps_the_source(self, backend, workload):
+    def test_repair_shares_clean_blocks_and_keeps_the_source(self, backend, workload):
         result = gather(workload, 5, backend=backend)
         source = result.flat
-        before = {name: getattr(source, name).copy() for name in TENSORS}
-        delta = frozenset(sorted(workload.switches)[:3])
+        before = {name: _blocks(source, name) for name in TENSORS}
+        delta = _flip_first(workload, 3)
         repaired = repair(result, workload.with_available(workload.available ^ delta), backend)
         dirty = set(dirty_ancestor_positions(workload, source.index, delta).tolist())
         assert 0 < len(dirty) < workload.num_switches
-        dirty_slots = {
+        dirty_slot_set = set(dirty_slots(source, np.array(sorted(dirty))).tolist())
+        assert dirty_slot_set == {
             int(source.stage_offset[v]) + stage
             for v in dirty
             for stage in range(max(int(source.num_children[v]) - 1, 0))
         }
+        new = repaired.flat
         for name in TENSORS:
-            tensor = getattr(repaired.flat, name)
-            assert not np.shares_memory(tensor, getattr(source, name))
-            assert getattr(source, name).tobytes() == before[name].tobytes()
-            touched = dirty_slots if name.startswith("splits") else dirty
-            for block in set(range(tensor.shape[0])) - touched:
-                assert tensor[block].tobytes() == before[name][block].tobytes()
+            splits = name.startswith("splits")
+            mine, theirs = (new.scol, source.scol) if splits else (new.col, source.col)
+            tensor, original = getattr(new, name), getattr(source, name)
+            assert _blocks(source, name).tobytes() == before[name].tobytes()
+            touched = dirty_slot_set if splits else dirty
+            source_blocks = set(theirs.tolist())
+            for entry in range(mine.size):
+                block, source_block = tensor[mine[entry]], original[theirs[entry]]
+                if entry in touched:
+                    # A fresh block: none of the source's blocks.
+                    assert not np.shares_memory(block, source_block)
+                    assert int(mine[entry]) not in source_blocks
+                else:
+                    assert np.shares_memory(block, source_block)
+                    assert block.tobytes() == before[name][entry].tobytes()
+
+    def test_source_unchanged_across_a_repair_chain(self, backend, workload):
+        rng = np.random.default_rng(2718)
+        table = Solver(backend=backend).gather(workload, 5)
+        history = []
+        for _ in range(50):
+            history.append(
+                (table, {name: _blocks(table.result.flat, name) for name in TENSORS})
+            )
+            for _attempt in range(20):
+                try:
+                    table = table.repair(_random_delta(rng, table.tree, max_flips=4))
+                    break
+                except RepairError:
+                    continue
+        for earlier, snapshot in history:
+            for name in TENSORS:
+                assert _blocks(earlier.result.flat, name).tobytes() == snapshot[name].tobytes()
+        cold = Solver(backend=backend).gather(table.tree, 5)
+        assert_tables_equal(cold.result, table.result)
+
+    def test_dropped_repairs_return_their_blocks(self, backend, workload):
+        table = Solver(backend=backend).gather(workload, 5)
+        rng = np.random.default_rng(99)
+        peak = None
+        for cycle in range(40):
+            repaired = table.repair(_random_delta(rng, workload, max_flips=3))
+            store = repaired.result.flat.store
+            del repaired
+            columns, slots = store.live_blocks()
+            # Only the source is live again once the repaired table is gone.
+            assert (columns, slots) == (workload.num_switches, table.result.flat.num_stages)
+            capacity = len(store.columns.refs)
+            if cycle == 0:
+                peak = capacity
+            assert capacity == peak  # freed blocks are reused, the store stays put
+
+    def test_dropping_a_lineage_frees_its_store(self, backend, workload):
+        table = Solver(backend=backend).gather(workload, 5)
+        child = table.repair(_flip_first(workload, 2))
+        grandchild = child.repair(_flip_first(workload, 5) - _flip_first(workload, 2))
+        view = grandchild.result.tables[workload.root].y_red
+        expected = view.copy()
+        store = weakref.ref(grandchild.result.flat.store)
+        del table, child, grandchild
+        gc.collect()
+        assert store() is not None  # a view still pins its table's blocks
+        assert view.tobytes() == expected.tobytes()
+        del view
+        gc.collect()
+        assert store() is None
+
+    def test_views_outlive_their_table_unchanged(self, backend, workload):
+        table = Solver(backend=backend).gather(workload, 5)
+        rng = np.random.default_rng(7)
+        repaired = table.repair(_flip_first(workload, 3))
+        views = [repaired.result.tables[node].y_blue for node in workload.switches]
+        expected = [view.copy() for view in views]
+        del repaired
+        gc.collect()
+        for _ in range(10):  # every later claim reuses the free blocks only
+            table.repair(_random_delta(rng, workload, max_flips=6))
+        for view, copy in zip(views, expected):
+            assert view.tobytes() == copy.tobytes()
+
+    def test_threaded_repair_while_tracing(self, backend, workload):
+        """One thread repairs from a table while another traces it."""
+        def answers(table):
+            return [
+                (p.blue_nodes, p.cost, p.predicted_cost)
+                for p in table.sweep(range(6)).values()
+            ]
+
+        solver = Solver(backend=backend)
+        table = solver.gather(workload, 5)
+        expected = answers(table)
+        rng = np.random.default_rng(4242)
+        deltas = [_random_delta(rng, workload, max_flips=5) for _ in range(30)]
+        failures: list = []
+        repaired: list = []
+
+        def trace():
+            try:
+                for _ in range(60):
+                    assert answers(table) == expected
+            except BaseException as error:  # surfaced in the main thread
+                failures.append(error)
+
+        def repair_all():
+            try:
+                for delta in deltas:
+                    try:
+                        repaired.append(table.repair(delta))
+                    except RepairError:
+                        continue
+            except BaseException as error:
+                failures.append(error)
+
+        threads = [threading.Thread(target=trace), threading.Thread(target=repair_all)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not failures
+        assert len(repaired) >= 20
+        for result in repaired:
+            cold = solver.gather(result.tree, 5)
+            assert_tables_equal(cold.result, result.result)
+            assert answers(result) == answers(cold)
 
 
 class TestRepairRefusals:
@@ -435,6 +623,19 @@ class TestRepairRefusals:
             dirty_ancestor_positions(
                 workload, result.flat.index, {"no-such-switch"}
             )
+
+    def test_walk_is_remembered_for_the_same_delta(self, workload):
+        index = workload.flat_layout().index
+        delta = frozenset(sorted(workload.switches)[:2])
+        first = dirty_ancestor_positions(workload, index, delta)
+        assert not first.flags.writeable
+        # A same-structure network walking the same delta object reuses it.
+        other = workload.with_available(workload.available ^ delta)
+        assert dirty_ancestor_positions(other, index, delta) is first
+        # An equal but different (or mutable) delta walks afresh.
+        for copy in (frozenset(set(delta)), set(delta)):
+            again = dirty_ancestor_positions(workload, index, copy)
+            assert again is not first and again.tolist() == first.tolist()
 
     def test_table_repair_with_unknown_switch(self, workload):
         table = Solver().gather(workload, 2)

@@ -21,6 +21,7 @@ import pytest
 
 from backend_params import BACKEND_PARAMS
 from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
+from repro.core.flat import dirty_ancestor_positions
 from repro.core.solver import Solver
 from repro.core.tree import fingerprint_loads, fingerprint_nodes
 from repro.exceptions import (
@@ -234,44 +235,51 @@ def _key(tag: str, exact_k: bool = False) -> CacheKey:
     )
 
 
-class _FakeTree:
+#: The switches of the fake tables: every name the cache tests use.
+_FAKE_SWITCHES = ("a", "b", "c", "d", "e", "s", "t") + tuple(
+    f"sw{i}" for i in range(57)
+)
+
+
+class _FakeLayout:
     # Every switch hangs directly off the destination of a 64-switch tree,
     # so the cache's half-tree repair guard sees a delta dirty only itself.
-    destination = None
-    num_switches = 64
+    parent_of = (-1,) * len(_FAKE_SWITCHES)
+
+
+class _FakeTree:
+    num_switches = len(_FAKE_SWITCHES)
 
     def __init__(self, available: frozenset) -> None:
         self.available = available
 
-    def parent(self, node):
-        return self.destination
+    def flat_layout(self) -> _FakeLayout:
+        return _FAKE_LAYOUT
 
 
-class _Positions(dict):
-    """Flat positions handed out to switch names on first lookup."""
-
-    def __contains__(self, node) -> bool:
-        return True
-
-    def __missing__(self, node) -> int:
-        self[node] = len(self)
-        return self[node]
+_FAKE_LAYOUT = _FakeLayout()
 
 
 class _FakeFlat:
-    def __init__(self) -> None:
-        self.index = _Positions()
+    """The flat order, index and Λ mask the cache's candidate scan reads."""
+
+    order = _FAKE_SWITCHES
+    index = {name: position for position, name in enumerate(_FAKE_SWITCHES)}
+
+    def __init__(self, available: frozenset) -> None:
+        self.avail = np.array([name in available for name in self.order])
 
 
 class _FakeResult:
-    def __init__(self) -> None:
-        self.flat = _FakeFlat()
+    def __init__(self, available: frozenset) -> None:
+        self.flat = _FakeFlat(available)
 
 
 class _FakeTable:
     """Stand-in for a GatherTable: the cache only reads ``budget``,
     ``requested_budget``, the Λ of the table's own workload network, and
-    (for the repair guard) the result's flat tensors."""
+    (for the candidate scan and the repair guard) the result's flat Λ
+    mask and index."""
 
     def __init__(
         self,
@@ -282,7 +290,7 @@ class _FakeTable:
         self.budget = budget
         self.requested_budget = budget if requested_budget is None else requested_budget
         self.tree = _FakeTree(frozenset(available))
-        self.result = _FakeResult()
+        self.result = _FakeResult(frozenset(available))
 
 
 class TestGatherTableCache:
@@ -502,6 +510,64 @@ class TestRepairCandidate:
         cache = GatherTableCache(max_entries=4)
         cache.store(_key("other-loads"), _FakeTable(2, frozenset({"a"})))
         assert cache.repair_candidate(_avail_key("t"), 2, frozenset({"a", "b"})) is None
+
+    @pytest.mark.parametrize("max_repair_delta", [None, 2, 5])
+    def test_mask_scan_selects_like_the_frozenset_scan(self, max_repair_delta):
+        """The flat-mask scan picks exactly what the frozenset scan picked:
+        fewest flips, ties to the earliest stored, the same bound, width
+        and half-tree checks — on random families of real tables."""
+        rng = np.random.default_rng(8675309 + (max_repair_delta or 0))
+        tree = bt_network(8)
+        tree = tree.with_loads(sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=4))
+        switches = sorted(tree.switches)
+        solver = Solver()
+
+        def random_available():
+            chosen = frozenset(s for s in switches if rng.random() < 0.6)
+            return chosen or frozenset(switches[:1])
+
+        def key_for(available):
+            return CacheKey("s", fingerprint_nodes(available), "l", False)
+
+        def frozenset_choice(cache, key, budget, available):
+            best = None
+            for other_key, table in cache.tables():
+                if other_key == key or table.budget < budget:
+                    continue
+                if min(int(table.requested_budget), len(available)) != table.budget:
+                    continue
+                delta = table.tree.available ^ available
+                if not delta:
+                    continue
+                if max_repair_delta is not None and len(delta) > max_repair_delta:
+                    continue
+                if best is None or len(delta) < len(best[1]):
+                    best = (table, delta)
+            if best is None:
+                return None
+            dirty = dirty_ancestor_positions(best[0].tree, best[0].result.flat.index, best[1])
+            return best if len(dirty) <= tree.num_switches // 2 else None
+
+        offered = 0
+        for _ in range(100):
+            cache = GatherTableCache(max_entries=16, max_repair_delta=max_repair_delta)
+            for _member in range(int(rng.integers(1, 9))):
+                available = random_available()
+                cache.store(
+                    key_for(available),
+                    solver.gather(tree.with_available(available), int(rng.integers(1, 5))),
+                )
+            available = random_available()
+            budget = int(rng.integers(1, 5))
+            expected = frozenset_choice(cache, key_for(available), budget, available)
+            got = cache.repair_candidate(key_for(available), budget, available)
+            if expected is None:
+                assert got is None
+                continue
+            offered += 1
+            assert got is not None
+            assert got[0] is expected[0] and got[1] == expected[1]
+        assert offered >= 15
 
     def test_note_repair_counts(self):
         cache = GatherTableCache(max_entries=4)
