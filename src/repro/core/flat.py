@@ -128,6 +128,10 @@ class FlatLayout:
     identity:
         ``arange(n)``: every cold gather's column index is ``identity``
         and its slot index ``identity[:num_stages]`` (see "Table layout").
+    switch_position:
+        Flat position of every switch in the order of the network's load
+        function (its switch mapping), so a load vector is one scatter
+        (:meth:`TreeNetwork.flat_vectors`).
     """
 
     order: tuple[NodeId, ...]
@@ -146,6 +150,7 @@ class FlatLayout:
     path_rho: np.ndarray
     postorder: np.ndarray
     identity: np.ndarray
+    switch_position: np.ndarray
 
 
 @dataclass
@@ -317,9 +322,7 @@ def cost_model_for(tree: TreeNetwork, flat: FlatTables | None = None) -> FlatCos
     if flat is not None and flat.cost_model is not None:
         return flat.cost_model
     layout = tree.flat_layout()
-    load, avail = (
-        (flat.load, flat.avail) if flat is not None else instance_vectors(tree, layout)
-    )
+    load, avail = (flat.load, flat.avail) if flat is not None else tree.flat_vectors()
     model = FlatCostModel(
         tree=tree,
         order=layout.order,
@@ -407,23 +410,14 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
             (index[v] for v in tree.switches), dtype=np.int64, count=n
         ),
         identity=np.arange(n, dtype=np.int64),
+        switch_position=np.fromiter(
+            map(index.__getitem__, tree.loads), dtype=np.int64, count=n
+        ),
     )
     for value in vars(layout).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
     return layout
-
-
-def instance_vectors(
-    tree: TreeNetwork, layout: "FlatLayout | FlatCostModel"
-) -> tuple[np.ndarray, np.ndarray]:
-    """``tree``'s loads (int64) and Λ membership (bool) in ``layout``'s order."""
-    n = len(layout.order)
-    load = np.fromiter(map(tree.load, layout.order), dtype=np.int64, count=n)
-    avail = np.fromiter(
-        map(tree.available.__contains__, layout.order), dtype=bool, count=n
-    )
-    return load, avail
 
 
 def traced_vectors(
@@ -436,11 +430,14 @@ def traced_vectors(
     (service table hits, ``GatherTable.place``) the caller's tree IS the
     tree ``owner`` was built for and its cached arrays apply; a caller
     tracing against a modified same-structure network gets the arrays
-    re-derived from its own tree.
+    re-derived from its own tree, node by node in ``owner``'s order.
     """
     if tree is owner.tree:
         return owner.load, owner.avail
-    return instance_vectors(tree, owner)
+    n = len(owner.order)
+    load = np.fromiter(map(tree.load, owner.order), dtype=np.int64, count=n)
+    avail = np.fromiter(map(tree.available.__contains__, owner.order), dtype=bool, count=n)
+    return load, avail
 
 
 def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
@@ -451,7 +448,7 @@ def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
     ``num_stages`` slots, all uninitialized, under the identity index.
     """
     layout = tree.flat_layout()
-    load, avail = instance_vectors(tree, layout)
+    load, avail = tree.flat_vectors()
     block = (tree.height + 1, budget + 1)
     y_blue = np.empty((tree.num_switches, *block), dtype=np.float64)
     splits_blue = np.empty((layout.num_stages, *block), dtype=np.int32)

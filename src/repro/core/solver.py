@@ -47,7 +47,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from repro.core.color import blue_set
+import numpy as np
+
 from repro.core.engine import (
     DEFAULT_BACKEND,
     Backend,
@@ -127,10 +128,6 @@ class GatherTable:
         backend a whole sweep is one C colour call plus one C cost call.
     exact_k:
         Budget semantics the tables encode.
-    fingerprint:
-        Digest of the full instance (:meth:`TreeNetwork.fingerprint`);
-        equal fingerprints mean the table is valid verbatim for the other
-        instance.
     repaired_from:
         Repair lineage: the fingerprint of the table this one was
         delta-repaired out of (:meth:`repair`), ``None`` for a cold
@@ -145,9 +142,18 @@ class GatherTable:
     tree: TreeNetwork = field(repr=False)
     backend: Backend
     exact_k: bool
-    fingerprint: str
     repaired_from: str | None = field(default=None, repr=False)
     repair_generation: int = 0
+
+    @property
+    def fingerprint(self) -> str:
+        """Digest of the full instance (:meth:`TreeNetwork.fingerprint`).
+
+        Equal fingerprints mean the table is valid verbatim for the other
+        instance.  Computed on first read and memoized on :attr:`tree`, so
+        a table nobody asks about never digests its loads.
+        """
+        return self.tree.fingerprint()
 
     @property
     def budget(self) -> int:
@@ -234,7 +240,12 @@ class GatherTable:
         """
         flat, masks = self.backend.trace(self.tree, self.result, budgets)
         costs = self.backend.costs(self.tree, masks, self.cost_model()).tolist()
-        blues = [blue_set(flat.order, mask) for mask in masks]
+        # One nonzero over the (B, n) masks: row-major, so each budget's
+        # blue positions are one run of ``positions``.
+        positions = np.nonzero(masks)[1].tolist()
+        nodes = list(map(flat.order.__getitem__, positions))
+        ends = np.count_nonzero(masks, axis=1).cumsum().tolist()
+        blues = [frozenset(nodes[start:end]) for start, end in zip([0, *ends], ends)]
         return [
             Placement(
                 blue_nodes=blue,
@@ -263,22 +274,25 @@ class GatherTable:
 
         Raises
         ------
+        AvailabilityError
+            When a delta entry is not a switch of the network.
         RepairError
-            When the repair would be unsound — a delta entry is not a
-            switch, or the delta changes the effective budget (|Λ|
-            crossing the requested ``k`` changes the tensor width).
-            Callers fall back to a cold gather.
+            When the repair would be unsound: the delta changes the
+            effective budget (|Λ| crossing the requested ``k`` changes the
+            tensor width).  Callers fall back to a cold gather.
         """
         flips = frozenset(delta)
-        new_tree = self.tree.with_available(self.tree.available ^ flips)
+        # Read before deriving: the copy inherits the loads digest this
+        # memoizes, so the repair's loads check digests them once.
+        source = self.fingerprint
+        new_tree = self.tree.with_flipped(flips)
         result = run_repair(self.result, new_tree, self.backend, flips)
         return GatherTable(
             result=result,
             tree=new_tree,
             backend=self.backend,
             exact_k=self.exact_k,
-            fingerprint=new_tree.fingerprint(),
-            repaired_from=self.fingerprint,
+            repaired_from=source,
             repair_generation=self.repair_generation + 1,
         )
 
@@ -326,7 +340,6 @@ class Solver:
             tree=tree,
             backend=self.backend,
             exact_k=self.exact_k,
-            fingerprint=tree.fingerprint(),
         )
 
     def solve(self, tree: TreeNetwork, budget: int) -> Placement:

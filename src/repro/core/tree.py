@@ -30,6 +30,7 @@ from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 import networkx as nx
+import numpy as np
 
 from repro.exceptions import (
     AvailabilityError,
@@ -239,6 +240,7 @@ class TreeNetwork:
         "_height",
         "_fingerprints",
         "_layout",
+        "_avail_mask",
     )
 
     def __init__(
@@ -295,6 +297,8 @@ class TreeNetwork:
         # One-element box for the memoized flat layout (see flat_layout);
         # with_loads / with_available copies share the box itself.
         self._layout: list[FlatLayout | None] = [None]
+        # Λ as a read-only flat-order mask, built on first use (see flat_vectors).
+        self._avail_mask: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # construction helpers
@@ -337,22 +341,38 @@ class TreeNetwork:
         return tuple(order)
 
     def _validated_loads(self, loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
-        """A fresh load function over every switch, validated against this tree."""
-        for key in loads:
-            if key not in self._parents:
-                raise InvalidLoadError(f"load given for unknown switch {key!r}")
-        return {s: _validate_load(s, loads.get(s, 0)) for s in self._parents}
+        """A fresh load function over every switch, validated against this tree.
+
+        The result is keyed in the order of ``_parents`` (which
+        :meth:`flat_vectors` relies on).  Only the given entries are
+        validated; an exact non-negative ``int`` is taken as it is and every
+        other value goes through :func:`_validate_load`.
+        """
+        if not self._parents.keys() >= loads.keys():
+            unknown = next(key for key in loads if key not in self._parents)
+            raise InvalidLoadError(f"load given for unknown switch {unknown!r}")
+        validated = dict.fromkeys(self._parents, 0)
+        for switch, load in loads.items():
+            if type(load) is int and load >= 0:
+                validated[switch] = load
+            else:
+                validated[switch] = _validate_load(switch, load)
+        return validated
+
+    def _check_switches(self, nodes: frozenset[NodeId]) -> None:
+        """Raise :class:`AvailabilityError` unless every node is a switch."""
+        if not self._parents.keys() >= nodes:
+            unknown = nodes - self._parents.keys()
+            raise AvailabilityError(
+                f"availability set references unknown switches: {sorted(map(repr, unknown))}"
+            )
 
     def _validated_available(self, available: Iterable[NodeId] | None) -> frozenset[NodeId]:
         """Λ as a frozenset of this tree's switches (``None``: all of them)."""
         if available is None:
             return frozenset(self._parents)
         available_set = frozenset(available)
-        if not self._parents.keys() >= available_set:
-            unknown = available_set - self._parents.keys()
-            raise AvailabilityError(
-                f"availability set references unknown switches: {sorted(map(repr, unknown))}"
-            )
+        self._check_switches(available_set)
         return available_set
 
     @classmethod
@@ -628,6 +648,32 @@ class TreeNetwork:
             layout = self._layout[0] = build_metadata(self)
         return layout
 
+    def flat_vectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The loads (int64) and Λ membership (bool) in :meth:`flat_layout` order.
+
+        Both arrays are read-only.  The load vector is one scatter of the
+        load function through the layout's ``switch_position`` (every load
+        function is keyed in the order of the switch mapping the layout
+        was built from, which :meth:`with_loads` / :meth:`with_available`
+        copies share).  The Λ mask is built once per network and shared
+        by the copies that keep this network's Λ.
+        """
+        layout = self.flat_layout()
+        n = len(self._parents)
+        load = np.empty(n, dtype=np.int64)
+        load[layout.switch_position] = np.fromiter(
+            self._loads.values(), dtype=np.int64, count=n
+        )
+        load.setflags(write=False)
+        avail = self._avail_mask
+        if avail is None:
+            avail = np.fromiter(
+                map(self._available.__contains__, layout.order), dtype=bool, count=n
+            )
+            avail.setflags(write=False)
+            self._avail_mask = avail
+        return load, avail
+
     # ------------------------------------------------------------------ #
     # path and subtree queries
     # ------------------------------------------------------------------ #
@@ -735,7 +781,8 @@ class TreeNetwork:
         load-independent attribute with ``self`` and validates only the
         loads (and the new Λ, when one is given), exactly as the
         constructor would; the caller's mapping is copied, never kept.
-        The structure-fingerprint memo and the flat layout ride along.
+        The structure-fingerprint memo and the flat layout ride along, and
+        so does the flat Λ mask when Λ is kept.
         """
         if available is _KEEP_AVAILABLE:
             available_set = self._available
@@ -749,24 +796,47 @@ class TreeNetwork:
         The copy *structurally shares* every Λ-independent attribute with
         ``self`` — parents, children, rates, loads, depths, cumulative
         path costs, the post-order, the flat layout — instead of re-running
-        the O(n) constructor: none of them can change when only Λ does, all
-        of them are treated as immutable after construction, and the churn
-        hot path (one availability flip per drain, repaired rather than
-        re-gathered) calls this per request.  Only the new Λ itself is
-        validated.
+        the O(n) constructor: none of them can change when only Λ does, and
+        all of them are treated as immutable after construction.  Only the
+        new Λ itself is validated (:meth:`with_flipped` validates just a
+        delta).
         """
         return self._derive(self._loads, self._validated_available(available))
 
+    def with_flipped(self, switches: Iterable[NodeId]) -> "TreeNetwork":
+        """Return a copy of the network with the Λ membership of ``switches`` toggled.
+
+        The same network as ``with_available(available ^ set(switches))``,
+        for the price of the flips: only the flipped switches are
+        validated and the Λ fingerprint is patched by them alone.  This is
+        the copy a delta repair (:meth:`GatherTable.repair
+        <repro.core.solver.GatherTable.repair>`) builds.
+
+        Raises
+        ------
+        AvailabilityError
+            If one of ``switches`` is not a switch of the network.
+        """
+        flips = frozenset(switches)
+        self._check_switches(flips)
+        return self._derive(self._loads, self._available ^ flips, flips)
+
     def _derive(
-        self, loads: dict[NodeId, int], available: frozenset[NodeId]
+        self,
+        loads: dict[NodeId, int],
+        available: frozenset[NodeId],
+        flips: frozenset[NodeId] | None = None,
     ) -> "TreeNetwork":
         """A copy sharing the structure, with validated ``loads`` and Λ.
+
+        ``flips``, when the caller holds it, is the symmetric difference
+        of this tree's Λ and ``available``.
 
         Fingerprint memos ride along: the structure digest transfers
         verbatim, the loads digest when ``loads`` is this tree's own
         function, and a new Λ's fingerprint is *patched by the delta* —
         the :class:`IncrementalDigest` is resumed from this tree's Λ
-        fingerprint and the added/removed switches are folded in/out,
+        fingerprint and the flipped switches are folded in/out,
         O(|delta|) instead of O(|Λ|).  A source that has no Λ fingerprint
         memoized computes it first; the sources that derive many copies
         (a service's fleet network, an experiment's base tree) are
@@ -789,6 +859,7 @@ class TreeNetwork:
         clone._postorder = self._postorder
         clone._height = self._height
         clone._layout = self._layout
+        clone._avail_mask = self._avail_mask if available is self._available else None
         kept = ["structure"]
         if loads is self._loads:
             kept.append("loads")
@@ -799,10 +870,11 @@ class TreeNetwork:
         }
         if available is not self._available:
             digest = IncrementalDigest.from_hexdigest(self.availability_fingerprint())
-            for node in self._available - available:
-                digest.remove(repr(node))
-            for node in available - self._available:
-                digest.add(repr(node))
+            for node in self._available ^ available if flips is None else flips:
+                if node in available:
+                    digest.add(repr(node))
+                else:
+                    digest.remove(repr(node))
             clone._fingerprints["available"] = digest.hexdigest()
         return clone
 

@@ -147,6 +147,9 @@ def _freeze_loads(loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
     """Copy a load mapping, validating values are non-negative integers."""
     frozen: dict[NodeId, int] = {}
     for node, value in loads.items():
+        if type(value) is int and value >= 0:
+            frozen[node] = value
+            continue
         count = int(value)
         if count != value or count < 0:
             raise WorkloadError(

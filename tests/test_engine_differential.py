@@ -32,7 +32,6 @@ from repro.core.engine import (
     subtree_available_counts,
 )
 from repro.core.engine_compiled import HAVE_COMPILED
-from repro.core.flat import instance_vectors
 from repro.core.gather import soar_gather
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
@@ -134,7 +133,7 @@ class TestSubtreeAvailability:
 
     def _counts_for(self, tree):
         layout = tree.flat_layout()
-        _, avail = instance_vectors(tree, layout)
+        _, avail = tree.flat_vectors()
         counts = subtree_available_counts(layout, avail)
         return layout.order, layout.index, counts
 
