@@ -41,19 +41,6 @@ must be ≥ 5x for the single-switch row on BT(1024).  ``python
 benchmarks/bench_service.py --repair`` runs the comparison standalone,
 writing ``benchmarks/results/service_repair_bt1024.csv`` (or the BT(256)
 variant with ``--quick``).
-
-The concurrency benchmark (:func:`concurrency_rows`) replays the same
-trace serially, with a 4-thread worker pool (mutating requests stay
-barriers), and with a 4-process Λ-epoch replica pool
-(``mode="process"``, the GIL-free path), asserts the response payloads
-of every run are identical to the serial one, and reports the
-``workers`` / ``mode`` / ``cpu_cores`` / ``concurrent_speedup`` columns —
-the service's concurrent request loop must buy wall-clock only, never
-different answers.  ``python benchmarks/bench_service.py --concurrency``
-runs the comparison standalone (the CI concurrency-smoke step), writing
-``benchmarks/results/service_concurrency_bt256.csv``; the latency gate
-(process speedup > 1) is enforced only where the scheduler grants ≥ 2
-cores, since a single-core container can only measure contention.
 """
 
 from __future__ import annotations
@@ -399,98 +386,6 @@ def test_service_repair_replay(benchmark, size):
     assert legacy_report.repairs == 0
 
 
-def concurrency_rows(
-    size: int,
-    scenarios: tuple[tuple[int, str], ...] = ((1, "thread"), (4, "thread"), (4, "process")),
-    requests: int = TRACE_REQUESTS,
-) -> list[dict]:
-    """Replay the same churn trace serially and concurrently and compare.
-
-    One summary-style row per ``(workers, mode)`` scenario; every
-    multi-worker row carries ``concurrent_speedup`` (serial wall over
-    concurrent wall — the concurrency column of the service CSV) and
-    ``cpu_cores`` (the cores the scheduler actually granted, without which
-    the speedup number cannot be interpreted: a 1-core container can only
-    ever measure contention, never parallelism).  Before any time is
-    trusted, the response payloads of every run are asserted identical to
-    the serial run (:func:`repro.service.driver.response_payload`): the
-    concurrent loop must buy wall-clock only, never different answers.
-    """
-    import os
-
-    from repro.service.driver import response_payload
-
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
-        os.cpu_count() or 1
-    )
-    tree = apply_rate_scheme(bt_network(size), "constant")
-    trace = generate_churn_trace(
-        tree, requests, seed=2021, budget=BUDGET, workload_pool=8
-    )
-    rows: list[dict] = []
-    baseline_payloads: list | None = None
-    baseline_wall = 0.0
-    for count, mode in scenarios:
-        report = replay_trace(tree, trace, capacity=CAPACITY, workers=count, mode=mode)
-        payloads = [response_payload(record.response) for record in report.records]
-        if baseline_payloads is None:
-            baseline_payloads, baseline_wall = payloads, report.wall_s
-        else:
-            assert payloads == baseline_payloads, (
-                f"{count}-worker {mode} replay diverged from the serial payloads"
-            )
-        rows.append(
-            {
-                "network_size": size,
-                "requests": requests,
-                "budget": BUDGET,
-                "capacity": CAPACITY,
-                "cpu_cores": cores,
-                "row": "concurrency",
-                **report.summary_row(),
-                "concurrent_speedup": (
-                    baseline_wall / report.wall_s
-                    if count > 1 and report.wall_s > 0
-                    else ""
-                ),
-            }
-        )
-    return rows
-
-
-@pytest.mark.benchmark(group="service concurrent replay")
-@pytest.mark.parametrize("size", [256])
-def test_service_concurrent_replay(benchmark, emit_rows, size):
-    """Serial vs 4-worker thread and process replays: identical payloads."""
-    import os
-
-    rows = benchmark.pedantic(
-        concurrency_rows, kwargs={"size": size}, rounds=1, iterations=1
-    )
-    emit_rows(
-        [{column: row.get(column, "") for column in ROW_COLUMNS} for row in rows],
-        f"service_concurrency_bt{size}",
-        f"Concurrent churn replay on BT({size}): serial vs 4 threads vs 4 processes",
-    )
-    assert [(row["workers"], row["mode"]) for row in rows] == [
-        (1, "serial"),
-        (4, "thread"),
-        (4, "process"),
-    ]
-    for row in rows[1:]:
-        assert row["concurrent_speedup"] != ""
-    # The hard bar everywhere is payload identity (asserted inside
-    # concurrency_rows).  The latency bar applies to process mode only and
-    # only where parallelism is physically possible: with one core the pool
-    # can measure nothing but scheduling contention.
-    cores = rows[0]["cpu_cores"]
-    if cores >= 2:
-        process_row = rows[-1]
-        assert float(process_row["concurrent_speedup"]) > 1.0, (
-            f"process mode slower than serial on {cores} cores"
-        )
-
-
 @pytest.mark.benchmark(group="service cold vs warm")
 @pytest.mark.parametrize("size", [1024])
 def test_service_verified_replay(benchmark, emit_rows, size):
@@ -539,12 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick", action="store_true", help="BT(256), fewer rounds (CI smoke)"
     )
     parser.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run the serial/thread/process replay comparison instead "
-        "(writes service_concurrency_bt256.csv)",
-    )
-    parser.add_argument(
         "--repair",
         action="store_true",
         help="run the delta-repair vs cold-gather comparison instead "
@@ -586,41 +475,6 @@ def main(argv: list[str] | None = None) -> int:
                     f"over the cold gather on {row['backend']} (need ≥ 5x)"
                 )
         default_path = Path(__file__).parent / "results" / f"service_repair_bt{size}.csv"
-        path = write_csv(normalized, Path(args.csv) if args.csv else default_path)
-        print(f"wrote {len(normalized)} rows to {path}")
-        return 0
-
-    if args.concurrency:
-        size = 256
-        rows = concurrency_rows(size)
-        normalized = [
-            {column: row.get(column, "") for column in ROW_COLUMNS} for row in rows
-        ]
-        print(
-            render_table(
-                normalized,
-                title=f"Concurrent churn replay on BT({size}): serial vs thread vs process",
-            )
-        )
-        process_row = rows[-1]
-        if process_row["mode"] != "process" or process_row["concurrent_speedup"] == "":
-            raise SystemExit("process-mode concurrency row missing")
-        cores = int(process_row["cpu_cores"])
-        speedup = float(process_row["concurrent_speedup"])
-        # Payload identity was already asserted inside concurrency_rows for
-        # every scenario; the latency gate below needs real parallelism.
-        if cores >= 2 and speedup <= 1.0:
-            raise SystemExit(
-                f"process-mode replay slower than serial ({speedup:.2f}x on {cores} cores)"
-            )
-        if cores < 2:
-            print(
-                f"single-core environment: measured {speedup:.2f}x records "
-                "scheduling contention only; latency gate skipped"
-            )
-        default_path = (
-            Path(__file__).parent / "results" / f"service_concurrency_bt{size}.csv"
-        )
         path = write_csv(normalized, Path(args.csv) if args.csv else default_path)
         print(f"wrote {len(normalized)} rows to {path}")
         return 0

@@ -62,7 +62,7 @@ Placement service
 :mod:`repro.service` wraps the solver in a long-lived multi-tenant daemon:
 :class:`repro.PlacementService` owns fleet state (residual switch capacity,
 active tenants), serves typed ``Solve`` / ``Sweep`` / ``Admit`` /
-``Release`` / ``Drain`` / ``Stats`` requests through a batched loop, and
+``Release`` / ``Drain`` / ``Stats`` requests through ``submit``, and
 reuses gather tables across requests via an LRU cache with budget
 upcasting — warm queries skip the gather entirely while staying
 bit-identical to cold :meth:`repro.Solver.solve` calls.  Churn traces

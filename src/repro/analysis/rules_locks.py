@@ -13,7 +13,7 @@ else goes through the request API.
 A bare attribute mutation anywhere else — ``service.state._tenants[tid] =
 record`` in a driver, ``tracker._residual[s] -= 1`` in an experiment —
 compiles, passes the single-threaded tests, and silently breaks the
-writer-preferring contract the concurrent replay relies on.  This rule
+writer-preferring contract concurrent ``submit`` callers rely on.  This rule
 flags exactly those: assignments, augmented assignments, and deletions
 whose *target object* is one of the protected instances, outside the
 allowed contexts.

@@ -23,11 +23,9 @@ and cache hit-rate::
     soar-repro serve-replay --record /tmp/churn.jsonl
     soar-repro serve-replay --trace /tmp/churn.jsonl --verify
 
-Drive it concurrently, journal the churn, snapshot the final fleet, and
-later resume from the snapshot (the journal tail is replayed on restore)::
+Journal the churn, snapshot the final fleet, and later resume from the
+snapshot (the journal tail is replayed on restore)::
 
-    soar-repro serve-replay --workers 4 --verify
-    soar-repro serve-replay --workers 4 --mode process
     soar-repro serve-replay --journal /tmp/fleet.jsonl --snapshot /tmp/fleet.json
     soar-repro serve-replay --restore /tmp/fleet.json --journal /tmp/fleet.jsonl --requests 50
 
@@ -172,8 +170,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> list[dict]:
         config=_config(args),
         trace_path=args.trace,
         record_path=args.record,
-        workers=args.workers,
-        mode=args.mode,
         journal_path=args.journal,
         restore_path=args.restore,
         snapshot_path=args.snapshot,
@@ -188,8 +184,6 @@ def _cmd_serve_replay(args: argparse.Namespace) -> list[dict]:
         print(f"journaled mutating requests to {args.journal}")
     if args.snapshot:
         print(f"wrote the final fleet snapshot to {args.snapshot}")
-    if args.workers > 1:
-        print(f"drove the replay with {args.workers} {report.mode} workers")
     return rows
 
 
@@ -262,20 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="differentially verify every response against a cold solve",
-    )
-    sub_serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="workers driving the replay (mutating requests stay "
-        "barriers; payloads are bit-identical to --workers 1)",
-    )
-    sub_serve.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="concurrency mode with --workers > 1: a thread pool sharing "
-        "one service, or a Λ-epoch pool of replica processes (GIL-free)",
     )
     sub_serve.add_argument(
         "--journal",

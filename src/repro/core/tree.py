@@ -181,11 +181,33 @@ def _validate_rate(node: NodeId, rate: float) -> float:
     return value
 
 
+#: The kernels count each link's messages in int64.  A link carries at most
+#: the whole load plus one message per aggregating switch, so a load
+#: function whose total plus the switch count stays within this bound
+#: cannot overflow a count (:func:`check_load_total`).
+MAX_MESSAGE_COUNT = 2**63 - 1
+
+
+def check_load_total(
+    loads: Iterable[int],
+    num_switches: int,
+    error: type[Exception] = InvalidLoadError,
+) -> None:
+    """Raise ``error`` unless the total of ``loads`` plus ``num_switches``
+    fits :data:`MAX_MESSAGE_COUNT`."""
+    total = sum(loads)
+    if total + num_switches > MAX_MESSAGE_COUNT:
+        raise error(
+            f"total load {total} plus {num_switches} switches exceeds 2**63 - 1, "
+            "the largest per-link message count the kernels can hold"
+        )
+
+
 def _validate_load(node: NodeId, load: Any) -> int:
     """Return ``load`` as an int after checking it is a non-negative integer."""
     try:
         value = int(load)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidLoadError(f"load of switch {node!r} is not an integer: {load!r}") from exc
     if value != load:
         raise InvalidLoadError(f"load of switch {node!r} must be integral, got {load!r}")
@@ -346,7 +368,8 @@ class TreeNetwork:
         The result is keyed in the order of ``_parents`` (which
         :meth:`flat_vectors` relies on).  Only the given entries are
         validated; an exact non-negative ``int`` is taken as it is and every
-        other value goes through :func:`_validate_load`.
+        other value goes through :func:`_validate_load`.  The total must
+        fit the kernels' message counts (:func:`check_load_total`).
         """
         if not self._parents.keys() >= loads.keys():
             unknown = next(key for key in loads if key not in self._parents)
@@ -357,6 +380,7 @@ class TreeNetwork:
                 validated[switch] = load
             else:
                 validated[switch] = _validate_load(switch, load)
+        check_load_total(validated.values(), len(validated))
         return validated
 
     def _check_switches(self, nodes: frozenset[NodeId]) -> None:

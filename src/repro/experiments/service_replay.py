@@ -44,9 +44,6 @@ ROW_COLUMNS: tuple[str, ...] = (
     "requests",
     "budget",
     "capacity",
-    "workers",
-    "mode",
-    "cpu_cores",
     "row",
     "kind",
     "count",
@@ -72,7 +69,6 @@ ROW_COLUMNS: tuple[str, ...] = (
     "cost_kernel_speedup",
     "warm_speedup_vs_pr3",
     "warm_path_speedup",
-    "concurrent_speedup",
     "repairs",
     "repair_hits",
     "verified",
@@ -102,8 +98,6 @@ def run_service_replay(
     config: ExperimentConfig = QUICK_CONFIG,
     trace_path: str | Path | None = None,
     record_path: str | Path | None = None,
-    workers: int = 1,
-    mode: str = "thread",
     journal_path: str | Path | None = None,
     restore_path: str | Path | None = None,
     snapshot_path: str | Path | None = None,
@@ -120,9 +114,7 @@ def run_service_replay(
     requests are appended as they are applied), ``restore_path`` rebuilds
     the service from a snapshot file first (replaying the journal's tail
     when ``journal_path`` is also given), and ``snapshot_path`` writes a
-    snapshot of the final fleet after the replay.  ``workers`` / ``mode``
-    drive the replay concurrently — a thread pool or a Λ-epoch process
-    pool (see :func:`repro.service.driver.replay_trace`).
+    snapshot of the final fleet after the replay.
 
     The rows contain one ``summary`` row (throughput, hit rate, warm
     speedup) followed by one row per request kind (count, hits, latency
@@ -158,14 +150,7 @@ def run_service_replay(
         )
     if record_path is not None:
         write_trace(trace, record_path, tree=tree)
-    report = replay_trace(
-        tree,
-        trace,
-        verify=verify,
-        service=service,
-        workers=workers,
-        mode=mode,
-    )
+    report = replay_trace(tree, trace, verify=verify, service=service)
     if snapshot_path is not None:
         write_snapshot(service.snapshot(), snapshot_path)
     if journal is not None:
@@ -187,8 +172,6 @@ def run_service_replay(
         "requests": len(trace),
         "budget": budget_label,
         "capacity": capacity,
-        "workers": workers,
-        "mode": report.mode,
     }
     return report, report_rows(report, scenario)
 

@@ -38,9 +38,8 @@ Module tour
 :mod:`repro.service.api`
     The typed request surface — ``Solve``, ``Sweep``, ``Admit``,
     ``Release``, ``Drain``, ``Stats`` — and :class:`PlacementService`, the
-    daemon object dispatching them.  ``submit_batch`` is the batched
-    request loop: read-only runs are planned so each (workload, semantics)
-    group gathers once at the widest budget the run needs.
+    daemon object dispatching them.  ``submit`` is the one request loop:
+    each request is served on its own, in the order it arrives.
 
 :mod:`repro.service.events`
     Serializable churn traces: :class:`TraceEvent`, JSON-lines round-trip
@@ -53,10 +52,8 @@ Module tour
     request, report throughput / per-kind latency / hit rate, and (with
     ``verify=True``) assert every placement response is bit-identical to a
     direct cold solve — the differential harness behind
-    ``tests/test_service.py`` and ``soar-repro serve-replay``.  With
-    ``workers=N`` the replay drives the service from a thread pool
-    (mutating requests stay barriers), payload-identical to the serial
-    replay.
+    ``tests/test_service.py`` and ``soar-repro serve-replay``.  Replay is
+    serial, one ``submit`` per event in trace order.
 
 :mod:`repro.service.persistence`
     Crash safety: versioned fleet snapshots
@@ -79,9 +76,7 @@ the :class:`repro.GatherTable` artifacts it serves are immutable, so warm
 hits trace placements without holding any lock.  Two readers racing to
 gather the same cold key both compute (bit-identical) tables and the
 cache keeps the widest — answers never depend on the interleaving, only
-``cache_hit`` / ``cache_source`` diagnostics do.  ``submit_batch``'s
-gather planning is not synchronized; drive a service either through one
-batching loop or through concurrent ``submit`` calls, not both at once.
+``cache_hit`` / ``cache_source`` diagnostics do.
 
 Snapshot format
 ---------------

@@ -1,4 +1,4 @@
-"""The placement service: typed requests, a batched loop, cached solving.
+"""The placement service: typed requests, one request loop, cached solving.
 
 :class:`PlacementService` is the long-lived daemon object: it owns a
 :class:`~repro.service.state.FleetState` (tree, residual capacity, active
@@ -50,16 +50,6 @@ split is reported by ``benchmarks/bench_service.py`` as the
 ``table_hit_ms`` / ``cost_flat_ms`` / ``cost_kernel_speedup`` columns of
 ``benchmarks/results/service_throughput.csv``.
 
-Batching
---------
-:meth:`PlacementService.submit_batch` is the request loop: it scans each
-maximal run of read-only requests and *plans* gathers before serving it —
-for every (loads, semantics) group it records the largest effective budget
-anyone in the run needs, so the first miss gathers once at the run-wide
-budget and every later request in the group upcasts for free.  Mutating
-requests (admit / release / drain) act as barriers, preserving program
-order of the fleet state.
-
 Concurrency
 -----------
 :meth:`PlacementService.submit` is thread-safe: a writer-preferring
@@ -69,8 +59,7 @@ its own mutex and serves immutable artifacts, so a warm hit traces its
 placement without any lock held; racing cold misses each gather
 (bit-identical) tables and the cache keeps the widest.  Response
 *payloads* never depend on thread interleaving — only the ``cache_hit`` /
-``cache_source`` diagnostics do.  ``submit_batch``'s gather planning is
-the one unsynchronized structure: run it from a single thread.
+``cache_source`` diagnostics do.
 
 Failure semantics
 -----------------
@@ -93,7 +82,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.engine import DEFAULT_BACKEND, Backend
@@ -101,6 +90,7 @@ from repro.core.solver import GatherTable, Placement, Solver
 from repro.core.tree import (
     NodeId,
     TreeNetwork,
+    check_load_total,
     fingerprint_loads,
 )
 from repro.exceptions import (
@@ -143,19 +133,28 @@ def _digest_loads(items: tuple[tuple[NodeId, int], ...]) -> str:
     return fingerprint_loads(dict(items))
 
 
-def _freeze_loads(loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
-    """Copy a load mapping, validating values are non-negative integers."""
+def _freeze_loads(loads: Mapping[NodeId, int], num_switches: int) -> dict[NodeId, int]:
+    """Copy a load mapping, validating values are non-negative integers.
+
+    The total plus ``num_switches`` must fit the kernels' int64 message
+    counts (:func:`~repro.core.tree.check_load_total`).
+    """
     frozen: dict[NodeId, int] = {}
     for node, value in loads.items():
         if type(value) is int and value >= 0:
             frozen[node] = value
             continue
-        count = int(value)
-        if count != value or count < 0:
+        try:
+            count = int(value)
+            valid = count == value and count >= 0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
             raise WorkloadError(
                 f"load of switch {node!r} must be a non-negative integer, got {value!r}"
             )
         frozen[node] = count
+    check_load_total(frozen.values(), num_switches, WorkloadError)
     return frozen
 
 
@@ -219,9 +218,6 @@ Request = (
     | DrainRequest
     | StatsRequest
 )
-
-#: Request types that do not mutate fleet state (batchable together).
-READ_ONLY_REQUESTS = (SolveRequest, SweepRequest, StatsRequest)
 
 #: Request types that mutate fleet state (journaled, serialized by the
 #: write side of the service's read/write lock).
@@ -499,13 +495,6 @@ class PlacementService:
         self._journal: "Journal | None" = None
         if journal is not None:
             self.attach_journal(journal)
-        # Batch plan: (loads_fp, exact_k) -> largest effective budget any
-        # request in the current read-only run needs.  A miss consults this
-        # so the first gather of a run is already wide enough for the rest.
-        self._planned_budgets: dict[tuple[str, bool], int] = {}
-        # Digests computed while planning, reused when the same request
-        # object is served (keyed by identity; cleared with the plan).
-        self._planned_loads_fp: dict[int, str] = {}
         # Digests of recently served frozen load mappings, keyed by their
         # items: a recurring workload's warm hit skips the O(n) string
         # digest, which otherwise dominates it.  Bounded like the table
@@ -600,6 +589,9 @@ class PlacementService:
             exact_k=exact_k,
         )
 
+    def _freeze(self, loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
+        return _freeze_loads(loads, self._state.tree.num_switches)
+
     def _workload_tree(self, loads: Mapping[NodeId, int]) -> TreeNetwork:
         return self._state.tree.with_loads(loads, available=self.available())
 
@@ -630,7 +622,7 @@ class PlacementService:
         Resolves the budget (:meth:`_resolve`), traces it with
         ``table.place()`` unless the memo answered, and memoizes the
         result.  ``loads_fp`` lets callers that already digested the loads
-        (batch planning) skip re-digesting them.
+        (admission, drain re-placement) skip re-digesting them.
         """
         effective = self._effective_budget(budget)
         if loads_fp is None:
@@ -654,9 +646,8 @@ class PlacementService:
         :class:`~repro.core.solver.GatherTable` — since the artifact owns
         its workload network no tree is reconstructed; this is the
         colour-only warm hit.  Slow path: repair a cached neighbour, or
-        build the workload network and gather (at the batch-planned budget
-        when one is on file).  Returns ``(source, memo or table)``; a
-        table still has to be traced.
+        build the workload network and gather.  Returns ``(source, memo
+        or table)``; a table still has to be traced.
         """
         memo = self._cache.solution(key, effective)
         if memo is not None:
@@ -664,9 +655,8 @@ class PlacementService:
         table = self._cache.lookup(key, effective)
         if table is not None:
             return "table", table
-        planned = self._planned_budgets.get((key.loads, exact_k), 0)
         stored = self._cache.stored_budget(key) or 0
-        gather_budget = max(effective, planned, stored)
+        gather_budget = max(effective, stored)
         # Availability miss: before paying a cold O(n·k²) gather, try
         # delta-repairing the nearest cached same-workload table — the
         # post-churn fast path (O(depth·k²·|delta|), bit-identical).
@@ -720,10 +710,7 @@ class PlacementService:
     def _handle_solve(self, request: SolveRequest) -> SolveResponse:
         start = time.perf_counter()
         placement = self._solve_cached(
-            _freeze_loads(request.loads),
-            request.budget,
-            request.exact_k,
-            loads_fp=self._planned_loads_fp.get(id(request)),
+            self._freeze(request.loads), request.budget, request.exact_k
         )
         return SolveResponse(
             blue_nodes=placement.blue_nodes,
@@ -743,11 +730,9 @@ class PlacementService:
                 elapsed_s=time.perf_counter() - start,
                 cache_source="memo",
             )
-        loads = _freeze_loads(request.loads)
+        loads = self._freeze(request.loads)
         budgets = sorted({self._validate_budget(b) for b in request.budgets})
-        loads_fp = self._planned_loads_fp.get(id(request)) or self._loads_digest(
-            tuple(loads.items())
-        )
+        loads_fp = self._loads_digest(tuple(loads.items()))
         key = self._key(loads_fp, request.exact_k)
         # Resolving the largest budget first populates the table every
         # smaller budget then hits.  Each distinct effective budget is
@@ -829,7 +814,7 @@ class PlacementService:
     def _handle_admit(self, request: AdmitRequest) -> AdmitResponse:
         start = time.perf_counter()
         self._require_capacity(f"admit tenant {request.tenant_id!r}")
-        loads = _freeze_loads(request.loads)
+        loads = self._freeze(request.loads)
         # Digest the workload once: the solve keys the cache with it and
         # the record carries it, so a later drain re-places this tenant
         # without recomputing the full loads digest.
@@ -1030,72 +1015,6 @@ class PlacementService:
                 return response
         with self._fleet_lock.read_locked():
             return self._serve(request)
-
-    def _plan_run(self, run: Sequence[Request]) -> None:
-        """Record the widest budget each (loads, semantics) group needs.
-
-        Planning is best-effort: a malformed request is simply skipped
-        here, so its error surfaces when the request itself is served — at
-        the same position and with the same exception a serial submission
-        would produce, with every earlier response already delivered.
-        """
-        self._planned_budgets.clear()
-        self._planned_loads_fp.clear()
-        for request in run:
-            try:
-                if isinstance(request, SolveRequest):
-                    needed = self._effective_budget(request.budget)
-                    loads_fp = fingerprint_loads(request.loads)
-                elif isinstance(request, SweepRequest) and request.budgets:
-                    needed = self._effective_budget(
-                        max(self._validate_budget(b) for b in request.budgets)
-                    )
-                    loads_fp = fingerprint_loads(request.loads)
-                else:
-                    continue
-            except (ReproError, TypeError, ValueError, AttributeError):
-                # Planning is advisory only: a malformed request fails
-                # identically when served, so only the failures a bad
-                # request can produce are skipped — a bug in the planner
-                # itself still surfaces here.
-                continue
-            self._planned_loads_fp[id(request)] = loads_fp
-            group = (loads_fp, request.exact_k)
-            self._planned_budgets[group] = max(
-                self._planned_budgets.get(group, 0), needed
-            )
-
-    def submit_batch(self, requests: Iterable[Request]) -> list[Response]:
-        """Serve a batch, planning gathers across read-only runs.
-
-        Mutating requests act as barriers: the fleet state observed by each
-        request is exactly what serial :meth:`submit` calls would produce.
-        Within a run of read-only requests, the first gather for each
-        (loads, semantics) group happens at the widest budget the run
-        needs, so the remaining requests of the group upcast for free.
-        """
-        pending = list(requests)
-        responses: list[Response] = []
-        index = 0
-        while index < len(pending):
-            if isinstance(pending[index], READ_ONLY_REQUESTS):
-                end = index
-                while end < len(pending) and isinstance(
-                    pending[end], READ_ONLY_REQUESTS
-                ):
-                    end += 1
-                run = pending[index:end]
-                self._plan_run(run)
-                try:
-                    responses.extend(self.submit(request) for request in run)
-                finally:
-                    self._planned_budgets.clear()
-                    self._planned_loads_fp.clear()
-                index = end
-            else:
-                responses.append(self.submit(pending[index]))
-                index += 1
-        return responses
 
     # ------------------------------------------------------------------ #
     # persistence (see :mod:`repro.service.persistence`)

@@ -21,57 +21,24 @@ nothing else, the latency the colour kernel owns) versus
 ``benchmarks/bench_service.py`` can track the colour-phase latency as its
 own column.
 
-Concurrent replay
------------------
-``workers > 1`` drives the service concurrently while preserving the
-trace's observable semantics; two modes exist.
-
-``mode="thread"`` (the default) drives one shared service from a thread
-pool: mutating requests are barriers (executed alone, in trace order,
-exactly as the service's write lock would force anyway), and each maximal
-run of read-only requests between two barriers is fanned out across the
-workers.  Within such a run the fleet state cannot change, so every
-request is independent and the *payload* of each response — blue set,
-costs, budgets (see :func:`response_payload`) — is bit-identical to a
-serial replay of the same trace.  Threads share the GIL, though, so on
-the numpy backend the fan-out buys nothing (the measured
-``concurrent_speedup`` was 0.78 on BT(256)); the compiled backend releases
-the GIL inside its kernels, and ``mode="process"`` sidesteps it entirely.
-
-``mode="process"`` replays with true process parallelism.  The parent
-applies every mutating request serially to the authoritative service; a
-read-only request's payload is a pure function of its own
-``(loads, budget, exact_k)`` and the availability set ``Λ`` — nothing
-else — so reads are batched per **Λ-epoch** (a maximal trace span over
-which the availability fingerprint is constant), partitioned across the
-pool with workload affinity (requests sharing a loads fingerprint go to
-the same batch, so one worker pays the cold gather and its siblings ride
-that worker's cache), and dispatched as the epoch closes, overlapping
-with the parent's continuing mutation stream.  Each worker process holds
-a persistent replica service on the coordinating service's backend,
-resyncing its fleet snapshot once per epoch (the gather-table cache keys
-include the Λ fingerprint, so the cache survives resyncs and stale
-entries are unreachable).  Response
-payloads are bit-identical to the serial replay; diagnostics
-(``cache_hit`` / ``cache_source``, ``Stats`` counters) may differ, as in
-thread mode.  ``tests/test_service_persistence.py`` pins the payload
-identity for both modes; the CI workflow diffs 4-worker replays against
-the serial one on every push.
+Replay is serial: one request at a time through
+:meth:`~repro.service.api.PlacementService.submit`, in trace order, which
+is how a single client drives the daemon.  ``submit`` itself stays
+thread-safe for library callers that share one service between threads;
+``tests/test_service.py`` checks that concurrent readers get the serial
+answers.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
-from repro.core.engine import Backend
 from repro.core.solver import Solver
-from repro.core.tree import NodeId, TreeNetwork, fingerprint_loads
+from repro.core.tree import NodeId, TreeNetwork
 from repro.service.api import (
-    READ_ONLY_REQUESTS,
     AdmitRequest,
     AdmitResponse,
     DrainResponse,
@@ -108,8 +75,6 @@ class ReplayReport:
     verified: int
     #: Name of the kernel backend the service ran on.
     backend: str
-    workers: int = 1
-    mode: str = "serial"
     #: Cache counters captured after the replay: completed delta repairs and
     #: repair-candidate matches (see :class:`repro.service.cache.CacheStats`).
     #: ``repair_hits == 0`` over a churn trace means the repair path never
@@ -219,8 +184,6 @@ class ReplayReport:
         """One-row overall summary (throughput, hit rate, warm speedup)."""
         return {
             "requests": self.num_requests,
-            "workers": self.workers,
-            "mode": self.mode,
             "wall_s": self.wall_s,
             "throughput_rps": self.throughput_rps,
             "hit_rate": self.hit_rate,
@@ -264,7 +227,7 @@ def response_payload(response: Response) -> tuple | None:
     which depend on which thread gathered first or on what survived a
     restart), and ``Stats`` responses entirely (their counters describe
     the *process*, not the fleet decisions).  This is the equality the
-    snapshot-restore and concurrent-replay differential suites assert.
+    snapshot-restore and concurrent-reader differential suites assert.
     """
     if isinstance(response, (SolveResponse, AdmitResponse)):
         payload: tuple = (
@@ -376,228 +339,6 @@ def _verify_response(
     return False
 
 
-def _timed_submit(
-    service: PlacementService, request: Request
-) -> tuple[Response, float]:
-    start = time.perf_counter()
-    response = service.submit(request)
-    return response, time.perf_counter() - start
-
-
-# --------------------------------------------------------------------------- #
-# process-mode replica workers
-# --------------------------------------------------------------------------- #
-
-#: Per-process replica state of the process-mode workers: the replica
-#: service (built once by :func:`_process_worker_init`), the str -> node-id
-#: index for fleet-snapshot resolution, and the Λ-epoch the replica's fleet
-#: state was last synced to.
-_PROCESS_REPLICA: dict = {}
-
-
-def _process_worker_init(
-    tree: TreeNetwork,
-    capacity: int | Mapping[NodeId, int],
-    backend: Backend,
-    cache_entries: int,
-) -> None:
-    """Build this worker process's persistent replica service.
-
-    The replica's fleet state is a placeholder until the first batch
-    arrives — every batch carries its epoch's fleet snapshot, and
-    :meth:`~repro.service.state.FleetState.load_state` fully overwrites
-    residuals, drains, tenants, and the Λ digest.  The gather-table cache
-    is *not* reset on resync: its keys include the availability
-    fingerprint, so entries from earlier epochs are simply unreachable
-    until (and unless) that exact Λ returns.
-    """
-    _PROCESS_REPLICA["service"] = PlacementService(
-        tree, capacity, backend=backend, cache_entries=cache_entries
-    )
-    _PROCESS_REPLICA["index"] = node_index(tree)
-    _PROCESS_REPLICA["epoch"] = None
-
-
-def _process_worker_ping() -> bool:
-    """No-op task used to force worker spawn before the wall clock starts."""
-    return True
-
-
-def _process_worker_serve(
-    epoch: int,
-    fleet_state: Mapping,
-    batch: Sequence[tuple[int, Request]],
-) -> list[tuple[int, Response, float]]:
-    """Serve one epoch batch of read-only requests on the replica.
-
-    Returns ``(trace position, response, elapsed seconds)`` triples; the
-    parent reassembles them into trace order.
-    """
-    service = _PROCESS_REPLICA["service"]
-    if epoch != _PROCESS_REPLICA["epoch"]:
-        service.state.load_state(fleet_state, _PROCESS_REPLICA["index"])
-        _PROCESS_REPLICA["epoch"] = epoch
-    results = []
-    for position, request in batch:
-        start = time.perf_counter()
-        response = service.submit(request)
-        results.append((position, response, time.perf_counter() - start))
-    return results
-
-
-def _partition_epoch(
-    pending: Sequence[tuple[int, Request, tuple]],
-    workers: int,
-) -> list[list[tuple[int, Request]]]:
-    """Partition one Λ-epoch's reads into at most ``workers`` batches.
-
-    Workload affinity first: every request keyed by the same
-    ``(loads fingerprint, exact_k)`` lands in the same batch, so exactly
-    one worker pays that workload's cold gather and the rest of its
-    requests hit that worker's cache.  New workloads go to the batch with
-    the least estimated work, where a workload's first request weighs a
-    cold gather (~4x) and repeats weigh a warm trace (1x) — the ratio
-    measured on the BT(256) churn mix.
-    """
-    assignment: dict[tuple, int] = {}
-    weights = [0.0] * workers
-    batches: list[list[tuple[int, Request]]] = [[] for _ in range(workers)]
-    for position, request, key in pending:
-        batch = assignment.get(key)
-        if batch is None:
-            batch = min(range(workers), key=weights.__getitem__)
-            assignment[key] = batch
-            weights[batch] += 4.0
-        else:
-            weights[batch] += 1.0
-        batches[batch].append((position, request))
-    return [batch for batch in batches if batch]
-
-
-def _replay_process(
-    service: PlacementService,
-    tree: TreeNetwork,
-    events: Sequence[TraceEvent],
-    requests: Sequence[Request],
-    workers: int,
-    cache_entries: int,
-    verify: bool,
-) -> tuple[list[ReplayRecord], float, int]:
-    """The ``mode="process"`` replay loop (see the module docstring).
-
-    The parent walks the trace once: mutations apply serially to the
-    authoritative ``service`` (their responses are the serial ones by
-    construction), ``Stats`` reads run inline on the parent, and
-    solve/sweep reads buffer until their Λ-epoch closes — at which point
-    the epoch's reads are partitioned by workload affinity and submitted
-    to the pool, overlapping with the parent's continuing walk.  The wall
-    clock covers the walk plus the drain of all worker batches, but not
-    pool spawn/replica construction (a long-lived daemon pays those once)
-    or verification.
-    """
-    state = service.state
-    total = len(requests)
-    responses: list[Response | None] = [None] * total
-    elapsed_by_position = [0.0] * total
-    available_at: list[frozenset[NodeId] | None] = [None] * total
-    futures: list[Future] = []
-    pending: list[tuple[int, Request, tuple]] = []
-    epoch = 0
-    epoch_fleet: dict | None = None
-
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_process_worker_init,
-        initargs=(
-            tree,
-            1,  # placeholder capacity; every batch resyncs the real fleet
-            service.backend,
-            cache_entries,
-        ),
-    ) as executor:
-
-        def flush() -> None:
-            nonlocal pending
-            if pending:
-                for batch in _partition_epoch(pending, workers):
-                    futures.append(
-                        executor.submit(
-                            _process_worker_serve, epoch, epoch_fleet, batch
-                        )
-                    )
-                pending = []
-
-        # Force the worker processes (and their replica services) to exist
-        # before timing starts.
-        for ping in [executor.submit(_process_worker_ping) for _ in range(workers)]:
-            ping.result()
-
-        wall_start = time.perf_counter()
-        fingerprint = state.availability_fingerprint()
-        for position, request in enumerate(requests):
-            if isinstance(request, (SolveRequest, SweepRequest)):
-                if epoch_fleet is None:
-                    # First read of this epoch: capture the fleet once.
-                    # Mutations that did not change Λ may follow inside
-                    # the same epoch — harmless, the read path depends on
-                    # Λ and the request only.
-                    epoch_fleet = state.state_dict()
-                if verify:
-                    available_at[position] = state.available()
-                pending.append(
-                    (
-                        position,
-                        request,
-                        (fingerprint_loads(request.loads), request.exact_k),
-                    )
-                )
-                continue
-            # Stats and every mutating request run on the authoritative
-            # service, in trace order.
-            if verify:
-                available_at[position] = state.available()
-            response, elapsed = _timed_submit(service, request)
-            responses[position] = response
-            elapsed_by_position[position] = elapsed
-            current = state.availability_fingerprint()
-            if current != fingerprint:
-                # Λ changed: the epoch closes, its reads dispatch now and
-                # overlap with the rest of the walk.
-                flush()
-                epoch += 1
-                epoch_fleet = None
-                fingerprint = current
-        flush()
-        for future in futures:
-            for position, response, elapsed in future.result():
-                responses[position] = response
-                elapsed_by_position[position] = elapsed
-        wall = time.perf_counter() - wall_start
-
-    verified = 0
-    if verify:
-        for position, request in enumerate(requests):
-            if _verify_response(
-                tree,
-                available_at[position] or frozenset(),
-                request,
-                responses[position],
-            ):
-                verified += 1
-
-    records = [
-        ReplayRecord(
-            index=position,
-            event=events[position],
-            request=requests[position],
-            response=responses[position],
-            elapsed_s=elapsed_by_position[position],
-        )
-        for position in range(total)
-    ]
-    return records, wall, verified
-
-
 def replay_trace(
     tree: TreeNetwork,
     events: Sequence[TraceEvent],
@@ -605,8 +346,6 @@ def replay_trace(
     cache_entries: int = 64,
     verify: bool = False,
     service: PlacementService | None = None,
-    workers: int = 1,
-    mode: str = "thread",
 ) -> ReplayReport:
     """Replay a trace against a (fresh or supplied) service and measure it.
 
@@ -631,118 +370,39 @@ def replay_trace(
         cache carry over; ``capacity`` and ``cache_entries`` are then
         ignored).  This is how a replay runs on another backend:
         ``service=PlacementService(tree, capacity, backend=NUMPY_BACKEND)``.
-        Process-mode replicas run on the service's backend.
-    workers:
-        Number of workers driving the service.  ``1`` (default) is the
-        serial replay.  With more, read-only requests are fanned out per
-        ``mode``; the response payloads (:func:`response_payload`) are
-        bit-identical to the serial replay, per-request latencies
-        overlap, and ``wall_s`` measures the actual elapsed time (so
-        ``throughput_rps`` reflects the concurrency).
-    mode:
-        Concurrency mode when ``workers > 1`` (ignored at ``workers=1``).
-        ``"thread"`` (default) fans read-only runs over a thread pool
-        sharing the one service; ``"process"`` batches reads per Λ-epoch
-        across a pool of replica processes (see the module docstring).
     """
-    if mode not in ("thread", "process"):
-        raise ValueError(f"unknown replay mode {mode!r}: expected 'thread' or 'process'")
     if service is None:
         service = PlacementService(tree, capacity, cache_entries=cache_entries)
     index_map = node_index(tree)
-    workers = max(1, int(workers))
     requests = [event_to_request(tree, event, index_map) for event in events]
-
-    if workers > 1 and mode == "process":
-        records, wall, verified = _replay_process(
-            service, tree, events, requests, workers, cache_entries, verify
-        )
-        # Repair counters reflect the coordinating service only: the
-        # read-only fan-out runs in replica processes whose caches (and
-        # counters) are private to them.
-        return ReplayReport(
-            records=records,
-            wall_s=wall,
-            verified=verified,
-            backend=service.backend.name,
-            workers=workers,
-            mode="process",
-            repairs=service.cache.stats.repairs,
-            repair_hits=service.cache.stats.repair_hits,
-        )
-
     records: list[ReplayRecord] = []
     verified = 0
     wall = 0.0
-
-    def record(position: int, response: Response, elapsed: float) -> None:
+    for position, (event, request) in enumerate(zip(events, requests)):
+        # Read Λ from the fleet state, not service.available(): the
+        # latter would prime the service's memoized Λ fingerprint
+        # outside the timer and flatter the measured latencies.
+        available = service.state.available() if verify else frozenset()
+        start = time.perf_counter()
+        response = service.submit(request)
+        elapsed = time.perf_counter() - start
+        wall += elapsed
+        if verify and _verify_response(tree, available, request, response):
+            verified += 1
         records.append(
             ReplayRecord(
                 index=position,
-                event=events[position],
-                request=requests[position],
+                event=event,
+                request=request,
                 response=response,
                 elapsed_s=elapsed,
             )
         )
-
-    if workers == 1:
-        for position, request in enumerate(requests):
-            # Read Λ from the fleet state, not service.available(): the
-            # latter would prime the service's memoized Λ fingerprint
-            # outside the timer and flatter the measured latencies.
-            available = service.state.available() if verify else frozenset()
-            response, elapsed = _timed_submit(service, request)
-            wall += elapsed
-            if verify and _verify_response(tree, available, request, response):
-                verified += 1
-            record(position, response, elapsed)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            position = 0
-            while position < len(requests):
-                if isinstance(requests[position], READ_ONLY_REQUESTS):
-                    end = position
-                    while end < len(requests) and isinstance(
-                        requests[end], READ_ONLY_REQUESTS
-                    ):
-                        end += 1
-                    # Λ cannot change inside a read-only run, so one
-                    # capture verifies the whole segment.
-                    available = service.state.available() if verify else frozenset()
-                    start = time.perf_counter()
-                    outcomes = list(
-                        executor.map(
-                            lambda request: _timed_submit(service, request),
-                            requests[position:end],
-                        )
-                    )
-                    wall += time.perf_counter() - start
-                    for offset, (response, elapsed) in enumerate(outcomes):
-                        at = position + offset
-                        if verify and _verify_response(
-                            tree, available, requests[at], response
-                        ):
-                            verified += 1
-                        record(at, response, elapsed)
-                    position = end
-                else:
-                    available = service.state.available() if verify else frozenset()
-                    response, elapsed = _timed_submit(service, requests[position])
-                    wall += elapsed
-                    if verify and _verify_response(
-                        tree, available, requests[position], response
-                    ):
-                        verified += 1
-                    record(position, response, elapsed)
-                    position += 1
     return ReplayReport(
         records=records,
         wall_s=wall,
         verified=verified,
         backend=service.backend.name,
-        workers=workers,
-        mode="serial" if workers == 1 else "thread",
         repairs=service.cache.stats.repairs,
         repair_hits=service.cache.stats.repair_hits,
     )

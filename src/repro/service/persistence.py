@@ -481,16 +481,14 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     it again with a crash in the middle — snapshot taken part-way through,
     journal running to the kill point, service rebuilt from snapshot +
     journal tail — and asserts the post-restore responses are
-    payload-identical to the uninterrupted run.  With ``--workers N > 1``
-    it additionally drives a concurrent replay of the full trace
-    (``--mode thread`` or ``--mode process``) and diffs it against the
-    serial one.  Exits non-zero on any divergence; run by
+    payload-identical to the uninterrupted run.  Exits non-zero on any
+    divergence; run by
     ``.github/workflows/ci.yml`` as the snapshot round-trip smoke.
     """
     import argparse
     import tempfile
 
-    from repro.service.driver import replay_trace, response_payload
+    from repro.service.driver import response_payload
     from repro.service.events import generate_churn_trace
     from repro.topology.binary_tree import bt_network
     from repro.workload.rates import apply_rate_scheme
@@ -501,19 +499,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     parser.add_argument("--capacity", type=int, default=3)
     parser.add_argument("--budget", type=int, default=8)
     parser.add_argument("--seed", type=int, default=2021)
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="also diff an N-worker concurrent replay against the serial one",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="concurrency mode of the --workers diff (thread pool, or the "
-        "Λ-epoch process pool)",
-    )
     args = parser.parse_args(argv)
 
     tree = apply_rate_scheme(bt_network(args.network_size), "constant")
@@ -564,27 +549,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             != uninterrupted.state.availability_fingerprint()
         ):
             raise SystemExit("restored Λ digest diverged from the uninterrupted run")
-
-    if args.workers > 1:
-        serial = replay_trace(tree, trace, capacity=args.capacity)
-        concurrent = replay_trace(
-            tree, trace, capacity=args.capacity, workers=args.workers, mode=args.mode
-        )
-        divergent = sum(
-            1
-            for left, right in zip(serial.records, concurrent.records)
-            if response_payload(left.response) != response_payload(right.response)
-        )
-        print(
-            f"concurrent replay: {args.workers} {concurrent.mode} workers over "
-            f"{concurrent.num_requests} requests, {divergent} payload mismatches "
-            f"(serial {serial.wall_s:.3f}s, concurrent {concurrent.wall_s:.3f}s)"
-        )
-        if divergent:
-            raise SystemExit(
-                f"{divergent} responses diverged between serial and "
-                f"{args.workers}-worker replay"
-            )
     print("persistence smoke ok")
     return 0
 

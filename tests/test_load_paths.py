@@ -17,6 +17,7 @@ import pytest
 
 import repro.core.tree as tree_module
 import repro.service.api as api_module
+from repro.core.cost import utilization_cost
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
@@ -26,20 +27,29 @@ from repro.service import PlacementService, SolveRequest, SweepRequest
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
+from backend_params import BACKEND_PARAMS
+
 #: ``(load value, accepted int or the exception each surface raises)``:
 #: the constructor and ``with_loads`` share one validation, the service
-#: validates the request first (its own error type for a non-integral or
-#: negative count; a value ``int()`` rejects surfaces as that error).
+#: validates the request first and raises its own error type for every
+#: value it refuses, including one ``int()`` rejects and a total that
+#: would overflow the kernels' int64 message counts.
 LOAD_CASES = [
     (True, 1, 1),
     (2.0, 2, 2),
     (np.int64(3), 3, 3),
     (2.5, InvalidLoadError, WorkloadError),
     (-1, InvalidLoadError, WorkloadError),
-    ("x", InvalidLoadError, ValueError),
-    (None, InvalidLoadError, TypeError),
+    ("x", InvalidLoadError, WorkloadError),
+    (None, InvalidLoadError, WorkloadError),
+    (3 + 0j, InvalidLoadError, WorkloadError),
+    (float("inf"), InvalidLoadError, WorkloadError),
+    (10**30, InvalidLoadError, WorkloadError),
 ]
-LOAD_IDS = ["true", "float", "numpy-int", "fractional", "negative", "text", "none"]
+LOAD_IDS = [
+    "true", "float", "numpy-int", "fractional", "negative", "text", "none",
+    "complex", "infinite", "beyond-int64",
+]
 
 
 def _parents(tree: TreeNetwork) -> dict:
@@ -103,6 +113,44 @@ class TestLoadValueAcceptance:
         loads = {leaf: 2.5, "no-such-switch": 1}
         with pytest.raises(InvalidLoadError, match="unknown switch"):
             tree.with_loads(loads)
+
+
+class TestLoadTotalBound:
+    """Per-link message counts are int64 in the kernels: a load function
+    whose total plus the switch count exceeds 2**63 - 1 is refused before
+    any kernel runs, and one exactly at the bound is answered exactly."""
+
+    @pytest.fixture()
+    def tree(self):
+        return bt_network(4)
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_overflowing_total_is_refused(self, tree, backend):
+        # Each load is a valid int64; their sum is not.
+        loads = {"s1_0": 2**62, "s1_1": 2**62}
+        with pytest.raises(InvalidLoadError, match="2\\*\\*63"):
+            tree.with_loads(loads)
+        with pytest.raises(InvalidLoadError):
+            TreeNetwork(_parents(tree), loads=loads)
+        service = PlacementService(tree, capacity=4, backend=backend)
+        with pytest.raises(WorkloadError, match="2\\*\\*63"):
+            service.submit(SolveRequest(loads=loads, budget=0))
+        with pytest.raises(WorkloadError):
+            service.submit(SweepRequest(loads=loads, budgets=(0, 1)))
+        assert service.cache.stats.lookups == 0
+
+    @pytest.mark.parametrize("backend", BACKEND_PARAMS)
+    def test_total_at_the_bound_is_exact(self, tree, backend):
+        loads = {"s1_0": 2**62, "s1_1": 2**63 - 1 - 2**62 - tree.num_switches}
+        workload = tree.with_loads(loads)
+        for budget in range(tree.num_switches + 1):
+            placement = Solver(backend=backend).solve(workload, budget)
+            assert placement.cost == utilization_cost(workload, placement.blue_nodes)
+            assert placement.cost == placement.predicted_cost
+        answer = PlacementService(tree, capacity=4, backend=backend).submit(
+            SolveRequest(loads=loads, budget=0)
+        )
+        assert answer.cost == utilization_cost(workload, frozenset()) > 1e19
 
 
 def _built_trees() -> dict[str, TreeNetwork]:

@@ -918,23 +918,6 @@ class TestPlacementService:
         with pytest.raises(InvalidBudgetError):
             service.submit(SweepRequest(loads=loads, budgets=(-1,)))
 
-    def test_submit_batch_serves_prefix_before_invalid_request(self):
-        service = small_service()
-        loads = leaf_loads(service.state.tree)
-        with pytest.raises(InvalidBudgetError):
-            service.submit_batch(
-                [
-                    SolveRequest(loads=loads, budget=2),
-                    SolveRequest(loads=loads, budget=-1),
-                ]
-            )
-        # The malformed request must not abort planning: the valid first
-        # request was served (its solve reached the cache) before the
-        # error surfaced at the second request's position, like serial
-        # submission.
-        assert service.cache.stats.lookups == 1
-        assert service.submit(SolveRequest(loads=loads, budget=2)).cache_hit
-
     def test_invalid_loads_rejected(self):
         service = small_service()
         with pytest.raises(WorkloadError):
@@ -946,33 +929,6 @@ class TestPlacementService:
             small_service(engine="flat")
         with pytest.raises(TypeError):
             small_service(cost_kernel="flat")
-
-    def test_submit_batch_matches_serial_and_plans_gathers(self):
-        tree = complete_binary_tree(16)
-        loads = leaf_loads(tree, seed=3)
-        batch = [
-            SolveRequest(loads=loads, budget=2),
-            SolveRequest(loads=loads, budget=6),
-            SweepRequest(loads=loads, budgets=(1, 3)),
-            AdmitRequest(tenant_id="t", loads=loads, budget=2),
-            SolveRequest(loads=loads, budget=4),
-            StatsRequest(),
-        ]
-        batched_service = PlacementService(tree, capacity=4)
-        serial_service = PlacementService(tree, capacity=4)
-        batched = batched_service.submit_batch(batch)
-        serial = [serial_service.submit(request) for request in batch]
-        for got, expected in zip(batched, serial):
-            if hasattr(got, "cost"):
-                assert got.cost == expected.cost
-                assert got.blue_nodes == expected.blue_nodes
-            if hasattr(got, "costs"):
-                assert got.costs == expected.costs
-                assert got.placements == expected.placements
-        # Planning means the k=2 request already gathered at k=6; the
-        # serial service pays an upcast re-gather instead.
-        assert batched_service.cache.stats.budget_upcasts == 0
-        assert serial_service.cache.stats.budget_upcasts >= 1
 
 
 # --------------------------------------------------------------------------- #

@@ -10,16 +10,17 @@ Three layers:
   mid-trace and restoring it (snapshot + journal tail) yields responses
   payload-identical to the uninterrupted run, across seeded churn traces
   (and via journal-only recovery with no snapshot at all);
-* **concurrency** — a 4-worker replay of a seeded trace (both the thread
-  pool and the Λ-epoch process pool of ``mode="process"``) is
-  payload-identical to the serial replay, and hammering ``submit`` from
-  many threads against a churning fleet never corrupts the registry.
+* **concurrency** — four threads sharing one service answer a seeded
+  trace payload-identically to a serial replay, and hammering ``submit``
+  from many threads against a churning fleet never corrupts the registry
+  and gives every reader the serial answer.
 """
 
 from __future__ import annotations
 
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -45,6 +46,7 @@ from repro.service import (
     response_payload,
     write_snapshot,
 )
+from repro.service.driver import _verify_response
 from repro.service.persistence import SNAPSHOT_VERSION
 from repro.topology.binary_tree import complete_binary_tree
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
@@ -405,10 +407,8 @@ class TestKillRestoreDifferential:
             config=config,
             journal_path=tmp_path / "fleet.jsonl",
             restore_path=tmp_path / "fleet.json",
-            workers=4,
         )
         assert report.num_requests == 30
-        assert rows[0]["workers"] == 4
 
     def test_journal_only_recovery(self, tmp_path):
         tree = complete_binary_tree(16)
@@ -470,77 +470,59 @@ class TestKillRestoreDifferential:
 # --------------------------------------------------------------------------- #
 
 
+def serve_concurrently(service, requests, workers: int = 4):
+    """Serve ``requests`` on one shared service from ``workers`` threads.
+
+    Mutating requests run alone, in order; each run of read-only requests
+    between two of them is fanned out over the threads.  Returns the
+    responses in request order and the Λ each request was served at.
+    """
+    responses: list = []
+    available: list = []
+    run: list = []
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+
+        def flush() -> None:
+            # Λ cannot change inside a read-only run.
+            seen = service.state.available()
+            responses.extend(pool.map(service.submit, run))
+            available.extend([seen] * len(run))
+            run.clear()
+
+        for request in requests:
+            if isinstance(request, (AdmitRequest, ReleaseRequest, DrainRequest)):
+                flush()
+                available.append(service.state.available())
+                responses.append(service.submit(request))
+            else:
+                run.append(request)
+        flush()
+    return responses, available
+
+
 class TestConcurrentReplay:
     @pytest.mark.parametrize("seed", [4, 11])
     def test_four_workers_match_serial_payloads(self, seed):
         tree = complete_binary_tree(16)
-        trace = generate_churn_trace(tree, 80, seed=seed, budget=4, workload_pool=3)
+        trace, requests = churn_requests(tree, 80, seed=seed, pool=3)
         serial = replay_trace(tree, trace, capacity=3)
-        concurrent = replay_trace(tree, trace, capacity=3, workers=4)
-        assert concurrent.workers == 4
+        concurrent, _ = serve_concurrently(PlacementService(tree, 3), requests)
         assert [response_payload(r.response) for r in serial.records] == [
-            response_payload(r.response) for r in concurrent.records
+            response_payload(response) for response in concurrent
         ]
 
     def test_concurrent_replay_verifies_against_cold_solves(self):
         tree = complete_binary_tree(16)
-        trace = generate_churn_trace(tree, 60, seed=5, budget=4, workload_pool=3)
-        report = replay_trace(tree, trace, capacity=3, verify=True, workers=4)
-        placements = sum(
-            1 for event in trace if event.kind in ("solve", "sweep", "admit")
-        )
-        assert report.verified == placements
-
-    @pytest.mark.parametrize("seed", [4, 11])
-    def test_four_processes_match_serial_payloads(self, seed):
-        # The Λ-epoch process pool: every solve/sweep runs on a replica
-        # process synced to that epoch's fleet snapshot, yet the payloads
-        # must be bit-identical to the serial replay — across a trace that
-        # actually churns availability (admits, releases, and drains all
-        # change Λ mid-trace, closing epochs).
-        tree = complete_binary_tree(16)
-        trace = generate_churn_trace(tree, 80, seed=seed, budget=4, workload_pool=3)
-        kinds = {event.kind for event in trace}
-        assert {"admit", "release", "drain", "solve", "sweep"} <= kinds
-        serial = replay_trace(tree, trace, capacity=3)
-        assert serial.mode == "serial"
-        concurrent = replay_trace(tree, trace, capacity=3, workers=4, mode="process")
-        assert concurrent.workers == 4 and concurrent.mode == "process"
-        assert [response_payload(r.response) for r in serial.records] == [
-            response_payload(r.response) for r in concurrent.records
-        ]
-
-    def test_numpy_service_process_replay_matches_serial(self):
-        # Process-mode replicas run on the coordinating service's backend.
-        tree = complete_binary_tree(16)
-        trace = generate_churn_trace(tree, 60, seed=7, budget=4, workload_pool=3)
-        serial = replay_trace(tree, trace, capacity=3)
-        service = PlacementService(tree, 3, backend=NUMPY_BACKEND)
-        concurrent = replay_trace(tree, trace, service=service, workers=2, mode="process")
-        assert concurrent.backend == "numpy" and concurrent.mode == "process"
-        assert [response_payload(r.response) for r in serial.records] == [
-            response_payload(r.response) for r in concurrent.records
-        ]
-
-    def test_process_replay_verifies_against_cold_solves(self):
-        # verify=True re-solves every placement at the Λ the *parent* saw
-        # when it buffered the request — proving the replicas answered from
-        # the right epoch, not just self-consistently.
-        tree = complete_binary_tree(16)
-        trace = generate_churn_trace(tree, 60, seed=5, budget=4, workload_pool=3)
-        report = replay_trace(
-            tree, trace, capacity=3, verify=True, workers=2, mode="process"
+        trace, requests = churn_requests(tree, 60, seed=5, pool=3)
+        responses, available = serve_concurrently(PlacementService(tree, 3), requests)
+        verified = sum(
+            _verify_response(tree, seen, request, response)
+            for request, response, seen in zip(requests, responses, available)
         )
         placements = sum(
             1 for event in trace if event.kind in ("solve", "sweep", "admit")
         )
-        assert report.verified == placements
-
-    def test_unknown_mode_rejected(self):
-        tree = complete_binary_tree(8)
-        trace = generate_churn_trace(tree, 5, seed=1, budget=2)
-        with pytest.raises(ValueError, match="unknown replay mode"):
-            replay_trace(tree, trace, capacity=2, workers=2, mode="fiber")
+        assert verified == placements
 
     def test_hammered_submit_keeps_registry_consistent(self):
         # 8 threads of mixed read traffic while the main thread churns
@@ -549,13 +531,19 @@ class TestConcurrentReplay:
         tree = complete_binary_tree(8)
         service = PlacementService(tree, capacity=4)
         loads = leaf_loads(tree)
+        query = SolveRequest(loads=loads, budget=3)
+        # One tenant of budget 2 at a time never exhausts a capacity-4
+        # switch, so Λ is constant and every read has one serial answer.
+        expected = response_payload(PlacementService(tree, capacity=4).submit(query))
         errors: list[BaseException] = []
+        payloads: list[tuple] = []
 
         def reader() -> None:
             try:
                 for _ in range(20):
-                    response = service.submit(SolveRequest(loads=loads, budget=3))
+                    response = service.submit(query)
                     assert response.cost > 0
+                    payloads.append(response_payload(response))
                     stats = service.submit(StatsRequest())
                     fleet = stats.fleet
                     assert (
@@ -574,8 +562,10 @@ class TestConcurrentReplay:
             )
             service.submit(ReleaseRequest(tenant_id=f"t{round_id}"))
         for thread in threads:
-            thread.join()
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
         assert not errors, errors
+        assert payloads == [expected] * (8 * 20)
         state = service.state
         assert state.num_tenants == 0
         assert state.admitted_total == 10 and state.released_total == 10
