@@ -64,6 +64,7 @@ from repro.core.solver import GatherTable, Placement, Solver
 from repro.core.tree import (
     DEFAULT_DESTINATION,
     IncrementalDigest,
+    Loads,
     NodeId,
     TreeNetwork,
     fingerprint_loads,
@@ -81,6 +82,7 @@ __all__ = [
     "GatherResult",
     "GatherTable",
     "IncrementalDigest",
+    "Loads",
     "NodeId",
     "NodeTables",
     "NUMPY_BACKEND",

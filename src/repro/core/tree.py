@@ -20,13 +20,28 @@ queries every algorithm in the library relies on:
 Instances are conceptually immutable: the "modify" helpers
 (:meth:`TreeNetwork.with_loads`, :meth:`TreeNetwork.with_available`,
 :meth:`TreeNetwork.with_rates`) return new objects sharing the topology.
+
+A load function can also be held as a :class:`Loads` value: validated
+once against one built network, laid out as the flat int64 vector the
+gather kernels read, and digested by one blake2b over that vector.
+:meth:`TreeNetwork.with_loads` adopts such a value without validating it
+again; the placement service builds one per distinct request load map.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import (
+    Hashable,
+    ItemsView,
+    Iterable,
+    Iterator,
+    KeysView,
+    Mapping,
+    Sequence,
+    ValuesView,
+)
 from typing import TYPE_CHECKING, Any
 
 import networkx as nx
@@ -88,9 +103,10 @@ class IncrementalDigest:
     chained hash over the sorted entries; the wide 256-bit additive group
     is the standard mitigation (finding colliding subsets is a hard
     lattice problem rather than GF(2) Gaussian elimination).  The inputs
-    here are the operator's own switch ids, not attacker-chosen strings —
-    digests that *are* fed attacker-adjacent data (request load mappings,
-    :func:`fingerprint_loads`) stay on the chained construction.
+    here are the operator's own switch ids, not attacker-chosen strings.
+    Digests fed attacker-adjacent data are not maintained incrementally: a
+    request's load function is digested whole, as one blake2b over its
+    :class:`Loads` vector (:meth:`Loads.digest`).
     """
 
     __slots__ = ("_combined",)
@@ -135,17 +151,20 @@ class IncrementalDigest:
 def fingerprint_loads(loads: Mapping[NodeId, int]) -> str:
     """Order-independent digest of a load function.
 
-    Zero entries are skipped, so a mapping covering only the loaded switches
-    (e.g. the per-leaf workloads of the online setting) digests identically
-    to the full load function of a tree built from it — which is what lets
-    the placement service key its cache on a request's loads without
-    constructing the :class:`TreeNetwork` first.
+    A :class:`Loads` value answers with :meth:`Loads.digest`: one blake2b
+    over its structure fingerprint and its int64 load vector.  That is the
+    digest the placement service keys its cache on, carries on tenant
+    records and writes to snapshots.  Any other mapping is digested by a
+    chained blake2b over its sorted ``repr(node)=load`` entries.  The two
+    kinds differ for the same load function, so compare digests of one
+    kind only.
 
-    Loads arrive from requests, so this stays a chained blake2b over the
-    sorted entries (full collision resistance); services avoid repeated
-    recomputes by *memoizing* the value (tenant records carry theirs from
-    admission), not by maintaining it incrementally.
+    Zero entries are skipped by both: a mapping covering only the loaded
+    switches digests like the full load function of a network built from
+    it.
     """
+    if isinstance(loads, Loads):
+        return loads.digest()
     return _digest(
         sorted(f"{node!r}={int(value)}" for node, value in loads.items() if int(value) != 0)
     )
@@ -203,17 +222,190 @@ def check_load_total(
         )
 
 
-def _validate_load(node: NodeId, load: Any) -> int:
+def _validate_load(
+    node: NodeId, load: Any, error: type[Exception] = InvalidLoadError
+) -> int:
     """Return ``load`` as an int after checking it is a non-negative integer."""
     try:
         value = int(load)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidLoadError(f"load of switch {node!r} is not an integer: {load!r}") from exc
+        raise error(f"load of switch {node!r} is not an integer: {load!r}") from exc
     if value != load:
-        raise InvalidLoadError(f"load of switch {node!r} must be integral, got {load!r}")
+        raise error(f"load of switch {node!r} must be integral, got {load!r}")
     if value < 0:
-        raise InvalidLoadError(f"load of switch {node!r} must be non-negative, got {load!r}")
+        raise error(f"load of switch {node!r} must be non-negative, got {load!r}")
     return value
+
+
+class Loads(Mapping[NodeId, int]):
+    """A validated load function over the switches of one built network.
+
+    Built by :meth:`of` in one pass over a mapping: every key must be a
+    switch (:class:`~repro.exceptions.InvalidLoadError` otherwise), every
+    value a non-negative integer (``error`` otherwise), and the total plus
+    the switch count must fit the kernels' int64 message counts
+    (:func:`check_load_total`).  The pass writes the loads into one
+    read-only int64 :attr:`vector` in the network's
+    :class:`~repro.core.flat.FlatLayout` order, which
+    :meth:`TreeNetwork.with_loads` adopts without validating again.
+
+    A ``Loads`` is a mapping over *every* switch of the network, in the
+    order of its switch mapping, with 0 for a switch that carries no load
+    (like :attr:`TreeNetwork.loads`).  Zero entries leave no trace in the
+    vector, so two mappings that differ only in them, in their insertion
+    order, or in the integer type of a value (``True``, ``2.0``,
+    ``np.int64(3)``) build equal values with equal digests.
+
+    The value is immutable.  Its sorted serialisation (:attr:`serialized`)
+    and its plain-dict view are computed on first use and kept.
+    """
+
+    __slots__ = ("_parents", "_layout", "_structure", "_vector", "_serialized", "_dict")
+
+    def __init__(self, tree: "TreeNetwork", vector: np.ndarray) -> None:
+        """Wrap an already validated flat-order ``vector``; use :meth:`of`."""
+        self._parents = tree._parents
+        self._layout = tree.flat_layout()
+        self._structure = tree.structure_fingerprint()
+        self._vector = vector
+        self._serialized: tuple[tuple[str, int], ...] | None = None
+        self._dict: dict[NodeId, int] | None = None
+
+    @classmethod
+    def of(
+        cls,
+        tree: "TreeNetwork",
+        loads: Mapping[NodeId, int],
+        error: type[Exception] = InvalidLoadError,
+    ) -> "Loads":
+        """Validate ``loads`` against ``tree`` and lay it out, in one pass.
+
+        Raises
+        ------
+        InvalidLoadError
+            For a key that is not a switch of ``tree`` (reported before any
+            bad value).
+        error
+            For a value that is not a non-negative integer, or a total
+            beyond :data:`MAX_MESSAGE_COUNT` less the switch count.
+        """
+        return cls.from_entries(tree, tuple(loads), tuple(loads.values()), error)
+
+    @classmethod
+    def from_entries(
+        cls,
+        tree: "TreeNetwork",
+        nodes: Sequence[NodeId],
+        values: Sequence[Any],
+        error: type[Exception] = InvalidLoadError,
+    ) -> "Loads":
+        """:meth:`of` for a mapping given as its keys and its values, in order."""
+        layout = tree.flat_layout()
+        index = layout.index
+        try:
+            positions = np.fromiter(map(index.__getitem__, nodes), dtype=np.intp, count=len(nodes))
+        except KeyError:
+            unknown = next(node for node in nodes if node not in index)
+            raise InvalidLoadError(f"load given for unknown switch {unknown!r}") from None
+        # Non-negative integers that fit int64 (the common case) are checked
+        # by numpy; any other value goes through the constructor's
+        # validation.
+        try:
+            array: np.ndarray | None = np.array(values)
+        except (TypeError, ValueError, OverflowError):
+            array = None
+        if (
+            array is None
+            or array.dtype != np.int64
+            or array.shape != (len(values),)
+            or (len(values) and array.min() < 0)
+        ):
+            checked = [
+                value if type(value) is int and value >= 0 else _validate_load(node, value, error)
+                for node, value in zip(nodes, values)
+            ]
+            array = None
+        else:
+            checked = array.tolist()
+        n = len(layout.order)
+        # Summed as Python ints, so the bound is exact.
+        check_load_total(checked, n, error)
+        vector = np.zeros(n, dtype=np.int64)
+        vector[positions] = np.array(checked, dtype=np.int64) if array is None else array
+        vector.setflags(write=False)
+        return cls(tree, vector)
+
+    @property
+    def vector(self) -> np.ndarray:
+        """The loads in :class:`~repro.core.flat.FlatLayout` order (int64, read-only)."""
+        return self._vector
+
+    @property
+    def layout(self) -> "FlatLayout":
+        """The layout :attr:`vector` is ordered by."""
+        return self._layout
+
+    def digest(self) -> str:
+        """One blake2b over the structure fingerprint and :attr:`vector`.
+
+        The vector is hashed as little-endian int64 whatever the host's
+        byte order, because the digest is persisted (tenant records in
+        snapshots).  It is ordered by the network's flat layout, so it
+        names a load function of one built network; a restore recomputes
+        every persisted digest from the stored loads.
+        """
+        hasher = hashlib.blake2b(self._structure.encode(), digest_size=16)
+        hasher.update(self._vector.astype("<i8", copy=False).data)
+        return hasher.hexdigest()
+
+    @property
+    def serialized(self) -> tuple[tuple[str, int], ...]:
+        """The non-zero entries as sorted ``(str(node), load)`` pairs.
+
+        This is the form trace events, journal lines and snapshots store
+        (:mod:`repro.service.events`); it is computed once per value.
+        """
+        serialized = self._serialized
+        if serialized is None:
+            positions = np.flatnonzero(self._vector)
+            order = self._layout.order
+            serialized = self._serialized = tuple(
+                sorted(
+                    zip(
+                        (str(order[p]) for p in positions.tolist()),
+                        self._vector[positions].tolist(),
+                    )
+                )
+            )
+        return serialized
+
+    def _as_dict(self) -> dict[NodeId, int]:
+        mapping = self._dict
+        if mapping is None:
+            loads = self._vector[self._layout.switch_position].tolist()
+            mapping = self._dict = dict(zip(self._parents, loads))
+        return mapping
+
+    def __getitem__(self, node: NodeId) -> int:
+        return self._as_dict()[node]
+
+    def __iter__(self) -> Iterator[NodeId]:
+        return iter(self._parents)
+
+    def __len__(self) -> int:
+        return len(self._parents)
+
+    def keys(self) -> KeysView[NodeId]:
+        return self._as_dict().keys()
+
+    def items(self) -> ItemsView[NodeId, int]:
+        return self._as_dict().items()
+
+    def values(self) -> ValuesView[int]:
+        return self._as_dict().values()
+
+    def __repr__(self) -> str:
+        return f"Loads(n={len(self._parents)}, total={int(self._vector.sum())})"
 
 
 class TreeNetwork:
@@ -308,7 +500,7 @@ class TreeNetwork:
             s: _validate_rate(s, rates.get(s, 1.0)) for s in self._parents
         }
         self._rho: dict[NodeId, float] = {s: 1.0 / r for s, r in self._rates.items()}
-        self._loads: dict[NodeId, int] = self._validated_loads(loads or {})
+        self._loads: Mapping[NodeId, int] = self._validated_loads(loads or {})
         self._available: frozenset[NodeId] = self._validated_available(available)
 
         self._depth: dict[NodeId, int] = {}
@@ -510,7 +702,17 @@ class TreeNetwork:
     @property
     def loads(self) -> dict[NodeId, int]:
         """A copy of the load function ``L``."""
-        return dict(self._loads)
+        return dict(self._loads.items())
+
+    def load_function(self) -> Loads:
+        """The load function ``L`` as a :class:`Loads` value.
+
+        The value :meth:`with_loads` adopted, or (for a network built from
+        a plain mapping) one built from this network's loads.
+        """
+        if isinstance(self._loads, Loads):
+            return self._loads
+        return Loads.of(self, self._loads)
 
     @property
     def rates(self) -> dict[NodeId, float]:
@@ -675,28 +877,41 @@ class TreeNetwork:
     def flat_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The loads (int64) and Λ membership (bool) in :meth:`flat_layout` order.
 
-        Both arrays are read-only.  The load vector is one scatter of the
-        load function through the layout's ``switch_position`` (every load
-        function is keyed in the order of the switch mapping the layout
-        was built from, which :meth:`with_loads` / :meth:`with_available`
-        copies share).  The Λ mask is built once per network and shared
-        by the copies that keep this network's Λ.
+        Both arrays are read-only.  The load vector of a network that
+        adopted a :class:`Loads` value is that value's vector; otherwise it
+        is one scatter of the load function through the layout's
+        ``switch_position`` (every load function is keyed in the order of
+        the switch mapping the layout was built from, which
+        :meth:`with_loads` / :meth:`with_available` copies share).  The Λ
+        mask is :meth:`availability_mask`.
         """
         layout = self.flat_layout()
+        if isinstance(self._loads, Loads):
+            return self._loads.vector, self.availability_mask()
         n = len(self._parents)
         load = np.empty(n, dtype=np.int64)
         load[layout.switch_position] = np.fromiter(
             self._loads.values(), dtype=np.int64, count=n
         )
         load.setflags(write=False)
+        return load, self.availability_mask()
+
+    def availability_mask(self) -> np.ndarray:
+        """Λ membership (bool, read-only) in :meth:`flat_layout` order.
+
+        Built once per network and shared by the copies that keep this
+        network's Λ; :meth:`with_flipped` patches its source's mask, when
+        built, by the flips.
+        """
         avail = self._avail_mask
         if avail is None:
+            order = self.flat_layout().order
             avail = np.fromiter(
-                map(self._available.__contains__, layout.order), dtype=bool, count=n
+                map(self._available.__contains__, order), dtype=bool, count=len(order)
             )
             avail.setflags(write=False)
             self._avail_mask = avail
-        return load, avail
+        return avail
 
     # ------------------------------------------------------------------ #
     # path and subtree queries
@@ -805,6 +1020,8 @@ class TreeNetwork:
         load-independent attribute with ``self`` and validates only the
         loads (and the new Λ, when one is given), exactly as the
         constructor would; the caller's mapping is copied, never kept.
+        A :class:`Loads` value built for this network's layout is already
+        validated: the copy adopts it, vector included, as it is.
         The structure-fingerprint memo and the flat layout ride along, and
         so does the flat Λ mask when Λ is kept.
         """
@@ -812,6 +1029,8 @@ class TreeNetwork:
             available_set = self._available
         else:
             available_set = self._validated_available(available)
+        if isinstance(loads, Loads) and loads.layout is self._layout[0]:
+            return self._derive(loads, available_set)
         return self._derive(self._validated_loads(loads or {}), available_set)
 
     def with_available(self, available: Iterable[NodeId] | None) -> "TreeNetwork":
@@ -847,14 +1066,15 @@ class TreeNetwork:
 
     def _derive(
         self,
-        loads: dict[NodeId, int],
+        loads: Mapping[NodeId, int],
         available: frozenset[NodeId],
         flips: frozenset[NodeId] | None = None,
     ) -> "TreeNetwork":
         """A copy sharing the structure, with validated ``loads`` and Λ.
 
         ``flips``, when the caller holds it, is the symmetric difference
-        of this tree's Λ and ``available``.
+        of this tree's Λ and ``available``; the copy's flat Λ mask is then
+        this tree's (when built) with the flipped positions toggled.
 
         Fingerprint memos ride along: the structure digest transfers
         verbatim, the loads digest when ``loads`` is this tree's own
@@ -884,6 +1104,13 @@ class TreeNetwork:
         clone._height = self._height
         clone._layout = self._layout
         clone._avail_mask = self._avail_mask if available is self._available else None
+        if flips is not None and self._avail_mask is not None:
+            index = self.flat_layout().index
+            mask = self._avail_mask.copy()
+            for node in flips:
+                mask[index[node]] = node in available
+            mask.setflags(write=False)
+            clone._avail_mask = mask
         kept = ["structure"]
         if loads is self._loads:
             kept.append("loads")

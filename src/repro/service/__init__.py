@@ -27,7 +27,9 @@ Module tour
     repeats without even a colour trace.  Keys digest everything a gather
     depends on, so hits are always bitwise-correct; the digests themselves
     stay warm too (the Λ fingerprint is maintained incrementally by the
-    capacity tracker, admitted tenants carry their loads digest), and
+    capacity tracker, a request's loads are interned as one validated
+    :class:`repro.core.tree.Loads` value with its digest, and admitted
+    tenants carry both), and
     invalidation (after drains) only reclaims entries that can never be
     looked up again.  The warm-hit latency split —
     ``table_hit_ms`` / ``pr3_warm_ms`` / ``legacy_warm_ms`` /
@@ -86,7 +88,8 @@ journal position ``seq``, the fleet
 state (initial + residual capacities, drained switches, consumed
 assignments, lifetime counters, and the tenant registry with each
 tenant's loads, budget, semantics, blue set, costs, and loads digest —
-switches stringified exactly like trace events), the incremental Λ digest
+switches stringified exactly like trace events; a restore recomputes the
+loads digest from the stored loads), the incremental Λ digest
 (re-derived and checked on restore), and the cache's hot workloads in LRU
 order.  Unknown versions, foreign structure fingerprints and torn or
 truncated files are refused with

@@ -43,9 +43,15 @@ cost call.
 The digests feeding the cache key are kept warm the same way: the Λ
 fingerprint is maintained *incrementally* by the capacity tracker across
 admit/release/drain (O(changed switches) per mutation instead of a full
-re-digest), and each admitted tenant's loads digest is computed once and
-carried on its :class:`~repro.service.state.TenantRecord`, so drain
-re-placement never re-digests a displaced workload.  The resulting latency
+re-digest).  A request's load map is validated, laid out and digested in
+one pass into a :class:`~repro.core.tree.Loads` value, which the service
+interns by the map's entries: the cache key, the cold request's workload
+network (which adopts its vector), the admitted tenant's
+:class:`~repro.service.state.TenantRecord`, the journal line and the
+snapshot all read that one value, so a recurring workload and a drain's
+re-placement never validate or digest it again.  Every cold request's
+workload network derives from one fleet network kept at the live Λ and
+shares its flat Λ mask.  The resulting latency
 split is reported by ``benchmarks/bench_service.py`` as the
 ``table_hit_ms`` / ``cost_flat_ms`` / ``cost_kernel_speedup`` columns of
 ``benchmarks/results/service_throughput.csv``.
@@ -81,18 +87,16 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Iterator, Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.engine import DEFAULT_BACKEND, Backend
 from repro.core.solver import GatherTable, Placement, Solver
-from repro.core.tree import (
-    NodeId,
-    TreeNetwork,
-    check_load_total,
-    fingerprint_loads,
-)
+# ``fingerprint_loads`` is called through this module's global so that
+# ``perfbench/tracer.py`` can wrap it as the ``tree.digest`` layer.  The name
+# stays here until ROADMAP item 4 retires the tracer's monkeypatching.
+from repro.core.tree import Loads, NodeId, TreeNetwork, fingerprint_loads
 from repro.exceptions import (
     CapacityError,
     InvalidBudgetError,
@@ -128,34 +132,12 @@ __all__ = [
 ]
 
 
-def _digest_loads(items: tuple[tuple[NodeId, int], ...]) -> str:
-    """:func:`fingerprint_loads` of a frozen load mapping given as its items."""
-    return fingerprint_loads(dict(items))
-
-
-def _freeze_loads(loads: Mapping[NodeId, int], num_switches: int) -> dict[NodeId, int]:
-    """Copy a load mapping, validating values are non-negative integers.
-
-    The total plus ``num_switches`` must fit the kernels' int64 message
-    counts (:func:`~repro.core.tree.check_load_total`).
-    """
-    frozen: dict[NodeId, int] = {}
-    for node, value in loads.items():
-        if type(value) is int and value >= 0:
-            frozen[node] = value
-            continue
-        try:
-            count = int(value)
-            valid = count == value and count >= 0
-        except (TypeError, ValueError, OverflowError):
-            valid = False
-        if not valid:
-            raise WorkloadError(
-                f"load of switch {node!r} must be a non-negative integer, got {value!r}"
-            )
-        frozen[node] = count
-    check_load_total(frozen.values(), num_switches, WorkloadError)
-    return frozen
+def _digested(
+    tree: TreeNetwork, nodes: tuple[NodeId, ...], values: tuple[int, ...]
+) -> tuple[Loads, str]:
+    """Validate and lay out a load map in one pass, and digest it once."""
+    loads = Loads.from_entries(tree, nodes, values, WorkloadError)
+    return loads, fingerprint_loads(loads)
 
 
 # --------------------------------------------------------------------------- #
@@ -483,6 +465,13 @@ class PlacementService:
             exact_k: Solver(backend=backend, exact_k=exact_k) for exact_k in (False, True)
         }
         self._structure_fp = tree.structure_fingerprint()
+        # The fleet network at the live Λ, and the tracker's Λ digest it was
+        # derived at: every cold request's workload network is derived from
+        # it, so they all share its flat Λ mask, which each Λ change
+        # patches by the flips (TreeNetwork.with_flipped).
+        live = tree.with_available(self.available())
+        live.availability_mask()
+        self._live: tuple[str, TreeNetwork] = (self._availability_fingerprint(), live)
         self._request_counts: dict[str, int] = {}
         self._counts_lock = threading.Lock()
         # Read/write lock at the submit boundary: read-only requests share
@@ -495,11 +484,14 @@ class PlacementService:
         self._journal: "Journal | None" = None
         if journal is not None:
             self.attach_journal(journal)
-        # Digests of recently served frozen load mappings, keyed by their
-        # items: a recurring workload's warm hit skips the O(n) string
-        # digest, which otherwise dominates it.  Bounded like the table
-        # cache; lru_cache is safe under concurrent readers.
-        self._loads_digest = functools.lru_cache(maxsize=cache_entries)(_digest_loads)
+        # Recently served load maps, keyed by their keys and values,
+        # interned as validated Loads values with their digests: a
+        # recurring workload pays one hash of its entries instead of
+        # validating and digesting it again.  Bounded like the table cache;
+        # lru_cache is safe under concurrent readers.
+        self._interned = functools.lru_cache(maxsize=cache_entries)(
+            functools.partial(_digested, tree)
+        )
 
     # ------------------------------------------------------------------ #
     # views
@@ -589,11 +581,36 @@ class PlacementService:
             exact_k=exact_k,
         )
 
-    def _freeze(self, loads: Mapping[NodeId, int]) -> dict[NodeId, int]:
-        return _freeze_loads(loads, self._state.tree.num_switches)
+    def _intern(self, loads: Mapping[NodeId, int]) -> tuple[Loads, str]:
+        """A request's load map as an interned :class:`Loads` value and its digest.
 
-    def _workload_tree(self, loads: Mapping[NodeId, int]) -> TreeNetwork:
-        return self._state.tree.with_loads(loads, available=self.available())
+        Raises :class:`~repro.exceptions.WorkloadError` for a value that is
+        not a non-negative integer or a total the kernels cannot count, and
+        :class:`~repro.exceptions.InvalidLoadError` for a key that is not a
+        switch.
+        """
+        nodes, values = tuple(loads), tuple(loads.values())
+        try:
+            return self._interned(nodes, values)
+        except TypeError:
+            # Only hashing the values raises it (an unhashable value, which
+            # no valid load is); validating uncached reports it typed.
+            return _digested(self._state.tree, nodes, values)
+
+    def _workload_tree(self, loads: Loads) -> TreeNetwork:
+        """The workload network of ``loads`` at the live Λ.
+
+        Derived from the fleet network at the live Λ, which is re-derived
+        (by the Λ delta) only when the tracker's Λ digest has changed.
+        Readers racing on a change derive equal networks, and whichever
+        ``(digest, network)`` pair is stored last is as good as the other.
+        """
+        current = self._availability_fingerprint()
+        derived_at, live = self._live
+        if derived_at != current:
+            live = live.with_flipped(live.available ^ self.available())
+            self._live = (current, live)
+        return live.with_loads(loads)
 
     @staticmethod
     def _validate_budget(budget: int) -> int:
@@ -611,22 +628,16 @@ class PlacementService:
         return min(self._validate_budget(budget), len(self.available()))
 
     def _solve_cached(
-        self,
-        loads: Mapping[NodeId, int],
-        budget: int,
-        exact_k: bool,
-        loads_fp: str | None = None,
+        self, loads: Loads, loads_fp: str, budget: int, exact_k: bool
     ) -> _Placement:
         """Answer one placement query through the cache layers.
 
         Resolves the budget (:meth:`_resolve`), traces it with
         ``table.place()`` unless the memo answered, and memoizes the
-        result.  ``loads_fp`` lets callers that already digested the loads
-        (admission, drain re-placement) skip re-digesting them.
+        result.  ``loads`` and ``loads_fp`` come from :meth:`_intern` (or
+        from a tenant record, which carries them).
         """
         effective = self._effective_budget(budget)
-        if loads_fp is None:
-            loads_fp = self._loads_digest(tuple(loads.items()))
         key = self._key(loads_fp, exact_k)
         source, found = self._resolve(key, loads, effective, exact_k)
         if isinstance(found, GatherTable):
@@ -636,7 +647,7 @@ class PlacementService:
     def _resolve(
         self,
         key: CacheKey,
-        loads: Mapping[NodeId, int],
+        loads: Loads,
         effective: int,
         exact_k: bool,
     ) -> tuple[str, CachedSolution | GatherTable]:
@@ -710,7 +721,7 @@ class PlacementService:
     def _handle_solve(self, request: SolveRequest) -> SolveResponse:
         start = time.perf_counter()
         placement = self._solve_cached(
-            self._freeze(request.loads), request.budget, request.exact_k
+            *self._intern(request.loads), request.budget, request.exact_k
         )
         return SolveResponse(
             blue_nodes=placement.blue_nodes,
@@ -730,9 +741,8 @@ class PlacementService:
                 elapsed_s=time.perf_counter() - start,
                 cache_source="memo",
             )
-        loads = self._freeze(request.loads)
+        loads, loads_fp = self._intern(request.loads)
         budgets = sorted({self._validate_budget(b) for b in request.budgets})
-        loads_fp = self._loads_digest(tuple(loads.items()))
         key = self._key(loads_fp, request.exact_k)
         # Resolving the largest budget first populates the table every
         # smaller budget then hits.  Each distinct effective budget is
@@ -814,14 +824,11 @@ class PlacementService:
     def _handle_admit(self, request: AdmitRequest) -> AdmitResponse:
         start = time.perf_counter()
         self._require_capacity(f"admit tenant {request.tenant_id!r}")
-        loads = self._freeze(request.loads)
-        # Digest the workload once: the solve keys the cache with it and
-        # the record carries it, so a later drain re-places this tenant
-        # without recomputing the full loads digest.
-        loads_fp = self._loads_digest(tuple(loads.items()))
-        placement = self._solve_cached(
-            loads, request.budget, request.exact_k, loads_fp=loads_fp
-        )
+        # The record carries the interned loads and their digest, so a later
+        # drain re-places this tenant without validating or digesting them,
+        # and the journal line reuses their serialisation.
+        loads, loads_fp = self._intern(request.loads)
+        placement = self._solve_cached(loads, loads_fp, request.budget, request.exact_k)
         record = TenantRecord(
             tenant_id=request.tenant_id,
             loads=loads,
@@ -881,10 +888,10 @@ class PlacementService:
         for record in displaced:
             try:
                 self._require_capacity(f"re-place displaced tenant {record.tenant_id!r}")
-                # The record carries the loads digest from admission time,
-                # so re-placing a displaced tenant skips the full recompute.
+                # The record carries the loads and their digest from
+                # admission time, so re-placing a displaced tenant skips both.
                 placement = self._solve_cached(
-                    record.loads, record.budget, record.exact_k, loads_fp=record.loads_fp
+                    record.loads, record.loads_fp, record.budget, record.exact_k
                 )
                 self._state.register(
                     TenantRecord(
@@ -963,6 +970,17 @@ class PlacementService:
             return self._handle_stats(request)
         raise WorkloadError(f"unknown request type: {type(request).__name__}")
 
+    def _journaled(self, request: Request) -> Request:
+        """The request as its journal line records it.
+
+        An applied admit is recorded with the admitted record's interned
+        loads, whose serialisation is computed once per load map and
+        shared with snapshots.
+        """
+        if isinstance(request, AdmitRequest):
+            return replace(request, loads=self._state.tenant(request.tenant_id).loads)
+        return request
+
     def submit(self, request: Request) -> Response:
         """Serve one request and return its typed response.
 
@@ -989,7 +1007,7 @@ class PlacementService:
                         # mutation, else a crash between unlock and append
                         # replays to a fleet the readers never saw.
                         self._journal.append(  # lint: allow(blocking-under-lock)
-                            request_to_event(request)
+                            request_to_event(self._journaled(request))
                         )
                     except BaseException as exc:
                         # The mutation is applied but not journaled: the

@@ -29,11 +29,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.tree import NodeId, TreeNetwork
+from repro.core.tree import Loads, NodeId, TreeNetwork
 from repro.exceptions import PersistenceError, WorkloadError
 from repro.service.api import (
     AdmitRequest,
@@ -200,6 +200,18 @@ def event_to_request(
     raise WorkloadError(f"unknown trace event kind: {event.kind!r}")
 
 
+def _event_loads(loads: Mapping[NodeId, int]) -> tuple[tuple[str, int], ...]:
+    """A request's loads as a trace event stores them: sorted ``(str(node), load)``.
+
+    A :class:`~repro.core.tree.Loads` value serialises once and keeps the
+    result (:attr:`~repro.core.tree.Loads.serialized`); its zero entries
+    are not stored.
+    """
+    if isinstance(loads, Loads):
+        return loads.serialized
+    return tuple(sorted((str(n), int(v)) for n, v in loads.items()))
+
+
 def request_to_event(request: Request) -> TraceEvent:
     """Convert a typed service request back into a serializable trace event.
 
@@ -214,14 +226,14 @@ def request_to_event(request: Request) -> TraceEvent:
         return TraceEvent(
             kind="solve",
             budget=int(request.budget),
-            loads=tuple(sorted((str(n), int(v)) for n, v in request.loads.items())),
+            loads=_event_loads(request.loads),
             exact_k=request.exact_k,
         )
     if isinstance(request, SweepRequest):
         return TraceEvent(
             kind="sweep",
             budgets=tuple(int(b) for b in request.budgets),
-            loads=tuple(sorted((str(n), int(v)) for n, v in request.loads.items())),
+            loads=_event_loads(request.loads),
             exact_k=request.exact_k,
         )
     if isinstance(request, AdmitRequest):
@@ -229,7 +241,7 @@ def request_to_event(request: Request) -> TraceEvent:
             kind="admit",
             tenant=request.tenant_id,
             budget=int(request.budget),
-            loads=tuple(sorted((str(n), int(v)) for n, v in request.loads.items())),
+            loads=_event_loads(request.loads),
             exact_k=request.exact_k,
         )
     if isinstance(request, ReleaseRequest):

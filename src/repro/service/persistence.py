@@ -267,14 +267,10 @@ def build_snapshot(service, include_cache: bool = True) -> dict:
     }
     if include_cache:
         for key, table in service.cache.tables():
-            loads = {
-                str(node): int(load)
-                for node, load in table.tree.loads.items()
-                if int(load) != 0
-            }
+            loads = table.tree.load_function().serialized
             payload["hot_workloads"].append(
                 {
-                    "loads": sorted([name, load] for name, load in loads.items()),
+                    "loads": [[name, load] for name, load in loads],
                     "exact_k": bool(key.exact_k),
                     "budget": int(table.budget),
                 }
@@ -458,7 +454,7 @@ def restore_service(
             try:
                 loads = resolve_loads(tree, hot.get("loads", []), index)
                 service._solve_cached(
-                    loads,
+                    *service._intern(loads),
                     int(hot.get("budget", 0)),
                     bool(hot.get("exact_k", False)),
                 )

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from repro.core.tree import NodeId, TreeNetwork
+from repro.core.tree import Loads, NodeId, TreeNetwork, fingerprint_loads
 from repro.exceptions import CapacityError, WorkloadError
 from repro.online.capacity import CapacityTracker
 
@@ -33,7 +33,8 @@ class TenantRecord:
     tenant_id:
         Caller-chosen identifier, unique among active tenants.
     loads:
-        The workload's load function (switch -> number of servers).
+        The workload's load function (switch -> number of servers), as the
+        service interned it.
     budget:
         The budget ``k`` the tenant was admitted with (as requested, before
         clamping to ``|Λ|``).
@@ -46,29 +47,28 @@ class TenantRecord:
     predicted_cost:
         The gather-table optimum ``X_r(1, k)`` for the same solve.
     loads_fp:
-        Digest of ``loads`` (:func:`repro.core.tree.fingerprint_loads`),
-        computed once at admission and carried with the record so drain
-        re-placement keys the cache without re-digesting the workload.
-        ``None`` for records built by callers that never digested the
-        loads (the service recomputes on demand).
+        The :class:`~repro.core.tree.Loads` digest of ``loads``
+        (:meth:`~repro.core.tree.Loads.digest`, the service's cache key),
+        computed once when the load map was first served and carried with
+        the record so drain re-placement keys the cache without
+        re-digesting the workload.  Snapshots store it, but a restore
+        recomputes it from the stored loads (:meth:`from_state`).
     """
 
     tenant_id: str
-    loads: dict[NodeId, int]
+    loads: Loads
     budget: int
     exact_k: bool
     blue_nodes: frozenset[NodeId]
     cost: float
     predicted_cost: float
-    loads_fp: str | None = None
+    loads_fp: str
 
     def state_dict(self) -> dict:
         """JSON-serializable view (switches stringified like trace events)."""
         return {
             "tenant_id": self.tenant_id,
-            "loads": sorted(
-                [str(node), int(load)] for node, load in self.loads.items()
-            ),
+            "loads": [[name, load] for name, load in self.loads.serialized],
             "budget": int(self.budget),
             "exact_k": bool(self.exact_k),
             "blue_nodes": sorted(str(node) for node in self.blue_nodes),
@@ -79,15 +79,19 @@ class TenantRecord:
 
     @classmethod
     def from_state(
-        cls, state: Mapping, node_index: Mapping[str, NodeId]
+        cls, state: Mapping, tree: TreeNetwork, node_index: Mapping[str, NodeId]
     ) -> "TenantRecord":
-        """Rebuild a record from a :meth:`state_dict` payload.
+        """Rebuild a record of ``tree``'s fleet from a :meth:`state_dict` payload.
+
+        ``loads_fp`` is recomputed from the stored loads, never read: a
+        snapshot written before the loads digest changed (or without one)
+        restores with the digest the service keys its cache on.
 
         Raises
         ------
         WorkloadError
             If the payload references switches unknown to the network the
-            index was built for.
+            index was built for, or holds an invalid load.
         """
 
         def resolve(name: str) -> NodeId:
@@ -98,15 +102,18 @@ class TenantRecord:
                     f"tenant snapshot references unknown switch {name!r}"
                 ) from exc
 
+        loads = Loads.of(
+            tree, {resolve(name): load for name, load in state["loads"]}, WorkloadError
+        )
         return cls(
             tenant_id=state["tenant_id"],
-            loads={resolve(name): int(load) for name, load in state["loads"]},
+            loads=loads,
             budget=int(state["budget"]),
             exact_k=bool(state["exact_k"]),
             blue_nodes=frozenset(resolve(name) for name in state["blue_nodes"]),
             cost=float(state["cost"]),
             predicted_cost=float(state["predicted_cost"]),
-            loads_fp=state.get("loads_fp"),
+            loads_fp=fingerprint_loads(loads),
         )
 
 
@@ -308,7 +315,7 @@ class FleetState:
         # rule; the tracker restore above is itself all-or-nothing).
         tenants: dict[str, TenantRecord] = {}
         for payload in state.get("tenants", []):
-            record = TenantRecord.from_state(payload, node_index)
+            record = TenantRecord.from_state(payload, self._tree, node_index)
             if record.tenant_id in tenants:
                 raise WorkloadError(
                     f"fleet snapshot lists tenant {record.tenant_id!r} twice"

@@ -93,8 +93,9 @@ class TestFingerprints:
         assert rerated.structure_fingerprint() != tree.structure_fingerprint()
 
     def test_loads_fingerprint_matches_request_digest(self):
-        # The service digests request loads without building a tree; the
-        # digest must agree with the tree's own loads fingerprint.
+        # A network built from a plain mapping digests its loads exactly as
+        # fingerprint_loads digests that mapping.  (The service keys on the
+        # Loads digest instead; tests/test_loads.py covers that one.)
         tree = complete_binary_tree(4)
         loads = {"s2_0": 3, "s2_3": 1}
         assert tree.with_loads(loads).loads_fingerprint() == fingerprint_loads(loads)

@@ -18,13 +18,17 @@ Three layers:
 
 from __future__ import annotations
 
+import json
 import re
+import shutil
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
+from repro.core.tree import fingerprint_loads
 from repro.exceptions import PersistenceError
 from repro.online.capacity import CapacityTracker
 from repro.service import (
@@ -47,9 +51,11 @@ from repro.service import (
     write_snapshot,
 )
 from repro.service.driver import _verify_response
+from repro.service.events import resolve_loads
 from repro.service.persistence import SNAPSHOT_VERSION
-from repro.topology.binary_tree import complete_binary_tree
+from repro.topology.binary_tree import bt_network, complete_binary_tree
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
+from repro.workload.rates import apply_rate_scheme
 
 
 def leaf_loads(tree, seed: int = 0) -> dict:
@@ -345,6 +351,161 @@ class TestSnapshotState:
         ):
             event = request_to_event(request)
             assert event_to_request(tree, event, index) == request
+
+
+# --------------------------------------------------------------------------- #
+# snapshots and journals written before the Loads digest
+# --------------------------------------------------------------------------- #
+
+#: A snapshot and a journal written by the code that keyed its cache on the
+#: chained loads digest: a BT(32) service (constant rates, capacity 3)
+#: replayed the first :data:`FIXTURE_JOURNALED` requests of
+#: :func:`fixture_requests` with a journal attached, and was snapshotted
+#: just before request :data:`FIXTURE_SNAPSHOT_AT`.
+FIXTURES = Path(__file__).parent / "persistence_fixtures"
+FIXTURE_SNAPSHOT_AT = 40
+FIXTURE_JOURNALED = 80
+
+
+def fixture_network():
+    return apply_rate_scheme(bt_network(32), "constant")
+
+
+def fixture_requests(tree):
+    index = node_index(tree)
+    trace = generate_churn_trace(tree, 100, seed=2022, budget=4, workload_pool=4)
+    return [event_to_request(tree, event, index) for event in trace]
+
+
+def _without_loads_fp(snapshot: dict) -> dict:
+    stripped = json.loads(json.dumps(snapshot))
+    for tenant in stripped["fleet"]["tenants"]:
+        tenant.pop("loads_fp")
+    return stripped
+
+
+class TestEarlierSnapshots:
+    """A snapshot whose tenant records carry the old, chained ``loads_fp``
+    restores to the fleet a serial replay reaches, digests recomputed."""
+
+    def test_restores_to_the_serial_replay(self, tmp_path):
+        tree = fixture_network()
+        requests = fixture_requests(tree)
+        serial = PlacementService(tree, capacity=3)
+        expected = [response_payload(serial.submit(request)) for request in requests]
+
+        journal = tmp_path / "journal.jsonl"
+        shutil.copy(FIXTURES / "journal.jsonl", journal)
+        restored = PlacementService.restore(
+            tree, read_snapshot(FIXTURES / "snapshot.json"), Journal(journal, tree=tree)
+        )
+        got = [response_payload(restored.submit(r)) for r in requests[FIXTURE_JOURNALED:]]
+        assert got == expected[FIXTURE_JOURNALED:]
+        assert restored.state.tenants() == serial.state.tenants()
+
+    @pytest.mark.parametrize("stored", ["stale", "missing"])
+    def test_loads_fp_is_recomputed(self, stored):
+        tree = fixture_network()
+        snapshot = read_snapshot(FIXTURES / "snapshot.json")
+        tenants = snapshot["fleet"]["tenants"]
+        stale = {tenant["tenant_id"]: tenant["loads_fp"] for tenant in tenants}
+        assert stale and all(stale.values())
+        if stored == "missing":
+            snapshot = _without_loads_fp(snapshot)
+        restored = PlacementService.restore(tree, snapshot, prewarm=False)
+        records = restored.state.tenants()
+        assert records.keys() == stale.keys()
+        for tenant_id, record in records.items():
+            assert record.loads_fp == fingerprint_loads(record.loads) != stale[tenant_id]
+            # The recomputed digest keys the same cache entries as a request
+            # for the same loads would.
+            assert restored._intern(dict(record.loads))[1] == record.loads_fp
+
+    def test_journal_and_snapshot_bytes_match_the_earlier_code(self, tmp_path):
+        tree = fixture_network()
+        requests = fixture_requests(tree)
+        journal = Journal(tmp_path / "journal.jsonl", tree=tree)
+        service = PlacementService(tree, capacity=3, journal=journal)
+        for request in requests[:FIXTURE_SNAPSHOT_AT]:
+            service.submit(request)
+        written = write_snapshot(service.snapshot(), tmp_path / "snapshot.json")
+        for request in requests[FIXTURE_SNAPSHOT_AT:FIXTURE_JOURNALED]:
+            service.submit(request)
+        journal.close()
+        assert (tmp_path / "journal.jsonl").read_bytes() == (
+            FIXTURES / "journal.jsonl"
+        ).read_bytes()
+        # Byte for byte, except that loads_fp now holds the Loads digest.
+        ours, theirs = read_snapshot(written), read_snapshot(FIXTURES / "snapshot.json")
+        assert _without_loads_fp(ours) == _without_loads_fp(theirs)
+        assert json.dumps(_without_loads_fp(ours), indent=2) == json.dumps(
+            _without_loads_fp(theirs), indent=2
+        )
+        for tenant in ours["fleet"]["tenants"]:
+            loads = resolve_loads(tree, tenant["loads"])
+            assert tenant["loads_fp"] == service._intern(loads)[1]
+
+
+class TestSerialisation:
+    """Journal lines and snapshots reuse a load map's one cached
+    serialisation and write exactly what the per-entry formula writes."""
+
+    @staticmethod
+    def _reference(loads) -> list[list]:
+        return sorted([str(node), int(load)] for node, load in loads.items())
+
+    def test_churn_trace(self, tmp_path):
+        tree = complete_binary_tree(32)
+        trace, requests = churn_requests(tree, 160, seed=5, pool=3)
+        journal = Journal(tmp_path / "fleet.jsonl", tree=tree)
+        service = PlacementService(tree, capacity=3, journal=journal)
+        mutating = []
+        for request in requests:
+            try:
+                service.submit(request)
+            except Exception:
+                continue
+            if isinstance(request, (AdmitRequest, ReleaseRequest, DrainRequest)):
+                mutating.append(request)
+        journal.close()
+        lines = (tmp_path / "fleet.jsonl").read_text().splitlines()[1:]
+        assert len(lines) == len(mutating) > 20
+        for line, request in zip(lines, mutating):
+            payload = json.loads(line)
+            if isinstance(request, AdmitRequest):
+                assert payload["loads"] == self._reference(request.loads)
+        snapshot = service.snapshot()
+        tenants = service.state.tenants()
+        assert len(tenants) > 1
+        for stored in snapshot["fleet"]["tenants"]:
+            record = tenants[stored["tenant_id"]]
+            assert stored["loads"] == self._reference(
+                {node: load for node, load in record.loads.items() if load}
+            )
+            assert stored["loads_fp"] == record.loads_fp
+        assert snapshot["hot_workloads"]
+        for hot, (_, table) in zip(snapshot["hot_workloads"], service.cache.tables()):
+            loads = {node: load for node, load in table.tree.loads.items() if load}
+            assert hot["loads"] == self._reference(loads)
+
+    def test_admits_of_one_map_share_one_serialisation(self, tmp_path, monkeypatch):
+        tree = complete_binary_tree(8)
+        journal = Journal(tmp_path / "fleet.jsonl", tree=tree)
+        appended = []
+        original = journal.append
+        monkeypatch.setattr(
+            journal, "append", lambda event: appended.append(event) or original(event)
+        )
+        service = PlacementService(tree, capacity=3, journal=journal)
+        loads = leaf_loads(tree)
+        for tenant in ("a", "b"):
+            service.submit(AdmitRequest(tenant_id=tenant, loads=dict(loads), budget=2))
+        first, second = (service.state.tenant(t).loads for t in ("a", "b"))
+        assert first is second
+        assert appended[0].loads is appended[1].loads is first.serialized
+        assert service.snapshot()["fleet"]["tenants"][0]["loads"] == [
+            list(item) for item in first.serialized
+        ]
 
 
 # --------------------------------------------------------------------------- #
