@@ -283,7 +283,7 @@ class GatherTable:
         """
         flips = frozenset(delta)
         # Read before deriving: the copy inherits the loads digest this
-        # memoizes, so the repair's loads check digests them once.
+        # memoizes, so a lineage of repairs digests its loads once.
         source = self.fingerprint
         new_tree = self.tree.with_flipped(flips)
         result = run_repair(self.result, new_tree, self.backend, flips)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections.abc import (
+    Collection,
     Hashable,
     ItemsView,
     Iterable,
@@ -157,7 +158,7 @@ def fingerprint_loads(loads: Mapping[NodeId, int]) -> str:
     records and writes to snapshots.  Any other mapping is digested by a
     chained blake2b over its sorted ``repr(node)=load`` entries.  The two
     kinds differ for the same load function, so compare digests of one
-    kind only.
+    kind only (:meth:`TreeNetwork.fingerprint` says where that shows).
 
     Zero entries are skipped by both: a mapping covering only the loaded
     switches digests like the full load function of a network built from
@@ -237,6 +238,35 @@ def _validate_load(
     return value
 
 
+def _checked_loads(
+    switches: Mapping[NodeId, Any],
+    nodes: Collection[NodeId],
+    values: Iterable[Any],
+    error: type[Exception] = InvalidLoadError,
+) -> list[int]:
+    """``values``, the loads of ``nodes``, checked as the loads of a network
+    whose switches are the keys of ``switches``.
+
+    The one set of load checks, shared by the :class:`TreeNetwork`
+    constructor and :meth:`Loads.from_entries`.  Raises
+    :class:`InvalidLoadError` for a node that is not a switch (before any
+    bad value), and ``error`` for a value that is not a non-negative integer
+    or a total beyond :data:`MAX_MESSAGE_COUNT` less the switch count.  An
+    exact non-negative ``int`` is taken as it is and every other value goes
+    through :func:`_validate_load`, so the total is summed over Python ints
+    and cannot wrap.
+    """
+    if not all(map(switches.__contains__, nodes)):
+        unknown = next(node for node in nodes if node not in switches)
+        raise InvalidLoadError(f"load given for unknown switch {unknown!r}")
+    checked = [
+        load if type(load) is int and load >= 0 else _validate_load(node, load, error)
+        for node, load in zip(nodes, values)
+    ]
+    check_load_total(checked, len(switches), error)
+    return checked
+
+
 class Loads(Mapping[NodeId, int]):
     """A validated load function over the switches of one built network.
 
@@ -260,7 +290,15 @@ class Loads(Mapping[NodeId, int]):
     and its plain-dict view are computed on first use and kept.
     """
 
-    __slots__ = ("_parents", "_layout", "_structure", "_vector", "_serialized", "_dict")
+    __slots__ = (
+        "_parents",
+        "_layout",
+        "_structure",
+        "_vector",
+        "_digest",
+        "_serialized",
+        "_dict",
+    )
 
     def __init__(self, tree: "TreeNetwork", vector: np.ndarray) -> None:
         """Wrap an already validated flat-order ``vector``; use :meth:`of`."""
@@ -268,6 +306,7 @@ class Loads(Mapping[NodeId, int]):
         self._layout = tree.flat_layout()
         self._structure = tree.structure_fingerprint()
         self._vector = vector
+        self._digest: str | None = None
         self._serialized: tuple[tuple[str, int], ...] | None = None
         self._dict: dict[NodeId, int] | None = None
 
@@ -280,6 +319,8 @@ class Loads(Mapping[NodeId, int]):
     ) -> "Loads":
         """Validate ``loads`` against ``tree`` and lay it out, in one pass.
 
+        The checks are the constructor's (:func:`_checked_loads`).
+
         Raises
         ------
         InvalidLoadError
@@ -289,49 +330,24 @@ class Loads(Mapping[NodeId, int]):
             For a value that is not a non-negative integer, or a total
             beyond :data:`MAX_MESSAGE_COUNT` less the switch count.
         """
-        return cls.from_entries(tree, tuple(loads), tuple(loads.values()), error)
+        return cls.from_entries(tree, loads.keys(), loads.values(), error)
 
     @classmethod
     def from_entries(
         cls,
         tree: "TreeNetwork",
-        nodes: Sequence[NodeId],
-        values: Sequence[Any],
+        nodes: Collection[NodeId],
+        values: Iterable[Any],
         error: type[Exception] = InvalidLoadError,
     ) -> "Loads":
-        """:meth:`of` for a mapping given as its keys and its values, in order."""
+        """:meth:`of` for a mapping given as its keys and, in order, its values."""
         layout = tree.flat_layout()
-        index = layout.index
-        try:
-            positions = np.fromiter(map(index.__getitem__, nodes), dtype=np.intp, count=len(nodes))
-        except KeyError:
-            unknown = next(node for node in nodes if node not in index)
-            raise InvalidLoadError(f"load given for unknown switch {unknown!r}") from None
-        # Non-negative integers that fit int64 (the common case) are checked
-        # by numpy; any other value goes through the constructor's
-        # validation.
-        try:
-            array: np.ndarray | None = np.array(values)
-        except (TypeError, ValueError, OverflowError):
-            array = None
-        if (
-            array is None
-            or array.dtype != np.int64
-            or array.shape != (len(values),)
-            or (len(values) and array.min() < 0)
-        ):
-            checked = [
-                value if type(value) is int and value >= 0 else _validate_load(node, value, error)
-                for node, value in zip(nodes, values)
-            ]
-            array = None
-        else:
-            checked = array.tolist()
-        n = len(layout.order)
-        # Summed as Python ints, so the bound is exact.
-        check_load_total(checked, n, error)
-        vector = np.zeros(n, dtype=np.int64)
-        vector[positions] = np.array(checked, dtype=np.int64) if array is None else array
+        checked = _checked_loads(layout.index, nodes, values, error)
+        positions = np.fromiter(
+            map(layout.index.__getitem__, nodes), dtype=np.intp, count=len(checked)
+        )
+        vector = np.zeros(len(layout.order), dtype=np.int64)
+        vector[positions] = checked
         vector.setflags(write=False)
         return cls(tree, vector)
 
@@ -352,11 +368,15 @@ class Loads(Mapping[NodeId, int]):
         byte order, because the digest is persisted (tenant records in
         snapshots).  It is ordered by the network's flat layout, so it
         names a load function of one built network; a restore recomputes
-        every persisted digest from the stored loads.
+        every persisted digest from the stored loads.  Computed once per
+        value.
         """
-        hasher = hashlib.blake2b(self._structure.encode(), digest_size=16)
-        hasher.update(self._vector.astype("<i8", copy=False).data)
-        return hasher.hexdigest()
+        digest = self._digest
+        if digest is None:
+            hasher = hashlib.blake2b(self._structure.encode(), digest_size=16)
+            hasher.update(self._vector.astype("<i8", copy=False).data)
+            digest = self._digest = hasher.hexdigest()
+        return digest
 
     @property
     def serialized(self) -> tuple[tuple[str, int], ...]:
@@ -558,21 +578,13 @@ class TreeNetwork:
         """A fresh load function over every switch, validated against this tree.
 
         The result is keyed in the order of ``_parents`` (which
-        :meth:`flat_vectors` relies on).  Only the given entries are
-        validated; an exact non-negative ``int`` is taken as it is and every
-        other value goes through :func:`_validate_load`.  The total must
-        fit the kernels' message counts (:func:`check_load_total`).
+        :meth:`load_function` relies on).  Only the given entries are
+        validated, by the checks :meth:`Loads.of` makes
+        (:func:`_checked_loads`).
         """
-        if not self._parents.keys() >= loads.keys():
-            unknown = next(key for key in loads if key not in self._parents)
-            raise InvalidLoadError(f"load given for unknown switch {unknown!r}")
+        checked = _checked_loads(self._parents, loads.keys(), loads.values())
         validated = dict.fromkeys(self._parents, 0)
-        for switch, load in loads.items():
-            if type(load) is int and load >= 0:
-                validated[switch] = load
-            else:
-                validated[switch] = _validate_load(switch, load)
-        check_load_total(validated.values(), len(validated))
+        validated.update(zip(loads, checked))
         return validated
 
     def _check_switches(self, nodes: frozenset[NodeId]) -> None:
@@ -708,11 +720,21 @@ class TreeNetwork:
         """The load function ``L`` as a :class:`Loads` value.
 
         The value :meth:`with_loads` adopted, or (for a network built from
-        a plain mapping) one built from this network's loads.
+        a plain mapping) one built from this network's loads on every call:
+        one scatter through the layout's ``switch_position``, since every
+        load function is keyed in the order of the switch mapping the
+        layout was built from.
         """
-        if isinstance(self._loads, Loads):
-            return self._loads
-        return Loads.of(self, self._loads)
+        loads = self._loads
+        if isinstance(loads, Loads):
+            return loads
+        n = len(self._parents)
+        vector = np.empty(n, dtype=np.int64)
+        vector[self.flat_layout().switch_position] = np.fromiter(
+            loads.values(), dtype=np.int64, count=n
+        )
+        vector.setflags(write=False)
+        return Loads(self, vector)
 
     @property
     def rates(self) -> dict[NodeId, float]:
@@ -844,6 +866,13 @@ class TreeNetwork:
         output (gather tables, placements, costs) computed for one network
         is valid verbatim for the other — the contract the gather-table
         cache of :mod:`repro.service` is built on.
+
+        The converse holds only for networks that hold their loads the same
+        way: :meth:`loads_fingerprint` is :meth:`Loads.digest` for a network
+        that adopted a :class:`Loads` value and the chained digest of
+        :func:`fingerprint_loads` for one built from a plain mapping.  Code
+        that must recognise equal load functions held either way calls
+        :meth:`same_loads`.
         """
         cached = self._fingerprints.get("full")
         if cached is None:
@@ -856,6 +885,18 @@ class TreeNetwork:
             )
             self._fingerprints["full"] = cached
         return cached
+
+    def same_loads(self, other: "TreeNetwork") -> bool:
+        """Whether ``other`` carries this network's load function, whichever
+        way each network holds it.
+
+        Copies that kept the loads (:meth:`with_available`,
+        :meth:`with_flipped`) share them and answer at once; otherwise the
+        two :meth:`load_function` digests are compared.
+        """
+        return self._loads is other._loads or (
+            self.load_function().digest() == other.load_function().digest()
+        )
 
     def flat_layout(self) -> "FlatLayout":
         """The :class:`~repro.core.flat.FlatLayout` of this weighted tree.
@@ -877,24 +918,10 @@ class TreeNetwork:
     def flat_vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The loads (int64) and Λ membership (bool) in :meth:`flat_layout` order.
 
-        Both arrays are read-only.  The load vector of a network that
-        adopted a :class:`Loads` value is that value's vector; otherwise it
-        is one scatter of the load function through the layout's
-        ``switch_position`` (every load function is keyed in the order of
-        the switch mapping the layout was built from, which
-        :meth:`with_loads` / :meth:`with_available` copies share).  The Λ
-        mask is :meth:`availability_mask`.
+        Both arrays are read-only: the vector of :meth:`load_function` and
+        :meth:`availability_mask`.
         """
-        layout = self.flat_layout()
-        if isinstance(self._loads, Loads):
-            return self._loads.vector, self.availability_mask()
-        n = len(self._parents)
-        load = np.empty(n, dtype=np.int64)
-        load[layout.switch_position] = np.fromiter(
-            self._loads.values(), dtype=np.int64, count=n
-        )
-        load.setflags(write=False)
-        return load, self.availability_mask()
+        return self.load_function().vector, self.availability_mask()
 
     def availability_mask(self) -> np.ndarray:
         """Λ membership (bool, read-only) in :meth:`flat_layout` order.

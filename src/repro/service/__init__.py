@@ -88,8 +88,9 @@ journal position ``seq``, the fleet
 state (initial + residual capacities, drained switches, consumed
 assignments, lifetime counters, and the tenant registry with each
 tenant's loads, budget, semantics, blue set, costs, and loads digest —
-switches stringified exactly like trace events; a restore recomputes the
-loads digest from the stored loads), the incremental Λ digest
+switches stringified exactly like trace events; the loads digest is
+informational: a restore recomputes it from the stored loads and does
+not check the stored value), the incremental Λ digest
 (re-derived and checked on restore), and the cache's hot workloads in LRU
 order.  Unknown versions, foreign structure fingerprints and torn or
 truncated files are refused with

@@ -15,14 +15,33 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.engine import BACKENDS, gather, repair
 from repro.core.tree import Loads, TreeNetwork, fingerprint_loads
 from repro.exceptions import InvalidLoadError, WorkloadError
 from repro.service import AdmitRequest, PlacementService, SweepRequest
+from repro.testing import assert_tables_equal
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
 
 TREE = bt_network(16)
 SWITCHES = sorted(TREE.switches, key=str)
+
+#: Load maps that are not load functions of ``TREE``.
+BAD_LOADS = [
+    ({"no-such-switch": 1}, InvalidLoadError),
+    ({"s3_0": 2.5, "no-such-switch": 1}, InvalidLoadError),
+    ({"s3_0": 2.5}, WorkloadError),
+    ({"s3_0": -1}, WorkloadError),
+    ({"s3_0": "x"}, WorkloadError),
+    ({"s3_0": [1]}, WorkloadError),
+    ({"s3_0": 3, "s3_1": np.array([1, 2])}, WorkloadError),
+    ({"s3_0": 2**62, "s3_1": 2**62}, WorkloadError),
+    ({"s3_0": np.int64(2**62), "s3_1": np.int64(2**62)}, WorkloadError),
+]
+BAD_LOAD_IDS = [
+    "unknown", "unknown-first", "fractional", "negative", "text", "list",
+    "array", "overflow", "numpy-overflow",
+]
 
 #: Integer-valued loads of every type a load map may carry.
 int_like = st.sampled_from([int, np.int64, float])
@@ -57,27 +76,19 @@ class TestValue:
         assert value.serialized == expected
         assert value.serialized is value.serialized
 
-    @pytest.mark.parametrize(
-        "loads, error",
-        [
-            ({"no-such-switch": 1}, InvalidLoadError),
-            ({"s3_0": 2.5, "no-such-switch": 1}, InvalidLoadError),
-            ({"s3_0": 2.5}, WorkloadError),
-            ({"s3_0": -1}, WorkloadError),
-            ({"s3_0": "x"}, WorkloadError),
-            ({"s3_0": [1]}, WorkloadError),
-            ({"s3_0": 3, "s3_1": np.array([1, 2])}, WorkloadError),
-            ({"s3_0": 2**62, "s3_1": 2**62}, WorkloadError),
-            ({"s3_0": np.int64(2**62), "s3_1": np.int64(2**62)}, WorkloadError),
-        ],
-        ids=[
-            "unknown", "unknown-first", "fractional", "negative", "text", "list",
-            "array", "overflow", "numpy-overflow",
-        ],
-    )
+    @pytest.mark.parametrize("loads, error", BAD_LOADS, ids=BAD_LOAD_IDS)
     def test_typed_errors(self, loads, error):
         with pytest.raises(error):
             Loads.of(TREE, loads, WorkloadError)
+
+    @pytest.mark.parametrize("loads, error", BAD_LOADS, ids=BAD_LOAD_IDS)
+    def test_the_constructor_refuses_alike(self, loads, error):
+        # One set of checks serves both: same error type, same message.
+        with pytest.raises(InvalidLoadError) as by_value:
+            Loads.of(TREE, loads)
+        with pytest.raises(InvalidLoadError) as by_network:
+            TREE.with_loads(loads)
+        assert str(by_value.value) == str(by_network.value)
 
     def test_the_unknown_switch_is_named(self):
         with pytest.raises(InvalidLoadError, match="no-such-switch"):
@@ -174,6 +185,27 @@ class TestAdoption:
         loads = sample_leaf_loads(TREE, PowerLawLoadDistribution(), rng=4)
         built = TREE.with_loads(loads)
         assert built.load_function().vector.tolist() == built.flat_vectors()[0].tolist()
+        assert built.load_function().digest() == Loads.of(TREE, loads).digest()
+
+    def test_same_loads_whichever_way_they_are_held(self):
+        loads = sample_leaf_loads(TREE, PowerLawLoadDistribution(), rng=5)
+        plain = TREE.with_loads(loads)
+        adopted = TREE.with_loads(Loads.of(TREE, loads))
+        assert plain.same_loads(adopted) and adopted.same_loads(plain)
+        assert plain.same_loads(plain.with_flipped([TREE.root]))
+        other = TREE.with_loads({**loads, TREE.root: 1})
+        assert not plain.same_loads(other) and not adopted.same_loads(other)
+
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda backend: backend.name)
+    def test_a_plain_network_table_repairs_onto_an_adopted_one(self, backend):
+        loads = sample_leaf_loads(TREE, PowerLawLoadDistribution(), rng=6)
+        plain = TREE.with_loads(loads)
+        adopted = TREE.with_loads(
+            Loads.of(TREE, loads), available=TREE.available - {TREE.leaves()[0]}
+        )
+        for source, target in ((plain, adopted), (adopted, plain)):
+            repaired = repair(gather(source, 4, backend=backend), target, backend)
+            assert_tables_equal(gather(target, 4, backend=backend), repaired)
 
 
 class TestServiceLoads:
