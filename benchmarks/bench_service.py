@@ -257,7 +257,7 @@ def repair_rows(
     table.  Before any time is trusted the repaired table is asserted
     bit-identical to the cold gather: every *valid* cell of every table
     and breadcrumb block, read through the tables' column and slot
-    indices (rows beyond a node's depth are ``np.empty`` garbage and never
+    indices (leaves own no block; rows beyond a node's depth are ``np.empty`` garbage and never
     read — see :func:`repro.core.engine.gather` — so they are masked
     out), the placement, and the cost.  The thorough differential (chained repairs, both backend legs,
     ``exact_k``) lives in ``tests/test_repair.py``; this assertion keeps
@@ -287,10 +287,10 @@ def repair_rows(
             slot_depth = np.repeat(flat.depth, np.maximum(flat.num_children - 1, 0))
             for field in ("y_red", "y_blue", "splits_red", "splits_blue"):
                 splits = field.startswith("splits")
-                depth = slot_depth if splits else flat.depth
+                depth = slot_depth if splits else flat.depth[flat.internal]
                 valid = rows_axis <= depth[:, None, None]
                 blocks = [
-                    getattr(f, field)[f.scol if splits else f.col]
+                    getattr(f, field)[f.scol if splits else f.col[f.internal]]
                     for f in (repaired.result.flat, flat)
                 ]
                 assert np.array_equal(

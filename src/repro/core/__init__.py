@@ -13,8 +13,9 @@ The sub-modules map directly onto the paper's sections:
   backends' batched traces,
 * :mod:`repro.core.engine` — the kernel :class:`Backend` (``numpy``, and
   ``compiled`` when the C kernels build) and the gather and repair
-  drivers, which run its ``repair_chain`` with every switch dirty for a
-  cold gather and a delta's ancestor chains for a repair,
+  drivers, which run its ``repair_chain`` with every internal switch
+  dirty for a cold gather and a delta's ancestor chains for a repair
+  (leaves own no table block: their columns are a closed form),
 * :mod:`repro.core.flat` — the node-major ``(node, l, i)`` tensor layout the
   batched kernels share (its structure half,
   :class:`~repro.core.flat.FlatLayout`, is built once per weighted tree

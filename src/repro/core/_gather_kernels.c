@@ -1,10 +1,10 @@
 /* Compiled kernels for the "compiled" backend.
  *
  * repro_repair_chain is the whole SOAR-Gather dynamic program over a set
- * of dirty columns (every switch for a cold gather, a delta's ancestor
- * chains for a repair).  repro_color is SOAR-Color for every budget of a
- * sweep, and repro_utilization is Eq. (1) for every traced placement, so
- * a sweep costs one colour call and one cost call.
+ * of dirty columns (every internal switch for a cold gather, a delta's
+ * ancestor chains for a repair).  repro_color is SOAR-Color for every
+ * budget of a sweep, and repro_utilization is Eq. (1) for every traced
+ * placement, so a sweep costs one colour call and one cost call.
  * Each kernel mirrors its numpy counterpart in repro.core bit for bit:
  * the per-element arithmetic (a single double multiply or add followed by
  * a strict `<` comparison) is evaluated in the identical order, so the
@@ -21,17 +21,21 @@
  *
  * All tensors arrive C-contiguous.  The gather tables are stores of
  * node-major blocks: y_blue / y_red are (capacity, height + 1, width) and
- * the breadcrumbs (slot capacity, height + 1, width), so one switch's DP
- * column (its (height + 1) x width table) and one breadcrumb slot are
- * each a single contiguous block of `block = (height + 1) * width`
- * elements.  A table names its blocks through two indices: node v's
- * block starts at y + col[v] * block and breadcrumb slot s's at
+ * the breadcrumbs (slot capacity, height + 1, width), so one internal
+ * switch's DP column (its (height + 1) x width table) and one breadcrumb
+ * slot are each a single contiguous block of `block = (height + 1) * width`
+ * elements.  A table names its blocks through two indices: internal node
+ * v's block starts at y + col[v] * block and breadcrumb slot s's at
  * splits + scol[s] * block, so row l of node v is at
- * col[v] * block + l * width.  A cold gather passes the identity index;
+ * col[v] * block + l * width.  Leaves own no block (col[leaf] is -1 and
+ * is never read): a leaf's column is a closed form of its load, its
+ * path_rho column and its Λ membership (Algorithm 3 lines 1-9), computed
+ * where a stage reads a leaf child (child_x_rows), and SOAR-Color decides
+ * a leaf from its load and Λ alone.  A cold gather passes the cold index;
  * a repair's index shares its source's clean blocks and names fresh ones
- * for the dirty columns, which are the only blocks it writes.  The
- * gather reads a child's rows and writes a node's rows as unit-stride
- * runs.
+ * for the dirty internal columns, which are the only blocks it writes.
+ * The gather reads a child's rows and writes a node's rows as
+ * unit-stride runs.
  */
 
 #include <math.h>
@@ -39,34 +43,6 @@
 #include <stdlib.h>
 
 #define INF (1.0 / 0.0)
-
-/* Every row of the y_blue / y_red blocks of the given leaves (stores
- * (capacity, rows, width), leaf v at block col[v]): red entries are path_rho * load (every column under
- * at-most-k, column 0 under exactly-k), blue entries are +inf except
- * column 1 (exactly-k) / columns 1..k (at-most-k) of an available leaf.
- * Each leaf's block is written front to back in one contiguous run. */
-static void leaf_columns(double *y_blue, double *y_red, const int64_t *col,
-                         const double *path_rho, const double *load,
-                         const uint8_t *avail, const int64_t *leaves,
-                         int64_t num_leaves, int64_t rows, int64_t width,
-                         int64_t n, int32_t exact_k) {
-  const int64_t block = rows * width;
-  for (int64_t m = 0; m < num_leaves; m++) {
-    const int64_t v = leaves[m];
-    double *yr = y_red + col[v] * block;
-    double *yb = y_blue + col[v] * block;
-    for (int64_t l = 0; l < rows; l++) {
-      const double path = path_rho[l * n + v];
-      const double red = path * load[v];
-      for (int64_t b = 0; b < width; b++) {
-        const int red_defined = !exact_k || b == 0;
-        const int blue_defined = exact_k ? b == 1 : b >= 1;
-        yr[l * width + b] = red_defined ? red : INF;
-        yb[l * width + b] = (blue_defined && avail[v]) ? path : INF;
-      }
-    }
-  }
-}
 
 /* One stage of the mCost convolution for a single node, in place:
  * table[h, b] = min over j of table[h, b - j] + child[h or 0, j] with
@@ -112,27 +88,60 @@ static void combine_column(double *table, const double *child,
   }
 }
 
-/* The x rows 1 .. count of the node at store block c as a (count, width)
- * block: x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free
- * input.  Rows 1 .. count of the block are one contiguous run. */
-static void child_x_rows(double *out, const double *y_blue,
-                         const double *y_red, int64_t c, int64_t count,
-                         int64_t width, int64_t block) {
-  const double *red = y_red + c * block + width;
-  const double *blue = y_blue + c * block + width;
+/* What a stage reads a child's x rows from: the stores and the per-node
+ * inputs of a leaf's closed form. */
+struct child_source {
+  const double *y_blue, *y_red, *path_rho, *load;
+  const int64_t *col, *num_children;
+  const uint8_t *avail;
+  int64_t width, block, n;
+  int32_t exact_k;
+};
+
+/* The x rows 1 .. count of child c as a (count, width) block:
+ * x = min(y_red, y_blue), exactly numpy's np.minimum on NaN-free input.
+ * An internal child's rows 1 .. count are one contiguous run of its store
+ * block.  A leaf owns no block, so its rows are the closed form: red is
+ * path_rho * load (every column under at-most-k, column 0 under
+ * exactly-k), blue is path_rho on column 1 (exactly-k) / columns 1..k
+ * (at-most-k) of an available leaf, +inf elsewhere — the same multiply
+ * and the same strict `<` as the reference walk's leaf tables
+ * (repro.core.gather.leaf_tables) and the numpy kernel's _leaf_x_rows, so
+ * every backend reads the same bits. */
+static void child_x_rows(double *out, const struct child_source *src,
+                         int64_t c, int64_t count) {
+  const int64_t width = src->width;
+  if (src->num_children[c] == 0) {
+    for (int64_t l = 1; l <= count; l++) {
+      const double path = src->path_rho[l * src->n + c];
+      const double red = path * src->load[c];
+      double *row = out + (l - 1) * width;
+      for (int64_t b = 0; b < width; b++) {
+        const int red_defined = !src->exact_k || b == 0;
+        const int blue_defined = src->exact_k ? b == 1 : b >= 1;
+        const double r = red_defined ? red : INF;
+        const double x = (blue_defined && src->avail[c]) ? path : INF;
+        row[b] = (x < r) ? x : r;
+      }
+    }
+    return;
+  }
+  const double *red = src->y_red + src->col[c] * src->block + width;
+  const double *blue = src->y_blue + src->col[c] * src->block + width;
   for (int64_t i = 0; i < count * width; i++) {
     out[i] = (blue[i] < red[i]) ? blue[i] : red[i];
   }
 }
 
 /* The repair_chain kernel of repro.core.engine in one call: recompute
- * every dirty column of the flat tables in place — all columns of fresh
- * tables for a cold gather, a delta's ancestor chains for a repair, whose
- * dirty columns and slots name fresh blocks.
+ * every dirty internal column of the flat tables in place — all of them
+ * in fresh tables for a cold gather, a delta's ancestor chains for a
+ * repair, whose dirty columns and slots name fresh blocks.
  *
  *   y_blue, y_red           : (capacity, height + 1, width) float64 stores
  *   splits_blue, splits_red : (slot capacity, height + 1, width) int32 stores
- *   col                     : (n,) int64, each position's store block
+ *   col                     : (n,) int64, each internal position's store
+ *                             block (-1 at leaves, never read)
  *   scol                    : (stages,) int64, each slot's store block
  *   path_rho                : (height + 1, n) float64
  *   load                    : (n,) float64
@@ -144,17 +153,18 @@ static void child_x_rows(double *out, const double *y_blue,
  * Ascending flat positions run deepest level first, so every child is
  * final before its parent is touched, and one ascending pass over all n
  * positions counts |Λ ∩ T_v|, the convolutions' split cap.  Dirty leaves
- * are rewritten first, on all height + 1 rows (leaf_columns).  A dirty
- * internal node at depth d recomputes rows 0 .. d of its own block in
- * place: stage 1 seeds red with child x + path_rho * load and blue (when
- * available and k >= 1) with child x row 1 shifted one unit + path_rho;
- * each further stage runs the red and blue convolutions against that
- * child's x rows, zeroing the stage's blue breadcrumbs first (a node that
- * cannot be blue gets zeros there, its slot block being fresh and
- * uninitialized).  The node's block
- * is read only by its parent, which runs later, so no stage needs a copy
- * of it.  Returns 0, or -1 when scratch allocation fails, in which case
- * nothing has been written.
+ * own no block and are skipped: a stage whose child is a leaf computes
+ * its x rows from the closed form (child_x_rows), so exact_k reaches the
+ * kernel only there.  A dirty internal node at depth d recomputes rows
+ * 0 .. d of its own block in place: stage 1 seeds red with child x +
+ * path_rho * load and blue (when available and k >= 1) with child x row 1
+ * shifted one unit + path_rho; each further stage runs the red and blue
+ * convolutions against that child's x rows, zeroing the stage's blue
+ * breadcrumbs first (a node that cannot be blue gets zeros there, its
+ * slot block being fresh and uninitialized).  The node's block is read
+ * only by its parent, which runs later, so no stage needs a copy of it.
+ * Returns 0, or -1 when scratch allocation fails, in which case nothing
+ * has been written.
  */
 int32_t repro_repair_chain(double *y_blue, double *y_red,
                            int32_t *splits_blue, int32_t *splits_red,
@@ -171,8 +181,8 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
   const int64_t block = (height + 1) * width;
   /* one child's x rows */
   double *cx = malloc((size_t)block * sizeof(double));
-  /* n subtree-availability counts, then the dirty leaves */
-  int64_t *subtree_avail = malloc((size_t)(n + num_dirty) * sizeof(int64_t));
+  /* n subtree-availability counts */
+  int64_t *subtree_avail = malloc((size_t)n * sizeof(int64_t));
   if (cx == NULL || subtree_avail == NULL) {
     free(cx);
     free(subtree_avail);
@@ -185,17 +195,10 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     }
     subtree_avail[v] = count;
   }
-
-  /* A leaf column depends on no other column, so all dirty leaves go
-   * first, in one pass. */
-  int64_t *leaves = subtree_avail + n, num_leaves = 0;
-  for (int64_t m = 0; m < num_dirty; m++) {
-    if (num_children[dirty[m]] == 0) {
-      leaves[num_leaves++] = dirty[m];
-    }
-  }
-  leaf_columns(y_blue, y_red, col, path_rho, load, avail, leaves,
-               num_leaves, height + 1, width, n, exact_k);
+  const struct child_source src = {
+      .y_blue = y_blue, .y_red = y_red, .path_rho = path_rho, .load = load,
+      .col = col, .num_children = num_children, .avail = avail,
+      .width = width, .block = block, .n = n, .exact_k = exact_k};
 
   for (int64_t m = 0; m < num_dirty; m++) {
     const int64_t v = dirty[m];
@@ -209,7 +212,7 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
     double *red = y_red + col[v] * block, *blue = y_blue + col[v] * block;
 
     /* stage m = 1 */
-    child_x_rows(cx, y_blue, y_red, col[children[0]], rows, width, block);
+    child_x_rows(cx, &src, children[0], rows);
     for (int64_t l = 0; l < rows; l++) {
       const double upward = path_rho[l * n + v];
       const double seed = upward * load[v];
@@ -229,8 +232,7 @@ int32_t repro_repair_chain(double *y_blue, double *y_red,
       const int64_t slot = scol[stage_offset[v] + stage - 1];
       const int64_t j_cap = subtree_avail[children[stage]];
       int32_t *slot_blue = splits_blue + slot * block;
-      child_x_rows(cx, y_blue, y_red, col[children[stage]], rows, width,
-                   block);
+      child_x_rows(cx, &src, children[stage], rows);
       combine_column(red, cx, splits_red + slot * block, rows, width, 0,
                      j_cap);
       for (int64_t i = 0; i < rows * width; i++) {

@@ -17,15 +17,17 @@ the tables' column and slot indices (``y_red[col[p]]``,
 ``splits_red[scol[slot]]``), so a node's DP reads its children's blocks
 and writes its own as unit-stride runs.  A single kernel does all of the
 arithmetic:
-``repair_chain(flat, dirty, exact_k)`` recomputes the ``dirty`` columns of
+``repair_chain(flat, dirty)`` recomputes the ``dirty`` columns of
 the tables in place, deepest level first.  A cold gather (:func:`gather`)
-is that call with every switch dirty over freshly allocated tables under
-the identity index; a delta repair (:func:`repair`) is the same call with
-only the flipped switches and their ancestors dirty, on tables that share
-every clean block with their source and own fresh blocks for the dirty
-ones (:func:`repro.core.flat.derive_tables`).  The per-node tables are
-never materialized up front: the result maps nodes lazily onto slices of
-the stores (see below).
+is that call with every internal switch dirty over freshly allocated
+tables under the cold index; a delta repair (:func:`repair`) is the same
+call with only the flipped switches and their ancestors dirty, on tables
+that share every clean block with their source and own fresh blocks for
+the dirty ones (:func:`repro.core.flat.derive_tables`).  Leaves own no
+block: a leaf's column is a closed form of its load, ``path_rho`` column
+and Λ membership, which a stage computes where it reads a leaf child.
+The per-node tables are never materialized up front: the result maps
+nodes lazily onto slices of the stores (see below).
 
 A :class:`Backend` bundles that kernel with the two that answer queries
 from the tables — the colour ``trace`` of a list of budgets and the
@@ -93,14 +95,18 @@ from repro.exceptions import RepairError
 class Backend:
     """The kernels behind SOAR's three hot loops, bit-identical across backends.
 
-    ``repair_chain(flat, dirty, exact_k)``
-        Every ``dirty`` column of the ``flat`` tables — leaf columns,
-        stage-1 seeding, each stage's red and blue convolution,
-        breadcrumbs — rewritten in place (at the blocks ``flat.col`` and
-        ``flat.scol`` name) from ``flat.avail``, ``flat.load`` and the
-        children's current columns, deepest first.  ``dirty`` is
-        ascending flat positions closed under ancestors: every switch for
-        a cold gather, a delta's ancestor chains for a repair.
+    ``repair_chain(flat, dirty)``
+        Every internal ``dirty`` column of the ``flat`` tables — stage-1
+        seeding, each stage's red and blue convolution, breadcrumbs —
+        rewritten in place (at the blocks ``flat.col`` and ``flat.scol``
+        name) from ``flat.avail``, ``flat.load`` and the children's
+        current columns, deepest first.  ``dirty`` is ascending flat
+        positions closed under ancestors: every internal switch for a
+        cold gather, a delta's ancestor chains for a repair.  Leaves own
+        no block and dirty ones are skipped: a stage whose child is a
+        leaf computes that child's x rows from the closed form
+        (:func:`repro.core.gather.leaf_tables` under ``flat.exact_k``,
+        the only input the budget semantics reach).
     ``trace(tree, gathered, budgets)``
         SOAR-Color for every budget of the list: the traced
         :class:`~repro.core.flat.FlatTables` and a ``(len(budgets), n)``
@@ -256,52 +262,68 @@ def _batched_combine(
     return best, best_split
 
 
-def _leaf_init_numpy(
-    y_blue_flat: np.ndarray,
-    y_red_flat: np.ndarray,
-    path_rho: np.ndarray,
-    load: np.ndarray,
-    leaves: np.ndarray,
-    blocks: np.ndarray,
-    avail: np.ndarray,
-    exact_k: bool,
-    k: int,
-) -> None:
-    """Write every row of the ``leaves``' blocks in one numpy broadcast.
+def _leaf_x_rows(
+    path: np.ndarray, load: np.ndarray, avail: np.ndarray, width: int, exact_k: bool
+) -> np.ndarray:
+    """The x rows of leaves, ``(rows, width, L)``, node axis last.
 
-    ``blocks`` are the leaves' store blocks (``col[leaves]``).
+    ``path`` is the leaves' ``path_rho`` rows ``(rows, L)``, ``load``
+    their loads as float64 and ``avail`` their Λ membership.  The result
+    is ``np.minimum(y_red, y_blue)`` of the closed form
+    (:func:`repro.core.gather.leaf_tables`): red is ``path * load`` (every
+    column under at-most-k, column 0 under exactly-k), blue is ``path`` on
+    column 1 (exactly-k) or columns ``1 .. k`` (at-most-k) of an available
+    leaf, +inf elsewhere.  The one arithmetic operation is that same
+    multiply; the rest selects between its product, ``path`` and +inf
+    exactly as the elementwise minimum of NaN-free tables does.
     """
-    leaf_paths = path_rho[:, leaves].T  # (m, height + 1)
-    red_columns = leaf_paths * load[leaves, None]
-    is_blue = avail[leaves]
-    blue_leaves, blue_blocks = leaves[is_blue], blocks[is_blue]
-    y_blue_flat[blocks] = np.inf
+    rows, count = path.shape
+    red = path * load
+    x = np.empty((rows, width, count), dtype=np.float64)
+    x[:, 0] = red
     if exact_k:
-        y_red_flat[blocks] = np.inf
-        y_red_flat[blocks, :, 0] = red_columns
-        if k >= 1 and blue_leaves.size:
-            y_blue_flat[blue_blocks, :, 1] = path_rho[:, blue_leaves].T
+        x[:, 1:2] = np.where(avail, path, np.inf)[:, None, :]
+        x[:, 2:] = np.inf
     else:
-        y_red_flat[blocks] = red_columns[:, :, None]
-        if k >= 1 and blue_leaves.size:
-            y_blue_flat[blue_blocks, :, 1:] = path_rho[:, blue_leaves].T[:, :, None]
+        x[:, 1:] = np.where(avail, np.minimum(red, path), red)[:, None, :]
+    return x
 
 
 def _child_x_rows(
-    y_blue_flat: np.ndarray, y_red_flat: np.ndarray, blocks: np.ndarray, rows: int
+    flat: FlatTables, load: np.ndarray, children: np.ndarray, rows: int
 ) -> np.ndarray:
-    """The x rows ``1 .. rows`` of the children at store ``blocks``.
+    """The x rows ``1 .. rows`` of the ``children`` (flat positions).
 
-    ``x = min(y_red, y_blue)`` of each child's block, shape
-    ``(rows, k + 1, B)``: written with the node axis last, the layout
-    :func:`_batched_combine` batches over.
+    ``x = min(y_red, y_blue)`` of each child, shape ``(rows, k + 1, B)``:
+    written with the node axis last, the layout :func:`_batched_combine`
+    batches over.  An internal child's rows come from its store block; a
+    leaf owns none, so its rows are the closed form (:func:`_leaf_x_rows`)
+    over its ``path_rho`` column, its ``load`` (float64, flat order) and Λ
+    membership.  A level mixing both kinds (scale-free and generic trees)
+    is still one array per stage.
     """
-    child_x = np.empty((rows, y_red_flat.shape[2], blocks.size), dtype=np.float64)
-    np.minimum(
-        y_red_flat[blocks, 1 : rows + 1],
-        y_blue_flat[blocks, 1 : rows + 1],
-        out=child_x.transpose(2, 0, 1),
-    )
+    y_blue, y_red = flat.y_blue, flat.y_red
+    width = y_red.shape[2]
+    is_leaf = flat.leaf[children]
+    if is_leaf.all():
+        return _leaf_x_rows(
+            flat.path_rho[1 : rows + 1, children],
+            load[children],
+            flat.avail[children],
+            width,
+            flat.exact_k,
+        )
+    child_x = np.empty((rows, width, children.size), dtype=np.float64)
+    by_node = child_x.transpose(2, 0, 1)
+    if not is_leaf.any():
+        blocks = flat.col[children]
+        np.minimum(y_red[blocks, 1 : rows + 1], y_blue[blocks, 1 : rows + 1], out=by_node)
+        return child_x
+    leaves, inner = children[is_leaf], flat.col[children[~is_leaf]]
+    by_node[is_leaf] = _leaf_x_rows(
+        flat.path_rho[1 : rows + 1, leaves], load[leaves], flat.avail[leaves], width, flat.exact_k
+    ).transpose(2, 0, 1)
+    by_node[~is_leaf] = np.minimum(y_red[inner, 1 : rows + 1], y_blue[inner, 1 : rows + 1])
     return child_x
 
 
@@ -322,14 +344,16 @@ def subtree_available_counts(layout: FlatLayout, avail: np.ndarray) -> np.ndarra
     return counts
 
 
-def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray) -> None:
     """Recompute the ``dirty`` columns of ``flat`` in place, level by level.
 
-    The numpy ``repair_chain`` kernel (see :class:`Backend`): dirty
-    leaves are re-broadcast in one go, then the dirty internal nodes are
-    run level-batched from the deepest level up, each stage's convolution
-    batched over every node of the level that has that many children.
-    Blocks are read and written through ``flat.col`` / ``flat.scol``.
+    The numpy ``repair_chain`` kernel (see :class:`Backend`): the dirty
+    internal nodes are run level-batched from the deepest level up, each
+    stage's convolution batched over every node of the level that has
+    that many children.  Dirty leaves own no block and are skipped; a
+    stage reads a leaf child's x rows from the closed form
+    (:func:`_child_x_rows`).  Blocks are read and written through
+    ``flat.col`` / ``flat.scol``.
     """
     y_blue_flat, y_red_flat = flat.y_blue, flat.y_red
     splits_blue_flat, splits_red_flat = flat.splits_blue, flat.splits_red
@@ -343,32 +367,17 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
     # |Λ ∩ T_v| caps every convolution's split range (see _batched_combine).
     subtree_avail = subtree_available_counts(flat, avail)
 
-    is_leaf = flat.leaf[dirty]
-    dirty_leaves = dirty[is_leaf]
-    if dirty_leaves.size:
-        _leaf_init_numpy(
-            y_blue_flat,
-            y_red_flat,
-            flat.path_rho,
-            load,
-            dirty_leaves,
-            col[dirty_leaves],
-            avail,
-            exact_k,
-            k,
-        )
-
     # ---- dirty internal nodes, level-batched from the deepest level up ----
     # Per-node inputs of every dirty internal node are gathered once; each
     # level then reads a contiguous run of them (the positions are in flat
     # order, so equal depths are adjacent, deepest first).  A level's
     # tables are built with the node axis last, (rows, k + 1, B), and
     # written back into the nodes' blocks once the level is done.
-    internal = dirty[~is_leaf]
+    internal = dirty[~flat.leaf[dirty]]
     upward_all = flat.path_rho[:, internal]
     red_seed_all = upward_all * load[internal]
     fan_out_all = flat.num_children[internal]
-    first_child_all = col[child_concat[child_offset[internal]]]
+    first_child_all = child_concat[child_offset[internal]]
     can_blue_all = avail[internal] & (k >= 1)
     for level, run in dirty_level_runs(flat.depth, internal):
         group = internal[run]
@@ -379,8 +388,8 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
 
         # stage m = 1.  Children live one level deeper and were finalized
         # before this level (dirty or clean alike), so their x rows are the
-        # minimum of the y tensors as they stand now.
-        child_x = _child_x_rows(y_blue_flat, y_red_flat, first_child_all[run], rows)
+        # minimum of the y tensors as they stand now (a leaf's closed form).
+        child_x = _child_x_rows(flat, load, first_child_all[run], rows)
         y_red = child_x + red_seed_all[:rows, None, run]
         y_blue = np.full_like(y_red, np.inf)
         sel = np.flatnonzero(can_blue)  # can_blue already folds in k >= 1
@@ -399,7 +408,7 @@ def _repair_chain_numpy(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> N
             slots = scol[stage_offset[nodes] + (stage - 2)]
             j_cap = int(subtree_avail[child].max())
 
-            child_x = _child_x_rows(y_blue_flat, y_red_flat, col[child], rows)
+            child_x = _child_x_rows(flat, load, child, rows)
             merged_red, split_red = _batched_combine(
                 y_red[:, :, active], child_x, k, blue=False, j_max=j_cap
             )
@@ -466,16 +475,17 @@ def gather(
 
     Same parameters and bit-identical :class:`~repro.core.gather.GatherResult`
     as :func:`repro.core.gather.soar_gather`.  A cold gather is a repair
-    with every switch dirty: the tables are allocated over the tree's
-    memoized layout (``n`` uninitialized blocks under the identity index)
-    and ``backend.repair_chain`` computes every column.  The result carries
-    its :class:`FlatTables` and a :class:`LazyNodeTables` mapping over
-    them, so no per-node :class:`~repro.core.gather.NodeTables` is built
-    until a consumer looks one up.
+    with every internal switch dirty: the tables are allocated over the
+    tree's memoized layout (one uninitialized block per internal switch
+    under the cold index; leaves own none) and ``backend.repair_chain``
+    computes every column.  The result carries its :class:`FlatTables`
+    and a :class:`LazyNodeTables` mapping over them, so no per-node
+    :class:`~repro.core.gather.NodeTables` is built until a consumer
+    looks one up.
     """
     k = normalize_budget(tree, budget)
-    flat = allocate_tables(tree, k)
-    backend.repair_chain(flat, np.arange(tree.num_switches), exact_k)
+    flat = allocate_tables(tree, k, exact_k)
+    backend.repair_chain(flat, flat.internal)
     return GatherResult(
         tables=LazyNodeTables(flat),
         root=tree.root,
@@ -499,17 +509,18 @@ def repair(
     switches of the symmetric difference Λ₀ ^ Λ and their ancestors have
     stale DP slabs — every other subtree sees an unchanged Λ ∩ T_v — so
     the repaired tables share every clean block with ``result``'s and own
-    fresh blocks for the dirty columns and their breadcrumb slots alone
-    (:func:`~repro.core.flat.derive_tables`); ``backend.repair_chain``
-    fills those: O(depth · k² · |delta|) work instead of the cold
-    gather's O(n · k²), and no tensor is copied.  ``result`` is left
+    fresh blocks for the dirty internal columns and their breadcrumb
+    slots alone (:func:`~repro.core.flat.derive_tables`; a flipped leaf
+    owns no block, so only its ancestors claim one);
+    ``backend.repair_chain`` fills those: O(depth · k² · |delta|) work
+    instead of the cold gather's O(n · k²), and no tensor is copied.  ``result`` is left
     unchanged — its blocks are never written — so the cache may repair
     the same artifact towards several Λ's, concurrently too.
 
     Bit-identity with a cold gather is preserved end to end: a cold
-    gather *is* ``repair_chain`` with every switch dirty, so the dirty
-    columns are recomputed by the very kernel, in the same deepest-first
-    order, from the same inputs — clean children's columns are exactly
+    gather *is* ``repair_chain`` with every internal switch dirty, so the
+    dirty columns are recomputed by the very kernel, in the same
+    deepest-first order, from the same inputs — clean children's columns are exactly
     what a cold gather at the new Λ computes, because their subtrees see
     an unchanged ``Λ ∩ T_v``.  The layout (``path_rho`` included) is the
     structure's shared, read-only one, and the blue breadcrumbs of dirty
@@ -563,7 +574,7 @@ def repair(
         avail[index[switch]] = switch in tree.available
 
     with derive_tables(old_flat, tree, avail, dirty) as new_flat:
-        backend.repair_chain(new_flat, dirty, result.exact_k)
+        backend.repair_chain(new_flat, dirty)
 
     old_model = old_flat.cost_model
     if old_model is not None:

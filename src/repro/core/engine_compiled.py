@@ -172,7 +172,7 @@ def compiled_available() -> bool:
 # --------------------------------------------------------------------------- #
 
 
-def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
+def repair_chain(flat: FlatTables, dirty: np.ndarray) -> None:
     """The ``repair_chain`` of the compiled backend: one ``repro_repair_chain`` call."""
     rows, width = flat.y_red.shape[1:]
     status = _LIB.repro_repair_chain(
@@ -195,7 +195,7 @@ def repair_chain(flat: FlatTables, dirty: np.ndarray, exact_k: bool) -> None:
         rows - 1,
         width,
         len(flat.order),
-        int(exact_k),
+        int(flat.exact_k),
     )
     if status != 0:
         raise MemoryError("repro_repair_chain could not allocate its scratch")

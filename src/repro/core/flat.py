@@ -39,27 +39,36 @@ wildly varying fan-out.
 
 Table layout
 ------------
-The tensors are node-major blocks: one switch's DP column (its ``Y``
-table) and one breadcrumb slot are each a single C-contiguous
+The tensors are node-major blocks: one internal switch's DP column (its
+``Y`` table) and one breadcrumb slot are each a single C-contiguous
 ``(height + 1, k + 1)`` block.  SOAR-Gather reads a child's block and
 writes its parent's as unit-stride runs, :meth:`FlatTables.node_tables`
 hands out contiguous slices, and a block can be shared as a whole.
 
+Leaves own no block.  A leaf's tables are a closed form of its load, its
+``path_rho`` column and its Λ membership (Algorithm 3 lines 1-9,
+:func:`~repro.core.gather.leaf_tables`), and SOAR-Color decides a leaf
+from its load and Λ alone, so the kernels compute a leaf child's ``x``
+rows where a stage reads them and :meth:`FlatTables.node_tables` builds a
+leaf's tables on demand.
+
 A table does not own its blocks by position.  ``y_blue`` / ``y_red``
 are *stores* of shape ``(capacity, height + 1, k + 1)`` and the
 breadcrumbs stores of ``(slot capacity, height + 1, k + 1)``; the
-table's column index ``col`` (length ``n``) names the store block of
-every flat position and ``scol`` (length ``num_stages``) that of every
-breadcrumb slot, so position ``p``'s table is ``y_red[col[p]]`` and
-slot ``s`` is ``splits_red[scol[s]]``.  A cold gather allocates exactly
-``n`` blocks and ``num_stages`` slots and uses the layout's frozen
-identity index (``col[p] == p``), so its tensors read exactly as
-node-major tensors.  A delta repair (:func:`derive_tables`) copies the
-source's two index arrays, points the dirty positions and their slots at
-fresh blocks of the lineage's :class:`ColumnStore` and leaves every clean
-entry pointing at the source's block: it copies no tensor.  The numpy
-kernels gather a level's blocks with ``y[col[nodes]]``; the C kernels
-address ``store + col[v] * block``.
+table's column index ``col`` (length ``n``, ``-1`` at every leaf) names
+the store block of every internal flat position and ``scol`` (length
+``num_stages``) that of every breadcrumb slot, so an internal position
+``p``'s table is ``y_red[col[p]]`` and slot ``s`` is
+``splits_red[scol[s]]``.  A cold gather allocates exactly one block per
+internal switch and ``num_stages`` slots and uses the layout's frozen
+cold index (``col[internal[r]] == r``, ``scol[s] == s``).  A delta repair
+(:func:`derive_tables`) copies the source's two index arrays, points the
+dirty internal positions and their slots at fresh blocks of the
+lineage's :class:`ColumnStore` and leaves every clean entry pointing at
+the source's block: it copies no tensor.  The numpy kernels gather a
+level's blocks with ``y[col[nodes]]``; the C kernels address
+``store + col[v] * block``.  No code path sends a leaf's ``-1`` into a
+store, a reference count or a claim.
 
 Rows ``l > depth`` of an internal node's ``y`` blocks and of its
 breadcrumb slots are unspecified: no kernel writes or reads them.
@@ -75,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gather import NodeTables
+from repro.core.gather import NodeTables, leaf_tables
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import RepairError
 
@@ -125,9 +134,12 @@ class FlatLayout:
     postorder:
         Permutation mapping post-order rank to flat position
         (``order[postorder[i]]`` is ``tree.switches[i]``).
-    identity:
-        ``arange(n)``: every cold gather's column index is ``identity``
-        and its slot index ``identity[:num_stages]`` (see "Table layout").
+    internal:
+        The flat positions of the internal switches, ascending: the only
+        positions that own a column block (see "Table layout").
+    cold_col, cold_scol:
+        Every cold gather's column index (``-1`` at leaves, ``r`` at
+        ``internal[r]``) and slot index (``arange(num_stages)``).
     switch_position:
         Flat position of every switch in the order of the network's load
         function (its switch mapping), so a load vector is one scatter
@@ -149,7 +161,9 @@ class FlatLayout:
     level_slices: tuple[tuple[int, int], ...]
     path_rho: np.ndarray
     postorder: np.ndarray
-    identity: np.ndarray
+    internal: np.ndarray
+    cold_col: np.ndarray
+    cold_scol: np.ndarray
     switch_position: np.ndarray
 
 
@@ -170,18 +184,22 @@ class FlatTables(FlatLayout):
         traces and costs do; see :func:`traced_vectors`).
     load, avail:
         The tree's loads (int64) and Λ membership (bool) in flat order.
+    exact_k:
+        The budget semantics the tables encode; a leaf's closed form
+        depends on it.
     y_blue, y_red:
-        Stores of the final-stage colour-decision tables, shape
-        ``(capacity, height + 1, k + 1)``: ``y_red[col[p]]`` is the
-        contiguous table of the node at position ``p``.  Rows
-        ``l > depth`` of an internal node are unspecified (never read: the
-        traceback parameter satisfies ``l <= depth``).
+        Stores of the internal switches' final-stage colour-decision
+        tables, shape ``(capacity, height + 1, k + 1)``: ``y_red[col[p]]``
+        is the contiguous table of the internal node at position ``p``.
+        Rows ``l > depth`` are unspecified (never read: the traceback
+        parameter satisfies ``l <= depth``).  Leaves own no block: their
+        columns are a closed form (:func:`~repro.core.gather.leaf_tables`).
     splits_blue, splits_red:
         Breadcrumb stores of shape ``(slot capacity, height + 1, k + 1)``;
         slot ``s`` is the block ``splits_red[scol[s]]``.
     col, scol:
-        The column index (length ``n``) and slot index (length
-        ``num_stages``) into the stores; frozen.
+        The column index (length ``n``, ``-1`` at leaves) and slot index
+        (length ``num_stages``) into the stores; frozen.
     store:
         The lineage's :class:`ColumnStore` once a repair has derived a
         table from this one, else ``None``.
@@ -190,6 +208,7 @@ class FlatTables(FlatLayout):
     tree: TreeNetwork
     load: np.ndarray
     avail: np.ndarray
+    exact_k: bool
     y_blue: np.ndarray
     y_red: np.ndarray
     splits_blue: np.ndarray
@@ -202,24 +221,31 @@ class FlatTables(FlatLayout):
     store: "ColumnStore | None" = field(default=None, repr=False, compare=False)
 
     def node_tables(self, position: int) -> NodeTables:
-        """The per-node views of one flat position, as :class:`NodeTables`.
+        """The per-node tables of one flat position, as :class:`NodeTables`.
 
-        ``y_blue`` / ``y_red`` and the breadcrumb slices are zero-copy,
-        contiguous views of the position's blocks in the stores
-        (``y_red[col[position]]`` and ``splits_red[scol[slot]]``, rows
-        ``0 .. depth``); ``x`` and ``choice`` are derived per node
-        (``x = min(y_red, y_blue)`` elementwise and the strict
-        ``y_blue < y_red`` decision), exactly the ``x`` rows the
+        For an internal position, ``y_blue`` / ``y_red`` and the
+        breadcrumb slices are zero-copy, contiguous views of the
+        position's blocks in the stores (``y_red[col[position]]`` and
+        ``splits_red[scol[slot]]``, rows ``0 .. depth``).  A leaf owns no
+        block: its tables are built from the closed form
+        (:func:`~repro.core.gather.leaf_tables` over :attr:`tree`), the
+        very values a parent's stage reads, with no breadcrumbs.  For an
+        internal node ``x`` and ``choice`` are derived per node (``x = min(y_red, y_blue)`` elementwise and the
+        strict ``y_blue < y_red`` decision), exactly the ``x`` rows the
         ``repair_chain`` kernels read for a parent.  This is what lets cold gathers
         and delta repairs alike skip the O(n) view-materialization loop and
         hand out per-node tables on demand (:class:`LazyNodeTables`).
         """
+        if self.leaf[position]:
+            return leaf_tables(
+                self.tree, self.order[position], self.y_red.shape[2] - 1, self.exact_k
+            )
         rows = int(self.depth[position]) + 1
         block = int(self.col[position])
         y_blue = self.y_blue[block, :rows]
         y_red = self.y_red[block, :rows]
         base = int(self.stage_offset[position])
-        slots = self.scol[base : base + max(int(self.num_children[position]) - 1, 0)]
+        slots = self.scol[base : base + int(self.num_children[position]) - 1]
         return NodeTables(
             x=np.minimum(y_red, y_blue),
             y_blue=y_blue,
@@ -380,6 +406,9 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
         count=int(num_children.sum()),
     )
     stage_counts = np.maximum(num_children - 1, 0)
+    internal = np.flatnonzero(num_children > 0)
+    cold_col = np.full(n, -1, dtype=np.int64)
+    cold_col[internal] = np.arange(internal.size)
 
     # P[l, v] = rho(v, A^l_v), accumulated bottom-up exactly like
     # TreeNetwork.path_rho_prefix (same summation order, hence the same
@@ -409,7 +438,9 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
         postorder=np.fromiter(
             (index[v] for v in tree.switches), dtype=np.int64, count=n
         ),
-        identity=np.arange(n, dtype=np.int64),
+        internal=internal,
+        cold_col=cold_col,
+        cold_scol=np.arange(int(stage_counts.sum()), dtype=np.int64),
         switch_position=np.fromiter(
             map(index.__getitem__, tree.loads), dtype=np.int64, count=n
         ),
@@ -440,29 +471,32 @@ def traced_vectors(
     return load, avail
 
 
-def allocate_tables(tree: TreeNetwork, budget: int) -> FlatTables:
+def allocate_tables(tree: TreeNetwork, budget: int, exact_k: bool = False) -> FlatTables:
     """Unfilled :class:`FlatTables` for ``tree`` at effective budget ``budget``.
 
     The layout is the tree's memoized :class:`FlatLayout`, ``load`` and
-    ``avail`` are the tree's own; the stores hold exactly ``n`` blocks and
-    ``num_stages`` slots, all uninitialized, under the identity index.
+    ``avail`` are the tree's own; the stores hold exactly one block per
+    internal switch and ``num_stages`` slots, all uninitialized, under
+    the cold index.  Leaves own no block: their columns are a closed form
+    (:func:`~repro.core.gather.leaf_tables`).
     """
     layout = tree.flat_layout()
     load, avail = tree.flat_vectors()
     block = (tree.height + 1, budget + 1)
-    y_blue = np.empty((tree.num_switches, *block), dtype=np.float64)
+    y_blue = np.empty((layout.internal.size, *block), dtype=np.float64)
     splits_blue = np.empty((layout.num_stages, *block), dtype=np.int32)
     return FlatTables(
         **{name: getattr(layout, name) for name in _LAYOUT_FIELDS},
         tree=tree,
         load=load,
         avail=avail,
+        exact_k=exact_k,
         y_blue=y_blue,
         y_red=np.empty_like(y_blue),
         splits_blue=splits_blue,
         splits_red=np.empty_like(splits_blue),
-        col=layout.identity,
-        scol=layout.identity[: layout.num_stages],
+        col=layout.cold_col,
+        scol=layout.cold_scol,
     )
 
 
@@ -528,8 +562,11 @@ class ColumnStore:
     A lineage is a cold gather and every table repaired from it, directly
     or through other repairs.  The first repair adopts the cold table's
     tensors as the store's first blocks; each repair then claims fresh
-    blocks for its dirty columns and slots only and references the rest
-    from its source (:func:`derive_tables`).  Each block counts the live
+    blocks for its dirty internal columns and slots only and references
+    the rest from its source (:func:`derive_tables`).  Leaf columns are a
+    closed form and own no block, so a flipped leaf claims nothing and
+    only its ancestors do; a table holds exactly its internal positions'
+    blocks (``col[internal]``).  Each block counts the live
     tables that reference it.  A table's stores are pinned to a lease
     (:class:`_Pinned`) whose death — the table's and every view's — queues
     the table's blocks for release; the next claim collects them.  A block
@@ -578,7 +615,11 @@ class ColumnStore:
             )
 
     def lease(self, col: np.ndarray, scol: np.ndarray) -> _Lease:
-        """A lease releasing ``col`` / ``scol`` when it dies."""
+        """A lease releasing column blocks ``col`` and slots ``scol`` when it dies.
+
+        ``col`` is a table's ``col[internal]``, never its full index: a
+        leaf's ``-1`` must not reach a reference count.
+        """
         lease = _Lease()
         weakref.finalize(lease, self.release, col, scol).atexit = False
         return lease
@@ -606,7 +647,7 @@ def _store_of(source: FlatTables) -> ColumnStore:
             # Views handed out before adoption read the cold tensors
             # unpinned; no claim ever writes those (_BlockPool.adopted).
             store = ColumnStore(source)
-            store.pin(source, store.lease(source.col, source.scol))
+            store.pin(source, store.lease(source.col[source.internal], source.scol))
             source.store = store
         return source.store
 
@@ -625,14 +666,16 @@ def derive_tables(
     """Tables for ``tree`` sharing ``source``'s clean blocks, dirty ones fresh.
 
     The new column and slot indices are copies of ``source``'s with the
-    ``dirty`` positions (ascending, closed under ancestors) and their
-    breadcrumb slots pointed at fresh blocks of the lineage's
-    :class:`ColumnStore`.  The fresh blocks are uninitialized: the caller
-    fills them inside the ``with`` block (``backend.repair_chain``), which
-    holds the store's lock.  The tables' blocks return to the store when
-    the tables and every view of them are gone.
+    internal ``dirty`` positions (ascending, closed under ancestors) and
+    their breadcrumb slots pointed at fresh blocks of the lineage's
+    :class:`ColumnStore`; dirty leaves own no block and claim none.  The
+    fresh blocks are uninitialized: the caller fills them inside the
+    ``with`` block (``backend.repair_chain``), which holds the store's
+    lock.  The tables' blocks return to the store when the tables and
+    every view of them are gone.
     """
     store = _store_of(source)
+    dirty = dirty[~source.leaf[dirty]]
     slots = dirty_slots(source, dirty)
     with store.lock:
         store.collect()
@@ -640,7 +683,8 @@ def derive_tables(
         scol = source.scol.copy()
         col[dirty] = store.columns.claim(dirty.size)
         scol[slots] = store.slots.claim(slots.size)
-        store.columns.refs[col] += 1
+        blocks = col[source.internal]
+        store.columns.refs[blocks] += 1
         store.slots.refs[scol] += 1
         col.setflags(write=False)
         scol.setflags(write=False)
@@ -654,6 +698,7 @@ def derive_tables(
             tree=tree,
             load=source.load,
             avail=avail,
+            exact_k=source.exact_k,
             y_blue=source.y_blue,
             y_red=source.y_red,
             splits_blue=source.splits_blue,
@@ -662,7 +707,7 @@ def derive_tables(
             scol=scol,
             store=store,
         )
-        store.pin(flat, store.lease(col, scol))
+        store.pin(flat, store.lease(blocks, scol))
         yield flat
 
 

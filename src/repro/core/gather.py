@@ -142,13 +142,20 @@ def normalize_budget(tree: TreeNetwork, budget: int) -> int:
     return int(min(int(budget), len(tree.available)))
 
 
-def _leaf_tables(
+def leaf_tables(
     tree: TreeNetwork,
     node: NodeId,
     budget: int,
     exact_k: bool,
 ) -> NodeTables:
-    """Base case of the dynamic program (Algorithm 3 lines 1-9)."""
+    """Base case of the dynamic program (Algorithm 3 lines 1-9).
+
+    A leaf's tables are a closed form of its load, its ρ-path prefix and
+    its Λ membership.  The flat tables store no block for a leaf and
+    build its tables here on demand
+    (:meth:`~repro.core.flat.FlatTables.node_tables`); the kernels
+    compute the same ``x`` rows where a stage reads a leaf child.
+    """
     rho_prefix = np.asarray(tree.path_rho_prefix(node), dtype=np.float64)
     depth = tree.depth(node)
     load = tree.load(node)
@@ -300,7 +307,7 @@ def soar_gather(
     for node in tree.switches:  # post-order guarantees children are ready
         children = tree.children(node)
         if not children:
-            tables[node] = _leaf_tables(tree, node, effective, exact_k)
+            tables[node] = leaf_tables(tree, node, effective, exact_k)
         else:
             children_x = [tables[child].x for child in children]
             tables[node] = _internal_tables(tree, node, children_x, effective)

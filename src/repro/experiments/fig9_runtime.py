@@ -47,9 +47,12 @@ def run_fig9(
 ) -> list[dict]:
     """Time SOAR-Gather and SOAR-Color for every (network size, budget) pair.
 
-    Returns one row per pair with the mean wall-clock seconds of each phase
-    over ``config.repetitions`` runs (each on a freshly sampled power-law
-    workload), plus the color/gather runtime ratio the paper highlights.
+    Returns one row per pair with the mean and the median wall-clock
+    seconds of each phase over ``config.repetitions`` runs (each on a
+    freshly sampled power-law workload), plus the color/gather runtime
+    ratio the paper highlights.  A single slow run (a scheduler stall, a
+    collector pass) moves a mean of few runs but not the median, so the
+    median is the figure to compare the phases by.
     Both phases run on :data:`~repro.core.engine.DEFAULT_BACKEND`; the
     colour phase is the backend's trace of one budget, which is what the
     service's warm path consists of.  The gather clock covers the gather
@@ -91,6 +94,8 @@ def run_fig9(
                     "gather_stderr": gather_err,
                     "color_seconds": color_mean,
                     "color_stderr": color_err,
+                    "gather_median_seconds": float(np.median(gather_times)),
+                    "color_median_seconds": float(np.median(color_times)),
                     "color_to_gather_ratio": (color_mean / gather_mean) if gather_mean else 0.0,
                     "repetitions": config.repetitions,
                 }

@@ -187,11 +187,21 @@ class TestFig9:
         for row in rows:
             assert row["gather_seconds"] > 0
             assert row["color_seconds"] >= 0
-            assert row["color_seconds"] <= row["gather_seconds"]
+        # Fig. 9's claim, colouring is cheaper than gathering, compared by
+        # medians of 5 runs on a tree where the gap is wide: at BT(256),
+        # k = 16 a gather costs about 6x a colour trace, and a median moves
+        # only when most of its runs are slow, where one stalled trace
+        # moves a mean.
+        config = ExperimentConfig(network_size=256, repetitions=5, seed=11)
+        (row,) = run_fig9(sizes=(256,), budgets=(16,), config=config)
+        assert row["color_median_seconds"] <= row["gather_median_seconds"]
 
     def test_gather_time_grows_with_k(self):
-        rows = run_fig9(sizes=(128,), budgets=(2, 32), config=TINY)
-        by_budget = {row["k"]: row["gather_seconds"] for row in rows}
+        # Medians of 5 runs at BT(256), where a k = 32 gather costs about
+        # 3x a k = 2 one; at BT(128) fixed per-call costs narrow that gap.
+        config = ExperimentConfig(network_size=256, repetitions=5, seed=11)
+        rows = run_fig9(sizes=(256,), budgets=(2, 32), config=config)
+        by_budget = {row["k"]: row["gather_median_seconds"] for row in rows}
         assert by_budget[32] >= by_budget[2]
 
 

@@ -194,29 +194,28 @@ TENSORS = ("y_blue", "y_red", "splits_blue", "splits_red")
 
 
 def _blocks(flat, name):
-    """A table's blocks of one store in flat order (``store[col]``)."""
-    index = flat.scol if name.startswith("splits") else flat.col
+    """A table's blocks of one store: its internal positions' in flat
+    order (leaves own none), or its slots in order."""
+    index = flat.scol if name.startswith("splits") else flat.col[flat.internal]
     return getattr(flat, name)[index]
 
 
 def _defined_cells(flat, name):
     """The bytes of the cells a gather defines in one table's blocks.
 
-    A ``y`` block is defined on every row of a leaf column (the leaf
-    broadcast writes them all) and on rows ``0 .. depth`` of an internal
-    one, and a breadcrumb slot on rows ``0 .. depth`` of the node owning
-    it; the rows above are never written nor read.
+    A ``y`` block is defined on rows ``0 .. depth`` of its internal
+    switch, and a breadcrumb slot on rows ``0 .. depth`` of the node
+    owning it; the rows above are never written nor read.
     """
     tensor = _blocks(flat, name)
     rows = np.arange(tensor.shape[1])[None, :]
     if name.startswith("splits"):
         owner_depth = np.repeat(flat.depth, np.maximum(flat.num_children - 1, 0))
         return tensor[rows <= owner_depth[:, None]].tobytes()
-    defined = flat.leaf[:, None] | (rows <= flat.depth[:, None])
-    return tensor[defined].tobytes()
+    return tensor[rows <= flat.depth[flat.internal][:, None]].tobytes()
 
 
-def _assert_kernels_write_the_same_cells(flat, dirty, exact_k):
+def _assert_kernels_write_the_same_cells(flat, dirty):
     """Every backend's ``repair_chain`` on one poisoned copy of ``flat``.
 
     Each kernel starts from the same node-major copy of the tables with
@@ -225,21 +224,23 @@ def _assert_kernels_write_the_same_cells(flat, dirty, exact_k):
     another did not.
     """
     slots = dirty_slots(flat, dirty)
+    # _blocks lists internal positions in flat order, the cold index's order.
+    dirty_blocks = flat.cold_col[dirty[~flat.leaf[dirty]]]
     outputs = set()
     for backend in BACKENDS:
         tensors = {name: _blocks(flat, name) for name in TENSORS}
         for name in ("y_blue", "y_red"):
-            tensors[name][dirty] = np.nan
+            tensors[name][dirty_blocks] = np.nan
         for name in ("splits_blue", "splits_red"):
             tensors[name][slots] = -7
         start = dataclasses.replace(
             flat,
             **tensors,
-            col=flat.identity,
-            scol=flat.identity[: flat.num_stages],
+            col=flat.cold_col,
+            scol=flat.cold_scol,
             store=None,
         )
-        backend.repair_chain(start, dirty, exact_k)
+        backend.repair_chain(start, dirty)
         outputs.add(b"".join(tensors[name].tobytes() for name in TENSORS))
     assert len(outputs) == 1
 
@@ -254,7 +255,7 @@ def _assert_chain_kernels_match_cold(result, new_tree):
         assert _defined_cells(repaired[-1], name) == _defined_cells(cold, name)
     delta = result.flat.tree.available ^ new_tree.available
     dirty = dirty_ancestor_positions(new_tree, cold.index, delta)
-    _assert_kernels_write_the_same_cells(repaired[-1], dirty, result.exact_k)
+    _assert_kernels_write_the_same_cells(repaired[-1], dirty)
     return repaired[-1]
 
 
@@ -382,11 +383,15 @@ class TestNodeMajorLayout:
 
     def test_blocks_are_contiguous(self, backend, workload):
         block = (workload.height + 1, 6)
-        # A cold gather owns exactly n blocks and num_stages slots, in order.
+        # A cold gather owns one block per internal switch and num_stages
+        # slots, in order; leaves own none.
         fresh = gather(workload, 5, backend=backend).flat
-        assert fresh.y_red.shape == fresh.y_blue.shape == (workload.num_switches, *block)
+        internal = fresh.internal.size
+        assert internal == sum(1 for s in workload.switches if workload.children(s))
+        assert fresh.y_red.shape == fresh.y_blue.shape == (internal, *block)
         assert fresh.splits_red.shape == fresh.splits_blue.shape == (fresh.num_stages, *block)
-        assert fresh.col.tolist() == list(range(workload.num_switches))
+        assert fresh.col[fresh.internal].tolist() == list(range(internal))
+        assert (fresh.col[fresh.leaf] == -1).all()
         assert fresh.scol.tolist() == list(range(fresh.num_stages))
         cold, repaired = self._cold_and_repaired(backend, workload)
         for flat in (fresh, cold.flat, repaired.flat):
@@ -399,7 +404,7 @@ class TestNodeMajorLayout:
             for name in TENSORS:
                 tensor = getattr(flat, name)
                 assert tensor.flags.c_contiguous
-                index = flat.scol if name.startswith("splits") else flat.col
+                index = flat.scol if name.startswith("splits") else flat.col[flat.internal]
                 assert len(set(index.tolist())) == index.size  # one block each
                 for position in index.tolist():
                     assert tensor[position].shape == block
@@ -408,9 +413,22 @@ class TestNodeMajorLayout:
     def test_node_tables_are_views(self, backend, workload):
         for result in self._cold_and_repaired(backend, workload):
             flat = result.flat
+            reference = soar_gather(flat.tree, 5).tables
             for position in range(workload.num_switches):
                 tables = flat.node_tables(position)
                 rows = int(flat.depth[position]) + 1
+                if flat.leaf[position]:
+                    # A leaf owns no block: its tables are the closed form,
+                    # equal to the reference walk's leaf tables.
+                    expected = reference[flat.order[position]]
+                    for name in ("x", "y_blue", "y_red", "choice"):
+                        view = getattr(tables, name)
+                        assert view.flags.c_contiguous and view.shape == (rows, 6)
+                        assert view.tobytes() == getattr(expected, name).astype(view.dtype).tobytes()
+                        for store in (flat.y_blue, flat.y_red):
+                            assert not np.shares_memory(view, store)
+                    assert tables.splits_blue == tables.splits_red == []
+                    continue
                 for name in ("y_blue", "y_red"):
                     view = getattr(tables, name)
                     assert view.flags.c_contiguous and view.shape == (rows, 6)
@@ -437,14 +455,16 @@ class TestNodeMajorLayout:
             for stage in range(max(int(source.num_children[v]) - 1, 0))
         }
         new = repaired.flat
+        internal = source.internal.tolist()
         for name in TENSORS:
             splits = name.startswith("splits")
             mine, theirs = (new.scol, source.scol) if splits else (new.col, source.col)
             tensor, original = getattr(new, name), getattr(source, name)
             assert _blocks(source, name).tobytes() == before[name].tobytes()
             touched = dirty_slot_set if splits else dirty
-            source_blocks = set(theirs.tolist())
-            for entry in range(mine.size):
+            owners = range(mine.size) if splits else internal
+            source_blocks = set(theirs[owners].tolist())
+            for at, entry in enumerate(owners):
                 block, source_block = tensor[mine[entry]], original[theirs[entry]]
                 if entry in touched:
                     # A fresh block: none of the source's blocks.
@@ -452,7 +472,7 @@ class TestNodeMajorLayout:
                     assert int(mine[entry]) not in source_blocks
                 else:
                     assert np.shares_memory(block, source_block)
-                    assert block.tobytes() == before[name][entry].tobytes()
+                    assert block.tobytes() == before[name][at].tobytes()
 
     def test_source_unchanged_across_a_repair_chain(self, backend, workload):
         rng = np.random.default_rng(2718)
@@ -483,8 +503,10 @@ class TestNodeMajorLayout:
             store = repaired.result.flat.store
             del repaired
             columns, slots = store.live_blocks()
-            # Only the source is live again once the repaired table is gone.
-            assert (columns, slots) == (workload.num_switches, table.result.flat.num_stages)
+            # Only the source is live again once the repaired table is gone:
+            # one block per internal switch (leaves own none).
+            internal = workload.num_switches - int(table.result.flat.leaf.sum())
+            assert (columns, slots) == (internal, table.result.flat.num_stages)
             capacity = len(store.columns.refs)
             if cycle == 0:
                 peak = capacity

@@ -14,6 +14,8 @@ their real call-graph context, must flip the tree from clean to firing.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import importlib.util
 import json
 import os
@@ -485,19 +487,42 @@ def test_jobs_fanout_matches_serial_run_and_keeps_parent_parse_counts():
     assert all(n == 1 for n in PARSE_COUNTS.values())
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Collect, freeze and disable the cyclic GC; restore it on exit.
+
+    ``lint_project`` keeps every parsed module alive while the reference
+    sweep drops each one, so inside a large test process the parse phase
+    alone could pay a full collection over the whole heap.  With the heap
+    frozen and the collector off, neither timing pays for objects the
+    code under test did not make.
+    """
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.freeze()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+
+
 def test_shared_parse_phase_beats_per_rule_reparse(tmp_path):
     timings: dict[str, float] = {}
-    lint_project(REPO_ROOT, timings=timings)
+    with _collector_paused():
+        lint_project(REPO_ROOT, timings=timings)
+        # One shared parse sweep, not one per rule: the parse phase must
+        # stay within a loose multiple of a single parse sweep (scheduler
+        # noise allowed for — this is a regression tripwire, not a benchmark).
+        tick = time.perf_counter()
+        for path in iter_source_files([REPO_ROOT / "src"]):
+            SourceModule.parse(path)
+        one_sweep = time.perf_counter() - tick
     assert set(timings) == {
         "parse", "module-rules", "project-rules", "interprocedural"
     }
-    # The PR 9 layout re-visited the tree per rule; one shared sweep must
-    # stay within a loose multiple of a single parse sweep (scheduler
-    # noise allowed for — this is a regression tripwire, not a benchmark).
-    tick = time.perf_counter()
-    for path in iter_source_files([REPO_ROOT / "src"]):
-        SourceModule.parse(path)
-    one_sweep = time.perf_counter() - tick
     assert timings["parse"] <= one_sweep * 3 + 0.5
 
 

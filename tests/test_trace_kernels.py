@@ -238,7 +238,7 @@ class TestCorruptTables:
         flat = table.result.flat
         root, _ = self._root_split_slot(flat)
         k = table.budget
-        flat.y_blue[root, 1, k] = -1.0  # forces y_blue < y_red at the root
+        flat.y_blue[flat.col[root], 1, k] = -1.0  # forces y_blue < y_red at the root
         message = f"blue node {table.tree.root!r} is not in the availability set"
         for backend in BACKENDS:
             traced, masks = backend.trace(table.tree, table.result, [k])
