@@ -299,27 +299,16 @@ def _child_x_rows(
     batches over.  An internal child's rows come from its store block; a
     leaf owns none, so its rows are the closed form (:func:`_leaf_x_rows`)
     over its ``path_rho`` column, its ``load`` (float64, flat order) and Λ
-    membership.  A level mixing both kinds (scale-free and generic trees)
-    is still one array per stage.
+    membership.  One path serves every stage: a level of one kind (every
+    level of a BT) leaves the other kind's selection empty, and a level
+    mixing both (scale-free and generic trees) is still one array.
     """
     y_blue, y_red = flat.y_blue, flat.y_red
     width = y_red.shape[2]
     is_leaf = flat.leaf[children]
-    if is_leaf.all():
-        return _leaf_x_rows(
-            flat.path_rho[1 : rows + 1, children],
-            load[children],
-            flat.avail[children],
-            width,
-            flat.exact_k,
-        )
+    leaves, inner = children[is_leaf], flat.col[children[~is_leaf]]
     child_x = np.empty((rows, width, children.size), dtype=np.float64)
     by_node = child_x.transpose(2, 0, 1)
-    if not is_leaf.any():
-        blocks = flat.col[children]
-        np.minimum(y_red[blocks, 1 : rows + 1], y_blue[blocks, 1 : rows + 1], out=by_node)
-        return child_x
-    leaves, inner = children[is_leaf], flat.col[children[~is_leaf]]
     by_node[is_leaf] = _leaf_x_rows(
         flat.path_rho[1 : rows + 1, leaves], load[leaves], flat.avail[leaves], width, flat.exact_k
     ).transpose(2, 0, 1)
@@ -491,7 +480,7 @@ def gather(
         root=tree.root,
         budget=k,
         requested_budget=int(budget),
-        exact_k=exact_k,
+        exact_k=flat.exact_k,
         flat=flat,
     )
 
@@ -588,7 +577,7 @@ def repair(
         root=tree.root,
         budget=k,
         requested_budget=result.requested_budget,
-        exact_k=result.exact_k,
+        exact_k=new_flat.exact_k,
         flat=new_flat,
         cost_model=new_flat.cost_model,
     )

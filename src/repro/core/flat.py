@@ -471,7 +471,7 @@ def traced_vectors(
     return load, avail
 
 
-def allocate_tables(tree: TreeNetwork, budget: int, exact_k: bool = False) -> FlatTables:
+def allocate_tables(tree: TreeNetwork, budget: int, exact_k: bool) -> FlatTables:
     """Unfilled :class:`FlatTables` for ``tree`` at effective budget ``budget``.
 
     The layout is the tree's memoized :class:`FlatLayout`, ``load`` and

@@ -95,7 +95,8 @@ class GatherResult:
     requested_budget:
         The budget the caller asked for.
     exact_k:
-        Which budget semantics the tables encode.
+        Which budget semantics the tables encode; a backend result's is
+        its ``flat.exact_k``.
     flat:
         The :class:`~repro.core.flat.FlatTables` layout of the tables,
         attached by :func:`repro.core.engine.gather` at construction;

@@ -142,7 +142,7 @@ def workload():
 
 class TestBlockCounts:
     def test_allocate_tables_holds_one_block_per_internal_switch(self, backend, workload):
-        flat = allocate_tables(workload, 5)
+        flat = allocate_tables(workload, 5, exact_k=False)
         assert flat.y_blue.shape == flat.y_red.shape == (15, workload.height + 1, 6)
         assert _internal_count(workload) == 15
         assert flat.col.shape == (workload.num_switches,)
