@@ -540,7 +540,7 @@ def repair(
             "cannot repair a gather table across structure changes; "
             "the flat tensor layout is structure-specific"
         )
-    if not old_tree.same_loads(tree):
+    if old_tree.loads_fingerprint() != tree.loads_fingerprint():
         raise RepairError(
             "cannot repair a gather table across load changes; "
             "every column of the DP depends on its subtree loads"

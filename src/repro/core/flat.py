@@ -144,6 +144,12 @@ class FlatLayout:
         Flat position of every switch in the order of the network's load
         function (its switch mapping), so a load vector is one scatter
         (:meth:`TreeNetwork.flat_vectors`).
+    canonical:
+        The flat positions sorted by ``repr(node)``, the key
+        :meth:`TreeNetwork.structure_fingerprint` sorts by.  It does not
+        depend on the order the switches were given in, so
+        :meth:`~repro.core.tree.Loads.digest` hashes a load vector taken
+        through it.
     """
 
     order: tuple[NodeId, ...]
@@ -165,6 +171,7 @@ class FlatLayout:
     cold_col: np.ndarray
     cold_scol: np.ndarray
     switch_position: np.ndarray
+    canonical: np.ndarray
 
 
 @dataclass
@@ -443,6 +450,11 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
         cold_scol=np.arange(int(stage_counts.sum()), dtype=np.int64),
         switch_position=np.fromiter(
             map(index.__getitem__, tree.loads), dtype=np.int64, count=n
+        ),
+        canonical=np.fromiter(
+            sorted(range(n), key=lambda position: repr(order[position])),
+            dtype=np.int64,
+            count=n,
         ),
     )
     for value in vars(layout).values():

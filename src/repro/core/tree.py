@@ -23,7 +23,9 @@ Instances are conceptually immutable: the "modify" helpers
 
 A load function can also be held as a :class:`Loads` value: validated
 once against one built network, laid out as the flat int64 vector the
-gather kernels read, and digested by one blake2b over that vector.
+gather kernels read, and digested by one blake2b over that vector in a
+canonical switch order.  :meth:`Loads.digest` is the only load digest, so
+a load function digests the same however its network was built.
 :meth:`TreeNetwork.with_loads` adopts such a value without validating it
 again; the placement service builds one per distinct request load map.
 """
@@ -149,26 +151,14 @@ class IncrementalDigest:
         return format(self._combined, f"0{_COMBINE_BITS // 4}x")
 
 
-def fingerprint_loads(loads: Mapping[NodeId, int]) -> str:
-    """Order-independent digest of a load function.
+def fingerprint_loads(loads: Loads) -> str:
+    """The digest of a load function: :meth:`Loads.digest`.
 
-    A :class:`Loads` value answers with :meth:`Loads.digest`: one blake2b
-    over its structure fingerprint and its int64 load vector.  That is the
-    digest the placement service keys its cache on, carries on tenant
-    records and writes to snapshots.  Any other mapping is digested by a
-    chained blake2b over its sorted ``repr(node)=load`` entries.  The two
-    kinds differ for the same load function, so compare digests of one
-    kind only (:meth:`TreeNetwork.fingerprint` says where that shows).
-
-    Zero entries are skipped by both: a mapping covering only the loaded
-    switches digests like the full load function of a network built from
-    it.
+    This is the digest the placement service keys its cache on, carries on
+    tenant records and writes to snapshots, and the one
+    :meth:`TreeNetwork.loads_fingerprint` returns.
     """
-    if isinstance(loads, Loads):
-        return loads.digest()
-    return _digest(
-        sorted(f"{node!r}={int(value)}" for node, value in loads.items() if int(value) != 0)
-    )
+    return loads.digest()
 
 
 def fingerprint_nodes(nodes: Iterable[NodeId]) -> str:
@@ -284,7 +274,9 @@ class Loads(Mapping[NodeId, int]):
     (like :attr:`TreeNetwork.loads`).  Zero entries leave no trace in the
     vector, so two mappings that differ only in them, in their insertion
     order, or in the integer type of a value (``True``, ``2.0``,
-    ``np.int64(3)``) build equal values with equal digests.
+    ``np.int64(3)``) build equal values with equal digests.  So do equal
+    load functions of two networks with one structure whose switches were
+    given in different orders (:meth:`digest`).
 
     The value is immutable.  Its sorted serialisation (:attr:`serialized`)
     and its plain-dict view are computed on first use and kept.
@@ -364,17 +356,18 @@ class Loads(Mapping[NodeId, int]):
     def digest(self) -> str:
         """One blake2b over the structure fingerprint and :attr:`vector`.
 
-        The vector is hashed as little-endian int64 whatever the host's
-        byte order, because the digest is persisted (tenant records in
-        snapshots).  It is ordered by the network's flat layout, so it
-        names a load function of one built network; a restore recomputes
-        every persisted digest from the stored loads.  Computed once per
-        value.
+        The vector is taken through the layout's ``canonical`` order
+        (switches sorted by ``repr``), which does not depend on the order
+        the network's switches were given in, and hashed as little-endian
+        int64 whatever the host's byte order: the digest is persisted
+        (tenant records in snapshots) and checked on restore.  Computed
+        once per value.
         """
         digest = self._digest
         if digest is None:
             hasher = hashlib.blake2b(self._structure.encode(), digest_size=16)
-            hasher.update(self._vector.astype("<i8", copy=False).data)
+            canonical = self._vector[self._layout.canonical]
+            hasher.update(canonical.astype("<i8", copy=False).data)
             digest = self._digest = hasher.hexdigest()
         return digest
 
@@ -723,7 +716,9 @@ class TreeNetwork:
         a plain mapping) one built from this network's loads on every call:
         one scatter through the layout's ``switch_position``, since every
         load function is keyed in the order of the switch mapping the
-        layout was built from.
+        layout was built from.  Such a network keeps its validated dict
+        rather than a :class:`Loads`, because a :class:`Loads` needs the
+        flat layout, which the constructor does not build.
         """
         loads = self._loads
         if isinstance(loads, Loads):
@@ -844,10 +839,11 @@ class TreeNetwork:
         return cached
 
     def loads_fingerprint(self) -> str:
-        """Digest of the load function ``L`` (see :func:`fingerprint_loads`)."""
+        """Digest of the load function ``L``: :meth:`Loads.digest` of
+        :meth:`load_function`."""
         cached = self._fingerprints.get("loads")
         if cached is None:
-            cached = fingerprint_loads(self._loads)
+            cached = self.load_function().digest()
             self._fingerprints["loads"] = cached
         return cached
 
@@ -865,14 +861,9 @@ class TreeNetwork:
         Equal fingerprints mean equal problem instances, so any solver
         output (gather tables, placements, costs) computed for one network
         is valid verbatim for the other — the contract the gather-table
-        cache of :mod:`repro.service` is built on.
-
-        The converse holds only for networks that hold their loads the same
-        way: :meth:`loads_fingerprint` is :meth:`Loads.digest` for a network
-        that adopted a :class:`Loads` value and the chained digest of
-        :func:`fingerprint_loads` for one built from a plain mapping.  Code
-        that must recognise equal load functions held either way calls
-        :meth:`same_loads`.
+        cache of :mod:`repro.service` is built on.  Equal instances get
+        equal fingerprints however their networks were built: from a
+        mapping or a :class:`Loads` value, with the switches in any order.
         """
         cached = self._fingerprints.get("full")
         if cached is None:
@@ -885,18 +876,6 @@ class TreeNetwork:
             )
             self._fingerprints["full"] = cached
         return cached
-
-    def same_loads(self, other: "TreeNetwork") -> bool:
-        """Whether ``other`` carries this network's load function, whichever
-        way each network holds it.
-
-        Copies that kept the loads (:meth:`with_available`,
-        :meth:`with_flipped`) share them and answer at once; otherwise the
-        two :meth:`load_function` digests are compared.
-        """
-        return self._loads is other._loads or (
-            self.load_function().digest() == other.load_function().digest()
-        )
 
     def flat_layout(self) -> "FlatLayout":
         """The :class:`~repro.core.flat.FlatLayout` of this weighted tree.

@@ -83,18 +83,19 @@ cache keeps the widest — answers never depend on the interleaving, only
 Snapshot format
 ---------------
 A snapshot is a single JSON object (``kind: "fleet-snapshot"``,
-``version: 1``) carrying the structure fingerprint of the network, the
+``version: 2``) carrying the structure fingerprint of the network, the
 journal position ``seq``, the fleet
 state (initial + residual capacities, drained switches, consumed
 assignments, lifetime counters, and the tenant registry with each
 tenant's loads, budget, semantics, blue set, costs, and loads digest —
-switches stringified exactly like trace events; the loads digest is
-informational: a restore recomputes it from the stored loads and does
-not check the stored value), the incremental Λ digest
+switches stringified exactly like trace events; a restore recomputes
+each loads digest from the stored loads and checks it against the stored
+value), the incremental Λ digest
 (re-derived and checked on restore), and the cache's hot workloads in LRU
-order.  Unknown versions, foreign structure fingerprints and torn or
-truncated files are refused with
-:class:`repro.exceptions.PersistenceError`.  Snapshots written before the
+order.  Version-1 snapshots hold older loads digests and restore with
+them recomputed, unchecked.  Unknown versions, foreign structure
+fingerprints, torn or truncated files and malformed fields are refused
+with :class:`repro.exceptions.PersistenceError`.  Snapshots written before the
 backend knob also carry ``engine`` / ``color`` / ``cost_kernel`` names;
 they restore unchanged and the names are ignored.
 

@@ -93,9 +93,10 @@ from typing import TYPE_CHECKING
 
 from repro.core.engine import DEFAULT_BACKEND, Backend
 from repro.core.solver import GatherTable, Placement, Solver
-# ``fingerprint_loads`` is called through this module's global so that
-# ``perfbench/tracer.py`` can wrap it as the ``tree.digest`` layer.  The name
-# stays here until ROADMAP item 4 retires the tracer's monkeypatching.
+# ``fingerprint_loads`` (a load map's ``Loads.digest``, computed once per new
+# map) is called through this module's global so that ``perfbench/tracer.py``
+# can wrap it as the ``tree.digest`` layer.  The name stays here until ROADMAP
+# item 4 retires the tracer's monkeypatching.
 from repro.core.tree import Loads, NodeId, TreeNetwork, fingerprint_loads
 from repro.exceptions import (
     CapacityError,

@@ -47,6 +47,18 @@ a request that raised is never journaled.  A torn last line (a crash
 mid-append) or a truncated snapshot raises
 :class:`~repro.exceptions.PersistenceError` naming the file and line;
 recovering by truncating the torn record is not attempted.
+
+Snapshot versions
+-----------------
+Version 2 is written now.  Its tenant records' ``loads_fp`` is the
+:meth:`~repro.core.tree.Loads.digest` of the stored loads, which does not
+depend on the order the network's switches were given in, so a restore
+recomputes it and refuses a snapshot whose stored digest differs, as it
+refuses a mismatched Λ digest.  Version 1 snapshots hold older load
+digests (a chained digest, or one that followed the writer's flat
+layout): they restore with every ``loads_fp`` recomputed and not checked.
+A snapshot that lacks a field the restore reads, or holds a value of the
+wrong type there, raises :class:`~repro.exceptions.PersistenceError`.
 """
 
 from __future__ import annotations
@@ -54,8 +66,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import PersistenceError, ReproError
@@ -85,8 +98,9 @@ MUTATING_KINDS: tuple[str, ...] = ("admit", "release", "drain")
 #: ``kind`` tag of a serialized fleet snapshot.
 SNAPSHOT_KIND: str = "fleet-snapshot"
 
-#: Format version written into (and required from) every snapshot.
-SNAPSHOT_VERSION: int = 1
+#: Format version written into every snapshot.  Restore also reads
+#: version 1, whose tenant load digests it recomputes without checking.
+SNAPSHOT_VERSION: int = 2
 
 
 class Journal:
@@ -330,14 +344,15 @@ def read_snapshot(path: str | Path) -> dict:
     return payload
 
 
-def _validate_snapshot(snapshot: Mapping, tree: TreeNetwork) -> None:
+def _validate_snapshot(snapshot: Mapping, tree: TreeNetwork) -> int:
+    """Check the kind, version and network of a snapshot; return its version."""
     if snapshot.get("kind") != SNAPSHOT_KIND:
         raise PersistenceError("payload is not a fleet snapshot")
     version = snapshot.get("version")
-    if version != SNAPSHOT_VERSION:
+    if version not in (1, SNAPSHOT_VERSION):
         raise PersistenceError(
             f"unsupported snapshot version {version!r} "
-            f"(this build reads version {SNAPSHOT_VERSION})"
+            f"(this build reads versions 1 and {SNAPSHOT_VERSION})"
         )
     recorded = snapshot.get("structure")
     if recorded is not None and recorded != tree.structure_fingerprint():
@@ -347,6 +362,49 @@ def _validate_snapshot(snapshot: Mapping, tree: TreeNetwork) -> None:
             f"structure {recorded[:12]}…); this network has "
             f"{tree.num_switches} switches"
         )
+    return version
+
+
+@contextmanager
+def _decoding_snapshot() -> Iterator[None]:
+    """Report a missing field or a mistyped value of a snapshot as a
+    :class:`PersistenceError`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise PersistenceError(f"snapshot is malformed: no field {exc.args[0]!r}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise PersistenceError(f"snapshot is malformed: {exc}") from exc
+
+
+def _check_digests(service, snapshot: Mapping, version: int) -> None:
+    """Refuse a restored fleet whose digests differ from the snapshot's.
+
+    The Λ digest is checked when recorded; tenant load digests from
+    version 2 on (see "Snapshot versions").
+    """
+    recorded = snapshot.get("availability")
+    rebuilt = service.state.availability_fingerprint()
+    if recorded is not None and recorded != rebuilt:
+        raise PersistenceError(
+            "restored availability digest does not match the snapshot "
+            f"({rebuilt[:12]}… != {recorded[:12]}…); the snapshot is "
+            "corrupt or was edited"
+        )
+    if version < 2:
+        return
+    stored = {
+        tenant["tenant_id"]: tenant.get("loads_fp")
+        for tenant in snapshot["fleet"].get("tenants", [])
+    }
+    for tenant_id, record in service.state.tenants().items():
+        if stored[tenant_id] != record.loads_fp:
+            raise PersistenceError(
+                f"restored loads digest of tenant {tenant_id!r} does not match "
+                f"the snapshot ({record.loads_fp[:12]}… != "
+                f"{str(stored[tenant_id])[:12]}…); the snapshot is corrupt or "
+                "was edited"
+            )
 
 
 def _journal_events(
@@ -399,15 +457,16 @@ def restore_service(
     if isinstance(snapshot, (str, Path)):
         snapshot = read_snapshot(snapshot)
     if snapshot is not None:
-        _validate_snapshot(snapshot, tree)
-        seq = int(snapshot.get("seq", 0))
-        initial = snapshot["fleet"]["capacity"]["initial"]
-        try:
-            capacity = {index[name]: int(value) for name, value in initial.items()}
-        except KeyError as exc:
-            raise PersistenceError(
-                f"snapshot references unknown switch {exc.args[0]!r}"
-            ) from exc
+        version = _validate_snapshot(snapshot, tree)
+        with _decoding_snapshot():
+            seq = int(snapshot.get("seq", 0))
+            initial = snapshot["fleet"]["capacity"]["initial"]
+            try:
+                capacity = {index[name]: int(value) for name, value in initial.items()}
+            except KeyError as exc:
+                raise PersistenceError(
+                    f"snapshot references unknown switch {exc.args[0]!r}"
+                ) from exc
     else:
         seq = 0
         if capacity is None:
@@ -418,15 +477,9 @@ def restore_service(
 
     service = cls(tree, capacity, cache_entries=cache_entries)
     if snapshot is not None:
-        service.state.load_state(snapshot["fleet"], index)
-        recorded = snapshot.get("availability")
-        rebuilt = service.state.availability_fingerprint()
-        if recorded is not None and recorded != rebuilt:
-            raise PersistenceError(
-                "restored availability digest does not match the snapshot "
-                f"({rebuilt[:12]}… != {recorded[:12]}…); the snapshot is "
-                "corrupt or was edited"
-            )
+        with _decoding_snapshot():
+            service.state.load_state(snapshot["fleet"], index)
+        _check_digests(service, snapshot, version)
         service._mutation_seq = seq
 
     events, attachable = _journal_events(journal, tree)

@@ -51,9 +51,10 @@ class TenantRecord:
         (:meth:`~repro.core.tree.Loads.digest`, the service's cache key),
         computed once when the load map was first served and carried with
         the record so drain re-placement keys the cache without
-        re-digesting the workload.  Snapshots store it for information
-        only: a restore recomputes it from the stored loads and never
-        compares (:meth:`from_state`).
+        re-digesting the workload.  A restore recomputes it from the
+        stored loads (:meth:`from_state`) and refuses a version-2
+        snapshot whose stored digest differs
+        (:func:`~repro.service.persistence.restore_service`).
     """
 
     tenant_id: str
@@ -84,13 +85,8 @@ class TenantRecord:
     ) -> "TenantRecord":
         """Rebuild a record of ``tree``'s fleet from a :meth:`state_dict` payload.
 
-        ``loads_fp`` is recomputed from the stored loads, never read or
-        checked.  A snapshot written before the loads digest changed holds
-        the chained digest of :func:`~repro.core.tree.fingerprint_loads`,
-        and one may lack the field.  A stored ``Loads`` digest cannot be
-        checked either: it follows the flat layout of the network it was
-        computed on, so a network of the same structure whose switches
-        were given in another order digests the same loads differently.
+        ``loads_fp`` is recomputed from the stored loads; the stored one is
+        not read here.
 
         Raises
         ------

@@ -15,12 +15,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
-import repro.core.tree as tree_module
-import repro.service.api as api_module
 from repro.core.cost import utilization_cost
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
-from repro.core.tree import TreeNetwork
+from repro.core.tree import Loads, TreeNetwork
 from repro.core.tree import fingerprint_nodes
 from repro.exceptions import AvailabilityError, InvalidLoadError, WorkloadError
 from repro.service import PlacementService, SolveRequest, SweepRequest
@@ -233,15 +231,17 @@ class TestLoadDigests:
 
     @pytest.fixture()
     def digests(self, monkeypatch):
+        # Loads.digest is the only load digest; count the calls that
+        # compute it rather than return the memoized value.
         calls: list[int] = []
-        original = tree_module.fingerprint_loads
+        original = Loads.digest
 
         def counting(loads):
-            calls.append(len(loads))
+            if loads._digest is None:
+                calls.append(len(loads))
             return original(loads)
 
-        monkeypatch.setattr(tree_module, "fingerprint_loads", counting)
-        monkeypatch.setattr(api_module, "fingerprint_loads", counting)
+        monkeypatch.setattr(Loads, "digest", counting)
         return calls
 
     def test_cold_sweep_digests_its_loads_once(self, digests):

@@ -3,9 +3,10 @@
 A request's load map is validated and laid out once, as a ``Loads`` value
 bound to one network's flat layout.  These tests pin what that value
 holds (the same loads as the network built from the plain mapping), when
-two values digest alike, that a workload network adopts its vector, and
-that the service derives every cold request's network from one fleet
-network kept at the live Λ.
+two values digest alike, that its digest is the only load digest (equal
+instances fingerprint alike however their networks were built), that a
+workload network adopts its vector, and that the service derives every
+cold request's network from one fleet network kept at the live Λ.
 """
 
 from __future__ import annotations
@@ -45,6 +46,20 @@ BAD_LOAD_IDS = [
 
 #: Integer-valued loads of every type a load map may carry.
 int_like = st.sampled_from([int, np.int64, float])
+
+
+@st.composite
+def instances(draw):
+    """A random weighted tree with loads and Λ, and a second order of its switches."""
+    n = draw(st.integers(1, 24))
+    parents = {"v0": "d"}
+    for i in range(1, n):
+        parents[f"v{i}"] = f"v{draw(st.integers(0, i - 1))}"
+    nodes = list(parents)
+    rates = {node: draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) for node in nodes}
+    loads = draw(st.dictionaries(st.sampled_from(nodes), st.integers(0, 2**40)))
+    available = draw(st.sets(st.sampled_from(nodes)))
+    return parents, rates, loads, available, draw(st.permutations(nodes))
 
 
 def _reference_vector(tree: TreeNetwork, loads) -> list[int]:
@@ -152,13 +167,32 @@ class TestDigest:
     def test_is_little_endian_int64_after_the_structure(self):
         import hashlib
 
-        value = Loads.of(TREE, {TREE.leaves()[0]: 7})
+        value = Loads.of(TREE, {TREE.leaves()[0]: 7, TREE.leaves()[5]: 2})
+        # The loads in the canonical order: switches sorted by repr.
+        canonical = [value[node] for node in sorted(TREE.switches, key=repr)]
         expected = hashlib.blake2b(
             TREE.structure_fingerprint().encode()
-            + value.vector.astype("<i8").tobytes(),
+            + np.array(canonical, dtype="<i8").tobytes(),
             digest_size=16,
         ).hexdigest()
         assert value.digest() == fingerprint_loads(value) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(instance=instances())
+    def test_equal_instances_fingerprint_alike_however_built(self, instance):
+        parents, rates, loads, available, order = instance
+        base = TreeNetwork(parents, rates=rates)
+        reordered = {node: parents[node] for node in order}
+        shuffled = TreeNetwork(reordered, rates=rates)
+        built = [
+            TreeNetwork(parents, rates=rates, loads=loads, available=available),
+            base.with_loads(loads, available=available),
+            base.with_loads(Loads.of(base, loads), available=available),
+            TreeNetwork(reordered, rates=rates, loads=loads, available=available),
+            shuffled.with_loads(Loads.of(shuffled, loads), available=available),
+        ]
+        assert len({tree.loads_fingerprint() for tree in built}) == 1
+        assert len({tree.fingerprint() for tree in built}) == 1
 
 
 class TestAdoption:
@@ -191,10 +225,12 @@ class TestAdoption:
         loads = sample_leaf_loads(TREE, PowerLawLoadDistribution(), rng=5)
         plain = TREE.with_loads(loads)
         adopted = TREE.with_loads(Loads.of(TREE, loads))
-        assert plain.same_loads(adopted) and adopted.same_loads(plain)
-        assert plain.same_loads(plain.with_flipped([TREE.root]))
+        digest = plain.loads_fingerprint()
+        assert adopted.loads_fingerprint() == digest
+        assert plain.fingerprint() == adopted.fingerprint()
+        assert plain.with_flipped([TREE.root]).loads_fingerprint() == digest
         other = TREE.with_loads({**loads, TREE.root: 1})
-        assert not plain.same_loads(other) and not adopted.same_loads(other)
+        assert other.loads_fingerprint() != digest
 
     @pytest.mark.parametrize("backend", BACKENDS, ids=lambda backend: backend.name)
     def test_a_plain_network_table_repairs_onto_an_adopted_one(self, backend):

@@ -23,7 +23,7 @@ from backend_params import BACKEND_PARAMS
 from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
 from repro.core.flat import dirty_ancestor_positions
 from repro.core.solver import Solver
-from repro.core.tree import fingerprint_loads, fingerprint_nodes
+from repro.core.tree import Loads, fingerprint_loads, fingerprint_nodes
 from repro.exceptions import (
     AvailabilityError,
     CapacityError,
@@ -70,9 +70,14 @@ def leaf_loads(tree, seed: int = 0) -> dict:
 
 class TestFingerprints:
     def test_fingerprint_ignores_dict_order_and_zeros(self):
-        assert fingerprint_loads({"a": 1, "b": 2}) == fingerprint_loads({"b": 2, "a": 1})
-        assert fingerprint_loads({"a": 1, "b": 0}) == fingerprint_loads({"a": 1})
-        assert fingerprint_loads({"a": 1}) != fingerprint_loads({"a": 2})
+        tree = complete_binary_tree(4)
+
+        def digest(loads):
+            return fingerprint_loads(Loads.of(tree, loads))
+
+        assert digest({"s2_0": 1, "s2_1": 2}) == digest({"s2_1": 2, "s2_0": 1})
+        assert digest({"s2_0": 1, "s2_1": 0}) == digest({"s2_0": 1})
+        assert digest({"s2_0": 1}) != digest({"s2_0": 2})
 
     def test_tree_fingerprints_decompose(self):
         tree = complete_binary_tree(4, leaf_loads=[1, 2, 3, 4])
@@ -94,11 +99,11 @@ class TestFingerprints:
 
     def test_loads_fingerprint_matches_request_digest(self):
         # A network built from a plain mapping digests its loads exactly as
-        # fingerprint_loads digests that mapping.  (The service keys on the
-        # Loads digest instead; tests/test_loads.py covers that one.)
+        # the service digests a request carrying that mapping.
         tree = complete_binary_tree(4)
         loads = {"s2_0": 3, "s2_3": 1}
-        assert tree.with_loads(loads).loads_fingerprint() == fingerprint_loads(loads)
+        service = PlacementService(tree, 2)
+        assert tree.with_loads(loads).loads_fingerprint() == service._intern(loads)[1]
 
     def test_recurring_workload_is_digested_once(self, monkeypatch):
         import repro.service.api as api_module

@@ -19,6 +19,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import random
 import re
 import shutil
 import threading
@@ -28,7 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.engine import DEFAULT_BACKEND, NUMPY_BACKEND
-from repro.core.tree import fingerprint_loads
+from repro.core.tree import TreeNetwork, fingerprint_loads
 from repro.exceptions import PersistenceError
 from repro.online.capacity import CapacityTracker
 from repro.service import (
@@ -435,8 +436,10 @@ class TestEarlierSnapshots:
         assert (tmp_path / "journal.jsonl").read_bytes() == (
             FIXTURES / "journal.jsonl"
         ).read_bytes()
-        # Byte for byte, except that loads_fp now holds the Loads digest.
+        # Byte for byte, except that loads_fp now holds the canonical Loads
+        # digest and the version is 2, the format whose loads_fp is checked.
         ours, theirs = read_snapshot(written), read_snapshot(FIXTURES / "snapshot.json")
+        assert (ours.pop("version"), theirs.pop("version")) == (SNAPSHOT_VERSION, 1) == (2, 1)
         assert _without_loads_fp(ours) == _without_loads_fp(theirs)
         assert json.dumps(_without_loads_fp(ours), indent=2) == json.dumps(
             _without_loads_fp(theirs), indent=2
@@ -444,6 +447,86 @@ class TestEarlierSnapshots:
         for tenant in ours["fleet"]["tenants"]:
             loads = resolve_loads(tree, tenant["loads"])
             assert tenant["loads_fp"] == service._intern(loads)[1]
+
+
+def _edit_first_tenant_load(snapshot: dict) -> dict:
+    edited = json.loads(json.dumps(snapshot))
+    tenant = edited["fleet"]["tenants"][0]
+    tenant["loads"][0][1] += 1
+    return edited
+
+
+#: Ways to break the fixture snapshot, each of which once leaked a raw
+#: KeyError, ValueError or TypeError out of the restore.
+MALFORMED = {
+    "no-fleet": lambda s: s.pop("fleet"),
+    "no-initial-capacity": lambda s: s["fleet"]["capacity"].pop("initial"),
+    "no-tenant-loads": lambda s: s["fleet"]["tenants"][0].pop("loads"),
+    "text-seq": lambda s: s.update(seq="x"),
+    "text-capacity": lambda s: s["fleet"]["capacity"]["initial"].update(
+        {next(iter(s["fleet"]["capacity"]["initial"])): "x"}
+    ),
+    "text-budget": lambda s: s["fleet"]["tenants"][0].update(budget="x"),
+    "text-cost": lambda s: s["fleet"]["tenants"][0].update(cost="x"),
+    "number-tenants": lambda s: s["fleet"].update(tenants=5),
+}
+
+
+class TestSnapshotChecks:
+    """A version-2 snapshot's tenant load digests are checked on restore, and
+    a malformed snapshot is refused with a typed error."""
+
+    @staticmethod
+    def _snapshot(tree) -> dict:
+        service = PlacementService(tree, capacity=3)
+        for request in fixture_requests(tree)[:FIXTURE_SNAPSHOT_AT]:
+            service.submit(request)
+        snapshot = service.snapshot()
+        assert snapshot["version"] == 2 and len(snapshot["fleet"]["tenants"]) > 1
+        return snapshot
+
+    def test_an_edited_tenant_load_is_refused(self):
+        tree = fixture_network()
+        snapshot = self._snapshot(tree)
+        restored = PlacementService.restore(tree, snapshot, prewarm=False)
+        assert len(restored.state.tenants()) == len(snapshot["fleet"]["tenants"])
+        with pytest.raises(PersistenceError, match="loads digest of tenant"):
+            PlacementService.restore(tree, _edit_first_tenant_load(snapshot))
+
+    def test_an_edited_version_1_load_restores_unchecked(self):
+        tree = fixture_network()
+        snapshot = _edit_first_tenant_load(read_snapshot(FIXTURES / "snapshot.json"))
+        restored = PlacementService.restore(tree, snapshot, prewarm=False)
+        tenant = snapshot["fleet"]["tenants"][0]
+        record = restored.state.tenant(tenant["tenant_id"])
+        assert record.loads_fp == fingerprint_loads(record.loads) != tenant["loads_fp"]
+
+    def test_a_shuffled_network_snapshot_restores_onto_bt_order(self):
+        # The same weighted tree, its switches given in another order: the
+        # flat layouts differ, the structure and the load digests do not.
+        tree = fixture_network()
+        items = list(tree.rates.items())
+        random.Random(2022).shuffle(items)
+        shuffled = TreeNetwork(
+            {node: tree.parent(node) for node, _ in items}, rates=dict(items)
+        )
+        assert shuffled.flat_layout().order != tree.flat_layout().order
+        assert shuffled.structure_fingerprint() == tree.structure_fingerprint()
+        snapshot = self._snapshot(shuffled)
+        restored = PlacementService.restore(tree, snapshot, prewarm=False)
+        stored = {t["tenant_id"]: t["loads_fp"] for t in snapshot["fleet"]["tenants"]}
+        assert {
+            tenant_id: record.loads_fp
+            for tenant_id, record in restored.state.tenants().items()
+        } == stored
+
+    @pytest.mark.parametrize("breakage", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_a_malformed_snapshot_is_a_typed_error(self, breakage):
+        tree = fixture_network()
+        snapshot = read_snapshot(FIXTURES / "snapshot.json")
+        breakage(snapshot)
+        with pytest.raises(PersistenceError, match="malformed"):
+            PlacementService.restore(tree, snapshot)
 
 
 class TestSerialisation:

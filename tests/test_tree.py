@@ -6,7 +6,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.tree import TreeNetwork, fingerprint_loads, fingerprint_nodes
+from repro.core.tree import Loads, TreeNetwork, fingerprint_loads, fingerprint_nodes
 from repro.exceptions import (
     AvailabilityError,
     InvalidLoadError,
@@ -370,12 +370,12 @@ class TestDigestGoldens:
         return tree, sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=2024)
 
     def test_fingerprint_loads_golden(self, workload):
-        _, loads = workload
+        tree, loads = workload
         assert sum(1 for value in loads.values() if value) == 512
-        assert fingerprint_loads(loads) == "e154f27190e30b7a8ac6303006525f46"
-        assert fingerprint_loads({}) == "cae66941d9efbd404e4d88758ea67670"
+        assert fingerprint_loads(Loads.of(tree, loads)) == "b9e15fcdfe5ef7f3173899577057b527"
+        assert fingerprint_loads(Loads.of(tree, {})) == "3c9b91be049684c9a2c27bfb285ed519"
 
     def test_structure_and_instance_fingerprint_golden(self, workload):
         tree, loads = workload
         assert tree.structure_fingerprint() == "4e62c1472136a7fe54c4d472c4e52099"
-        assert tree.with_loads(loads).fingerprint() == "ac0a54e74c41ae0a061ca940290506cd"
+        assert tree.with_loads(loads).fingerprint() == "f9d9372d539216798db9c1489d9f769e"
