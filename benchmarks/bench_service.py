@@ -38,8 +38,8 @@ being rebuilt from scratch.  Every repaired table is asserted
 bit-identical to the cold gather (full DP tensors, placements, costs)
 before its time is trusted.  The two are timed alternately, one cold
 gather and one repair per round (each after an untimed call of its own
-kind), best of each; ``repair_speedup =
-cold_ms / repaired_ms`` must be ≥ 5x for the single-switch row on BT(1024).  ``python
+kind), best of each; ``repair_speedup = cold_ms / repaired_ms`` must be
+≥ 5x for the single-switch row on BT(1024).  ``python
 benchmarks/bench_service.py --repair`` runs the comparison standalone,
 writing ``benchmarks/results/service_repair_bt1024.csv`` (or the BT(256)
 variant with ``--quick``).

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping
 
-from repro.core.tree import Loads, NodeId, TreeNetwork, fingerprint_loads
+from repro.core.tree import Loads, NodeId, TreeNetwork
 from repro.exceptions import CapacityError, WorkloadError
 from repro.online.capacity import CapacityTracker
 
@@ -114,7 +114,7 @@ class TenantRecord:
             blue_nodes=frozenset(resolve(name) for name in state["blue_nodes"]),
             cost=float(state["cost"]),
             predicted_cost=float(state["predicted_cost"]),
-            loads_fp=fingerprint_loads(loads),
+            loads_fp=loads.digest(),
         )
 
 

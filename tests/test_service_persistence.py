@@ -439,7 +439,7 @@ class TestEarlierSnapshots:
         # Byte for byte, except that loads_fp now holds the canonical Loads
         # digest and the version is 2, the format whose loads_fp is checked.
         ours, theirs = read_snapshot(written), read_snapshot(FIXTURES / "snapshot.json")
-        assert (ours.pop("version"), theirs.pop("version")) == (SNAPSHOT_VERSION, 1) == (2, 1)
+        assert (ours.pop("version"), theirs.pop("version")) == (2, 1)
         assert _without_loads_fp(ours) == _without_loads_fp(theirs)
         assert json.dumps(_without_loads_fp(ours), indent=2) == json.dumps(
             _without_loads_fp(theirs), indent=2
