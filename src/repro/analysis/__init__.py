@@ -21,7 +21,8 @@ Rules (each in its own module, self-registered on import):
 * ``layering`` — ``repro.core`` / ``repro.topology`` never import the
   service/online/experiments layers above them.
 * ``ffi-contract`` — the ``repro_*`` C prototypes match the ctypes
-  ``argtypes`` / ``restype`` declarations symbol by symbol.
+  ``argtypes`` / ``restype`` declarations symbol by symbol, and every
+  struct a kernel takes matches its ``ctypes.Structure`` field by field.
 * ``broad-except`` — no bare/broad excepts in ``repro.service`` outside
   re-raise cleanup paths and the pragma-marked request loop.
 
@@ -74,7 +75,13 @@ from repro.analysis.core import (
     suppression_spans,
 )
 from repro.analysis.formats import FORMATS, render_findings
-from repro.analysis.rules_ffi import check_ffi, parse_c_prototypes, parse_ctypes_decls
+from repro.analysis.rules_ffi import (
+    check_ffi,
+    parse_c_prototypes,
+    parse_c_structs,
+    parse_ctypes_decls,
+    parse_ctypes_structs,
+)
 from repro.analysis.rules_lockorder import collect_lock_edges, lock_graph_dot
 from repro.analysis.runner import find_project_root, lint_project, main
 from repro.analysis.summaries import SummaryTable, table_for
@@ -100,7 +107,9 @@ __all__ = [
     "main",
     "module_name_for",
     "parse_c_prototypes",
+    "parse_c_structs",
     "parse_ctypes_decls",
+    "parse_ctypes_structs",
     "register_rule",
     "render_findings",
     "run_fixture",

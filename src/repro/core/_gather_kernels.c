@@ -36,6 +36,13 @@
  * for the dirty internal columns, which are the only blocks it writes.
  * The gather reads a child's rows and writes a node's rows as
  * unit-stride runs.
+ *
+ * Every kernel reads its long-lived arrays through structs the wrappers
+ * bind once: struct kernel_layout (the structure arrays, once per
+ * FlatLayout), struct kernel_tables (one table's stores, indices, loads and
+ * Λ, once per FlatTables) and struct kernel_cost_model (once per
+ * FlatCostModel).  Only the per-call arrays (dirty positions, budgets,
+ * output masks, costs, error info) are arguments of their own.
  */
 
 #include <math.h>
@@ -43,6 +50,45 @@
 #include <stdlib.h>
 
 #define INF (1.0 / 0.0)
+
+/* The structure arrays of one flat layout (repro.core.flat.FlatLayout),
+ * shared by every table of the structure.  The vectors are (n,). */
+struct kernel_layout {
+  const double *path_rho;      /* (height + 1, n) */
+  const int64_t *depth;
+  const int64_t *num_children;
+  const int64_t *child_concat; /* (sum of num_children,) */
+  const int64_t *child_offset;
+  const int64_t *stage_offset;
+  int64_t n;
+  int64_t height;
+};
+
+/* One table's arrays (repro.core.flat.FlatTables): the stores it reads
+ * and writes its blocks in, its block indices, and the loads and Λ of the
+ * network it was gathered for. */
+struct kernel_tables {
+  double *y_blue;          /* (capacity, height + 1, width) */
+  double *y_red;           /* (capacity, height + 1, width) */
+  int32_t *splits_blue;    /* (slot capacity, height + 1, width) */
+  int32_t *splits_red;     /* (slot capacity, height + 1, width) */
+  const int64_t *col;      /* (n,), -1 at leaves */
+  const int64_t *scol;     /* (stages,) */
+  const int64_t *load;     /* (n,) */
+  const double *load_f64;  /* (n,), the same loads as doubles */
+  const uint8_t *avail;    /* (n,) bool */
+  int64_t width;
+};
+
+/* What Eq. (1) reads of one network (repro.core.flat.FlatCostModel). */
+struct kernel_cost_model {
+  const int64_t *parent;    /* (n,), -1 for the root */
+  const double *rho;        /* (n,) */
+  const int64_t *postorder; /* (n,), post-order rank -> flat position */
+  const int64_t *load;      /* (n,) */
+  const uint8_t *avail;     /* (n,) bool */
+  int64_t n;
+};
 
 /* One stage of the mCost convolution for a single node, in place:
  * table[h, b] = min over j of table[h, b - j] + child[h or 0, j] with
@@ -138,17 +184,11 @@ static void child_x_rows(double *out, const struct child_source *src,
  * in fresh tables for a cold gather, a delta's ancestor chains for a
  * repair, whose dirty columns and slots name fresh blocks.
  *
- *   y_blue, y_red           : (capacity, height + 1, width) float64 stores
- *   splits_blue, splits_red : (slot capacity, height + 1, width) int32 stores
- *   col                     : (n,) int64, each internal position's store
- *                             block (-1 at leaves, never read)
- *   scol                    : (stages,) int64, each slot's store block
- *   path_rho                : (height + 1, n) float64
- *   load                    : (n,) float64
- *   avail                   : (n,) uint8 (bool), the repaired Λ
- *   depth, num_children, child_offset, stage_offset : (n,) int64
- *   child_concat            : (sum of num_children,) int64
- *   dirty                   : (num_dirty,) int64 ascending flat positions
+ *   layout    : the structure (struct kernel_layout)
+ *   tables    : the stores, block indices, loads and the repaired Λ
+ *               (struct kernel_tables); col is -1 at leaves, never read
+ *   dirty     : (num_dirty,) int64 ascending flat positions
+ *   exact_k   : the budget semantics of the leaf closed form
  *
  * Ascending flat positions run deepest level first, so every child is
  * final before its parent is touched, and one ascending pass over all n
@@ -166,19 +206,22 @@ static void child_x_rows(double *out, const struct child_source *src,
  * Returns 0, or -1 when scratch allocation fails, in which case nothing
  * has been written.
  */
-int32_t repro_repair_chain(double *y_blue, double *y_red,
-                           int32_t *splits_blue, int32_t *splits_red,
-                           const int64_t *col, const int64_t *scol,
-                           const double *path_rho, const double *load,
-                           const uint8_t *avail, const int64_t *depth,
-                           const int64_t *num_children,
-                           const int64_t *child_concat,
-                           const int64_t *child_offset,
-                           const int64_t *stage_offset, const int64_t *dirty,
-                           int64_t num_dirty, int64_t height, int64_t width,
-                           int64_t n, int32_t exact_k) {
+int32_t repro_repair_chain(const struct kernel_layout *layout,
+                           const struct kernel_tables *tables,
+                           const int64_t *dirty, int64_t num_dirty,
+                           int32_t exact_k) {
+  const int64_t n = layout->n, width = tables->width;
   const int64_t k = width - 1;
-  const int64_t block = (height + 1) * width;
+  const int64_t block = (layout->height + 1) * width;
+  const double *path_rho = layout->path_rho, *load = tables->load_f64;
+  const int64_t *depth = layout->depth, *num_children = layout->num_children;
+  const int64_t *child_concat = layout->child_concat;
+  const int64_t *child_offset = layout->child_offset;
+  const int64_t *stage_offset = layout->stage_offset;
+  const int64_t *col = tables->col, *scol = tables->scol;
+  const uint8_t *avail = tables->avail;
+  double *y_blue = tables->y_blue, *y_red = tables->y_red;
+  int32_t *splits_blue = tables->splits_blue, *splits_red = tables->splits_red;
   /* one child's x rows */
   double *cx = malloc((size_t)block * sizeof(double));
   /* n subtree-availability counts */
@@ -268,16 +311,13 @@ static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
 /* SOAR-Color (Algorithm 4) for every budget of a sweep in one call: the
  * root-down walk of the batched numpy trace, node by node.
  *
- *   y_blue, y_red           : (capacity, height + 1, width) float64 stores
- *   splits_blue, splits_red : (slot capacity, height + 1, width) int32 stores
- *   col, scol               : the tables' block indices, as in
- *                             repro_repair_chain
- *   load                    : (n,) int64, the traced network's loads
- *   avail                   : (n,) uint8 (bool), the traced network's Λ
- *   num_children, child_concat, child_offset, stage_offset : the layout
- *   budgets                 : (num_budgets,) int64
- *   blue_out                : (num_budgets, n) uint8, written
- *   info                    : (3,) int64, written on an error
+ *   layout   : the structure (struct kernel_layout)
+ *   tables   : the stores and block indices as in repro_repair_chain, and
+ *              the traced network's loads and Λ (struct kernel_tables)
+ *   budgets  : (num_budgets,) int64
+ *   exact_k  : the budget semantics of the leaf rule
+ *   blue_out : (num_budgets, n) uint8, written
+ *   info     : (3,) int64, written on an error
  *
  * Flat positions run deepest level first, so walking them from the root
  * (position n - 1) down to 0 visits every parent before its children.
@@ -296,17 +336,23 @@ static int32_t kernel_error(int64_t *info, int32_t code, int64_t row,
  * COLOR_BUDGET_OUT_OF_RANGE; more blue nodes than the budget is
  * COLOR_OVER_BUDGET.  Returns 0, a status code, or KERNEL_NO_MEMORY when
  * scratch allocation fails. */
-int32_t repro_color(const double *y_blue, const double *y_red,
-                    const int32_t *splits_blue, const int32_t *splits_red,
-                    const int64_t *col, const int64_t *scol,
-                    const int64_t *load, const uint8_t *avail,
-                    const int64_t *num_children, const int64_t *child_concat,
-                    const int64_t *child_offset, const int64_t *stage_offset,
-                    const int64_t *budgets, int64_t num_budgets,
-                    int64_t height, int64_t width, int64_t n, int32_t exact_k,
-                    uint8_t *blue_out, int64_t *info) {
+int32_t repro_color(const struct kernel_layout *layout,
+                    const struct kernel_tables *tables, const int64_t *budgets,
+                    int64_t num_budgets, int32_t exact_k, uint8_t *blue_out,
+                    int64_t *info) {
+  const int64_t n = layout->n, width = tables->width;
   const int64_t k = width - 1;
-  const int64_t block = (height + 1) * width;
+  const int64_t block = (layout->height + 1) * width;
+  const int64_t *num_children = layout->num_children;
+  const int64_t *child_concat = layout->child_concat;
+  const int64_t *child_offset = layout->child_offset;
+  const int64_t *stage_offset = layout->stage_offset;
+  const int64_t *col = tables->col, *scol = tables->scol;
+  const int64_t *load = tables->load;
+  const uint8_t *avail = tables->avail;
+  const double *y_blue = tables->y_blue, *y_red = tables->y_red;
+  const int32_t *splits_blue = tables->splits_blue;
+  const int32_t *splits_red = tables->splits_red;
   /* (budget, distance) each node receives from its parent */
   int64_t *received = malloc(2 * (size_t)n * sizeof(int64_t));
   if (received == NULL) {
@@ -380,11 +426,8 @@ int32_t repro_color(const double *y_blue, const double *y_red,
  * phi = sum over links of msg_e * rho(e).
  *
  *   blue     : (num_placements, n) uint8 (bool) blue masks
- *   avail    : (n,) uint8 (bool), Λ of the network the costs are for
- *   load     : (n,) int64
- *   parent   : (n,) int64 flat position of the parent, -1 for the root
- *   rho      : (n,) float64 per-link transmission time
- *   postorder: (n,) int64, post-order rank -> flat position
+ *   model    : the structure, loads and Λ of the network the costs are
+ *              for (struct kernel_cost_model)
  *   cost_out : (num_placements,) float64, written
  *   info     : (3,) int64, written on an error
  *
@@ -398,12 +441,15 @@ int32_t repro_color(const double *y_blue, const double *y_red,
  * selects which, so the result is bit-identical on either interpreter.
  * A blue node outside Λ is COST_OUTSIDE_AVAILABILITY.  Returns 0, that
  * code, or KERNEL_NO_MEMORY. */
-int32_t repro_utilization(const uint8_t *blue, const uint8_t *avail,
-                          const int64_t *load, const int64_t *parent,
-                          const double *rho, const int64_t *postorder,
-                          int64_t num_placements, int64_t n,
+int32_t repro_utilization(const uint8_t *blue, int64_t num_placements,
+                          const struct kernel_cost_model *model,
                           int32_t compensated, double *cost_out,
                           int64_t *info) {
+  const int64_t n = model->n;
+  const int64_t *parent = model->parent, *postorder = model->postorder;
+  const int64_t *load = model->load;
+  const double *rho = model->rho;
+  const uint8_t *avail = model->avail;
   for (int64_t row = 0; row < num_placements; row++) {
     for (int64_t v = 0; v < n; v++) {
       if (blue[row * n + v] && !avail[v]) {

@@ -20,6 +20,34 @@ The colour and cost consistency checks (negative or out-of-range budgets,
 too many blue nodes, a blue node outside Λ) are kernel status codes the
 wrappers raise as :class:`~repro.exceptions.PlacementError`.
 
+Bound arguments
+---------------
+A kernel reads its long-lived arrays through C structs filled once, not
+per call: :class:`KernelLayout` holds a layout's structure arrays (bound
+once per :class:`~repro.core.flat.FlatLayout` by
+:func:`~repro.core.flat.build_metadata`), :class:`KernelTables` one
+table's stores, block indices, loads and Λ (bound once per
+:class:`~repro.core.flat.FlatTables`, and anew when
+:meth:`~repro.core.flat.ColumnStore.pin` replaces its stores) and
+:class:`KernelCostModel` what Eq. (1) reads (bound once per
+:class:`~repro.core.flat.FlatCostModel`).  A call passes those struct
+pointers plus its own arrays: the dirty positions, the budgets and the
+outputs.  A :class:`KernelArgs` binding holds every array it points into,
+so a call keeps them alive until it returns, and a binding is never
+modified once made.
+
+Binding checks each array's dtype, C-contiguity and shape (what
+``numpy.ctypeslib.ndpointer`` argument types and the wrappers' shape
+checks did per call) and raises
+:class:`~repro.exceptions.KernelArgumentError`; every argument type stays
+a typed pointer.  Per-call conversion was dropped because it was most of
+a small call's cost: about 2 µs per array through ``ndpointer.from_param``
+for 8-15 arrays, and each converted array left two objects in a reference
+cycle (numpy's ``data_as`` casts), about 30 per call.  The cycles drove
+the garbage collector: a churn request paid more in collections than in
+conversion.  The per-call arrays now reach C through ``from_buffer`` or a
+cast of their address, which leave no cyclic garbage.
+
 Bit-identity
 ------------
 Each C kernel performs the identical per-element IEEE-754 operations in
@@ -60,13 +88,16 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from ctypes import POINTER, c_double, c_int32, c_int64, c_uint8
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
-from repro.core.flat import FlatCostModel, FlatTables
-from repro.exceptions import PlacementError
+from repro.exceptions import KernelArgumentError, PlacementError
+
+if TYPE_CHECKING:
+    from repro.core.flat import FlatCostModel, FlatLayout, FlatTables
 
 #: Set this environment variable (to any non-empty value) to skip the C
 #: backend entirely and force the numpy fallback — the CI no-backend job
@@ -77,11 +108,55 @@ CACHE_ENV: str = "REPRO_KERNEL_CACHE"
 
 _SOURCE = Path(__file__).with_name("_gather_kernels.c")
 
-_f64 = ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_i64 = ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-_i32 = ndpointer(dtype=np.int32, flags="C_CONTIGUOUS")
-_u8 = ndpointer(dtype=np.uint8, flags="C_CONTIGUOUS")
-_ll = ctypes.c_longlong
+_f64 = POINTER(c_double)
+_i64 = POINTER(c_int64)
+_i32 = POINTER(c_int32)
+_u8 = POINTER(c_uint8)
+
+
+class KernelLayout(ctypes.Structure):
+    """``struct kernel_layout``: the structure arrays of one flat layout."""
+
+    _fields_ = [
+        ("path_rho", _f64),
+        ("depth", _i64),
+        ("num_children", _i64),
+        ("child_concat", _i64),
+        ("child_offset", _i64),
+        ("stage_offset", _i64),
+        ("n", c_int64),
+        ("height", c_int64),
+    ]
+
+
+class KernelTables(ctypes.Structure):
+    """``struct kernel_tables``: one table's stores, indices, loads and Λ."""
+
+    _fields_ = [
+        ("y_blue", _f64),
+        ("y_red", _f64),
+        ("splits_blue", _i32),
+        ("splits_red", _i32),
+        ("col", _i64),
+        ("scol", _i64),
+        ("load", _i64),
+        ("load_f64", _f64),
+        ("avail", _u8),
+        ("width", c_int64),
+    ]
+
+
+class KernelCostModel(ctypes.Structure):
+    """``struct kernel_cost_model``: what Eq. (1) reads of one network."""
+
+    _fields_ = [
+        ("parent", _i64),
+        ("rho", _f64),
+        ("postorder", _i64),
+        ("load", _i64),
+        ("avail", _u8),
+        ("n", c_int64),
+    ]
 
 
 def _find_compiler() -> str | None:
@@ -93,21 +168,26 @@ def _find_compiler() -> str | None:
 
 
 def _configure(library: ctypes.CDLL) -> ctypes.CDLL:
-    """Attach prototypes so ctypes checks dtypes and contiguity for us."""
-    library.repro_color.argtypes = [
-        _f64, _f64, _i32, _i32, _i64, _i64, _i64, _u8, _i64, _i64, _i64, _i64,
-        _i64, _ll, _ll, _ll, _ll, ctypes.c_int32, _u8, _i64,
-    ]
-    library.repro_color.restype = ctypes.c_int32
-    library.repro_utilization.argtypes = [
-        _u8, _u8, _i64, _i64, _f64, _i64, _ll, _ll, ctypes.c_int32, _f64, _i64,
-    ]
-    library.repro_utilization.restype = ctypes.c_int32
+    """Attach the kernels' prototypes.
+
+    Every pointer argument is typed (a struct or an element type), so
+    ctypes refuses a wrong argument kind; the arrays behind the pointers
+    are checked when they are bound (:func:`bind_layout`,
+    :func:`bind_tables`, :func:`bind_cost_model`) or, for the per-call
+    arrays, by the wrapper that allocates or converts them.
+    """
     library.repro_repair_chain.argtypes = [
-        _f64, _f64, _i32, _i32, _i64, _i64, _f64, _f64, _u8, _i64, _i64, _i64,
-        _i64, _i64, _i64, _ll, _ll, _ll, _ll, ctypes.c_int32,
+        POINTER(KernelLayout), POINTER(KernelTables), _i64, c_int64, c_int32,
     ]
-    library.repro_repair_chain.restype = ctypes.c_int32
+    library.repro_repair_chain.restype = c_int32
+    library.repro_color.argtypes = [
+        POINTER(KernelLayout), POINTER(KernelTables), _i64, c_int64, c_int32, _u8, _i64,
+    ]
+    library.repro_color.restype = c_int32
+    library.repro_utilization.argtypes = [
+        _u8, c_int64, POINTER(KernelCostModel), c_int32, _f64, _i64,
+    ]
+    library.repro_utilization.restype = c_int32
     return library
 
 
@@ -168,33 +248,204 @@ def compiled_available() -> bool:
 
 
 # --------------------------------------------------------------------------- #
+# bindings: each kernel's long-lived arrays, bound once
+# --------------------------------------------------------------------------- #
+
+_F64 = np.dtype(np.float64)
+_I64 = np.dtype(np.int64)
+_I32 = np.dtype(np.int32)
+_BOOL = np.dtype(np.bool_)
+
+
+class KernelArgs:
+    """One bound struct: the pointer a kernel call passes, and its arrays.
+
+    ``pointer`` points at a filled :class:`KernelLayout`,
+    :class:`KernelTables` or :class:`KernelCostModel`.  ``arrays`` holds
+    every array a field points into, so that memory lives as long as the
+    binding (a kernel call reads the binding once and keeps it until the
+    call returns), and ``addresses`` their data addresses, which a binding
+    made ``like`` this one reuses for an unchanged array.  A binding is
+    never modified: when a table's arrays change it is bound anew.
+    """
+
+    __slots__ = ("pointer", "arrays", "addresses")
+
+    def __init__(self, pointer, arrays: dict, addresses: dict) -> None:
+        self.pointer = pointer
+        self.arrays = arrays
+        self.addresses = addresses
+
+
+def _address(name: str, array: np.ndarray, dtype: np.dtype, shape: tuple) -> int:
+    """The data address of ``array`` once it passes the kernel's checks.
+
+    ``shape`` may hold ``None`` for a free extent (a store's capacity).
+    """
+    if not isinstance(array, np.ndarray) or array.dtype != dtype:
+        got = array.dtype if isinstance(array, np.ndarray) else type(array).__name__
+        raise KernelArgumentError(f"{name} must be a {dtype} array, got {got}")
+    if not array.flags.c_contiguous:
+        raise KernelArgumentError(f"{name} must be C-contiguous")
+    if len(array.shape) != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        wanted = tuple("capacity" if want is None else want for want in shape)
+        raise KernelArgumentError(f"{name} must have shape {wanted}, got {array.shape}")
+    return array.ctypes.data
+
+
+def _bind(
+    struct: type[ctypes.Structure],
+    like: KernelArgs | None,
+    scalars: dict[str, int],
+    arrays: dict[str, tuple[np.ndarray, np.dtype, tuple]],
+) -> KernelArgs:
+    """Fill ``struct`` from ``arrays`` (``name -> (array, dtype, shape)``).
+
+    An array ``like`` already points into (the same object) keeps its
+    checked address; every other one is checked first.
+    """
+    fields = dict(struct._fields_)
+    values: dict[str, object] = dict(scalars)
+    addresses: dict[str, int] = {}
+    for name, (array, dtype, shape) in arrays.items():
+        if like is not None and like.arrays.get(name) is array:
+            address = like.addresses[name]
+        else:
+            address = _address(name, array, dtype, shape)
+        addresses[name] = address
+        values[name] = ctypes.cast(address, fields[name])
+    held = {name: spec[0] for name, spec in arrays.items()}
+    return KernelArgs(ctypes.pointer(struct(**values)), held, addresses)
+
+
+def bind_layout(layout: FlatLayout) -> KernelArgs | None:
+    """The :class:`KernelLayout` of ``layout``; ``None`` without the C backend."""
+    if _LIB is None:
+        return None
+    n = len(layout.order)
+    rows = layout.path_rho.shape[0]
+    vector = (n,)
+    return _bind(
+        KernelLayout,
+        None,
+        {"n": n, "height": rows - 1},
+        {
+            "path_rho": (layout.path_rho, _F64, (rows, n)),
+            "depth": (layout.depth, _I64, vector),
+            "num_children": (layout.num_children, _I64, vector),
+            "child_concat": (layout.child_concat, _I64, (n - 1,)),
+            "child_offset": (layout.child_offset, _I64, vector),
+            "stage_offset": (layout.stage_offset, _I64, vector),
+        },
+    )
+
+
+def bind_tables(
+    flat: FlatTables,
+    like: KernelArgs | None = None,
+    load: np.ndarray | None = None,
+    avail: np.ndarray | None = None,
+) -> KernelArgs | None:
+    """The :class:`KernelTables` of ``flat``; ``None`` without the C backend.
+
+    ``load`` / ``avail`` replace the table's own vectors (a trace for a
+    different network of the same structure).  The float64 loads the
+    gather reads are converted once and passed on to every binding made
+    ``like`` one over the same load array, so a lineage converts them
+    once.
+    """
+    if _LIB is None:
+        return None
+    load = flat.load if load is None else load
+    avail = flat.avail if avail is None else avail
+    n = len(flat.order)
+    rows = flat.path_rho.shape[0]
+    width = flat.y_red.shape[-1]
+    if like is not None and like.arrays["load"] is load:
+        load_f64 = like.arrays["load_f64"]
+    else:
+        load_f64 = np.asarray(load, dtype=np.float64)
+    store = (None, rows, width)
+    vector = (n,)
+    return _bind(
+        KernelTables,
+        like,
+        {"width": width},
+        {
+            "y_blue": (flat.y_blue, _F64, store),
+            "y_red": (flat.y_red, _F64, store),
+            "splits_blue": (flat.splits_blue, _I32, store),
+            "splits_red": (flat.splits_red, _I32, store),
+            "col": (flat.col, _I64, vector),
+            "scol": (flat.scol, _I64, (flat.num_stages,)),
+            "load": (load, _I64, vector),
+            "load_f64": (load_f64, _F64, vector),
+            "avail": (avail, _BOOL, vector),
+        },
+    )
+
+
+def bind_cost_model(
+    model: FlatCostModel,
+    like: KernelArgs | None = None,
+    load: np.ndarray | None = None,
+    avail: np.ndarray | None = None,
+) -> KernelArgs | None:
+    """The :class:`KernelCostModel` of ``model``; ``None`` without the C backend.
+
+    ``load`` / ``avail`` replace the model's own vectors, as in
+    :func:`bind_tables`.
+    """
+    if _LIB is None:
+        return None
+    n = len(model.order)
+    vector = (n,)
+    return _bind(
+        KernelCostModel,
+        like,
+        {"n": n},
+        {
+            "parent": (model.parent, _I64, vector),
+            "rho": (model.rho, _F64, vector),
+            "postorder": (model.postorder, _I64, vector),
+            "load": (model.load if load is None else load, _I64, vector),
+            "avail": (model.avail if avail is None else avail, _BOOL, vector),
+        },
+    )
+
+
+def _data(array: np.ndarray, element: type) -> object:
+    """The pointer argument of a per-call array the wrapper made contiguous.
+
+    A writable array is passed as a ctypes object over its first element
+    (``from_buffer``), which costs a fraction of reading its address; a
+    read-only one (a memoized dirty set) through its address; an empty one
+    as NULL, which no kernel reads.  Neither leaves cyclic garbage, unlike
+    ``ndpointer`` arguments (their ``data_as`` casts leave two objects in
+    a reference cycle per array).
+    """
+    if not array.size:
+        return None
+    if array.flags.writeable:
+        return element.from_buffer(array)
+    return ctypes.cast(array.ctypes.data, POINTER(element))
+
+
+# --------------------------------------------------------------------------- #
 # kernel wrappers (see repro.core.engine.Backend for the contracts)
 # --------------------------------------------------------------------------- #
 
 
 def repair_chain(flat: FlatTables, dirty: np.ndarray) -> None:
     """The ``repair_chain`` of the compiled backend: one ``repro_repair_chain`` call."""
-    rows, width = flat.y_red.shape[1:]
+    dirty = np.ascontiguousarray(dirty, dtype=np.int64)
     status = _LIB.repro_repair_chain(
-        flat.y_blue,
-        flat.y_red,
-        flat.splits_blue,
-        flat.splits_red,
-        flat.col,
-        flat.scol,
-        flat.path_rho,
-        flat.load.astype(np.float64),
-        flat.avail.view(np.uint8),
-        flat.depth,
-        flat.num_children,
-        flat.child_concat,
-        flat.child_offset,
-        flat.stage_offset,
-        np.ascontiguousarray(dirty, dtype=np.int64),
+        flat.layout_args.pointer,
+        flat.table_args.pointer,
+        _data(dirty, c_int64),
         dirty.size,
-        rows - 1,
-        width,
-        len(flat.order),
         int(flat.exact_k),
     )
     if status != 0:
@@ -246,13 +497,6 @@ def _kernel_failure(
     )
 
 
-def _require_vectors(n: int, **vectors: np.ndarray) -> None:
-    """The C kernels read ``n`` elements of every per-node vector."""
-    for name, vector in vectors.items():
-        if vector.shape != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {vector.shape}")
-
-
 def color_masks(
     flat: FlatTables,
     load: np.ndarray,
@@ -263,40 +507,28 @@ def color_masks(
     """Blue masks ``(len(budgets), n)`` (uint8, flat order), one C call.
 
     ``load`` / ``avail`` are the traced network's loads and Λ in flat
-    order (the leaf rule reads them).  Raises
+    order (the leaf rule reads them); when they are not the table's own,
+    the call binds the table with them.  Raises
     :class:`~repro.exceptions.PlacementError` with the numpy trace's
     messages on inconsistent tables.
     """
-    n = len(flat.order)
-    rows, width = flat.y_red.shape[1:]
-    _require_vectors(n, load=load, avail=avail)
+    tables = flat.table_args
+    if load is not flat.load or avail is not flat.avail:
+        tables = bind_tables(flat, tables, load, avail)
     wanted = np.array(budgets, dtype=np.int64)
-    masks = np.empty((wanted.size, n), dtype=np.uint8)
+    masks = np.empty((wanted.size, len(flat.order)), dtype=np.uint8)
     info = np.zeros(3, dtype=np.int64)
     status = _LIB.repro_color(
-        flat.y_blue,
-        flat.y_red,
-        flat.splits_blue,
-        flat.splits_red,
-        flat.col,
-        flat.scol,
-        load,
-        avail.view(np.uint8),
-        flat.num_children,
-        flat.child_concat,
-        flat.child_offset,
-        flat.stage_offset,
-        wanted,
+        flat.layout_args.pointer,
+        tables.pointer,
+        _data(wanted, c_int64),
         wanted.size,
-        rows - 1,
-        width,
-        n,
         int(exact_k),
-        masks,
-        info,
+        _data(masks, c_uint8),
+        _data(info, c_int64),
     )
     if status != 0:
-        raise _kernel_failure(status, info, flat.order, wanted, width - 1)
+        raise _kernel_failure(status, info, flat.order, wanted, flat.y_red.shape[-1] - 1)
     return masks
 
 
@@ -309,28 +541,29 @@ def utilization_costs(
     """Eq. (1) of every blue mask row ``(B, n)`` over ``model``, one C call.
 
     Bit-identical to :func:`repro.core.cost.utilization_cost_flat` per
-    row.  A blue node outside ``avail`` (Λ in flat order) raises
+    row.  ``avail`` / ``load`` are the costed network's Λ and loads in
+    flat order; when they are not the model's own, the call binds the
+    model with them.  A blue node outside ``avail`` raises
     :class:`~repro.exceptions.PlacementError`.
     """
     masks = np.ascontiguousarray(masks, dtype=np.uint8)
     n = len(model.order)
     if masks.ndim != 2 or masks.shape[1] != n:
-        raise ValueError(f"blue masks must have shape (B, {n}), got {masks.shape}")
-    _require_vectors(n, load=load, avail=avail)
+        raise KernelArgumentError(
+            f"blue masks must have shape (B, {n}), got {masks.shape}"
+        )
+    bound = model.cost_args
+    if load is not model.load or avail is not model.avail:
+        bound = bind_cost_model(model, bound, load, avail)
     costs = np.empty(masks.shape[0], dtype=np.float64)
     info = np.zeros(3, dtype=np.int64)
     status = _LIB.repro_utilization(
-        masks,
-        avail.view(np.uint8),
-        load,
-        model.parent,
-        model.rho,
-        model.postorder,
+        _data(masks, c_uint8),
         masks.shape[0],
-        n,
+        bound.pointer,
         _COMPENSATED_SUM,
-        costs,
-        info,
+        _data(costs, c_double),
+        _data(info, c_int64),
     )
     if status != 0:
         raise _kernel_failure(status, info, model.order, None, 0)

@@ -84,6 +84,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core import engine_compiled
+from repro.core.engine_compiled import KernelArgs
 from repro.core.gather import NodeTables, leaf_tables
 from repro.core.tree import NodeId, TreeNetwork
 from repro.exceptions import RepairError
@@ -150,6 +152,10 @@ class FlatLayout:
         depend on the order the switches were given in, so
         :meth:`~repro.core.tree.Loads.digest` hashes a load vector taken
         through it.
+    layout_args:
+        The structure arrays bound for the C kernels
+        (:func:`~repro.core.engine_compiled.bind_layout`), once per layout
+        by :func:`build_metadata`; ``None`` without the C backend.
     """
 
     order: tuple[NodeId, ...]
@@ -172,6 +178,9 @@ class FlatLayout:
     cold_scol: np.ndarray
     switch_position: np.ndarray
     canonical: np.ndarray
+    layout_args: KernelArgs | None = field(
+        default=None, kw_only=True, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -210,6 +219,17 @@ class FlatTables(FlatLayout):
     store:
         The lineage's :class:`ColumnStore` once a repair has derived a
         table from this one, else ``None``.
+    table_args:
+        The table's arrays bound for the C kernels
+        (:func:`~repro.core.engine_compiled.bind_tables`; ``None`` without
+        the C backend).  Bound when the tables are built, from a binding
+        passed in here when there is one (its unchanged arrays keep their
+        checked addresses, and its float64 loads are reused while the load
+        array is the same, so a lineage converts its loads once), and bound
+        anew whenever :meth:`ColumnStore.pin` replaces the stores.  The
+        binding holds every array it points into, so a kernel call that
+        read it keeps those arrays alive until it returns, even when a
+        re-pin has replaced them meanwhile.
     """
 
     tree: TreeNetwork
@@ -226,6 +246,10 @@ class FlatTables(FlatLayout):
     #: :func:`cost_model_for`); never built by the gather drivers themselves.
     cost_model: "FlatCostModel | None" = field(default=None, repr=False, compare=False)
     store: "ColumnStore | None" = field(default=None, repr=False, compare=False)
+    table_args: KernelArgs | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.table_args = engine_compiled.bind_tables(self, like=self.table_args)
 
     def node_tables(self, position: int) -> NodeTables:
         """The per-node tables of one flat position, as :class:`NodeTables`.
@@ -299,6 +323,12 @@ class FlatCostModel:
     postorder_nodes:
         The switches in post-order (``tree.switches``), kept so per-link
         dictionaries can be zipped without per-node lookups.
+    cost_args:
+        The arrays the C cost kernel reads, bound when the model is built
+        (:func:`~repro.core.engine_compiled.bind_cost_model`; ``None``
+        without the C backend).  A model made by
+        :func:`dataclasses.replace` binds anew from the old binding,
+        keeping the addresses of the arrays it did not replace.
     """
 
     tree: TreeNetwork
@@ -311,6 +341,10 @@ class FlatCostModel:
     level_slices: tuple[tuple[int, int], ...]
     postorder: np.ndarray
     postorder_nodes: tuple[NodeId, ...]
+    cost_args: KernelArgs | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.cost_args = engine_compiled.bind_cost_model(self, like=self.cost_args)
 
     def load_vector(self, loads: Mapping[NodeId, int]) -> np.ndarray:
         """A flat-order load array for an explicit load mapping.
@@ -395,7 +429,8 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
     The only builder of the layout.  Callers go through
     :meth:`TreeNetwork.flat_layout`, which memoizes the result per
     structure; the arrays are frozen (``setflags(write=False)``) because
-    every same-structure gather shares them.
+    every same-structure gather shares them, and bound for the C kernels
+    once, here (``layout_args``).
     """
     order = flat_order(tree)
     index = {node: position for position, node in enumerate(order)}
@@ -460,6 +495,7 @@ def build_metadata(tree: TreeNetwork) -> FlatLayout:
     for value in vars(layout).values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
+    layout.layout_args = engine_compiled.bind_layout(layout)
     return layout
 
 
@@ -636,17 +672,30 @@ class ColumnStore:
         weakref.finalize(lease, self.release, col, scol).atexit = False
         return lease
 
+    def pinned(self, lease: _Lease) -> dict[str, np.ndarray]:
+        """The current stores pinned to ``lease``, by :class:`FlatTables` field."""
+        return {
+            "y_blue": np.asarray(_Pinned(self.columns.blue, lease)),
+            "y_red": np.asarray(_Pinned(self.columns.red, lease)),
+            "splits_blue": np.asarray(_Pinned(self.slots.blue, lease)),
+            "splits_red": np.asarray(_Pinned(self.slots.red, lease)),
+        }
+
     def pin(self, flat: FlatTables, lease: _Lease) -> None:
         """Point ``flat``'s stores at the current ones, pinned to ``lease``.
 
         Callers hold :attr:`lock` (or own ``flat`` exclusively).  Re-pinning
         a live table changes which arrays it reads, never what it reads:
-        its blocks hold the same bytes in every store that has them.
+        its blocks hold the same bytes in every store that has them.  The
+        table is bound anew for the C kernels (``table_args``) once its
+        stores are replaced; the old binding is left as it was, because a
+        reader on another thread may be passing it to a kernel right now,
+        and it keeps the stores it points into alive until that reader
+        drops it.
         """
-        flat.y_blue = np.asarray(_Pinned(self.columns.blue, lease))
-        flat.y_red = np.asarray(_Pinned(self.columns.red, lease))
-        flat.splits_blue = np.asarray(_Pinned(self.slots.blue, lease))
-        flat.splits_red = np.asarray(_Pinned(self.slots.red, lease))
+        for name, array in self.pinned(lease).items():
+            setattr(flat, name, array)
+        flat.table_args = engine_compiled.bind_tables(flat, like=flat.table_args)
 
 
 _ADOPT_LOCK = threading.Lock()
@@ -711,15 +760,12 @@ def derive_tables(
             load=source.load,
             avail=avail,
             exact_k=source.exact_k,
-            y_blue=source.y_blue,
-            y_red=source.y_red,
-            splits_blue=source.splits_blue,
-            splits_red=source.splits_red,
+            **store.pinned(store.lease(blocks, scol)),
             col=col,
             scol=scol,
             store=store,
+            table_args=source.table_args,
         )
-        store.pin(flat, store.lease(blocks, scol))
         yield flat
 
 

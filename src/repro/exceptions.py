@@ -110,3 +110,14 @@ class SimulationError(ReproError):
 
 class ExperimentError(ReproError):
     """An experiment configuration is invalid or cannot be executed."""
+
+
+class KernelArgumentError(ReproError, ValueError):
+    """An array handed to a C kernel has the wrong dtype, layout or shape.
+
+    The compiled backend binds each kernel's arrays once
+    (:mod:`repro.core.engine_compiled`); the binding checks every array's
+    dtype, C-contiguity and shape and raises this instead of letting the
+    kernel read past an array or misread its elements.  Also a
+    :class:`ValueError`, which the kernels' shape checks raised before.
+    """

@@ -601,17 +601,25 @@ class PlacementService:
     def _workload_tree(self, loads: Loads) -> TreeNetwork:
         """The workload network of ``loads`` at the live Λ.
 
-        Derived from the fleet network at the live Λ, which is re-derived
-        (by the Λ delta) only when the tracker's Λ digest has changed.
-        Readers racing on a change derive equal networks, and whichever
-        ``(digest, network)`` pair is stored last is as good as the other.
+        Derived from the fleet network at the live Λ
+        (:meth:`_live_network`).
+        """
+        return self._live_network().with_loads(loads)
+
+    def _live_network(self) -> TreeNetwork:
+        """The fleet network at the live Λ, re-derived when Λ has changed.
+
+        Re-derived (by the Λ delta) only when the tracker's Λ digest has
+        changed.  Readers racing on a change derive equal networks, and
+        whichever ``(digest, network)`` pair is stored last is as good as
+        the other.
         """
         current = self._availability_fingerprint()
         derived_at, live = self._live
         if derived_at != current:
             live = live.with_flipped(live.available ^ self.available())
             self._live = (current, live)
-        return live.with_loads(loads)
+        return live
 
     @staticmethod
     def _validate_budget(budget: int) -> int:
@@ -703,7 +711,8 @@ class PlacementService:
         repair refuses (:class:`~repro.exceptions.RepairError`); the
         caller then cold-gathers.
         """
-        candidate = self._cache.repair_candidate(key, budget, self.available())
+        live = self._live_network()
+        candidate = self._cache.repair_candidate(key, budget, live.available, live)
         if candidate is None:
             return None
         source_table, delta = candidate

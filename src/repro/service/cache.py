@@ -145,7 +145,7 @@ import numpy as np
 
 from repro.core.flat import dirty_ancestor_positions
 from repro.core.solver import GatherTable
-from repro.core.tree import NodeId
+from repro.core.tree import NodeId, TreeNetwork
 
 
 class CacheKey(NamedTuple):
@@ -237,6 +237,19 @@ _FamilyKey = tuple[str, str, bool]
 
 def _family_of(key: CacheKey) -> _FamilyKey:
     return (key.structure, key.loads, key.exact_k)
+
+
+def _live_mask(
+    order: tuple[NodeId, ...], available: frozenset[NodeId], live: TreeNetwork | None
+) -> np.ndarray:
+    """Λ membership of ``available`` in flat ``order``.
+
+    ``live``'s memoized mask when ``order`` is its layout's own order (the
+    same object, so the same positions), else built node by node.
+    """
+    if live is not None and live.flat_layout().order is order:
+        return live.availability_mask()
+    return np.fromiter(map(available.__contains__, order), dtype=bool, count=len(order))
 
 
 def _repair_worthwhile(table: GatherTable, delta: frozenset[NodeId]) -> bool:
@@ -448,6 +461,7 @@ class GatherTableCache:
         key: CacheKey,
         budget: int,
         available: frozenset[NodeId],
+        live: TreeNetwork | None = None,
     ) -> tuple[GatherTable, frozenset[NodeId]] | None:
         """The nearest cached table repairable to ``key``'s availability.
 
@@ -466,8 +480,12 @@ class GatherTableCache:
         — :func:`repro.core.engine.repair` enforces the same and would
         refuse otherwise).  Ties on delta size keep the earliest-stored
         candidate.  Flips are counted on each table's flat Λ mask against
-        one mask of ``available`` built per call; the frozenset delta is
-        built for the winner alone.  The nearest candidate is returned
+        one mask of ``available`` per call; the frozenset delta is built
+        for the winner alone.  ``live``, when given, is a network whose Λ
+        is ``available`` (the service's fleet network at the live Λ): its
+        memoized :meth:`~repro.core.tree.TreeNetwork.availability_mask` is
+        that mask whenever the family's flat order is ``live``'s own
+        layout order, and the mask is built from ``available`` otherwise.  The nearest candidate is returned
         only when the repair is also worthwhile: it recomputes at most
         half the switches (the delta switches and their ancestors,
         ``num_switches // 2`` at most; see the module docstring);
@@ -484,7 +502,7 @@ class GatherTableCache:
             bound = self._max_repair_delta
             best_key: CacheKey | None = None
             best_flips = 0
-            live: np.ndarray | None = None
+            mask: np.ndarray | None = None
             for other_key in members:
                 if other_key == key:
                     # The same key missed (absent or too narrow); there is
@@ -496,15 +514,11 @@ class GatherTableCache:
                 if min(int(table.requested_budget), len(available)) != table.budget:
                     continue
                 flat = table.result.flat
-                if live is None:
+                if mask is None:
                     # Every family member shares the structure, so one
                     # live mask in its flat order serves the whole scan.
-                    live = np.fromiter(
-                        map(available.__contains__, flat.order),
-                        dtype=bool,
-                        count=len(flat.order),
-                    )
-                flips = int(np.count_nonzero(flat.avail != live))
+                    mask = _live_mask(flat.order, available, live)
+                flips = int(np.count_nonzero(flat.avail != mask))
                 if not flips:
                     continue
                 if bound is not None and flips > bound:

@@ -35,6 +35,14 @@ def pytest_configure(config):
     # treats a DeprecationWarning as an error, so nothing quietly grows a
     # new deprecated code path.
     config.addinivalue_line("filterwarnings", "error::DeprecationWarning")
+    # Except one raised from outside the project: when a hypothesis test
+    # fails, hypothesis imports libcst for its patch hint, and libcst
+    # warns through mypy_extensions.TypedDict.  As an error it ends the
+    # run in INTERNALERROR instead of the falsifying example.
+    config.addinivalue_line(
+        "filterwarnings",
+        "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning",
+    )
 
 
 @pytest.fixture

@@ -117,6 +117,7 @@ def test_exceptions_hierarchy():
         exceptions.WorkloadError,
         exceptions.SimulationError,
         exceptions.ExperimentError,
+        exceptions.KernelArgumentError,
     ]
     for subclass in subclasses:
         assert issubclass(subclass, exceptions.ReproError)

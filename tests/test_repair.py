@@ -586,6 +586,108 @@ class TestNodeMajorLayout:
             assert answers(result) == answers(cold)
 
 
+def _no_cyclic_garbage(call, times=100):
+    """Run ``call`` ``times`` times with the collector off; the cyclic
+    objects it left behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@needs_compiled
+class TestKernelBindings:
+    """The compiled kernels read bindings made once per layout and table;
+    a store growth re-pins a table and binds it anew."""
+
+    @pytest.fixture()
+    def workload(self):
+        tree = bt_network(32)
+        loads = sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=31)
+        return tree.with_loads(loads)
+
+    def test_repair_chain_leaves_no_cyclic_garbage(self, workload):
+        flat = gather(workload, 5, backend=COMPILED_BACKEND).flat
+        delta = _flip_first(workload, 3)
+        dirty = dirty_ancestor_positions(workload, flat.index, delta)
+        for positions in (flat.internal, dirty, dirty[:0]):
+            assert _no_cyclic_garbage(
+                lambda: engine_compiled.repair_chain(flat, positions)
+            ) == 0
+
+    def test_repairs_across_store_growth_match_cold_gathers(self, workload):
+        rng = np.random.default_rng(1618)
+        solver = Solver(backend=COMPILED_BACKEND)
+        source = solver.gather(workload, 5)
+        flat = source.result.flat
+        kept, capacities, rebinds = [], set(), set()
+        for _ in range(40):
+            # Keeping every repair alive makes the store grow again and
+            # again; each growth re-pins the source and binds it anew.
+            try:
+                kept.append(source.repair(_random_delta(rng, workload, max_flips=6)))
+            except RepairError:
+                continue
+            capacities.add(len(flat.store.columns.refs))
+            rebinds.add(id(flat.table_args))
+            assert flat.table_args.arrays["y_blue"] is flat.y_blue
+        assert len(capacities) >= 3 and len(rebinds) >= 3
+        for table in [source, *kept]:
+            cold = solver.gather(table.tree, 5)
+            assert_tables_equal(cold.result, table.result)
+            assert [
+                (p.blue_nodes, p.cost, p.predicted_cost) for p in table.sweep(range(6)).values()
+            ] == [(p.blue_nodes, p.cost, p.predicted_cost) for p in cold.sweep(range(6)).values()]
+
+    def test_repinned_source_traces_the_same_bytes_while_swept(self, workload):
+        solver = Solver(backend=COMPILED_BACKEND)
+        table = solver.gather(workload, 5)
+        flat = table.result.flat
+        expected = COMPILED_BACKEND.trace(table.tree, table.result, range(6))[1].tobytes()
+        rng = np.random.default_rng(5150)
+        deltas = [_random_delta(rng, workload, max_flips=5) for _ in range(40)]
+        bindings = {id(flat.table_args)}
+        failures: list = []
+        kept: list = []
+        done = threading.Event()
+
+        def sweep():
+            try:
+                while not done.is_set():
+                    masks = COMPILED_BACKEND.trace(table.tree, table.result, range(6))[1]
+                    assert masks.tobytes() == expected
+                    bindings.add(id(flat.table_args))
+            except BaseException as error:  # surfaced in the main thread
+                failures.append(error)
+
+        def repair_all():
+            try:
+                for delta in deltas:
+                    try:
+                        kept.append(table.repair(delta))
+                    except RepairError:
+                        continue
+            except BaseException as error:
+                failures.append(error)
+            finally:
+                done.set()
+
+        threads = [threading.Thread(target=sweep), threading.Thread(target=repair_all)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not failures
+        assert len(bindings) >= 2  # the sweeps crossed a re-pin
+        assert flat.y_blue.base.array is flat.store.columns.blue
+        masks = COMPILED_BACKEND.trace(table.tree, table.result, range(6))[1]
+        assert masks.tobytes() == expected
+
+
 class TestRepairRefusals:
     """Unsound repairs must raise RepairError, never return wrong tables."""
 

@@ -554,25 +554,36 @@ class TestRepairCandidate:
             dirty = dirty_ancestor_positions(best[0].tree, best[0].result.flat.index, best[1])
             return best if len(dirty) <= tree.num_switches // 2 else None
 
+        # A live network on the family's own layout lends its memoized
+        # mask; one on an equal but separately built layout does not.
+        rebuilt = bt_network(8).with_loads(tree.load_function())
+        assert rebuilt.flat_layout().order is not tree.flat_layout().order
         offered = 0
         for _ in range(100):
-            cache = GatherTableCache(max_entries=16, max_repair_delta=max_repair_delta)
+            members = []
             for _member in range(int(rng.integers(1, 9))):
                 available = random_available()
-                cache.store(
-                    key_for(available),
-                    solver.gather(tree.with_available(available), int(rng.integers(1, 5))),
-                )
+                table = solver.gather(tree.with_available(available), int(rng.integers(1, 5)))
+                members.append((key_for(available), table))
+            assert members[0][1].result.flat.order is tree.flat_layout().order
             available = random_available()
             budget = int(rng.integers(1, 5))
-            expected = frozenset_choice(cache, key_for(available), budget, available)
-            got = cache.repair_candidate(key_for(available), budget, available)
+            choices = []
+            for live in (None, tree.with_available(available), rebuilt.with_available(available)):
+                cache = GatherTableCache(max_entries=16, max_repair_delta=max_repair_delta)
+                for key, table in members:
+                    cache.store(key, table)
+                if not choices:
+                    choices.append(frozenset_choice(cache, key_for(available), budget, available))
+                choices.append(cache.repair_candidate(key_for(available), budget, available, live))
+            expected = choices[0]
             if expected is None:
-                assert got is None
+                assert choices == [None] * 4
                 continue
             offered += 1
-            assert got is not None
-            assert got[0] is expected[0] and got[1] == expected[1]
+            for got in choices[1:]:
+                assert got is not None
+                assert got[0] is expected[0] and got[1] == expected[1]
         assert offered >= 15
 
     def test_note_repair_counts(self):

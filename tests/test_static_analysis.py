@@ -252,6 +252,64 @@ def test_ffi_contract_fails_on_perturbed_c_copy(tmp_path):
     assert any("arity mismatch" in f.message for f in findings)
 
 
+def _ffi_messages(c_text, py_text):
+    return "\n".join(f.message for f in check_ffi(c_text, py_text))
+
+
+def test_ffi_contract_fails_on_a_dropped_struct_field():
+    c_text = C_PATH.read_text()
+    dropped = re.sub(r"\n[ \t]*const double \*load_f64;[^\n]*", "", c_text)
+    assert dropped != c_text
+    assert "struct kernel_tables: field count mismatch" in _ffi_messages(
+        dropped, PY_PATH.read_text()
+    )
+
+
+def test_ffi_contract_fails_on_swapped_struct_fields():
+    c_text = C_PATH.read_text()
+    swapped = re.sub(
+        r"(const int64_t \*col;[^\n]*)\n([ \t]*)(const int64_t \*scol;[^\n]*)",
+        r"\3\n\2\1",
+        c_text,
+    )
+    assert swapped != c_text
+    messages = _ffi_messages(swapped, PY_PATH.read_text())
+    assert "struct kernel_tables: field 4 is 'scol' in C but 'col' in _fields_" in messages
+    assert "struct kernel_tables: field 5 is 'col' in C but 'scol' in _fields_" in messages
+
+
+def test_ffi_contract_fails_on_a_wrong_pointee_type():
+    c_text = C_PATH.read_text()
+    py_text = PY_PATH.read_text()
+    wrong = c_text.replace("int32_t *splits_blue;", "int64_t *splits_blue;")
+    assert wrong != c_text
+    assert (
+        "struct kernel_tables: field 'splits_blue' kind mismatch — C declares "
+        "i64*, _fields_ says i32*"
+    ) in _ffi_messages(wrong, py_text)
+    # An alias means what the module defines it as: retyping it on the
+    # Python side breaks every field and argument that uses it.
+    retyped = py_text.replace("_i32 = POINTER(c_int32)", "_i32 = POINTER(c_int64)")
+    assert retyped != py_text
+    messages = _ffi_messages(c_text, retyped)
+    assert "field 'splits_red' kind mismatch" in messages
+
+
+def test_ffi_contract_pairs_every_struct_with_a_structure():
+    c_text = C_PATH.read_text()
+    py_text = PY_PATH.read_text()
+    unmirrored = py_text.replace("class KernelCostModel(", "class CostModelArgs(")
+    assert unmirrored != py_text
+    messages = _ffi_messages(c_text, unmirrored)
+    assert "struct kernel_cost_model has no ctypes Structure" in messages
+    assert "ctypes Structure CostModelArgs mirrors struct cost_model_args" in messages
+    # A struct passed by a kernel must exist in C at all.
+    renamed = c_text.replace("struct kernel_layout {", "struct kernel_structure {")
+    assert "takes struct kernel_layout, which _gather_kernels.c does not define" in (
+        _ffi_messages(renamed, py_text)
+    )
+
+
 def test_ffi_contract_fails_on_kind_restype_and_symbol_drift():
     c_text = C_PATH.read_text()
     py_text = PY_PATH.read_text()

@@ -14,6 +14,7 @@ same-structure network; and corrupt tables must raise
 
 from __future__ import annotations
 
+import gc
 import math
 import sys
 from dataclasses import replace
@@ -42,7 +43,7 @@ from repro.core.engine import BACKENDS, COMPILED_BACKEND, DEFAULT_BACKEND, NUMPY
 from repro.core.flat import cost_model_for
 from repro.core.solver import Solver
 from repro.core.tree import TreeNetwork
-from repro.exceptions import PlacementError
+from repro.exceptions import KernelArgumentError, PlacementError
 from repro.testing import instance_stream, near_tie_stream, random_instance
 from repro.topology.binary_tree import bt_network
 from repro.workload.distributions import PowerLawLoadDistribution, sample_leaf_loads
@@ -295,6 +296,95 @@ class TestCompiledDispatch:
         # The same tables on the numpy backend make no C call.
         replace(table, backend=NUMPY_BACKEND).sweep(range(1, 5))
         assert calls == {"color": 2, "cost": 2}
+
+
+@needs_compiled
+class TestKernelArguments:
+    """The colour and cost kernels read arrays bound once and checked when
+    bound; a call converts only its own arrays and leaves no cyclic
+    garbage."""
+
+    @pytest.fixture()
+    def table(self):
+        tree = bt_network(64)
+        tree = tree.with_loads(sample_leaf_loads(tree, PowerLawLoadDistribution(), rng=2))
+        return Solver(backend=COMPILED_BACKEND).gather(tree, 8)
+
+    def test_colour_and_cost_calls_leave_no_cyclic_garbage(self, table):
+        flat, model = table.result.flat, table.cost_model()
+        masks = engine_compiled.color_masks(flat, flat.load, flat.avail, [0, 3, 8], False)
+        foreign_load = flat.load + 1
+        foreign_avail = flat.avail.copy()
+        calls = [
+            lambda: engine_compiled.color_masks(flat, flat.load, flat.avail, [8], False),
+            lambda: engine_compiled.color_masks(flat, flat.load, flat.avail, [], False),
+            lambda: engine_compiled.utilization_costs(model, masks, flat.avail, flat.load),
+            # Another network's vectors bind for the one call.
+            lambda: engine_compiled.color_masks(flat, foreign_load, foreign_avail, [8], False),
+            lambda: engine_compiled.utilization_costs(model, masks, foreign_avail, foreign_load),
+            lambda: table.sweep(range(9)),
+        ]
+        for call in calls:
+            gc.collect()
+            gc.disable()
+            try:
+                for _ in range(100):
+                    call()
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
+
+    def test_tables_refuse_a_wrong_dtype_a_strided_or_a_short_array(self, table):
+        flat = table.result.flat
+        with pytest.raises(KernelArgumentError, match="y_blue must be a float64 array"):
+            replace(flat, y_blue=flat.y_blue.astype(np.float32))
+        with pytest.raises(KernelArgumentError, match="splits_red must be a int32 array"):
+            replace(flat, splits_red=flat.splits_red.astype(np.int64))
+        with pytest.raises(KernelArgumentError, match="avail must be a bool array"):
+            replace(flat, avail=flat.avail.view(np.uint8))
+        with pytest.raises(KernelArgumentError, match="col must be C-contiguous"):
+            replace(flat, col=np.repeat(flat.col, 2)[::2])
+        n = len(flat.order)
+        with pytest.raises(KernelArgumentError, match=rf"load must have shape \({n},\)"):
+            replace(flat, load=flat.load[:-1])
+        with pytest.raises(KernelArgumentError, match="y_red must have shape"):
+            replace(flat, y_red=np.ascontiguousarray(flat.y_red[:, :-1]))
+        with pytest.raises(KernelArgumentError, match="scol must have shape"):
+            replace(flat, scol=flat.scol[:-1])
+        # The same checks hold a traced network's vectors, and the error
+        # is still the ValueError the per-call checks raised.
+        with pytest.raises(ValueError, match="avail must have shape"):
+            engine_compiled.color_masks(flat, flat.load, flat.avail[:-1], [2], False)
+
+    def test_layout_and_cost_model_refuse_bad_arrays(self, table):
+        flat, model = table.result.flat, table.cost_model()
+        layout = table.tree.flat_layout()
+        with pytest.raises(KernelArgumentError, match="depth must be a int64 array"):
+            engine_compiled.bind_layout(replace(layout, depth=layout.depth.astype(np.int32)))
+        with pytest.raises(KernelArgumentError, match="path_rho must be C-contiguous"):
+            engine_compiled.bind_layout(replace(layout, path_rho=np.asfortranarray(layout.path_rho)))
+        with pytest.raises(KernelArgumentError, match="child_concat must have shape"):
+            engine_compiled.bind_layout(replace(layout, child_concat=layout.child_concat[:-1]))
+        with pytest.raises(KernelArgumentError, match="parent must be a int64 array"):
+            replace(model, parent=model.parent.astype(np.int32))
+        with pytest.raises(KernelArgumentError, match="rho must have shape"):
+            replace(model, rho=model.rho[:-1])
+        with pytest.raises(KernelArgumentError, match=r"blue masks must have shape"):
+            engine_compiled.utilization_costs(
+                model, np.zeros((2, 3), dtype=np.uint8), flat.avail, flat.load
+            )
+
+    def test_bindings_hold_what_they_point_into(self, table):
+        flat, model = table.result.flat, table.cost_model()
+        assert flat.layout_args is table.tree.flat_layout().layout_args
+        for name in ("y_blue", "y_red", "splits_blue", "splits_red", "col", "scol", "load", "avail"):
+            assert flat.table_args.arrays[name] is getattr(flat, name)
+        assert flat.table_args.arrays["load_f64"].tolist() == flat.load.tolist()
+        for name in ("parent", "rho", "postorder", "load", "avail"):
+            assert model.cost_args.arrays[name] is getattr(model, name)
+        # A repair converts no loads: its tables reuse the lineage's doubles.
+        repaired = table.repair(frozenset(sorted(table.tree.switches)[:2])).result.flat
+        assert repaired.table_args.arrays["load_f64"] is flat.table_args.arrays["load_f64"]
 
 
 class TestCostModelCache:
