@@ -277,22 +277,23 @@ class KernelArgs:
         self.addresses = addresses
 
 
-def _address(name: str, array: np.ndarray, dtype: np.dtype, shape: tuple) -> int:
-    """The data address of ``array`` once it passes the kernel's checks.
+def _check(name: str, array: np.ndarray, dtype: np.dtype, shape: tuple) -> None:
+    """Refuse an array a kernel would misread: dtype, layout or shape.
 
-    ``shape`` may hold ``None`` for a free extent (a store's capacity).
+    A leading ``None`` in ``shape`` is a free extent (a store's capacity).
     """
     if not isinstance(array, np.ndarray) or array.dtype != dtype:
         got = array.dtype if isinstance(array, np.ndarray) else type(array).__name__
         raise KernelArgumentError(f"{name} must be a {dtype} array, got {got}")
     if not array.flags.c_contiguous:
         raise KernelArgumentError(f"{name} must be C-contiguous")
-    if len(array.shape) != len(shape) or any(
-        want is not None and got != want for got, want in zip(array.shape, shape)
-    ):
-        wanted = tuple("capacity" if want is None else want for want in shape)
+    if shape[0] is None:
+        wrong = array.ndim != len(shape) or array.shape[1:] != shape[1:]
+    else:
+        wrong = array.shape != shape
+    if wrong:
+        wanted = ("capacity", *shape[1:]) if shape[0] is None else shape
         raise KernelArgumentError(f"{name} must have shape {wanted}, got {array.shape}")
-    return array.ctypes.data
 
 
 def _bind(
@@ -303,17 +304,18 @@ def _bind(
 ) -> KernelArgs:
     """Fill ``struct`` from ``arrays`` (``name -> (array, dtype, shape)``).
 
-    An array ``like`` already points into (the same object) keeps its
-    checked address; every other one is checked first.
+    Every array is checked; one that ``like`` already points into (the
+    same object) keeps its address, which is the costly part to read.
     """
     fields = dict(struct._fields_)
     values: dict[str, object] = dict(scalars)
     addresses: dict[str, int] = {}
     for name, (array, dtype, shape) in arrays.items():
+        _check(name, array, dtype, shape)
         if like is not None and like.arrays.get(name) is array:
             address = like.addresses[name]
         else:
-            address = _address(name, array, dtype, shape)
+            address = array.ctypes.data
         addresses[name] = address
         values[name] = ctypes.cast(address, fields[name])
     held = {name: spec[0] for name, spec in arrays.items()}

@@ -337,7 +337,7 @@ class TestKernelArguments:
     def test_tables_refuse_a_wrong_dtype_a_strided_or_a_short_array(self, table):
         flat = table.result.flat
         with pytest.raises(KernelArgumentError, match="y_blue must be a float64 array"):
-            replace(flat, y_blue=flat.y_blue.astype(np.float32))
+            replace(flat, y_blue=np.zeros(flat.y_blue.shape, dtype=np.float32))
         with pytest.raises(KernelArgumentError, match="splits_red must be a int32 array"):
             replace(flat, splits_red=flat.splits_red.astype(np.int64))
         with pytest.raises(KernelArgumentError, match="avail must be a bool array"):
@@ -351,6 +351,10 @@ class TestKernelArguments:
             replace(flat, y_red=np.ascontiguousarray(flat.y_red[:, :-1]))
         with pytest.raises(KernelArgumentError, match="scol must have shape"):
             replace(flat, scol=flat.scol[:-1])
+        # An array the old binding already held is checked again too: here
+        # the unchanged y_blue no longer matches the narrower y_red.
+        with pytest.raises(KernelArgumentError, match="y_blue must have shape"):
+            replace(flat, y_red=np.ascontiguousarray(flat.y_red[..., :-1]))
         # The same checks hold a traced network's vectors, and the error
         # is still the ValueError the per-call checks raised.
         with pytest.raises(ValueError, match="avail must have shape"):
